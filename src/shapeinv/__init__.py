@@ -8,7 +8,6 @@ from .models import (
     PairPrepotential,
     Prepotential1D,
     check_pair_condition,
-    eval_prepotential,
     make_nbody_model,
     make_pair_prepotential,
     make_prepotential_1d,
@@ -23,7 +22,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "NBodyModel", "PairPrepotential", "Prepotential1D",
-    "check_pair_condition", "eval_prepotential", "make_nbody_model",
+    "check_pair_condition", "make_nbody_model",
     "make_pair_prepotential", "make_prepotential_1d", "model_from_config",
     "model_to_config", "remainder_1d", "remainder_nominal", "remainder_shift",
     "__version__",

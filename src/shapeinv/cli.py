@@ -25,7 +25,7 @@ import numpy as np
 
 from . import shape1d, spectral, susy, verify
 from .errors import DomainError, ShapeInvError
-from .models import make_nbody_model, make_prepotential_1d
+from .models import make_nbody_model, make_prepotential_1d, parse_key_values
 from .spectral import GridSpec
 
 _FAMILY_ALIASES = {
@@ -49,43 +49,16 @@ _CONFIG_KEYS = {
 }
 
 
-def _read_config_file(path: str) -> dict:
-    values = {}
-    text = Path(path).read_text()
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise DomainError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key not in _CONFIG_KEYS:
-            raise DomainError(f"{path}:{lineno}: unknown key {key!r}")
-        caster = _CONFIG_KEYS[key]
-        if caster is bool:
-            if val.lower() not in ("true", "false", "0", "1"):
-                raise DomainError(f"{path}:{lineno}: boolean key {key!r} got {val!r}")
-            values[key] = val.lower() in ("true", "1")
-        else:
-            try:
-                values[key] = caster(val)
-            except ValueError as exc:
-                raise DomainError(f"{path}:{lineno}: bad value for {key!r}: {exc}")
-    return values
-
-
 def _merge(args: argparse.Namespace, defaults: dict) -> dict:
-    """File values fill in anything the command line left at its default."""
+    """Defaults, then the config file, then every flag given on the command
+    line (argparse leaves flags that were not given at None)."""
     cfg = dict(defaults)
     if getattr(args, "config", None):
-        cfg.update(_read_config_file(args.config))
+        cfg.update(parse_key_values(Path(args.config).read_text(), _CONFIG_KEYS,
+                                    args.config))
     for key in defaults:
-        cli_val = getattr(args, key, None)
-        if cli_val is not None and cli_val != defaults.get(key):
-            cfg[key] = cli_val
-        elif key not in cfg:
-            cfg[key] = defaults[key]
+        if getattr(args, key, None) is not None:
+            cfg[key] = getattr(args, key)
     return cfg
 
 

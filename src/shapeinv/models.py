@@ -220,6 +220,11 @@ def remainder_1d(prep: Prepotential1D, params_next) -> float:
 # N-body models
 # ---------------------------------------------------------------------------
 
+def _set_diagonal(a: np.ndarray, value):
+    """Write `value` onto the diagonal of every trailing (N, N) block of a."""
+    np.einsum("...ii->...i", a)[...] = value
+
+
 @dataclass(frozen=True)
 class NBodyModel:
     """An N-body model with pairwise prepotential W_i = sum_j' w(x_i - x_j).
@@ -285,21 +290,25 @@ class NBodyModel:
         return self.alpha * np.log(np.abs(r)) - 0.5 * self.beta * r ** 2
 
     # -- configuration-level evaluation -------------------------------------
-    def separation_margin(self, x) -> float:
+    # Each method takes one configuration (N,) or a batch (M, N) of them;
+    # a batch gives one value (or one row) per configuration.
+    def separation_margin(self, x):
         """Distance of the closest pair to its nearest singular hyperplane."""
         x = np.asarray(x, dtype=float)
-        d = x[:, None] - x[None, :]
-        off = ~np.eye(self.n, dtype=bool)
+        d = x[..., :, None] - x[..., None, :]
         if self.kind == "calogero_sutherland":
             # singular whenever x_i - x_j is a multiple of pi
-            return float(np.min(np.abs(d[off] - math.pi * np.round(d[off] / math.pi))))
-        return float(np.min(np.abs(d[off])))
+            d = d - math.pi * np.round(d / math.pi)
+        d = np.abs(d)
+        _set_diagonal(d, math.inf)
+        return d.min(axis=(-2, -1))
 
     def check_configuration(self, x):
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise DomainError(f"configuration must have shape ({self.n},), got {x.shape}")
-        margin = self.separation_margin(x)
+        if x.shape[-1:] != (self.n,) or x.ndim > 2:
+            raise DomainError(f"configuration must have shape ({self.n},) or "
+                              f"(M, {self.n}), got {x.shape}")
+        margin = self.separation_margin(x).min(initial=math.inf)
         if margin < self.eps_sing:
             raise SingularConfigurationError(
                 f"configuration within {margin:.3e} of a singular hyperplane "
@@ -307,41 +316,40 @@ class NBodyModel:
         return x
 
     def _diff(self, x):
-        d = x[:, None] - x[None, :]
-        np.fill_diagonal(d, 1.0)  # dummy, masked out by callers
+        d = x[..., :, None] - x[..., None, :]
+        _set_diagonal(d, 1.0)  # dummy, masked out by callers
         return d
 
     def prepotential(self, x) -> np.ndarray:
         """W_i(x) for i = 1..N.  Sums to zero at every configuration."""
         x = self.check_configuration(x)
-        d = self._diff(x)
-        w = self.pair_w(d)
-        np.fill_diagonal(w, 0.0)
-        return w.sum(axis=1)
+        w = self.pair_w(self._diff(x))
+        _set_diagonal(w, 0.0)
+        return w.sum(axis=-1)
 
     def prepotential_jacobian(self, x) -> np.ndarray:
         """Matrix J[i, j] = d W_j / d x_i (symmetric: the field is curl-free)."""
         x = self.check_configuration(x)
-        d = self._diff(x)
-        wp = self.pair_w_prime(d)
-        np.fill_diagonal(wp, 0.0)
+        wp = self.pair_w_prime(self._diff(x))
+        _set_diagonal(wp, 0.0)
         jac = -wp
-        np.fill_diagonal(jac, wp.sum(axis=1))
+        _set_diagonal(jac, wp.sum(axis=-1))
         return jac
 
-    def pair_potential(self, x) -> float:
+    def pair_potential(self, x):
         """The standard pair interaction, without the additive constant."""
         x = self.check_configuration(x)
         d = self._diff(x)
-        off = ~np.eye(self.n, dtype=bool)
-        if self.kind == "calogero":
-            return float((self.g / 2.0) * np.sum(1.0 / d[off] ** 2))
-        if self.kind == "calogero_sutherland":
-            return float((self.g / 2.0) * np.sum(1.0 / np.sin(d[off]) ** 2))
-        return float((self.g / 2.0) * np.sum(1.0 / d[off] ** 2)
-                     + 0.25 * self.omega ** 2 * np.sum(d[off] ** 2))
+        inv_sq = 1.0 / (np.sin(d) if self.kind == "calogero_sutherland" else d) ** 2
+        _set_diagonal(inv_sq, 0.0)
+        v = (self.g / 2.0) * inv_sq.sum(axis=(-2, -1))
+        if self.kind == "harmonic_calogero":
+            sq = d ** 2
+            _set_diagonal(sq, 0.0)
+            v = v + 0.25 * self.omega ** 2 * sq.sum(axis=(-2, -1))
+        return v
 
-    def potential(self, x) -> float:
+    def potential(self, x):
         return self.pair_potential(x) + self.c
 
     def ladder_potential(self, x, partner: bool = False) -> float:
@@ -350,9 +358,9 @@ class NBodyModel:
         x = self.check_configuration(x)
         d = self._diff(x)
         w = self.pair_w(d)
-        np.fill_diagonal(w, 0.0)
+        _set_diagonal(w, 0.0)
         wp = self.pair_w_prime(d)
-        np.fill_diagonal(wp, 0.0)
+        _set_diagonal(wp, 0.0)
         wsq = float(np.sum(w.sum(axis=1) ** 2))
         trace = float(wp.sum())
         return wsq + trace if partner else wsq - trace
@@ -394,11 +402,6 @@ def make_nbody_model(kind: str, n: int, alpha: float, omega: float | None = None
     if eps_sing <= 0:
         raise DomainError("eps_sing must be positive")
     return NBodyModel(kind, n, float(alpha), omega, beta, float(eps_sing))
-
-
-def eval_prepotential(model: NBodyModel, x) -> np.ndarray:
-    """(W_1, ..., W_N) at configuration x; rejects near-singular x."""
-    return model.prepotential(x)
 
 
 def remainder_shift(model: NBodyModel) -> float:
@@ -604,7 +607,36 @@ def check_pair_condition(pair: PairPrepotential, samples: int, seed: int,
 # Plain-text model configs
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = ("kind", "n", "alpha", "omega", "beta_override", "epsilon_sing")
+_CONFIG_KEYS = {"kind": str, "n": int, "alpha": float, "omega": float,
+                "beta_override": float, "epsilon_sing": float}
+
+
+def parse_key_values(text: str, types: dict, source: str = "config") -> dict:
+    """Parse flat ``key = value`` lines ('#' starts a comment) into values
+    of the types given per key; unknown keys and bad values are rejected
+    with their line number."""
+    values = {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DomainError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
+        key, _, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if key not in types:
+            raise DomainError(f"{source}:{lineno}: unknown key {key!r}")
+        caster = types[key]
+        if caster is bool:
+            if val.lower() not in ("true", "false", "0", "1"):
+                raise DomainError(f"{source}:{lineno}: boolean key {key!r} got {val!r}")
+            values[key] = val.lower() in ("true", "1")
+        else:
+            try:
+                values[key] = caster(val)
+            except ValueError as exc:
+                raise DomainError(f"{source}:{lineno}: bad value for {key!r}: {exc}") from exc
+    return values
 
 
 def model_to_config(model: NBodyModel) -> str:
@@ -619,22 +651,9 @@ def model_to_config(model: NBodyModel) -> str:
 
 def model_from_config(text: str) -> NBodyModel:
     """Parse the flat key = value format; unknown keys are rejected."""
-    values = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise DomainError(f"config line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key not in _CONFIG_KEYS:
-            raise DomainError(f"config line {lineno}: unknown key {key!r}")
-        values[key] = val
+    values = parse_key_values(text, _CONFIG_KEYS)
     if "kind" not in values or "n" not in values or "alpha" not in values:
         raise DomainError("config must set kind, n and alpha")
-    omega = float(values["omega"]) if "omega" in values else None
-    beta = float(values["beta_override"]) if "beta_override" in values else None
-    eps = float(values["epsilon_sing"]) if "epsilon_sing" in values else 1e-6
-    return make_nbody_model(values["kind"], int(values["n"]), float(values["alpha"]),
-                            omega=omega, beta=beta, eps_sing=eps)
+    return make_nbody_model(values["kind"], values["n"], values["alpha"],
+                            omega=values.get("omega"), beta=values.get("beta_override"),
+                            eps_sing=values.get("epsilon_sing", 1e-6))

@@ -133,63 +133,64 @@ def _lap_coeffs(order: int, h: float):
     raise DomainError("stencil_order must be 2 or 4")
 
 
-def _laplacian_1d(m_nodes: int, h: float, order: int, bc: str) -> sp.csr_matrix:
-    rows, cols, vals = [], [], []
-    for i in range(m_nodes):
-        for off, coef in _lap_coeffs(order, h):
-            j = i + off
-            if bc == "periodic":
-                rows.append(i)
-                cols.append(j % m_nodes)
-                vals.append(coef)
-                continue
-            if 0 <= j < m_nodes:
-                rows.append(i)
-                cols.append(j)
-                vals.append(coef)
-            elif order == 4 and (j == -2 or j == m_nodes + 1):
-                # ghost two cells beyond a Dirichlet wall: odd reflection
-                # through the wall node maps it onto the first interior node
-                k = 0 if j == -2 else m_nodes - 1
-                rows.append(i)
-                cols.append(k)
-                vals.append(-coef)
-            # offset +-1 beyond the wall lands on the wall itself: value 0
-    return sp.csr_matrix(sp.coo_matrix((vals, (rows, cols)),
-                                       shape=(m_nodes, m_nodes)))
+def _deriv_coeffs(order: int, h: float):
+    """Offsets and coefficients of the centered first derivative."""
+    if order == 2:
+        return ((1, 0.5 / h), (-1, -0.5 / h))
+    if order == 4:
+        return ((1, 8 / 12 / h), (-1, -8 / 12 / h), (2, -1 / 12 / h), (-2, 1 / 12 / h))
+    raise DomainError("stencil_order must be 2 or 4")
 
-
-# ---------------------------------------------------------------------------
-# node enumeration and assembly
-# ---------------------------------------------------------------------------
 
 def _sector_nodes(grid: GridSpec):
-    """Multi-indices and coordinates of the grid's computational nodes."""
-    per_axis = [grid.axis_nodes(k) for k in range(grid.dim)]
-    sizes = [len(a) for a in per_axis]
-    if grid.dim == 1:
-        idx = [(i,) for i in range(sizes[0])]
-    elif grid.sector == "ordered":
-        idx = [t for t in itertools.product(*map(range, sizes))
-               if all(t[k] < t[k + 1] for k in range(grid.dim - 1))]
+    """Multi-indices (M, dim) and coordinates (M, dim) of the grid's
+    computational nodes, in row-major order (axis 0 slowest)."""
+    sizes = [len(grid.axis_nodes(k)) for k in range(grid.dim)]
+    if grid.sector == "ordered":
+        flat = itertools.chain.from_iterable(
+            itertools.combinations(range(sizes[0]), grid.dim))
+        idx = np.fromiter(flat, dtype=np.intp).reshape(-1, grid.dim)
     else:
-        idx = list(itertools.product(*map(range, sizes)))
-    nodes = np.array([[per_axis[k][t[k]] for k in range(grid.dim)] for t in idx])
+        idx = np.indices(sizes).reshape(grid.dim, -1).T
+    nodes = np.column_stack([grid.axis_nodes(k)[idx[:, k]] for k in range(grid.dim)])
     return idx, nodes
 
 
-def _evaluate_potential(vfun, nodes: np.ndarray, dim: int) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if dim == 1:
-            x = nodes[:, 0]
-            try:
-                out = np.asarray(vfun(x), dtype=float)
-                if out.shape == x.shape:
-                    return out
-            except Exception:
-                pass
-            return np.array([float(vfun(xi)) for xi in x])
-        return np.array([float(vfun(p)) for p in nodes])
+def _axis_operators(grid: GridSpec, idx: np.ndarray, coeffs, order: int) -> list:
+    """One sparse matrix per axis: the 1-D stencil `coeffs(order, h)` along
+    that axis, restricted to the sector nodes `idx`.
+
+    This is P L P^T, with P selecting the sector from the full grid and L
+    the stencil acting on one axis.  Periodic axes wrap; Dirichlet axes
+    zero-extend beyond domain and coincidence walls, except that a 1-D grid
+    maps the ghost two cells beyond a wall onto the first interior node by
+    odd reflection through the wall (the neighbour on the wall is 0).
+    """
+    sizes = np.array([len(grid.axis_nodes(k)) for k in range(grid.dim)])
+    strides = np.cumprod(np.r_[1, sizes[:0:-1]])[::-1]
+    codes = idx @ strides  # row-major flat codes: sorted by construction
+    n_nodes = len(idx)
+    ops = []
+    for k in range(grid.dim):
+        rows, cols, vals = [], [], []
+        for off, coef in coeffs(order, grid.axis_h(k)):
+            tk = idx[:, k] + off
+            if grid.bc == "periodic":
+                tk %= sizes[k]
+            sign = np.where((tk < -1) | (tk > sizes[k]), -1.0, 1.0)
+            if grid.dim == 1:
+                tk = np.where(tk < -1, -2 - tk, np.where(tk > sizes[k], 2 * sizes[k] - tk, tk))
+            row = np.flatnonzero((tk >= 0) & (tk < sizes[k]))
+            nb = codes[row] + (tk[row] - idx[row, k]) * strides[k]
+            pos = np.minimum(np.searchsorted(codes, nb), n_nodes - 1)
+            found = codes[pos] == nb
+            rows.append(row[found])
+            cols.append(pos[found])
+            vals.append(coef * sign[row[found]])
+        ops.append(sp.csr_matrix((np.concatenate(vals),
+                                  (np.concatenate(rows), np.concatenate(cols))),
+                                 shape=(n_nodes, n_nodes)))
+    return ops
 
 
 def discretize(operator, grid: GridSpec, stencil_order: int = 4,
@@ -198,8 +199,9 @@ def discretize(operator, grid: GridSpec, stencil_order: int = 4,
 
     `operator` is an NBodyModel (grid.dim must equal its particle count, and
     singular kinds require the ordered sector), a Prepotential1D (1-D grid),
-    or a bare potential callable.  Construction fails if any node sits on a
-    singularity of V.
+    or a bare potential callable.  A callable gets the node vector (M,) on a
+    1-D grid and the node array (M, dim) otherwise, and returns one value
+    per node.  Construction fails if any node sits on a singularity of V.
     """
     info = {}
     if isinstance(operator, NBodyModel):
@@ -222,42 +224,18 @@ def discretize(operator, grid: GridSpec, stencil_order: int = 4,
         raise DomainError(f"cannot discretize {type(operator).__name__}")
 
     idx, nodes = _sector_nodes(grid)
-    index_of = {t: r for r, t in enumerate(idx)}
-    n_nodes = len(idx)
-
     try:
-        v = _evaluate_potential(vfun, nodes, grid.dim)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v = np.asarray(vfun(nodes[:, 0] if grid.dim == 1 else nodes), dtype=float)
     except Exception as exc:
         raise DomainError(f"potential evaluation failed on the grid: {exc}") from exc
+    if v.shape != (len(idx),):
+        raise DomainError(f"potential returned shape {v.shape} for {len(idx)} nodes")
     if not np.all(np.isfinite(v)):
         raise DomainError("potential is singular on a grid node; offset the grid")
 
-    if grid.dim == 1:
-        kin = _laplacian_1d(n_nodes, grid.axis_h(0), stencil_order, grid.bc)
-        mat = kinetic_scale * kin + sp.diags(v)
-    else:
-        rows, cols, vals = [], [], []
-        axis_sizes = [len(grid.axis_nodes(k)) for k in range(grid.dim)]
-        for r, t in enumerate(idx):
-            for k in range(grid.dim):
-                h = grid.axis_h(k)
-                for off, coef in _lap_coeffs(stencil_order, h):
-                    tj = list(t)
-                    tj[k] = t[k] + off
-                    if grid.bc == "periodic":
-                        tj[k] %= axis_sizes[k]
-                    elif not 0 <= tj[k] < axis_sizes[k]:
-                        continue  # zero extension beyond domain walls
-                    r2 = index_of.get(tuple(tj))
-                    if r2 is None:
-                        continue  # zero extension beyond coincidence walls
-                    rows.append(r)
-                    cols.append(r2)
-                    vals.append(kinetic_scale * coef)
-        mat = sp.csr_matrix(sp.coo_matrix((vals, (rows, cols)),
-                                          shape=(n_nodes, n_nodes)))
-        mat = mat + sp.diags(v)
-
+    kin = sum(_axis_operators(grid, idx, _lap_coeffs, stencil_order))
+    mat = kinetic_scale * kin + sp.diags(v)
     ham = SparseHamiltonian(sp.csr_matrix(mat), nodes, grid, stencil_order, info)
     if ham.symmetry_defect() > 1e-12:
         raise DomainError("assembled operator is not symmetric")

@@ -27,7 +27,7 @@ import scipy.sparse as sp
 
 from .errors import DimensionCapError, DomainError
 from .models import NBodyModel
-from .spectral import GridSpec, _sector_nodes
+from .spectral import GridSpec, _axis_operators, _deriv_coeffs, _sector_nodes
 
 SPARSE_CAP = 200_000
 DENSE_SECTOR_CAP = 5000
@@ -297,36 +297,10 @@ def _build_grid(model: NBodyModel, grid: GridSpec, variant: str,
         raise DomainError("singular kinds need the ordered sector")
     base = model if variant == "s1" else model.shifted(1.0)
     idx, nodes = _sector_nodes(grid)
-    index_of = {t: r for r, t in enumerate(idx)}
     n_nodes = len(idx)
-    axis_sizes = [len(grid.axis_nodes(k)) for k in range(grid.dim)]
-    if stencil_order == 2:
-        stencil = ((1, 0.5), (-1, -0.5))
-    elif stencil_order == 4:
-        stencil = ((1, 8 / 12), (-1, -8 / 12), (2, -1 / 12), (-2, 1 / 12))
-    else:
-        raise DomainError("stencil_order must be 2 or 4")
-    w_all = np.array([base.prepotential(p) for p in nodes])
-    ladders = []
-    for axis in range(model.n):
-        h = grid.axis_h(axis)
-        rows, cols, vals = [], [], []
-        for row, t in enumerate(idx):
-            for off, coef in stencil:
-                tj = list(t)
-                tj[axis] = t[axis] + off
-                if grid.bc == "periodic":
-                    tj[axis] %= axis_sizes[axis]
-                elif not 0 <= tj[axis] < axis_sizes[axis]:
-                    continue
-                col = index_of.get(tuple(tj))
-                if col is None:
-                    continue
-                rows.append(row)
-                cols.append(col)
-                vals.append(coef / h)
-        d = sp.coo_matrix((vals, (rows, cols)), shape=(n_nodes, n_nodes))
-        ladders.append((sp.csr_matrix(d) + sp.diags(w_all[:, axis])).tocsr())
+    w_all = base.prepotential(nodes)
+    ladders = [(d + sp.diags(w_all[:, axis])).tocsr() for axis, d in
+               enumerate(_axis_operators(grid, idx, _deriv_coeffs, stencil_order))]
 
     fock = make_fock_basis(model.n)
     total = n_nodes * fock.dim
@@ -338,12 +312,9 @@ def _build_grid(model: NBodyModel, grid: GridSpec, variant: str,
         q = q + sp.kron(lowering.astype(complex), fock.annihilators[i], format="csr")
     qdag = sp.csr_matrix(q.conj().T)
     ham = (qdag @ q + q @ qdag).tocsr()
-    blocks, fermion_of = [], np.empty(total, dtype=int)
-    for s in range(n_nodes):
-        for f_state in range(fock.dim):
-            fermion_of[s * fock.dim + f_state] = fock.fermion_number(f_state)
+    fermion_of = np.tile([fock.fermion_number(f) for f in range(fock.dim)], n_nodes)
     sys = SusySystem(model=model, grid=grid, variant=variant, fock=fock,
-                     cm_momenta=None, blocks=blocks, fermion_of=fermion_of,
+                     cm_momenta=None, blocks=[], fermion_of=fermion_of,
                      Q=q, Qdag=qdag, H=ham, a_space=ladders, space_nodes=nodes)
     return _finish(sys)
 

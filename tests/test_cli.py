@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -194,16 +196,24 @@ def test_chain_levels(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_config_file_with_flag_override(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("kind = calogero_sutherland\nn = 2\nalpha = 1\n"
-                   "trials = 25\nseed = 3\n")
-    out = tmp_path / "out"
-    code = run(["verify", "--config", str(cfg), "--seed", "9",
-                "--outdir", str(out)])
-    assert code == 0
-    payload = json.loads((out / "factorization.json").read_text())
-    assert payload["seed"] == 9          # flag wins
-    assert payload["trials"] == 25       # file value survives
+    cases = [
+        # (file, flags, expected n, trials, seed)
+        ("kind = calogero_sutherland\nn = 2\nalpha = 1\ntrials = 25\nseed = 3\n",
+         ["--seed", "9"], 2, 25, 9),
+        # a flag wins even when its value equals the subcommand default
+        ("kind = calogero\nn = 4\nalpha = 1.5\n", ["--n", "3", "--trials", "2"],
+         3, 2, 7),
+    ]
+    for case, (text, flags, n, trials, seed) in enumerate(cases):
+        cfg = tmp_path / f"run{case}.cfg"
+        cfg.write_text(text)
+        out = tmp_path / f"out{case}"
+        code = run(["verify", "--config", str(cfg), *flags, "--outdir", str(out)])
+        assert code == 0
+        payload = json.loads((out / "factorization.json").read_text())
+        assert payload["model"]["n"] == n
+        assert payload["trials"] == trials
+        assert payload["seed"] == seed
 
 
 def test_config_file_unknown_key(tmp_path):
@@ -222,10 +232,13 @@ def test_outputs_byte_for_byte_deterministic(tmp_path):
 
 
 def test_module_entry_point(tmp_path):
+    # the child imports the same package as this process, installed or not
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "shapeinv.cli", "verify", "--kind", "cs",
          "--n", "2", "--alpha", "1", "--trials", "10", "--seed", "1",
          "--outdir", str(tmp_path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "PASS" in proc.stdout

@@ -6,7 +6,6 @@ import pytest
 from shapeinv.errors import DomainError, SingularConfigurationError
 from shapeinv.models import (
     check_pair_condition,
-    eval_prepotential,
     make_nbody_model,
     make_pair_prepotential,
     make_prepotential_1d,
@@ -128,28 +127,47 @@ def test_harmonic_beta_default_and_override():
 
 def test_prepotential_values_calogero():
     m = make_nbody_model("calogero", 2, 1.0)
-    assert np.allclose(eval_prepotential(m, [0.0, 1.0]), [1.0, -1.0])
+    assert np.allclose(m.prepotential([0.0, 1.0]), [1.0, -1.0])
 
 
 def test_prepotential_equal_spacing_cs():
     m = make_nbody_model("calogero_sutherland", 3, 1.0)
-    w = eval_prepotential(m, [0.0, 2 * math.pi / 3, 4 * math.pi / 3])
+    w = m.prepotential([0.0, 2 * math.pi / 3, 4 * math.pi / 3])
     assert np.allclose(w, 0.0, atol=1e-13)
 
 
 def test_prepotential_harmonic():
     m = make_nbody_model("harmonic_calogero", 2, 1.0, omega=1.0)
-    w = eval_prepotential(m, [0.0, 1.0])
+    w = m.prepotential([0.0, 1.0])
     assert np.allclose(w, [1.0 - m.beta, -1.0 + m.beta])
 
 
 def test_singular_configuration_rejected():
     m = make_nbody_model("calogero", 3, 1.0)
     with pytest.raises(SingularConfigurationError):
-        eval_prepotential(m, [0.0, 1e-8, 1.0])
+        m.prepotential([0.0, 1e-8, 1.0])
     cs = make_nbody_model("calogero_sutherland", 2, 1.0)
     with pytest.raises(SingularConfigurationError):
-        eval_prepotential(cs, [0.1, 0.1 + math.pi])  # singular mod pi
+        cs.prepotential([0.1, 0.1 + math.pi])  # singular mod pi
+    batch = np.array([[0.0, 0.5, 1.0], [0.0, 1e-8, 1.0], [0.2, 0.9, 1.7]])
+    with pytest.raises(SingularConfigurationError):
+        m.prepotential(batch)  # one singular row rejects the batch
+
+
+@pytest.mark.parametrize("kind", ["calogero", "harmonic_calogero",
+                                  "calogero_sutherland"])
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_batch_evaluation_matches_pointwise(kind, n):
+    omega = 1.3 if kind == "harmonic_calogero" else None
+    m = make_nbody_model(kind, n, 1.7, omega=omega)
+    xs = np.sort(np.random.default_rng(n).uniform(0.05, 3.0, (60, n)), axis=1)
+    xs = xs[np.min(np.diff(xs, axis=1), axis=1) > 0.05]
+    for name in ("potential", "pair_potential", "prepotential", "prepotential_jacobian",
+                 "separation_margin"):
+        batch = getattr(m, name)(xs)
+        rows = np.array([getattr(m, name)(x) for x in xs])
+        assert batch.shape == rows.shape
+        assert np.max(np.abs(batch - rows)) <= 1e-14 * max(1.0, np.max(np.abs(rows)))
 
 
 @pytest.mark.parametrize("kind,alpha", [("calogero", 1.5),

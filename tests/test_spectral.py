@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from shapeinv import spectral
+from shapeinv import spectral, susy
 from shapeinv.errors import DomainError
 from shapeinv.models import make_nbody_model, make_prepotential_1d
 from shapeinv.spectral import GridSpec
@@ -47,6 +48,102 @@ def test_discretize_full_sector_needs_regular_potential():
     m = make_nbody_model("calogero", 2, 2.0)
     with pytest.raises(DomainError):
         spectral.discretize(m, GridSpec.box(-2.0, 2.0, 16, 2), 2)
+
+
+# Reference assembly: dense Kronecker sums of 1-D stencil matrices,
+# restricted to the sector by its selection matrix P.  Coefficients are
+# per offset, before division by h^2 (Laplacian) or h (first derivative).
+NEG_SECOND = {2: {0: 2.0, 1: -1.0, -1: -1.0},
+              4: {0: 30 / 12, 1: -16 / 12, -1: -16 / 12, 2: 1 / 12, -2: 1 / 12}}
+FIRST = {2: {1: 0.5, -1: -0.5},
+         4: {1: 8 / 12, -1: -8 / 12, 2: -1 / 12, -2: 1 / 12}}
+
+
+def _stencil_matrix(coeffs, n, h, power, bc, reflect):
+    """Dense 1-D stencil on n nodes.  Dirichlet walls zero-extend; with
+    reflect, the ghost two cells beyond a wall is minus the first interior
+    node (odd reflection through the wall)."""
+    mat = np.zeros((n, n))
+    for off, c in coeffs.items():
+        c = c / h ** power
+        if bc == "periodic":
+            mat += c * np.roll(np.eye(n), off, axis=1)
+            continue
+        mat += c * np.eye(n, k=off)
+        if reflect and abs(off) == 2:
+            end = 0 if off < 0 else n - 1
+            mat[end, end] -= c
+    return mat
+
+
+def _restricted_axis_operators(grid, coeffs, power):
+    """P L_k P^T for every axis k, and the sector node coordinates."""
+    sizes = [len(grid.axis_nodes(k)) for k in range(grid.dim)]
+    full = np.indices(sizes).reshape(grid.dim, -1).T  # row-major
+    keep = np.ones(len(full), dtype=bool)
+    if grid.sector == "ordered":
+        keep = np.all(np.diff(full, axis=1) > 0, axis=1)
+    sel = np.eye(len(full))[keep]
+    ops = []
+    for k in range(grid.dim):
+        factors = [np.eye(s) for s in sizes]
+        factors[k] = _stencil_matrix(coeffs, sizes[k], grid.axis_h(k), power,
+                                     grid.bc, reflect=grid.dim == 1)
+        lk = factors[0]
+        for f in factors[1:]:
+            lk = np.kron(lk, f)
+        ops.append(sel @ lk @ sel.T)
+    nodes = np.column_stack([grid.axis_nodes(k)[full[keep, k]] for k in range(grid.dim)])
+    return ops, nodes
+
+
+def _assert_entrywise(got, want):
+    assert np.max(np.abs(got.toarray() - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def _smooth(x):
+    return np.cos(x) if x.ndim == 1 else np.cos(x).sum(axis=1)
+
+
+AXES = ((-1.0, 2.0, 12), (-0.5, 1.5, 11), (0.0, 2.5, 10))
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("dim,sector,bc", [
+    (1, "full", "dirichlet"), (1, "full", "periodic"),
+    (2, "ordered", "dirichlet"), (2, "full", "dirichlet"), (2, "full", "periodic"),
+    (3, "ordered", "dirichlet"), (3, "full", "dirichlet"), (3, "full", "periodic"),
+])
+def test_discretize_matches_restricted_kronecker_sum(dim, sector, bc, order):
+    if sector == "ordered":
+        model = make_nbody_model("calogero_sutherland", dim, 2.0)
+        grid = GridSpec.box(0.0, math.pi, 10 if dim == 3 else 12, dim, sector=sector)
+        ham = spectral.discretize(model, grid, order)
+    else:
+        grid = GridSpec(AXES[:dim] if dim > 1 else ((0.0, 2 * math.pi, 12),), bc)
+        ham = spectral.discretize(_smooth, grid, order)
+    ops, nodes = _restricted_axis_operators(grid, NEG_SECOND[order], 2)
+    assert np.array_equal(ham.nodes, nodes)
+    if sector == "ordered":
+        v = np.array([model.potential(p) for p in nodes])
+    else:
+        v = _smooth(nodes[:, 0] if dim == 1 else nodes)
+    _assert_entrywise(ham.matrix - sp.diags(v), sum(ops))
+
+
+@pytest.mark.parametrize("variant", ["s1", "s2"])
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("n", [2, 3])
+def test_susy_ladders_match_restricted_stencil(n, order, variant):
+    model = make_nbody_model("calogero_sutherland", n, 2.0)
+    grid = GridSpec.box(0.0, math.pi, 10, n, sector="ordered")
+    system = susy.build_susy(model, grid, variant, stencil_order=order)
+    ops, nodes = _restricted_axis_operators(grid, FIRST[order], 1)
+    assert np.array_equal(system.space_nodes, nodes)
+    base = model if variant == "s1" else model.shifted(1.0)
+    w = np.array([base.prepotential(p) for p in nodes])
+    for i in range(n):
+        _assert_entrywise(system.a_space[i] - sp.diags(w[:, i]), ops[i])
 
 
 # ---------------------------------------------------------------------------
