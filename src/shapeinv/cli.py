@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import shape1d, spectral, susy, verify
+from . import models, shape1d, spectral, susy, verify
 from .errors import DomainError, ShapeInvError
 from .models import make_nbody_model, make_prepotential_1d, parse_key_values
 from .spectral import GridSpec
@@ -40,12 +40,11 @@ _FAMILY_ALIASES = {
 }
 
 _CONFIG_KEYS = {
-    "kind": str, "n": int, "alpha": float, "omega": float,
-    "beta_override": float, "epsilon_sing": float, "family": str,
-    "b": float, "a": float, "nmax": int, "levels": int, "grid_m": int,
-    "domain_min": float, "domain_max": float, "stencil_order": int,
-    "trials": int, "seed": int, "tol": float, "variant": str,
-    "cm_modes": int, "reduce": bool, "dump": bool, "outdir": str,
+    **models._CONFIG_KEYS,
+    "family": str, "b": float, "a": float, "nmax": int, "levels": int,
+    "grid_m": int, "domain_min": float, "domain_max": float,
+    "stencil_order": int, "trials": int, "seed": int, "tol": float,
+    "variant": str, "cm_modes": int, "reduce": bool, "dump": bool, "outdir": str,
 }
 
 

@@ -234,6 +234,7 @@ def discretize(operator, grid: GridSpec, stencil_order: int = 4,
     if not np.all(np.isfinite(v)):
         raise DomainError("potential is singular on a grid node; offset the grid")
 
+    info["potential_floor"] = float(v.min())
     kin = sum(_axis_operators(grid, idx, _lap_coeffs, stencil_order))
     mat = kinetic_scale * kin + sp.diags(v)
     ham = SparseHamiltonian(sp.csr_matrix(mat), nodes, grid, stencil_order, info)
@@ -246,19 +247,51 @@ def discretize(operator, grid: GridSpec, stencil_order: int = 4,
 # eigensolvers
 # ---------------------------------------------------------------------------
 
-def _bandwidth(mat: sp.csr_matrix) -> int:
-    coo = mat.tocoo()
-    return int(np.max(np.abs(coo.row - coo.col))) if coo.nnz else 0
+def _residual_norms(mat, w, v) -> np.ndarray:
+    """||H v_i - w_i v_i|| for every column of v."""
+    return np.linalg.norm(mat @ v - v * w, axis=0)
+
+
+def _shift_invert(ham: SparseHamiltonian, k: int, v0: np.ndarray, maxiter: int):
+    """Lanczos on (H - sigma)^-1 with sigma one below the potential floor.
+
+    The kinetic term is positive semi-definite, so sigma lies below the
+    spectrum.  The one LU factorization of H - sigma, in natural order
+    without pivoting, serves as the inverse and proves that: by Sylvester's
+    law of inertia every pivot is positive exactly when sigma is below every
+    eigenvalue.  A 1-D band factorizes without fill; the wrap-around
+    entries of a periodic ring fill only the last rows and columns."""
+    n = ham.dim
+    if "potential_floor" not in ham.info:
+        raise DomainError("shift-invert needs info['potential_floor'], as "
+                          "discretize records it")
+    sigma = ham.info["potential_floor"] - 1.0
+    try:
+        lu = spla.splu(sp.csc_matrix(ham.matrix - sigma * sp.identity(n)),
+                       permc_spec="NATURAL", diag_pivot_thresh=0)
+    except RuntimeError as exc:  # exactly singular: sigma is an eigenvalue
+        raise ConvergenceError(f"shift {sigma:.6g} is an eigenvalue") from exc
+    pivots = lu.U.diagonal()
+    if np.any(lu.perm_r != np.arange(n)) or not np.all(pivots > 0):
+        raise ConvergenceError(f"shift {sigma:.6g} is not below the spectrum: "
+                               "H - shift has a non-positive or exchanged pivot")
+    opinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+    return spla.eigsh(ham.matrix, k=k, sigma=sigma, which="LM", v0=v0,
+                      OPinv=opinv, maxiter=maxiter, tol=0)
 
 
 def eigen(ham: SparseHamiltonian, k: int, seed: int = 0,
           method: str = "auto") -> SpectrumResult:
     """k lowest eigenpairs.
 
-    method 'auto' picks a banded solver for 1-D operators, a dense subset
-    solver below DENSE_CUTOFF, and Lanczos (deterministic seeded start
-    vector) above; 'dense' and 'iterative' force a path.  Every returned
-    eigenpair is held to ||Hv - lambda v|| <= 1e-8 ||H||_est.
+    method 'auto' picks shift-invert Lanczos for 1-D operators, a dense
+    subset solver for other operators up to DENSE_CUTOFF nodes, and Lanczos
+    on the smallest algebraic eigenvalues above; 'shift_invert', 'dense' and
+    'iterative' force a path.  Both Lanczos paths start from a vector seeded
+    by `seed`.  Shift-invert puts its shift one below the potential floor
+    that `discretize` records in `ham.info` and fails loudly if the shift is
+    not below the spectrum.  Every returned eigenpair is held to
+    ||Hv - lambda v|| <= 1e-8 ||H||_est.
     """
     n = ham.dim
     if not 1 <= k < n:
@@ -266,36 +299,29 @@ def eigen(ham: SparseHamiltonian, k: int, seed: int = 0,
     mat = ham.matrix
     solver = method
     if method == "auto":
-        bw = _bandwidth(mat)
-        if bw <= 8 and n > 64:
-            solver = "banded"
+        if ham.grid.dim == 1:
+            solver = "shift_invert"
         elif n <= DENSE_CUTOFF:
             solver = "dense"
         else:
             solver = "iterative"
 
-    if solver == "banded":
-        bw = _bandwidth(mat)
-        band = np.zeros((bw + 1, n))
-        coo = mat.tocoo()
-        for i, j, val in zip(coo.row, coo.col, coo.data):
-            if i <= j:
-                band[j - i, i] += val
-        w, v = scipy.linalg.eig_banded(band, lower=True, select="i",
-                                       select_range=(0, k - 1))
-    elif solver == "dense":
+    if solver == "dense":
         if n > 2 * DENSE_CUTOFF:
             raise DimensionCapError(f"dense path capped at {2 * DENSE_CUTOFF}, dim={n}")
         w, v = scipy.linalg.eigh(mat.toarray(), subset_by_index=[0, k - 1])
-    elif solver == "iterative":
-        rng = np.random.default_rng(seed)
-        v0 = rng.standard_normal(n)
+    elif solver in ("iterative", "shift_invert"):
+        v0 = np.random.default_rng(seed).standard_normal(n)
+        maxiter = max(5000, 50 * k)
         try:
-            w, v = spla.eigsh(mat, k=k, which="SA", v0=v0, maxiter=max(5000, 50 * k),
-                              tol=0)
+            if solver == "iterative":
+                w, v = spla.eigsh(mat, k=k, which="SA", v0=v0, maxiter=maxiter, tol=0)
+            else:
+                w, v = _shift_invert(ham, k, v0, maxiter)
         except spla.ArpackNoConvergence as exc:
-            raise ConvergenceError("Lanczos failed to converge",
-                                   residuals=getattr(exc, "eigenvalues", None)) from exc
+            raise ConvergenceError(
+                f"{solver} Lanczos failed to converge",
+                residuals=_residual_norms(mat, exc.eigenvalues, exc.eigenvectors)) from exc
         order = np.argsort(w)
         w, v = w[order], v[:, order]
     else:
@@ -303,8 +329,7 @@ def eigen(ham: SparseHamiltonian, k: int, seed: int = 0,
 
     w = np.asarray(w, dtype=float)
     v = np.asarray(v, dtype=float)
-    residuals = np.array([np.linalg.norm(mat @ v[:, i] - w[i] * v[:, i])
-                          for i in range(v.shape[1])])
+    residuals = _residual_norms(mat, w, v)
     norm_est = ham.norm_est()
     if np.max(residuals) > RESIDUAL_CONTRACT * norm_est:
         raise ConvergenceError(

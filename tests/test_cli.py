@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from shapeinv import cli
+from shapeinv import cli, models
 
 
 def run(args):
@@ -214,6 +214,11 @@ def test_config_file_with_flag_override(tmp_path):
         assert payload["model"]["n"] == n
         assert payload["trials"] == trials
         assert payload["seed"] == seed
+
+
+def test_config_keys_share_model_types():
+    shared = {key: cli._CONFIG_KEYS[key] for key in models._CONFIG_KEYS}
+    assert shared == models._CONFIG_KEYS
 
 
 def test_config_file_unknown_key(tmp_path):

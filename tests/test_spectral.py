@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from shapeinv import spectral, susy
-from shapeinv.errors import DomainError
+from shapeinv.errors import ConvergenceError, DomainError
 from shapeinv.models import make_nbody_model, make_prepotential_1d
 from shapeinv.spectral import GridSpec
 
@@ -184,6 +185,57 @@ def test_dense_iterative_agreement():
     dense = spectral.eigen(ham, 4, method="dense")
     iterative = spectral.eigen(ham, 4, method="iterative", seed=1)
     assert np.max(np.abs(dense.eigenvalues - iterative.eigenvalues)) < 1e-9
+
+
+HARMONIC2 = make_nbody_model("harmonic_calogero", 2, 2.0, omega=1.0)
+
+
+@pytest.mark.parametrize("make,k", [
+    (lambda: spectral.discretize(_rm(), GridSpec.line(0.0, math.pi, 601), 2), 5),
+    (lambda: spectral.discretize(_rm(), GridSpec.line(0.0, math.pi, 601), 4), 5),
+    # free ring: degenerate pairs 1, 1, 4, 4
+    (lambda: spectral.discretize(lambda x: 0.0 * x, GridSpec.line(
+        0.0, 2 * math.pi, 800, bc="periodic"), 4), 5),
+    # reduced relative operator, kinetic_scale = 2
+    (lambda: spectral._reduced_hamiltonian(HARMONIC2, GridSpec.line(0.0, 12.0, 600), 4), 4),
+    (lambda: spectral.discretize(_rm(), GridSpec.line(0.0, math.pi, 8), 4), 6),
+], ids=["rosen_morse_o2", "rosen_morse_o4", "periodic_ring", "reduced_harmonic", "m8_k6"])
+def test_auto_shift_invert_matches_dense(make, k):
+    ham = make()
+    auto = spectral.eigen(ham, k, seed=3)
+    dense = spectral.eigen(ham, k, method="dense")
+    assert auto.solver == "shift_invert"
+    assert np.max(np.abs(auto.eigenvalues - dense.eigenvalues)) < 1e-9
+
+
+def test_shift_invert_rejects_shift_inside_spectrum():
+    # a recorded floor above the lowest level puts the shift inside the
+    # spectrum; the factorization's pivots must expose it
+    ham = spectral.discretize(_rm(), GridSpec.line(0.0, math.pi, 200), 4)
+    lowest = spectral.eigen(ham, 1).eigenvalues[0]
+    bad = spectral.SparseHamiltonian(ham.matrix, ham.nodes, ham.grid, 4,
+                                     {"potential_floor": lowest + 2.0})
+    with pytest.raises(ConvergenceError, match="not below the spectrum"):
+        spectral.eigen(bad, 3)
+    bare = spectral.SparseHamiltonian(ham.matrix, ham.nodes, ham.grid, 4)
+    with pytest.raises(DomainError, match="potential_floor"):
+        spectral.eigen(bare, 3)
+
+
+@pytest.mark.parametrize("method", ["iterative", "shift_invert"])
+def test_lanczos_failure_carries_partial_residuals(monkeypatch, method):
+    ham = spectral.discretize(_rm(), GridSpec.line(0.0, math.pi, 32), 4)
+    dense = spectral.eigen(ham, 2, method="dense")
+    # two partial pairs: one exact, one with its eigenvalue off by 0.5
+    partial_w = dense.eigenvalues + np.array([0.0, 0.5])
+
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", partial_w, dense.eigenvectors)
+
+    monkeypatch.setattr(spectral.spla, "eigsh", no_convergence)
+    with pytest.raises(ConvergenceError) as err:
+        spectral.eigen(ham, 4, method=method)
+    assert np.allclose(err.value.residuals, [0.0, 0.5], rtol=0, atol=1e-9)
 
 
 def test_eigen_k_one_is_minimum():
