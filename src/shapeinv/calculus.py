@@ -270,7 +270,7 @@ def jastrow_function(model: NBodyModel, dalpha: float = 0.0) -> TestFunction:
 
 def _model_data(model: NBodyModel, x):
     x = np.asarray(x, dtype=float)
-    return x, model.prepotential(x), model.prepotential_jacobian(x)
+    return (x, *model.prepotential_and_jacobian(x))
 
 
 def apply_annihilator(model: NBodyModel, i: int, f: TestFunction, x) -> Jet1:
@@ -355,7 +355,8 @@ def total_momentum(model: NBodyModel, f: TestFunction, x) -> float:
     Internally cross-checks that sum_i W_i vanishes, which is what makes
     -i sum A_i and +i sum A+_i the same operator.
     """
-    x, W, _ = _model_data(model, x)
+    x = np.asarray(x, dtype=float)
+    W = model.prepotential(x)
     jet = f.jet(x)
     via_ladder = float(np.sum(jet.g) + np.sum(W) * jet.v)
     plain = float(np.sum(jet.g))

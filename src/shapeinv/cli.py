@@ -207,7 +207,7 @@ def cmd_susy(args) -> int:
         raise DomainError("the CLI susy command builds two-body systems")
     domain_hi = math.pi if model.kind == "calogero_sutherland" else 8.0
     grid = GridSpec.line(0.0, domain_hi, cfg["grid_m"])
-    cm = susy.DEFAULT_CM_MOMENTA[: cfg["cm_modes"]]
+    cm = susy.cm_momenta(cfg["cm_modes"])
     out = _outdir(cfg)
     ok = True
     if cfg["variant"] == "both":
@@ -232,6 +232,7 @@ def cmd_susy(args) -> int:
             rows.append((f, idx, float(lam), tags[idx]))
     _write_csv(out / "sector_spectra.csv", ("sector", "index", "lambda", "ker_tag"), rows)
     payload = {
+        "cm_momenta": list(sys_.cm_momenta),
         "diagnostics": sys_.diagnostics,
         "pairing": pairing,
         "kernel_counts": {str(f): classify["sectors"][f]["counts"]
@@ -375,7 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--variant", choices=("s1", "s2", "both"))
     p.add_argument("--grid-m", dest="grid_m", type=int)
-    p.add_argument("--cm-modes", dest="cm_modes", type=int)
+    p.add_argument("--cm-modes", dest="cm_modes", type=int,
+                   help="center-of-mass momenta 0, 1, -1, 2, -2, ... to keep")
     p.add_argument("--levels", type=int)
     p.add_argument("--stencil-order", dest="stencil_order", type=int, choices=(2, 4))
     p.set_defaults(func=cmd_susy)

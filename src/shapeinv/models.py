@@ -320,21 +320,31 @@ class NBodyModel:
         _set_diagonal(d, 1.0)  # dummy, masked out by callers
         return d
 
-    def prepotential(self, x) -> np.ndarray:
-        """W_i(x) for i = 1..N.  Sums to zero at every configuration."""
-        x = self.check_configuration(x)
-        w = self.pair_w(self._diff(x))
+    def _w_from_diff(self, d) -> np.ndarray:
+        w = self.pair_w(d)
         _set_diagonal(w, 0.0)
         return w.sum(axis=-1)
 
-    def prepotential_jacobian(self, x) -> np.ndarray:
-        """Matrix J[i, j] = d W_j / d x_i (symmetric: the field is curl-free)."""
-        x = self.check_configuration(x)
-        wp = self.pair_w_prime(self._diff(x))
+    def _jacobian_from_diff(self, d) -> np.ndarray:
+        wp = self.pair_w_prime(d)
         _set_diagonal(wp, 0.0)
         jac = -wp
         _set_diagonal(jac, wp.sum(axis=-1))
         return jac
+
+    def prepotential(self, x) -> np.ndarray:
+        """W_i(x) for i = 1..N.  Sums to zero at every configuration."""
+        return self._w_from_diff(self._diff(self.check_configuration(x)))
+
+    def prepotential_jacobian(self, x) -> np.ndarray:
+        """Matrix J[i, j] = d W_j / d x_i (symmetric: the field is curl-free)."""
+        return self._jacobian_from_diff(self._diff(self.check_configuration(x)))
+
+    def prepotential_and_jacobian(self, x):
+        """(prepotential(x), prepotential_jacobian(x)) from one singularity
+        check and one difference array."""
+        d = self._diff(self.check_configuration(x))
+        return self._w_from_diff(d), self._jacobian_from_diff(d)
 
     def pair_potential(self, x):
         """The standard pair interaction, without the additive constant."""

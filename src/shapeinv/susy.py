@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import DimensionCapError, DomainError
 from .models import NBodyModel
@@ -31,8 +32,17 @@ from .spectral import GridSpec, _axis_operators, _deriv_coeffs, _sector_nodes
 
 SPARSE_CAP = 200_000
 DENSE_SECTOR_CAP = 5000
-DEFAULT_CM_MOMENTA = (0, 1, -1, 2, -2, 3, -3, 4)
 VARIANTS = ("s1", "s2")
+
+
+def cm_momenta(count: int) -> tuple:
+    """The first `count` center-of-mass momenta in the order 0, 1, -1, 2, -2, ..."""
+    if count < 1:
+        raise DomainError(f"need at least one center-of-mass momentum mode, got {count}")
+    return tuple((j + 1) // 2 * (1 if j % 2 else -1) for j in range(count))
+
+
+DEFAULT_CM_MOMENTA = cm_momenta(8)
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +172,7 @@ class SusySystem:
     space_nodes: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)
     _sector_eig: dict = field(default_factory=dict, repr=False)
+    _charges: dict = field(default_factory=dict, repr=False)
 
     @property
     def dim(self) -> int:
@@ -170,9 +181,10 @@ class SusySystem:
     def sector_indices(self, f: int) -> np.ndarray:
         return np.where(self.fermion_of == f)[0]
 
-    def sector_matrix(self, f: int) -> np.ndarray:
+    def sector_matrix(self, f: int) -> sp.csr_matrix:
+        """The sector-f diagonal block of H, sparse."""
         ix = self.sector_indices(f)
-        return self.H[ix][:, ix].toarray()
+        return self.H[ix][:, ix]
 
     def offblock_leak(self) -> float:
         """Largest |H| entry connecting different fermion numbers (exact 0)."""
@@ -340,13 +352,38 @@ def build_susy(model: NBodyModel, grid: GridSpec, variant: str = "s1",
 # ---------------------------------------------------------------------------
 
 def _sector_eigh(sys: SusySystem, f: int):
+    """Eigenpairs (vals, vecs, ix) of sector f, cached on the system.
+
+    The sector matrix splits exactly into the connected components of its
+    sparsity graph: on two-body systems one per center-of-mass momentum,
+    and one per momentum and Fock state in the 1-fermion sector; a single
+    one on N >= 3 grids.  Each block is solved densely; the eigenvalues are
+    merged by a stable sort, and vecs holds every eigenvector on the
+    sector's indices ix.
+    """
     if f not in sys._sector_eig:
         ix = sys.sector_indices(f)
         if len(ix) > DENSE_SECTOR_CAP:
             raise DimensionCapError(
                 f"sector {f} dimension {len(ix)} exceeds dense cap {DENSE_SECTOR_CAP}")
-        vals, vecs = np.linalg.eigh(sys.sector_matrix(f))
-        sys._sector_eig[f] = (vals, vecs, ix)
+        mat = sys.sector_matrix(f)
+        # != 0 drops stored zeros (the 1-fermion cross terms cancel exactly);
+        # csgraph would also warn on complex entries
+        n_blocks, labels = connected_components(mat != 0, directed=False)
+        members = [np.flatnonzero(labels == b) for b in range(n_blocks)]
+        dense = mat.toarray()
+        solved = [np.linalg.eigh(dense[np.ix_(rows, rows)]) for rows in members]
+        del dense  # before vecs, so the two never coexist
+        all_vals = np.concatenate([bvals for bvals, _ in solved])
+        order = np.argsort(all_vals, kind="stable")
+        column = np.empty_like(order)
+        column[order] = np.arange(len(order))
+        vecs = np.zeros((len(ix), len(ix)), dtype=complex)
+        first = 0
+        for rows, (_, bvecs) in zip(members, solved):
+            vecs[np.ix_(rows, column[first:first + len(rows)])] = bvecs
+            first += len(rows)
+        sys._sector_eig[f] = (all_vals[order], vecs, ix)
     return sys._sector_eig[f]
 
 
@@ -359,12 +396,6 @@ def sector_spectra(sys: SusySystem, k: int | None = None) -> dict:
     return out
 
 
-def _embed(sys: SusySystem, ix: np.ndarray, block_vecs: np.ndarray) -> np.ndarray:
-    full = np.zeros((sys.dim, block_vecs.shape[1]), dtype=complex)
-    full[ix, :] = block_vecs
-    return full
-
-
 def _cluster_slices(vals: np.ndarray, rel: float = 1e-8):
     slices, start = [], 0
     for i in range(1, len(vals) + 1):
@@ -374,52 +405,70 @@ def _cluster_slices(vals: np.ndarray, rel: float = 1e-8):
     return slices
 
 
+def _charge_product(op: sp.csr_matrix, ix: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """op applied to the sector eigenvectors, on the rows op can reach only."""
+    cols = op[:, ix]
+    return cols[cols.getnnz(axis=1) > 0] @ vecs
+
+
+def _sector_charges(sys: SusySystem, f: int):
+    """(lam, rotated, qn, qdn) of sector f, computed once and cached.
+
+    Each degenerate cluster of eigenvectors is rotated to diagonalize Q+Q
+    on it, by the eigh of the cluster's Gram matrix of Q v columns; the
+    superalgebra then puts each rotated state in ker Q or in ker Q+.  lam
+    is the cluster mean per state, qn and qdn are |Q v| and |Q+ v| of the
+    rotated states.  None of it depends on a tolerance.
+    """
+    if f not in sys._charges:
+        vals, vecs, ix = _sector_eigh(sys, f)
+        qv = _charge_product(sys.Q, ix, vecs)
+        qdv = _charge_product(sys.Qdag, ix, vecs)
+        rotated = vecs.copy()
+        starts = np.array([sl.start for sl in _cluster_slices(vals)])
+        sizes = np.diff(starts, append=len(vals))
+        lam = np.repeat(np.add.reduceat(vals, starts) / sizes, sizes)
+        for size in np.unique(sizes[sizes > 1]):
+            # every cluster of one size at once: cols[c] are cluster c's columns,
+            # and arr.T[cols] stacks their column vectors as rows
+            cols = starts[sizes == size][:, None] + np.arange(size)
+            stacked = qv.T[cols]
+            _, rot = np.linalg.eigh(stacked.conj() @ stacked.transpose(0, 2, 1))
+            rot_t = np.ascontiguousarray(rot.transpose(0, 2, 1))
+            for arr in (rotated, qv, qdv):
+                arr.T[cols] = rot_t @ arr.T[cols]
+        sys._charges[f] = (lam, rotated, np.linalg.norm(qv, axis=0),
+                           np.linalg.norm(qdv, axis=0))
+    return sys._charges[f]
+
+
 def kernel_classify(sys: SusySystem, zero_tol: float = 1e-2,
                     split_tol: float = 1e-6) -> dict:
     """Tag every sector eigenstate by the supercharge that annihilates it.
 
     Degenerate clusters are rotated to diagonalize Q+Q on the cluster; the
     superalgebra then puts each state in ker Q (all its energy from QQ+) or
-    in ker Q+ (all of it from Q+Q).  States with lambda < zero_tol count as
-    zero modes.  Returns per-sector counts, tags and charge norms.
+    in ker Q+ (all of it from Q+Q).  States whose cluster has mean
+    lambda < zero_tol count as zero modes.  Returns per-sector counts, tags
+    and the charge norms of the rotated states, whose vectors
+    `_sector_charges` holds.
     """
     report = {"sectors": {}, "unsplit": 0}
     for f in range(sys.model.n + 1):
-        vals, vecs, ix = _sector_eigh(sys, f)
-        tags = [None] * len(vals)
-        counts = {"ker_q": 0, "ker_qdag": 0, "zero": 0}
-        full = _embed(sys, ix, vecs)
-        qn = np.linalg.norm(sys.Q @ full, axis=0)
-        qdn = np.linalg.norm(sys.Qdag @ full, axis=0)
-        for sl in _cluster_slices(vals):
-            lam = float(vals[sl].mean())
-            if lam < zero_tol:
-                for t in range(sl.start, sl.stop):
-                    tags[t] = "zero"
-                    counts["zero"] += 1
-                continue
-            block = full[:, sl]
-            gram = (sys.Q @ block).conj().T @ (sys.Q @ block)
-            _, rot = np.linalg.eigh(gram)
-            rotated = block @ rot
-            rqn = np.linalg.norm(sys.Q @ rotated, axis=0)
-            rqdn = np.linalg.norm(sys.Qdag @ rotated, axis=0)
-            for t in range(rotated.shape[1]):
-                in_ker_q = rqn[t] <= split_tol * math.sqrt(lam)
-                in_ker_qdag = rqdn[t] <= split_tol * math.sqrt(lam)
-                if in_ker_q == in_ker_qdag:
-                    report["unsplit"] += 1
-                    tags[sl.start + t] = "unsplit"
-                elif in_ker_q:
-                    counts["ker_q"] += 1
-                    tags[sl.start + t] = "ker_q"
-                else:
-                    counts["ker_qdag"] += 1
-                    tags[sl.start + t] = "ker_qdag"
+        vals, _, _ = _sector_eigh(sys, f)
+        lam, _, qn, qdn = _sector_charges(sys, f)
+        zero = lam < zero_tol
+        bound = split_tol * np.sqrt(np.where(zero, 0.0, lam))
+        in_ker_q, in_ker_qdag = qn <= bound, qdn <= bound
+        tags = np.where(zero, "zero", np.where(
+            in_ker_q == in_ker_qdag, "unsplit",
+            np.where(in_ker_q, "ker_q", "ker_qdag"))).tolist()
+        report["unsplit"] += tags.count("unsplit")
+        counts = {tag: tags.count(tag) for tag in ("ker_q", "ker_qdag", "zero")}
         report["sectors"][f] = {"counts": counts, "tags": tags,
-                                "eigenvalues": [float(v) for v in vals],
-                                "q_norms": [float(v) for v in qn],
-                                "qdag_norms": [float(v) for v in qdn]}
+                                "eigenvalues": vals.tolist(),
+                                "q_norms": qn.tolist(),
+                                "qdag_norms": qdn.tolist()}
     return report
 
 
@@ -494,7 +543,8 @@ def _collect(sys: SusySystem, sector_blocks, vec, want_fock):
 def _sum_check_staggered(sys, classify, report, k, tol, zero_tol):
     h0 = sys.sector_matrix(0)
     h2 = sys.sector_matrix(2)
-    vals1, vecs1, _ = _sector_eigh(sys, 1)
+    vals1, _, _ = _sector_eigh(sys, 1)
+    _, vecs1, _, _ = _sector_charges(sys, 1)   # the states the tags describe
     tags1 = classify["sectors"][1]["tags"]
     sector1 = sys.sector_blocks(1)
     checked_q = checked_qd = 0
@@ -538,7 +588,8 @@ def _sum_check_grid(sys, classify, report, k, tol, zero_tol):
     n = sys.model.n
     h0 = sys.sector_matrix(0)
     hn = sys.sector_matrix(n)
-    vals1, vecs1, _ = _sector_eigh(sys, 1)
+    vals1, _, _ = _sector_eigh(sys, 1)
+    _, vecs1, _, _ = _sector_charges(sys, 1)   # the states the tags describe
     tags1 = classify["sectors"][1]["tags"]
     fk1 = sys.fock.sector_indices(1)
     checked = 0
@@ -552,7 +603,8 @@ def _sum_check_grid(sys, classify, report, k, tol, zero_tol):
         report["one_fermion"].append(
             _classify_sum(h0, comp.sum(axis=0), vals1[t], tol))
 
-    valsm, vecsm, _ = _sector_eigh(sys, n - 1)
+    valsm, _, _ = _sector_eigh(sys, n - 1)
+    _, vecsm, _, _ = _sector_charges(sys, n - 1)
     tagsm = classify["sectors"][n - 1]["tags"]
     fkm = sys.fock.sector_indices(n - 1)
     full_state = (1 << n) - 1
@@ -587,7 +639,7 @@ def _epsilon_relation(sys: SusySystem, k: int, zero_tol: float) -> dict:
         eps[i, j, kk] = 1.0
         eps[i, kk, j] = -1.0
     vals2, vecs2, ix2 = _sector_eigh(sys, 2)
-    ix1 = sys.sector_indices(1)
+    q21 = sys.Q[sys.sector_indices(1)][:, ix2]
     h1 = sys.sector_matrix(1)
     fk2 = sys.fock.sector_indices(2)
     results = []
@@ -595,8 +647,7 @@ def _epsilon_relation(sys: SusySystem, k: int, zero_tol: float) -> dict:
         lam = float(vals2[t2])
         if lam <= zero_tol:
             continue
-        v_full = _embed(sys, ix2, vecs2[:, t2:t2 + 1])[:, 0]
-        u = (sys.Q @ v_full)[ix1]
+        u = q21 @ vecs2[:, t2]
         u_norm = np.linalg.norm(u)
         if u_norm ** 2 < 0.5 * lam:
             continue  # dominantly annihilated by Q: the relation is 0 = 0

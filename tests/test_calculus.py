@@ -5,7 +5,7 @@ import pytest
 
 from shapeinv import calculus as calc
 from shapeinv.errors import DomainError, JetOrderError
-from shapeinv.models import make_nbody_model
+from shapeinv.models import NBodyModel, make_nbody_model
 
 
 def _cs(n=2, alpha=1.0):
@@ -78,6 +78,27 @@ def test_abs_pow_jet():
 # ---------------------------------------------------------------------------
 # ladder actions
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind,omega", [("calogero", None), ("calogero_sutherland", None),
+                                        ("harmonic_calogero", 1.3)])
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_model_data_one_check_bit_identical(kind, omega, n, monkeypatch):
+    model = make_nbody_model(kind, n, 1.5, omega=omega)
+    x = np.sort(np.random.default_rng(n).uniform(0.1, 3.0, n))
+    w_ref, j_ref = model.prepotential(x), model.prepotential_jacobian(x)
+    calls = {"check_configuration": 0, "_diff": 0}
+    for name in calls:
+        original = getattr(NBodyModel, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+        monkeypatch.setattr(NBodyModel, name, counted)
+    _, w, j = calc._model_data(model, x)
+    assert calls == {"check_configuration": 1, "_diff": 1}
+    assert w.dtype == w_ref.dtype and w.tobytes() == w_ref.tobytes()
+    assert j.dtype == j_ref.dtype and j.tobytes() == j_ref.tobytes()
+
 
 def test_annihilator_kills_jastrow():
     model = _cal(2, 1.0)

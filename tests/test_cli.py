@@ -130,6 +130,23 @@ def test_susy_invalid_variant(tmp_path):
     assert run(["susy", "--variant", "s9", "--outdir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("modes", [1, 3, 12])
+def test_susy_cm_modes_count(tmp_path, modes):
+    code = run(["susy", "--kind", "cs", "--n", "2", "--alpha", "1", "--grid-m", "16",
+                "--cm-modes", str(modes), "--outdir", str(tmp_path)])
+    assert code == 0
+    payload = json.loads((tmp_path / "susy_report.json").read_text())
+    assert payload["cm_momenta"] == [0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6][:modes]
+
+
+@pytest.mark.parametrize("modes", [0, -1])
+def test_susy_cm_modes_below_one_rejected(tmp_path, capsys, modes):
+    code = run(["susy", "--grid-m", "16", "--cm-modes", str(modes),
+                "--outdir", str(tmp_path)])
+    assert code == 2
+    assert "center-of-mass momentum" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # groundstate
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from shapeinv import susy
 from shapeinv.errors import DimensionCapError, DomainError
@@ -141,6 +142,22 @@ def test_sector_sum_classification(cs_system):
     assert seen <= {"vanishing", "degenerate"}
 
 
+def test_sum_check_inspects_the_tagged_states(cs_system):
+    # the sum checks read the cluster-rotated states the tags describe
+    rep = susy.kernel_classify(cs_system)
+    vals, _, ix = susy._sector_eigh(cs_system, 1)
+    _, rotated, _, _ = susy._sector_charges(cs_system, 1)
+    qn = np.linalg.norm(cs_system.Q[:, ix] @ rotated, axis=0)
+    qdn = np.linalg.norm(cs_system.Qdag[:, ix] @ rotated, axis=0)
+    for t, tag in enumerate(rep["sectors"][1]["tags"]):
+        if tag == "ker_q":
+            assert qn[t] <= 1e-6 * math.sqrt(vals[t])
+        elif tag == "ker_qdag":
+            assert qdn[t] <= 1e-6 * math.sqrt(vals[t])
+    cases = susy.sector_sum_check(cs_system, k=6)["n_minus_one"]
+    assert [case["class"] for case in cases] == ["degenerate"] * 6
+
+
 def test_variant_comparison():
     model = make_nbody_model("calogero_sutherland", 2, 1.0)
     grid = GridSpec.line(0.0, math.pi, 64)
@@ -211,3 +228,100 @@ def test_epsilon_relation_reported(cs3_system):
         # residual is grid-limited and merely reported
         assert case["alignment_residual"] < 1e-10
         assert math.isfinite(case["partner_eigen_residual"])
+
+
+# ---------------------------------------------------------------------------
+# block-wise sector solve
+# ---------------------------------------------------------------------------
+
+def test_cm_momenta_order_and_blocks():
+    assert susy.cm_momenta(1) == (0,)
+    assert susy.cm_momenta(8) == susy.DEFAULT_CM_MOMENTA
+    assert susy.cm_momenta(12)[8:] == (-4, 5, -5, 6)
+    for bad in (0, -1):
+        with pytest.raises(DomainError):
+            susy.cm_momenta(bad)
+    model = make_nbody_model("calogero_sutherland", 2, 1.0)
+    s = susy.build_susy(model, GridSpec.line(0.0, math.pi, 16), "s1",
+                        susy.cm_momenta(12))
+    # one bosonic block per center-of-mass momentum
+    assert connected_components(s.sector_matrix(0) != 0, directed=False)[0] == 12
+
+
+def _reference_classify(sys_, zero_tol=1e-2, split_tol=1e-6):
+    """Dense per-cluster tagging on the embedded sector eigenvectors, kept as
+    the reference for the cached block-wise classification."""
+    sectors, unsplit = {}, 0
+    for f in range(sys_.model.n + 1):
+        vals, vecs, ix = susy._sector_eigh(sys_, f)
+        full = np.zeros((sys_.dim, len(vals)), dtype=complex)
+        full[ix, :] = vecs
+        tags = [None] * len(vals)
+        counts = {"ker_q": 0, "ker_qdag": 0, "zero": 0}
+        for sl in susy._cluster_slices(vals):
+            lam = float(vals[sl].mean())
+            if lam < zero_tol:
+                for t in range(sl.start, sl.stop):
+                    tags[t] = "zero"
+                    counts["zero"] += 1
+                continue
+            block = full[:, sl]
+            gram = (sys_.Q @ block).conj().T @ (sys_.Q @ block)
+            _, rot = np.linalg.eigh(gram)
+            rotated = block @ rot
+            rqn = np.linalg.norm(sys_.Q @ rotated, axis=0)
+            rqdn = np.linalg.norm(sys_.Qdag @ rotated, axis=0)
+            for t in range(rotated.shape[1]):
+                in_ker_q = rqn[t] <= split_tol * math.sqrt(lam)
+                in_ker_qdag = rqdn[t] <= split_tol * math.sqrt(lam)
+                if in_ker_q == in_ker_qdag:
+                    unsplit += 1
+                    tags[sl.start + t] = "unsplit"
+                elif in_ker_q:
+                    counts["ker_q"] += 1
+                    tags[sl.start + t] = "ker_q"
+                else:
+                    counts["ker_qdag"] += 1
+                    tags[sl.start + t] = "ker_qdag"
+        sectors[f] = (tags, counts)
+    return sectors, unsplit
+
+
+_CS2 = ("calogero_sutherland", 1.0, math.pi)
+
+
+@pytest.mark.parametrize("case", [
+    (_CS2, "s1", (0,)), (_CS2, "s2", (0,)),
+    (_CS2, "s1", (0, 1, -1)), (_CS2, "s2", (0, 1, -1)),
+    (_CS2, "s1", susy.DEFAULT_CM_MOMENTA), (_CS2, "s2", susy.DEFAULT_CM_MOMENTA),
+    (("calogero", 1.5, 8.0), "s1", susy.DEFAULT_CM_MOMENTA),
+    "cs3_grid",
+], ids=lambda c: c if isinstance(c, str) else f"{c[0][0]}-{c[1]}-{len(c[2])}cm")
+def test_block_eigh_matches_dense(case):
+    if case == "cs3_grid":
+        model = make_nbody_model("calogero_sutherland", 3, 1.0)
+        sys_ = susy.build_susy(model, GridSpec.box(0.0, math.pi, 8, 3, sector="ordered"),
+                               "s1")
+        expect_blocks = [1, 1, 1, 1]
+    else:
+        (kind, alpha, hi), variant, cm = case
+        model = make_nbody_model(kind, 2, alpha)
+        sys_ = susy.build_susy(model, GridSpec.line(0.0, hi, 32), variant, cm)
+        # one block per momentum; the 1-fermion one splits by Fock state
+        expect_blocks = [len(cm), 2 * len(cm), len(cm)]
+    for f in range(model.n + 1):
+        mat = sys_.sector_matrix(f)
+        assert connected_components(mat != 0, directed=False)[0] == expect_blocks[f]
+        vals, vecs, ix = susy._sector_eigh(sys_, f)
+        assert np.array_equal(ix, sys_.sector_indices(f))
+        dense = np.linalg.eigvalsh(mat.toarray())
+        assert np.all(np.diff(vals) >= 0.0)
+        assert np.max(np.abs(vals - dense) / np.maximum(1.0, np.abs(dense))) <= 1e-10
+        assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(len(vals)))) <= 1e-10
+        assert np.max(np.linalg.norm(mat @ vecs - vecs * vals, axis=0)) <= 1e-10
+    report = susy.kernel_classify(sys_)
+    sectors, unsplit = _reference_classify(sys_)
+    assert report["unsplit"] == unsplit
+    for f, (tags, counts) in sectors.items():
+        assert report["sectors"][f]["tags"] == tags
+        assert report["sectors"][f]["counts"] == counts
