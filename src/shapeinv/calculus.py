@@ -273,22 +273,27 @@ def _model_data(model: NBodyModel, x):
     return (x, *model.prepotential_and_jacobian(x))
 
 
-def apply_annihilator(model: NBodyModel, i: int, f: TestFunction, x) -> Jet1:
-    """(A_i f)(x) = d_i f + W_i f, with its exact gradient."""
+def _ladder(model: NBodyModel, sign: float, i: int, f: TestFunction, x) -> Jet1:
+    """(sign d_i f + W_i f)(x) with its exact gradient: A_i at sign = +1,
+    A+_i at sign = -1."""
     x, W, J = _model_data(model, x)
     jet = f.jet(x)
-    value = jet.g[i] + W[i] * jet.v
-    grad = jet.h[:, i] + J[:, i] * jet.v + W[i] * jet.g
+    value = sign * jet.g[i] + W[i] * jet.v
+    grad = sign * jet.h[:, i] + J[:, i] * jet.v + W[i] * jet.g
     return Jet1(float(value), grad)
+
+
+def apply_annihilator(model: NBodyModel, i: int, f: TestFunction, x) -> Jet1:
+    """(A_i f)(x) = d_i f + W_i f, with its exact gradient."""
+    return _ladder(model, 1.0, i, f, x)
 
 
 def apply_creator(model: NBodyModel, i: int, f: TestFunction, x) -> Jet1:
     """(A+_i f)(x) = -d_i f + W_i f, with its exact gradient."""
-    x, W, J = _model_data(model, x)
-    jet = f.jet(x)
-    value = -jet.g[i] + W[i] * jet.v
-    grad = -jet.h[:, i] + J[:, i] * jet.v + W[i] * jet.g
-    return Jet1(float(value), grad)
+    return _ladder(model, -1.0, i, f, x)
+
+
+_SIGNS = {"a": 1.0, "adag": -1.0}
 
 
 def apply_to_jet1(model: NBodyModel, kind: str, i: int, j1: Jet1, x) -> float:
@@ -300,13 +305,10 @@ def apply_to_jet1(model: NBodyModel, kind: str, i: int, j1: Jet1, x) -> float:
     if not isinstance(j1, Jet1):
         raise JetOrderError("second application requires a Jet1; "
                             "jets deeper than two operators are not supported")
-    x = np.asarray(x, dtype=float)
-    W = model.prepotential(x)
-    if kind == "a":
-        return float(j1.gradient[i] + W[i] * j1.value)
-    if kind == "adag":
-        return float(-j1.gradient[i] + W[i] * j1.value)
-    raise DomainError(f"operator kind must be 'a' or 'adag', got {kind!r}")
+    if kind not in _SIGNS:
+        raise DomainError(f"operator kind must be 'a' or 'adag', got {kind!r}")
+    W = model.prepotential(np.asarray(x, dtype=float))
+    return float(_SIGNS[kind] * j1.gradient[i] + W[i] * j1.value)
 
 
 def apply_product(model: NBodyModel, outer, inner, f: TestFunction, x) -> float:
@@ -330,23 +332,25 @@ def apply_hamiltonian_direct(model: NBodyModel, f: TestFunction, x) -> float:
     return float(-np.trace(jet.h) + model.potential(x) * jet.v)
 
 
-def apply_hamiltonian_factorized(model: NBodyModel, f: TestFunction, x) -> float:
-    """sum_i (A+_i A_i f)(x), assembled operator by operator."""
+def _ladder_sum(model: NBodyModel, sign: float, f: TestFunction, x) -> float:
+    """sum_i (L-_i L_i f)(x), where L_i = sign d_i + W_i is applied first and
+    L-_i = -sign d_i + W_i second, assembled operator by operator."""
     x, W, J = _model_data(model, x)
     jet = f.jet(x)
-    # value_i = (A_i f), grad_i = d_i (A_i f); then contract with A+_i
-    values = jet.g + W * jet.v
-    diag_grad = np.diag(jet.h) + np.diag(J) * jet.v + W * jet.g
-    return float(np.sum(-diag_grad + W * values))
+    # values_i = (L_i f), diag_grad_i = d_i (L_i f); then contract with L-_i
+    values = sign * jet.g + W * jet.v
+    diag_grad = sign * np.diag(jet.h) + np.diag(J) * jet.v + W * jet.g
+    return float(np.sum(-sign * diag_grad + W * values))
+
+
+def apply_hamiltonian_factorized(model: NBodyModel, f: TestFunction, x) -> float:
+    """sum_i (A+_i A_i f)(x), assembled operator by operator."""
+    return _ladder_sum(model, 1.0, f, x)
 
 
 def apply_partner(model: NBodyModel, f: TestFunction, x) -> float:
     """sum_i (A_i A+_i f)(x), the partner assembled operator by operator."""
-    x, W, J = _model_data(model, x)
-    jet = f.jet(x)
-    values = -jet.g + W * jet.v
-    diag_grad = -np.diag(jet.h) + np.diag(J) * jet.v + W * jet.g
-    return float(np.sum(diag_grad + W * values))
+    return _ladder_sum(model, -1.0, f, x)
 
 
 def total_momentum(model: NBodyModel, f: TestFunction, x) -> float:
@@ -377,43 +381,37 @@ def jacobi_matrix(n: int) -> np.ndarray:
     return u
 
 
+def _jacobi(model: NBodyModel, sign: float, i: int, f: TestFunction, x) -> Jet1:
+    """Row i of the orthogonal recombination of the A_j (sign = +1) or of
+    the A+_j (sign = -1), as a first application."""
+    n = model.n
+    if not 0 <= i < n:
+        raise DomainError(f"index {i} out of range for n={n}")
+    u = jacobi_matrix(n)
+    first = apply_annihilator if sign > 0 else apply_creator
+    value = 0.0
+    grad = np.zeros(n)
+    for j in range(n):
+        if u[i, j] == 0.0:
+            continue
+        j1 = first(model, j, f, x)
+        value += u[i, j] * j1.value
+        grad += u[i, j] * j1.gradient
+    return Jet1(float(value), grad)
+
+
 def jacobi_action(model: NBodyModel, i: int, f: TestFunction, x) -> Jet1:
     """(B_i f)(x): row i (0-based) of the orthogonal recombination of the A_j.
 
     B_{N-1} is proportional to the total momentum; sum_i B+_i B_i equals
     sum_i A+_i A_i because the recombination matrix is orthogonal.
     """
-    n = model.n
-    if not 0 <= i < n:
-        raise DomainError(f"index {i} out of range for n={n}")
-    u = jacobi_matrix(n)
-    x = np.asarray(x, dtype=float)
-    value = 0.0
-    grad = np.zeros(n)
-    for j in range(n):
-        if u[i, j] == 0.0:
-            continue
-        j1 = apply_annihilator(model, j, f, x)
-        value += u[i, j] * j1.value
-        grad += u[i, j] * j1.gradient
-    return Jet1(float(value), grad)
+    return _jacobi(model, 1.0, i, f, x)
 
 
 def jacobi_creator(model: NBodyModel, i: int, f: TestFunction, x) -> Jet1:
     """(B+_i f)(x): the adjoint recombination, as a first application."""
-    n = model.n
-    if not 0 <= i < n:
-        raise DomainError(f"index {i} out of range for n={n}")
-    u = jacobi_matrix(n)
-    value = 0.0
-    grad = np.zeros(n)
-    for j in range(n):
-        if u[i, j] == 0.0:
-            continue
-        j1 = apply_creator(model, j, f, x)
-        value += u[i, j] * j1.value
-        grad += u[i, j] * j1.gradient
-    return Jet1(float(value), grad)
+    return _jacobi(model, -1.0, i, f, x)
 
 
 def jacobi_to_jet1(model: NBodyModel, kind: str, i: int, j1: Jet1, x) -> float:

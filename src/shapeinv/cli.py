@@ -28,17 +28,6 @@ from .errors import DomainError, ShapeInvError
 from .models import make_nbody_model, make_prepotential_1d, parse_key_values
 from .spectral import GridSpec
 
-_FAMILY_ALIASES = {
-    "rosen-morse": "rosen_morse_trig",
-    "rosen_morse": "rosen_morse_trig",
-    "rosen_morse_trig": "rosen_morse_trig",
-    "rational": "rational_harmonic",
-    "rational_harmonic": "rational_harmonic",
-    "sign": "sign",
-    "coth": "coth_hyperbolic",
-    "coth_hyperbolic": "coth_hyperbolic",
-}
-
 _CONFIG_KEYS = {
     **models._CONFIG_KEYS,
     "family": str, "b": float, "a": float, "nmax": int, "levels": int,
@@ -50,7 +39,8 @@ _CONFIG_KEYS = {
 
 def _merge(args: argparse.Namespace, defaults: dict) -> dict:
     """Defaults, then the config file, then every flag given on the command
-    line (argparse leaves flags that were not given at None)."""
+    line (argparse leaves flags that were not given at None); kind and
+    family aliases then resolve to their names in the model tables."""
     cfg = dict(defaults)
     if getattr(args, "config", None):
         cfg.update(parse_key_values(Path(args.config).read_text(), _CONFIG_KEYS,
@@ -58,6 +48,12 @@ def _merge(args: argparse.Namespace, defaults: dict) -> dict:
     for key in defaults:
         if getattr(args, key, None) is not None:
             cfg[key] = getattr(args, key)
+    for key, names in (("kind", models.KIND_NAMES), ("family", models.FAMILY_NAMES)):
+        if cfg.get(key):
+            if cfg[key] not in names:
+                raise DomainError(f"unknown {key} {cfg[key]!r}; "
+                                  f"expected one of {tuple(names)}")
+            cfg[key] = names[cfg[key]]
     return cfg
 
 
@@ -89,6 +85,11 @@ def _model_from_cfg(cfg: dict):
                             omega=cfg.get("omega"),
                             beta=cfg.get("beta_override"),
                             eps_sing=cfg.get("epsilon_sing", 1e-6))
+
+
+def _prepotential_from_cfg(cfg: dict):
+    family = cfg["family"]
+    return make_prepotential_1d(family, [cfg[p] for p in models.FAMILIES[family].params])
 
 
 def _outdir(cfg: dict) -> Path:
@@ -133,15 +134,7 @@ def cmd_spectrum(args) -> int:
     cfg = _merge(args, defaults)
     out = _outdir(cfg)
     if cfg["family"]:
-        family = _FAMILY_ALIASES.get(cfg["family"])
-        if family is None:
-            raise DomainError(f"unknown family {cfg['family']!r}")
-        if family == "rosen_morse_trig":
-            prep = make_prepotential_1d(family, (cfg["b"], cfg["a"]))
-        elif family == "rational_harmonic":
-            prep = make_prepotential_1d(family, (cfg["a"], cfg["b"]))
-        else:
-            prep = make_prepotential_1d(family, (cfg["a"],))
+        prep = _prepotential_from_cfg(cfg)
         lo, hi = prep.domain()
         lo = cfg["domain_min"] if cfg["domain_min"] is not None else lo
         hi = cfg["domain_max"] if cfg["domain_max"] is not None else hi
@@ -297,10 +290,9 @@ def cmd_chain(args) -> int:
     defaults = {"family": "rosen-morse", "b": 2.0, "a": 1.0, "levels": 3,
                 "grid_m": 2048, "tol": 1e-2, "outdir": ".", "dump": False}
     cfg = _merge(args, defaults)
-    family = _FAMILY_ALIASES.get(cfg["family"])
-    if family != "rosen_morse_trig":
+    if cfg["family"] != "rosen_morse_trig":
         raise DomainError("chain currently drives the trigonometric family")
-    prep = make_prepotential_1d(family, (cfg["b"], cfg["a"]))
+    prep = _prepotential_from_cfg(cfg)
     lo, hi = prep.domain()
     grid = shape1d.Grid1D(lo, hi, cfg["grid_m"])
     chain = shape1d.algebraic_spectrum(prep, cfg["levels"])
@@ -329,8 +321,7 @@ def cmd_chain(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_model_flags(p):
-    p.add_argument("--kind", choices=("calogero", "harmonic_calogero",
-                                      "calogero_sutherland", "cs"))
+    p.add_argument("--kind", choices=tuple(models.KIND_NAMES))
     p.add_argument("--n", type=int)
     p.add_argument("--alpha", type=float)
     p.add_argument("--omega", type=float)
@@ -409,8 +400,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if getattr(args, "kind", None) == "cs":
-        args.kind = "calogero_sutherland"
     try:
         return args.func(args)
     except ShapeInvError as exc:

@@ -10,20 +10,120 @@ Conventions used across the whole package (units hbar = 1, 2m = 1):
 Ground states therefore satisfy psi0 ~ exp(-int W).  All prepotentials here
 are odd, W(-x) = -W(x), which is what makes the N-body cross terms reducible
 to pair terms (see ``PairPrepotential.condition_residual``).
+
+Each family formula is written once, in ``FAMILIES``; the N-body models and
+the pair rows read it through ``KINDS`` and ``PAIR_ROWS``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, SingularConfigurationError
 
-FAMILIES_1D = ("rosen_morse_trig", "rational_harmonic", "sign", "coth_hyperbolic")
-NBODY_KINDS = ("calogero", "harmonic_calogero", "calogero_sutherland")
-PAIR_FAMILIES = ("rational_harmonic", "sign", "cot", "coth")
+
+# ---------------------------------------------------------------------------
+# The family table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Family:
+    """One row of the shape-invariant superpotential table (Cooper, Khare &
+    Sukhatme, Phys. Rep. 251, 267 (1995)): every formula of one 1-D family.
+
+    The formulas take the parameters in the order `params` names them;
+    `w`, `w_prime` and `log_psi0` take the point x first.
+    """
+
+    params: tuple            # parameter names, in order
+    w: Callable
+    w_prime: Callable
+    log_psi0: Callable       # -int W, unnormalized
+    next_params: Callable    # the parameter map f
+    remainder_next: Callable  # R(f(params)), the energy shift of A A+
+    domain: Callable         # natural cell on which W and V are smooth
+    normalizable: Callable   # exp(-int W) square-integrable on that cell
+    nonnegative: tuple = ()  # parameters that must be >= 0
+    degenerate_at_zero: str | None = None  # f produces no shift when it is 0
+    x_scale: str | None = None  # W depends on x only through x_scale * x
+    aliases: tuple = ()
+
+
+FAMILIES = {
+    "rosen_morse_trig": Family(
+        ("b", "a"),
+        w=lambda x, b, a: -b / np.tan(a * x),
+        w_prime=lambda x, b, a: a * b / np.sin(a * x) ** 2,
+        log_psi0=lambda x, b, a: (b / a) * np.log(np.abs(np.sin(a * x))),
+        next_params=lambda b, a: (b + a, a),
+        remainder_next=lambda b, a: (b + a) ** 2 - b ** 2,
+        domain=lambda b, a: (0.0, math.pi / a) if a > 0 else (0.0, math.inf),
+        # boundary exponent b/a; both endpoint behaviors are integrable down
+        # to b/a > -1/2, but below 1/2 the partner solution is also
+        # normalizable and the ground state is not selected uniquely
+        normalizable=lambda b, a: b / a > 0.5,
+        nonnegative=("a", "b"), degenerate_at_zero="a", x_scale="a",
+        aliases=("rosen-morse", "rosen_morse")),
+    "rational_harmonic": Family(
+        ("a", "b"),
+        w=lambda x, a, b: a * x + b / x,
+        w_prime=lambda x, a, b: a - b / x ** 2,
+        log_psi0=lambda x, a, b: -0.5 * a * x ** 2 - b * np.log(np.abs(x)),
+        next_params=lambda a, b: (a, b - 1.0),
+        remainder_next=lambda a, b: 4.0 * a,
+        domain=lambda a, b: (0.0, math.inf),
+        normalizable=lambda a, b: a > 0 and b < 0.5,
+        nonnegative=("a",), degenerate_at_zero="a", aliases=("rational",)),
+    "sign": Family(
+        ("a",),
+        w=lambda x, a: a * np.sign(x),
+        # the delta spike at x = 0 is never evaluated numerically
+        w_prime=lambda x, a: np.zeros_like(x),
+        log_psi0=lambda x, a: -a * np.abs(x),
+        next_params=lambda a: (-a,),
+        remainder_next=lambda a: 0.0,
+        domain=lambda a: (-math.inf, math.inf),  # minus the origin
+        normalizable=lambda a: a > 0,
+        degenerate_at_zero="a"),
+    "coth_hyperbolic": Family(
+        ("a",),
+        w=lambda x, a: a / np.tanh(x),
+        w_prime=lambda x, a: -a / np.sinh(x) ** 2,
+        log_psi0=lambda x, a: -a * np.log(np.abs(np.sinh(x))),
+        next_params=lambda a: (a - 1.0,),
+        remainder_next=lambda a: a ** 2 - (a - 1.0) ** 2,
+        domain=lambda a: (0.0, math.inf),
+        normalizable=lambda a: 0 < a < 0.5,
+        aliases=("coth",)),
+}
+FAMILIES_1D = tuple(FAMILIES)
+
+# N-body kind -> (1-D family of its pair prepotential w(x_i - x_j), that
+# family's parameters as a function of the model, the kind's aliases)
+KINDS = {
+    "calogero": ("rational_harmonic", lambda m: (0.0, -m.alpha), ()),
+    "harmonic_calogero": ("rational_harmonic", lambda m: (m.beta, -m.alpha), ()),
+    "calogero_sutherland": ("rosen_morse_trig", lambda m: (m.alpha, 1.0), ("cs",)),
+}
+NBODY_KINDS = tuple(KINDS)
+KIND_NAMES = {name: kind for kind, (_, _, aliases) in KINDS.items()
+              for name in (kind, *aliases)}
+FAMILY_NAMES = {name: family for family, row in FAMILIES.items()
+                for name in (family, *row.aliases)}
+
+# pair row -> (1-D family, its parameters as a function of the row's)
+PAIR_ROWS = {
+    "rational_harmonic": ("rational_harmonic", lambda a, b: (a, b)),
+    "sign": ("sign", lambda a: (a,)),
+    "cot": ("rosen_morse_trig", lambda a: (-a, 1.0)),
+    "coth": ("coth_hyperbolic", lambda a: (a,)),
+}
+PAIR_FAMILIES = tuple(PAIR_ROWS)
 
 
 # ---------------------------------------------------------------------------
@@ -35,8 +135,9 @@ class Prepotential1D:
     """A 1-D prepotential W(x; params) with its partner parameter map.
 
     family      one of ``FAMILIES_1D``
-    params      (b, a) for rosen_morse_trig, (a, b) for rational_harmonic,
-                (a,) for sign and coth_hyperbolic
+    params      in the order ``FAMILIES[family].params`` names them: (b, a)
+                for rosen_morse_trig, (a, b) for rational_harmonic, (a,) for
+                sign and coth_hyperbolic
     degenerate  True when the parameter map produces no energy shift
                 (e.g. rosen_morse_trig with a = 0)
     """
@@ -45,42 +146,19 @@ class Prepotential1D:
     params: tuple
     degenerate: bool = False
 
+    def _evaluable(self) -> Family:
+        """The family's table row; DomainError when W cannot be evaluated."""
+        row = FAMILIES[self.family]
+        if row.x_scale is not None and self.params[row.params.index(row.x_scale)] == 0.0:
+            raise DomainError(f"{self.family} with {row.x_scale} = 0 has no evaluable W")
+        return row
+
     # -- pointwise data ----------------------------------------------------
     def w(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.family == "rosen_morse_trig":
-            b, a = self.params
-            if a == 0.0:
-                raise DomainError("rosen_morse_trig with a = 0 has no evaluable W")
-            return -b / np.tan(a * x)
-        if self.family == "rational_harmonic":
-            a, b = self.params
-            return a * x + b / x
-        if self.family == "sign":
-            (a,) = self.params
-            return a * np.sign(x)
-        if self.family == "coth_hyperbolic":
-            (a,) = self.params
-            return a / np.tanh(x)
-        raise DomainError(f"unknown family {self.family!r}")
+        return self._evaluable().w(np.asarray(x, dtype=float), *self.params)
 
     def w_prime(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.family == "rosen_morse_trig":
-            b, a = self.params
-            if a == 0.0:
-                raise DomainError("rosen_morse_trig with a = 0 has no evaluable W")
-            return a * b / np.sin(a * x) ** 2
-        if self.family == "rational_harmonic":
-            a, b = self.params
-            return a - b / x ** 2
-        if self.family == "sign":
-            # the delta spike at x = 0 is never evaluated numerically
-            return np.zeros_like(x)
-        if self.family == "coth_hyperbolic":
-            (a,) = self.params
-            return -a / np.sinh(x) ** 2
-        raise DomainError(f"unknown family {self.family!r}")
+        return self._evaluable().w_prime(np.asarray(x, dtype=float), *self.params)
 
     def potential(self, x):
         """V(x) = W^2 - W', the potential factorized by A+ A."""
@@ -92,66 +170,19 @@ class Prepotential1D:
 
     def log_ground_state(self, x):
         """log psi0 = -int W, in closed form per family (unnormalized)."""
-        x = np.asarray(x, dtype=float)
-        if self.family == "rosen_morse_trig":
-            b, a = self.params
-            if a == 0.0:
-                raise DomainError("rosen_morse_trig with a = 0 has no evaluable W")
-            return (b / a) * np.log(np.abs(np.sin(a * x)))
-        if self.family == "rational_harmonic":
-            a, b = self.params
-            return -0.5 * a * x ** 2 - b * np.log(np.abs(x))
-        if self.family == "sign":
-            (a,) = self.params
-            return -a * np.abs(x)
-        if self.family == "coth_hyperbolic":
-            (a,) = self.params
-            return -a * np.log(np.abs(np.sinh(x)))
-        raise DomainError(f"unknown family {self.family!r}")
+        return self._evaluable().log_psi0(np.asarray(x, dtype=float), *self.params)
 
     def ground_state_normalizable(self) -> bool:
         """Square-integrability of exp(-int W) on the family's natural cell."""
-        if self.family == "rosen_morse_trig":
-            b, a = self.params
-            # boundary exponent b/a; both endpoint behaviors are integrable
-            # down to b/a > -1/2, but below 1/2 the partner solution is also
-            # normalizable and the ground state is not selected uniquely
-            return b / a > 0.5
-        if self.family == "rational_harmonic":
-            a, b = self.params
-            return a > 0 and b < 0.5
-        if self.family == "sign":
-            (a,) = self.params
-            return a > 0
-        if self.family == "coth_hyperbolic":
-            (a,) = self.params
-            return 0 < a < 0.5
-        return False
+        return self._evaluable().normalizable(*self.params)
 
     def domain(self):
         """Natural cell on which W and the potential are smooth."""
-        if self.family == "rosen_morse_trig":
-            b, a = self.params
-            return (0.0, math.pi / a) if a > 0 else (0.0, math.inf)
-        if self.family in ("rational_harmonic", "coth_hyperbolic"):
-            return (0.0, math.inf)
-        return (-math.inf, math.inf)  # sign family, minus the origin
+        return FAMILIES[self.family].domain(*self.params)
 
     # -- parameter map -----------------------------------------------------
     def next_params(self) -> tuple:
-        if self.family == "rosen_morse_trig":
-            b, a = self.params
-            return (b + a, a)
-        if self.family == "rational_harmonic":
-            a, b = self.params
-            return (a, b - 1.0)
-        if self.family == "sign":
-            (a,) = self.params
-            return (-a,)
-        if self.family == "coth_hyperbolic":
-            (a,) = self.params
-            return (a - 1.0,)
-        raise DomainError(f"unknown family {self.family!r}")
+        return FAMILIES[self.family].next_params(*self.params)
 
     def step(self) -> "Prepotential1D":
         """The partner-parameter model; the family tag never changes."""
@@ -159,18 +190,7 @@ class Prepotential1D:
 
     def remainder_next(self) -> float:
         """R evaluated at the mapped parameters (the energy shift of AA+)."""
-        if self.family == "rosen_morse_trig":
-            b, a = self.params
-            return (b + a) ** 2 - b ** 2
-        if self.family == "rational_harmonic":
-            a, b = self.params
-            return 4.0 * a
-        if self.family == "sign":
-            return 0.0
-        if self.family == "coth_hyperbolic":
-            (a,) = self.params
-            return a ** 2 - (a - 1.0) ** 2
-        raise DomainError(f"unknown family {self.family!r}")
+        return FAMILIES[self.family].remainder_next(*self.params)
 
 
 def make_prepotential_1d(family: str, params) -> Prepotential1D:
@@ -180,28 +200,17 @@ def make_prepotential_1d(family: str, params) -> Prepotential1D:
     rosen_morse_trig: a < 0 is rejected, a = 0 is allowed but flagged
     degenerate since the parameter map produces no shift).
     """
-    if family not in FAMILIES_1D:
+    if family not in FAMILIES:
         raise DomainError(f"unknown 1-D family {family!r}; expected one of {FAMILIES_1D}")
+    row = FAMILIES[family]
     params = tuple(float(p) for p in np.atleast_1d(params))
-    expected_len = {"rosen_morse_trig": 2, "rational_harmonic": 2,
-                    "sign": 1, "coth_hyperbolic": 1}[family]
-    if len(params) != expected_len:
-        raise DomainError(f"{family} takes {expected_len} parameter(s), got {params}")
-    degenerate = False
-    if family == "rosen_morse_trig":
-        b, a = params
-        if a < 0:
-            raise DomainError(f"rosen_morse_trig requires a >= 0, got a={a}")
-        if b < 0:
-            raise DomainError(f"rosen_morse_trig requires b >= 0, got b={b}")
-        degenerate = (a == 0.0)
-    elif family == "rational_harmonic":
-        a, b = params
-        if a < 0:
-            raise DomainError(f"rational_harmonic requires a >= 0, got a={a}")
-        degenerate = (a == 0.0)
-    elif family == "sign":
-        degenerate = (params[0] == 0.0)
+    if len(params) != len(row.params):
+        raise DomainError(f"{family} takes {len(row.params)} parameter(s), got {params}")
+    named = dict(zip(row.params, params))
+    for name in row.nonnegative:
+        if named[name] < 0:
+            raise DomainError(f"{family} requires {name} >= 0, got {name}={named[name]}")
+    degenerate = row.degenerate_at_zero is not None and named[row.degenerate_at_zero] == 0.0
     return Prepotential1D(family, params, degenerate)
 
 
@@ -229,6 +238,7 @@ def _set_diagonal(a: np.ndarray, value):
 class NBodyModel:
     """An N-body model with pairwise prepotential W_i = sum_j' w(x_i - x_j).
 
+    w is the W of the 1-D family that ``KINDS`` names for the kind.
     The coupling is g = 2 alpha (alpha - 1).  For the harmonic kind, `beta`
     scales the linear pair term in w; it defaults to omega / (2 sqrt N) and is
     deliberately overridable because the additive constant and the quadratic
@@ -264,30 +274,25 @@ class NBodyModel:
         return -(self.omega / math.sqrt(2.0)) * math.sqrt(n) * (n - 1) * (self.alpha * n + 1)
 
     # -- pair functions ----------------------------------------------------
+    @functools.cached_property
+    def pair_family(self) -> tuple:
+        """(family, params): the 1-D family whose W is the pair prepotential
+        (computed once per model; the jet harness reads it on every call)."""
+        family, params, _ = KINDS[self.kind]
+        return family, params(self)
+
     def pair_w(self, r):
-        r = np.asarray(r, dtype=float)
-        if self.kind == "calogero":
-            return -self.alpha / r
-        if self.kind == "calogero_sutherland":
-            return -self.alpha / np.tan(r)
-        return -self.alpha / r + self.beta * r
+        family, params = self.pair_family
+        return FAMILIES[family].w(np.asarray(r, dtype=float), *params)
 
     def pair_w_prime(self, r):
-        r = np.asarray(r, dtype=float)
-        if self.kind == "calogero":
-            return self.alpha / r ** 2
-        if self.kind == "calogero_sutherland":
-            return self.alpha / np.sin(r) ** 2
-        return self.alpha / r ** 2 + self.beta
+        family, params = self.pair_family
+        return FAMILIES[family].w_prime(np.asarray(r, dtype=float), *params)
 
     def pair_log_jastrow(self, r):
         """log of the pair factor of the product ground state."""
-        r = np.asarray(r, dtype=float)
-        if self.kind == "calogero":
-            return self.alpha * np.log(np.abs(r))
-        if self.kind == "calogero_sutherland":
-            return self.alpha * np.log(np.abs(np.sin(r)))
-        return self.alpha * np.log(np.abs(r)) - 0.5 * self.beta * r ** 2
+        family, params = self.pair_family
+        return FAMILIES[family].log_psi0(np.asarray(r, dtype=float), *params)
 
     # -- configuration-level evaluation -------------------------------------
     # Each method takes one configuration (N,) or a batch (M, N) of them;
@@ -347,7 +352,10 @@ class NBodyModel:
         return self._w_from_diff(d), self._jacobian_from_diff(d)
 
     def pair_potential(self, x):
-        """The standard pair interaction, without the additive constant."""
+        """The standard pair interaction, without the additive constant.
+
+        Written out here rather than from the family table, so that the
+        factorization checks compare the ladder products against it."""
         x = self.check_configuration(x)
         d = self._diff(x)
         inv_sq = 1.0 / (np.sin(d) if self.kind == "calogero_sutherland" else d) ** 2
@@ -475,35 +483,25 @@ class PairPrepotential:
     # symbolic note for distributional pieces never evaluated numerically
     v0_delta_note: str | None = None
 
+    @property
+    def _row(self) -> tuple:
+        """(Family, params): the 1-D table row whose formulas this row uses."""
+        family, params = PAIR_ROWS[self.family]
+        return FAMILIES[family], params(*self.params)
+
     def w(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.family == "rational_harmonic":
-            a, b = self.params
-            return a * x + b / x
-        if self.family == "sign":
-            (a,) = self.params
-            return a * np.sign(x)
-        if self.family == "cot":
-            (a,) = self.params
-            return a / np.tan(x)
-        (a,) = self.params
-        return a / np.tanh(x)
+        row, params = self._row
+        return row.w(np.asarray(x, dtype=float), *params)
 
     def w_prime(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.family == "rational_harmonic":
-            a, b = self.params
-            return a - b / x ** 2
-        if self.family == "sign":
-            return np.zeros_like(x)  # away from the origin
-        if self.family == "cot":
-            (a,) = self.params
-            return -a / np.sin(x) ** 2
-        (a,) = self.params
-        return -a / np.sinh(x) ** 2
+        row, params = self._row
+        return row.w_prime(np.asarray(x, dtype=float), *params)
 
     def v0(self, x):
-        """Closed-form W^2 - W' (valid for x != 0; see v0_delta_note)."""
+        """Closed-form W^2 - W' (valid for x != 0; see v0_delta_note).
+
+        Written out per row rather than from the family table, so that it
+        checks the table's W and W'."""
         x = np.asarray(x, dtype=float)
         if self.family == "rational_harmonic":
             a, b = self.params
@@ -530,18 +528,8 @@ class PairPrepotential:
         return np.full_like(x, a ** 2 / 3.0)
 
     def log_psi0(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.family == "rational_harmonic":
-            a, b = self.params
-            return -0.5 * a * x ** 2 - b * np.log(np.abs(x))
-        if self.family == "sign":
-            (a,) = self.params
-            return -a * np.abs(x)
-        if self.family == "cot":
-            (a,) = self.params
-            return -a * np.log(np.abs(np.sin(x)))
-        (a,) = self.params
-        return -a * np.log(np.abs(np.sinh(x)))
+        row, params = self._row
+        return row.log_psi0(np.asarray(x, dtype=float), *params)
 
     def singular_period(self) -> float | None:
         """Spacing of singular points of W (None if only the origin)."""

@@ -5,6 +5,7 @@ on grids, and the tower of higher Hamiltonians.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -28,6 +29,9 @@ class Grid1D:
     def __post_init__(self):
         if self.m < 8:
             raise DomainError("need at least 8 samples")
+        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
+            raise DomainError("grid endpoints must be finite, "
+                              f"got [{self.x_min}, {self.x_max}]")
         if self.x_max <= self.x_min:
             raise DomainError("empty domain")
         if self.bc not in ("dirichlet", "periodic"):

@@ -10,7 +10,6 @@ algebraic numbers compare directly.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +48,8 @@ class GridSpec:
         for lo, hi, m in self.axes:
             if m < 8:
                 raise DomainError("grids need at least 8 cells per axis")
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise DomainError(f"axis endpoints must be finite, got [{lo}, {hi}]")
             if hi <= lo:
                 raise DomainError("empty axis")
         if self.sector == "ordered":
@@ -485,22 +486,18 @@ class TwoBodyReduction:
         return self.kinetic_factor * np.asarray(chain.energies)
 
 
+_REDUCTION_NOTES = {
+    "calogero": "free relative dilation family: continuum, no bound chain",
+    "harmonic_calogero": "relative radial-oscillator family",
+    "calogero_sutherland": "relative problem on (0, pi); ground state |sin r|^alpha",
+}
+
+
 def two_body_reduction(model: NBodyModel) -> TwoBodyReduction:
     """Map an N = 2 model onto its relative 1-D shape-invariant problem."""
     if model.n != 2:
         raise DomainError("reduction applies to two-body models only")
-    if model.kind == "calogero_sutherland":
-        prep = make_prepotential_1d("rosen_morse_trig", (model.alpha, 1.0))
-        domain = (0.0, math.pi)
-        note = "relative problem on (0, pi); ground state |sin r|^alpha"
-    elif model.kind == "calogero":
-        prep = make_prepotential_1d("rational_harmonic", (0.0, -model.alpha))
-        domain = (0.0, math.inf)
-        note = "free relative dilation family: continuum, no bound chain"
-    else:
-        prep = make_prepotential_1d("rational_harmonic", (model.beta, -model.alpha))
-        domain = (0.0, math.inf)
-        note = "relative radial-oscillator family"
+    prep = make_prepotential_1d(*model.pair_family)
     report = {
         "kind": model.kind,
         "relative_coordinate": "r = x2 - x1 on the ordered sector",
@@ -508,9 +505,9 @@ def two_body_reduction(model: NBodyModel) -> TwoBodyReduction:
         "center_of_mass": "free plane waves, energy k^2/2",
         "family": prep.family,
         "params": prep.params,
-        "note": note,
+        "note": _REDUCTION_NOTES[model.kind],
     }
-    return TwoBodyReduction(prep, 2.0, domain, report)
+    return TwoBodyReduction(prep, 2.0, prep.domain(), report)
 
 
 # ---------------------------------------------------------------------------

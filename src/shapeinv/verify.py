@@ -177,7 +177,7 @@ def commutator_check(model: NBodyModel, trials: int, seed: int,
     """
     if trials < 1:
         raise DomainError("trials must be >= 1")
-    alpha, n = model.alpha, model.n
+    n = model.n
     residuals, xs = [], []
     for rng in _child_rngs(seed, trials):
         x = draw_configuration(model, rng)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -208,6 +209,18 @@ def test_chain_levels(tmp_path):
     assert (tmp_path / "chain_state_1.txt").exists()
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--a", "0"], "grid endpoints must be finite"),
+    (["--family", "nope"], "unknown family 'nope'"),
+])
+def test_chain_rejects_bad_input_cleanly(tmp_path, capsys, flags, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["chain", *flags, "--outdir", str(tmp_path)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # config files and determinism
 # ---------------------------------------------------------------------------
@@ -231,6 +244,20 @@ def test_config_file_with_flag_override(tmp_path):
         assert payload["model"]["n"] == n
         assert payload["trials"] == trials
         assert payload["seed"] == seed
+
+
+def test_config_file_resolves_kind_alias(tmp_path):
+    # the config file and the flags resolve aliases through the same table
+    cfg = tmp_path / "cs.cfg"
+    cfg.write_text("kind = cs\nn = 3\nalpha = 1\ntrials = 12\n")
+    by_file, by_flags = tmp_path / "file", tmp_path / "flags"
+    assert run(["verify", "--config", str(cfg), "--outdir", str(by_file)]) == 0
+    assert run(["verify", "--kind", "cs", "--n", "3", "--alpha", "1", "--trials", "12",
+                "--outdir", str(by_flags)]) == 0
+    names = sorted(p.name for p in by_flags.iterdir())
+    assert sorted(p.name for p in by_file.iterdir()) == names and len(names) == 6
+    for name in names:
+        assert (by_file / name).read_bytes() == (by_flags / name).read_bytes()
 
 
 def test_config_keys_share_model_types():

@@ -5,6 +5,8 @@ import pytest
 
 from shapeinv.errors import DomainError, SingularConfigurationError
 from shapeinv.models import (
+    FAMILIES_1D,
+    NBODY_KINDS,
     check_pair_condition,
     make_nbody_model,
     make_pair_prepotential,
@@ -15,6 +17,7 @@ from shapeinv.models import (
     remainder_nominal,
     remainder_shift,
 )
+from shapeinv.spectral import two_body_reduction
 
 
 # ---------------------------------------------------------------------------
@@ -61,29 +64,36 @@ def test_rejects_bad_params():
         remainder_1d(make_prepotential_1d("rosen_morse_trig", (2.0, 1.0)), (4.0, 1.0))
 
 
-@pytest.mark.parametrize("family,params", [
-    ("rosen_morse_trig", (2.0, 1.0)),
-    ("rational_harmonic", (1.3, 0.7)),
-    ("sign", (0.8,)),
-    ("coth_hyperbolic", (1.1,)),
-])
+# one admissible parameter set per row of the family table, in table order
+SAMPLE_PARAMS = {"rosen_morse_trig": (2.0, 1.0), "rational_harmonic": (1.3, 0.7),
+                 "sign": (0.8,), "coth_hyperbolic": (1.1,)}
+FAMILY_SAMPLES = [(family, SAMPLE_PARAMS[family]) for family in FAMILIES_1D]
+
+
+@pytest.mark.parametrize("family,params", FAMILY_SAMPLES)
 def test_w_is_odd(family, params):
     prep = make_prepotential_1d(family, params)
     x = np.array([0.21, 0.5, 0.93, 1.4])
     assert np.allclose(prep.w(-x), -prep.w(x), atol=1e-14)
 
 
-@pytest.mark.parametrize("family,params", [
-    ("rosen_morse_trig", (2.0, 1.0)),
-    ("rational_harmonic", (1.3, 0.7)),
-    ("coth_hyperbolic", (1.1,)),
-])
+@pytest.mark.parametrize("family,params", FAMILY_SAMPLES)
 def test_w_prime_matches_finite_difference(family, params):
     prep = make_prepotential_1d(family, params)
     x = np.array([0.3, 0.7, 1.2])
     h = 1e-6
     fd = (prep.w(x + h) - prep.w(x - h)) / (2 * h)
     assert np.allclose(fd, prep.w_prime(x), rtol=1e-7, atol=1e-7)
+
+
+def test_degenerate_trig_has_no_normalizability():
+    # the constructor accepts a = 0 as degenerate; every evaluation of the
+    # ground state then reports the missing W instead of dividing by a
+    prep = make_prepotential_1d("rosen_morse_trig", (0.5, 0.0))
+    for evaluate in (prep.ground_state_normalizable, lambda: prep.w(0.3),
+                     lambda: prep.log_ground_state(0.3)):
+        with pytest.raises(DomainError, match="no evaluable W"):
+            evaluate()
 
 
 def test_parameter_map_accumulates_exactly():
@@ -191,6 +201,19 @@ def test_prepotential_sum_and_curl(kind, alpha, n):
         assert abs(w.sum()) <= 1e-12 * max(1.0, np.max(np.abs(w)))
         jac = m.prepotential_jacobian(x)
         assert np.max(np.abs(jac - jac.T)) <= 1e-12 * max(1.0, np.max(np.abs(jac)))
+
+
+@pytest.mark.parametrize("kind", NBODY_KINDS)
+def test_pair_functions_are_the_reduced_family(kind):
+    # the kind map is shared: the N-body pair functions and the relative
+    # problem of the two-body reduction evaluate the same 1-D family
+    omega = 1.3 if kind == "harmonic_calogero" else None
+    m = make_nbody_model(kind, 2, 1.7, omega=omega)
+    prep = two_body_reduction(m).prep
+    r = np.array([-2.1, -0.9, -0.25, 0.3, 0.8, 1.9, 2.6])
+    assert np.array_equal(m.pair_w(r), prep.w(r))
+    assert np.array_equal(m.pair_w_prime(r), prep.w_prime(r))
+    assert np.array_equal(m.pair_log_jastrow(r), prep.log_ground_state(r))
 
 
 def test_jacobian_matches_finite_difference():

@@ -9,6 +9,12 @@ from shapeinv.models import make_prepotential_1d
 from shapeinv.shape1d import Grid1D
 
 
+def test_grid1d_rejects_non_finite_endpoints():
+    for lo, hi in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)):
+        with pytest.raises(DomainError, match="finite"):
+            Grid1D(lo, hi, 64)
+
+
 def test_spectrum_closed_form():
     prep = make_prepotential_1d("rosen_morse_trig", (2.0, 1.0))
     chain = shape1d.algebraic_spectrum(prep, 3)

@@ -26,6 +26,9 @@ def test_gridspec_validation():
         GridSpec.box(0.0, 1.0, 16, 2, bc="periodic", sector="ordered")
     with pytest.raises(DomainError):
         GridSpec((  (0.0, 1.0, 16), (0.0, 2.0, 16)), sector="ordered")
+    for lo, hi in ((0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan)):
+        with pytest.raises(DomainError, match="finite"):
+            GridSpec.box(lo, hi, 16, 2)
 
 
 def test_discretize_symmetric_and_metadata():
