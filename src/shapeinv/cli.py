@@ -124,6 +124,18 @@ def _residual_of(rep) -> float:
     return d.get("max_residual", d.get("residual_std", math.nan))
 
 
+def _bound_levels(prep, n_max: int) -> tuple:
+    """The algebraic levels E_0 .. E_n_max; DomainError when the chain holds
+    fewer bound members."""
+    chain = shape1d.algebraic_spectrum(prep, n_max)
+    if chain.members <= n_max:
+        raise DomainError(
+            f"{prep.family}{prep.params} holds {chain.members} bound level(s): "
+            f"chain member {chain.members} has no normalizable ground state, "
+            f"so levels 0..{n_max} cannot be compared")
+    return chain.energies
+
+
 def cmd_spectrum(args) -> int:
     defaults = {"kind": None, "n": 2, "alpha": 1.0, "omega": None,
                 "beta_override": None, "epsilon_sing": 1e-6,
@@ -140,12 +152,12 @@ def cmd_spectrum(args) -> int:
         hi = cfg["domain_max"] if cfg["domain_max"] is not None else hi
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise DomainError("unbounded domain: set domain_min/domain_max")
-        chain = shape1d.algebraic_spectrum(prep, cfg["nmax"])
+        levels = _bound_levels(prep, cfg["nmax"])
         grid = GridSpec.line(lo, hi, cfg["grid_m"])
         ham = spectral.discretize(prep, grid, cfg["stencil_order"])
         res = spectral.eigen(ham, cfg["nmax"] + 1, cfg["seed"])
         rows, worst = [], 0.0
-        for k, (ea, eg) in enumerate(zip(chain.energies, res.eigenvalues)):
+        for k, (ea, eg) in enumerate(zip(levels, res.eigenvalues)):
             rel = abs(eg - ea) / max(1.0, abs(ea))
             worst = max(worst, rel)
             rows.append((k, float(ea), float(eg), float(rel)))
@@ -167,6 +179,7 @@ def cmd_spectrum(args) -> int:
         raise DomainError("N-body spectra are supported through --reduce "
                           "(two-body relative problem)")
     red = spectral.two_body_reduction(model)
+    _bound_levels(red.prep, cfg["nmax"])
     lo, hi = red.domain
     if not math.isfinite(hi):
         hi = cfg["domain_max"] if cfg["domain_max"] is not None else 12.0
@@ -295,13 +308,13 @@ def cmd_chain(args) -> int:
     prep = _prepotential_from_cfg(cfg)
     lo, hi = prep.domain()
     grid = shape1d.Grid1D(lo, hi, cfg["grid_m"])
-    chain = shape1d.algebraic_spectrum(prep, cfg["levels"])
+    levels = _bound_levels(prep, cfg["levels"])
     out = _outdir(cfg)
     rows, worst = [], 0.0
     for nlev in range(cfg["levels"] + 1):
         gf = shape1d.wavefunction_chain(prep, nlev, grid)
         rq = shape1d.rayleigh_quotient(prep, gf)
-        expected = chain.energies[nlev]
+        expected = levels[nlev]
         rel = abs(rq - expected) / max(1.0, abs(expected))
         worst = max(worst, rel)
         rows.append((nlev, float(expected), float(rq), float(rel),

@@ -370,7 +370,7 @@ class NBodyModel:
     def potential(self, x):
         return self.pair_potential(x) + self.c
 
-    def ladder_potential(self, x, partner: bool = False) -> float:
+    def ladder_potential(self, x, partner: bool = False):
         """sum_i W_i^2 -/+ sum_i d_i W_i, the potential assembled by the
         ladder products (partner=True flips the derivative sign)."""
         x = self.check_configuration(x)
@@ -379,8 +379,8 @@ class NBodyModel:
         _set_diagonal(w, 0.0)
         wp = self.pair_w_prime(d)
         _set_diagonal(wp, 0.0)
-        wsq = float(np.sum(w.sum(axis=1) ** 2))
-        trace = float(wp.sum())
+        wsq = np.sum(w.sum(axis=-1) ** 2, axis=-1)
+        trace = wp.sum(axis=(-2, -1))
         return wsq + trace if partner else wsq - trace
 
     def shifted(self, dalpha: float = 1.0) -> "NBodyModel":
@@ -652,6 +652,7 @@ def model_from_config(text: str) -> NBodyModel:
     values = parse_key_values(text, _CONFIG_KEYS)
     if "kind" not in values or "n" not in values or "alpha" not in values:
         raise DomainError("config must set kind, n and alpha")
-    return make_nbody_model(values["kind"], values["n"], values["alpha"],
+    kind = KIND_NAMES.get(values["kind"], values["kind"])
+    return make_nbody_model(kind, values["n"], values["alpha"],
                             omega=values.get("omega"), beta=values.get("beta_override"),
                             eps_sing=values.get("epsilon_sing", 1e-6))

@@ -5,6 +5,7 @@ on grids, and the tower of higher Hamiltonians.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -82,27 +83,33 @@ class GridFunction1D:
 
 @dataclass(frozen=True)
 class SpectrumChain:
-    """Parameter chain alpha_0 -> alpha_1 -> ... with cumulative remainders."""
+    """Parameter chain alpha_0 -> alpha_1 -> ... with cumulative remainders,
+    one member per bound level."""
     family: str
     params_chain: tuple
     remainders: tuple   # R(alpha_1) ... R(alpha_n)
     energies: tuple     # E_0 = 0, E_k = sum_{j<=k} R(alpha_j)
+    members: int        # members with a normalizable ground state, <= n_max + 1
 
 
 def algebraic_spectrum(prep: Prepotential1D, n_max: int) -> SpectrumChain:
-    """Exact energies E_k = sum_{j<=k} R(alpha_j), E_0 = 0."""
+    """Exact energies E_k = sum_{j<=k} R(alpha_j), E_0 = 0, for k <= n_max.
+
+    E_k is a bound level only while psi0(alpha_k) is normalizable, so the
+    chain stops at the last such member: `members` may fall short of
+    n_max + 1 (coth with 0 < a < 1/2 and sign each hold one member), and is
+    0 when psi0(alpha_0) itself is not normalizable.
+    """
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
-    params = [prep.params]
-    remainders = []
-    energies = [0.0]
-    current = prep
-    for _ in range(n_max):
-        remainders.append(current.remainder_next())
+    members, current = [], prep
+    while len(members) <= n_max and current.ground_state_normalizable():
+        members.append(current)
         current = current.step()
-        params.append(current.params)
-        energies.append(energies[-1] + remainders[-1])
-    return SpectrumChain(prep.family, tuple(params), tuple(remainders), tuple(energies))
+    remainders = tuple(m.remainder_next() for m in members[:-1])
+    energies = tuple(itertools.accumulate(remainders, initial=0.0))[:len(members)]
+    return SpectrumChain(prep.family, tuple(m.params for m in members),
+                         remainders, energies, len(members))
 
 
 def ground_state_1d(prep: Prepotential1D, grid: Grid1D) -> GridFunction1D:

@@ -5,6 +5,17 @@ three-body cancellation and the constant-fit diagnostic.
 All reports are deterministic given (model, trials, seed): each trial gets
 an independent child seed spawned from the master seed, so aggregation is
 order-independent and trials could run in parallel without changing a bit.
+
+The four jet identities run on a `TrialSet`, every trial's configuration
+and test-function 2-jet stacked into arrays, as array contractions over all
+trials at once: one batched W, J evaluation, the first applications of
+every A_j and A+_j as arrays u (T, N) and G (T, N, N), and every depth-2
+product as P[t, i, j] = s G[t, i, j] + W[t, i] u[t, j].  Each commutator is
+the difference of its two products.  The contractions keep the scalar
+operation order of the pointwise `calculus` functions, which stay the
+reference: every residual equals theirs bit for bit.  `run_all` draws each
+trial set once and shares it with the identities; the memo is cleared when
+the call returns, so nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -17,7 +28,7 @@ import numpy as np
 
 from . import calculus as calc
 from .errors import DomainError
-from .models import NBodyModel, remainder_nominal, remainder_shift
+from .models import NBodyModel, _set_diagonal, remainder_nominal, remainder_shift
 
 DEFAULT_GAP = 0.05
 BOX_HALF = 2.0  # configurations drawn from a box of side 4
@@ -123,23 +134,158 @@ def _report(identity, model, trials, seed, residuals, worsts, tolerance, extra=N
 
 
 # ---------------------------------------------------------------------------
+# trial sets
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class TrialSet:
+    """T seeded trials, stacked: configurations x (T, N) and the exact 2-jet
+    of each trial's test function there, v (T,), g (T, N), h (T, N, N)."""
+    x: np.ndarray
+    v: np.ndarray
+    g: np.ndarray
+    h: np.ndarray
+
+
+# Trial sets drawn during the current `run_all` call, keyed by
+# (kind, n, trials, seed); None outside it, so no draw outlives the call.
+_drawn: dict | None = None
+
+
+def _trial_set(model: NBodyModel, trials: int, seed: int) -> TrialSet:
+    """Each child rng draws a configuration, then a test function."""
+    if trials < 1:
+        raise DomainError("trials must be >= 1")
+    key = (model.kind, model.n, trials, seed)
+    if _drawn is not None and key in _drawn:
+        return _drawn[key]
+    xs, jets = [], []
+    for rng in _child_rngs(seed, trials):
+        x = draw_configuration(model, rng)
+        jets.append(calc.random_test_function(model, rng).jet(x))
+        xs.append(x)
+    drawn = TrialSet(np.array(xs), np.array([j.v for j in jets]),
+                     np.array([j.g for j in jets]), np.array([j.h for j in jets]))
+    if _drawn is not None:
+        _drawn[key] = drawn
+    return drawn
+
+
+# ---------------------------------------------------------------------------
+# ladder products on a trial set
+#
+# The arrays repeat the scalar operation order of `calculus`, so every
+# residual equals the pointwise one (`apply_product`, `commutator_value`,
+# `_ladder_sum`, `residual_scale`) bit for bit.  Where the pointwise path
+# sums a contiguous vector, the batched sum runs over the last axis of a
+# C-contiguous array, so that numpy adds each row in the same order (its
+# pairwise summation starts at 8 terms).
+# ---------------------------------------------------------------------------
+
+def _first(sign: float, W, J, s: TrialSet):
+    """L_j f for every j, with L_j = sign d_j + W_j (A_j at +1, A+_j at -1):
+    values u[t, j] and gradients G[t, k, j] = d_k (L_j f)."""
+    u = sign * s.g + W * s.v[:, None]
+    G = sign * s.h + J * s.v[:, None, None] + s.g[:, :, None] * W[:, None, :]
+    return u, G
+
+
+def _products(sign: float, W, u, G):
+    """P[t, i, j] = (L_i applied to the first applications u, G), with
+    L_i = sign d_i + W_i: every depth-2 product at once."""
+    return sign * G + W[:, :, None] * u[:, None, :]
+
+
+def _ladder_sums(model: NBodyModel, sign: float, s: TrialSet):
+    """sum_i L-_i L_i f per trial, L_i = sign d_i + W_i and L-_i its
+    adjoint: sum A+_i A_i at sign = +1, the partner sum A_i A+_i at -1."""
+    W, J = model.prepotential_and_jacobian(s.x)
+    products = _products(-sign, W, *_first(sign, W, J, s))
+    return np.einsum("tii->ti", products).sum(axis=-1)
+
+
+def _scale(s: TrialSet, V):
+    """max(1, |f|, |grad f|, |hess f|, |V|) per trial."""
+    return np.max([np.ones_like(s.v), np.abs(s.v), np.abs(s.g).max(axis=1),
+                   np.abs(s.h).max(axis=(1, 2)), np.abs(V)], axis=0)
+
+
+def _factorization(model: NBodyModel, s: TrialSet):
+    V = model.potential(s.x)
+    lhs = -np.trace(s.h, axis1=1, axis2=2) + V * s.v
+    return np.abs(lhs - _ladder_sums(model, 1.0, s)) / _scale(s, V)
+
+
+def _shape_invariance(model: NBodyModel, s: TrialSet, r_used: float):
+    lhs = _ladder_sums(model, -1.0, s)
+    rhs = _ladder_sums(model.shifted(1.0), 1.0, s) + r_used * s.v
+    return np.abs(lhs - rhs) / _scale(s, model.potential(s.x))
+
+
+def _commutators(model: NBodyModel, s: TrialSet):
+    """Largest |[A_i, A_j] f|, |[A+_i, A+_j] f| (i < j) and
+    |[A+_i, A_j] f - closed form| per trial, each commutator the difference
+    of its two depth-2 products."""
+    W, J = model.prepotential_and_jacobian(s.x)
+    ua, Ga = _first(1.0, W, J, s)
+    ud, Gd = _first(-1.0, W, J, s)
+    aa = _products(1.0, W, ua, Ga)      # A_i A_j f
+    dd = _products(-1.0, W, ud, Gd)     # A+_i A+_j f
+    da = _products(-1.0, W, ua, Ga)     # A+_i A_j f
+    ad = _products(1.0, W, ud, Gd)      # A_i A+_j f
+    upper = np.triu(np.ones((model.n, model.n), dtype=bool), 1)
+    pure = np.abs(np.concatenate([(aa - aa.swapaxes(1, 2))[:, upper],
+                                  (dd - dd.swapaxes(1, 2))[:, upper]], axis=1))
+    mixed = np.abs(da - ad.swapaxes(1, 2)
+                   - _mixed_commutator(model, s.x) * s.v[:, None, None])
+    worst = np.maximum(pure.max(axis=1, initial=0.0), mixed.max(axis=(1, 2)))
+    return worst / _scale(s, model.potential(s.x))
+
+
+def _momentum(model: NBodyModel, s: TrialSet):
+    """Largest |P_tot (Op_i f) - Op_i (P_tot f)| over Op = A, A+ per trial."""
+    W, J = model.prepotential_and_jacobian(s.x)
+    p_value = s.g.sum(axis=1)       # P_tot f and its gradient
+    p_grad = s.h.sum(axis=2)
+    worst = np.zeros_like(s.v)
+    for sign in (1.0, -1.0):
+        _, G = _first(sign, W, J, s)
+        p_after = np.ascontiguousarray(G.swapaxes(1, 2)).sum(axis=-1)  # P_tot L_i f
+        gap = np.abs(p_after - (sign * p_grad + W * p_value[:, None]))
+        worst = np.maximum(worst, gap.max(axis=1))
+    return worst / _scale(s, model.potential(s.x))
+
+
+def _mixed_commutator(model: NBodyModel, x) -> np.ndarray:
+    """Closed form of [A+_i, A_j] / f as an (..., N, N) matrix: the pair
+    formula off the diagonal, minus the sum of the row's off-diagonal
+    entries on it."""
+    x = np.asarray(x, dtype=float)
+    d = x[..., :, None] - x[..., None, :]
+    _set_diagonal(d, 1.0)  # dummy, overwritten by the restricted sum
+    alpha = model.alpha
+    if model.kind == "calogero":
+        c = 2 * alpha / d ** 2
+    elif model.kind == "calogero_sutherland":
+        c = 2 * alpha / np.sin(d) ** 2
+    else:
+        c = 2 * (alpha / d ** 2 + model.beta)
+    off = ~np.eye(model.n, dtype=bool)
+    restricted = np.ascontiguousarray(c[..., off]).reshape(c.shape[:-1] + (model.n - 1,))
+    _set_diagonal(c, -restricted.sum(axis=-1))
+    return c
+
+
+# ---------------------------------------------------------------------------
 # identity checks
 # ---------------------------------------------------------------------------
 
 def factorization_residual(model: NBodyModel, trials: int, seed: int,
                            tolerance: float = 1e-8) -> ResidualReport:
     """max_t |H_direct f - sum A+_i A_i f| / scale over seeded trials."""
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
-    residuals, xs = [], []
-    for rng in _child_rngs(seed, trials):
-        x = draw_configuration(model, rng)
-        f = calc.random_test_function(model, rng)
-        lhs = calc.apply_hamiltonian_direct(model, f, x)
-        rhs = calc.apply_hamiltonian_factorized(model, f, x)
-        residuals.append(abs(lhs - rhs) / calc.residual_scale(model, f, x))
-        xs.append(x)
-    return _report("factorization", model, trials, seed, residuals, xs, tolerance)
+    s = _trial_set(model, trials, seed)
+    return _report("factorization", model, trials, seed,
+                   _factorization(model, s), s.x, tolerance)
 
 
 def shape_invariance_residual(model: NBodyModel, trials: int, seed: int,
@@ -150,21 +296,12 @@ def shape_invariance_residual(model: NBodyModel, trials: int, seed: int,
     for the harmonic kind it is the measured constant, with the nominal
     closed form recorded in `extra` for comparison.
     """
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
-    shifted = model.shifted(1.0)
+    s = _trial_set(model, trials, seed)
     r_used = remainder_shift(model)
-    r_nominal = remainder_nominal(model)
-    residuals, xs = [], []
-    for rng in _child_rngs(seed, trials):
-        x = draw_configuration(model, rng)
-        f = calc.random_test_function(model, rng)
-        lhs = calc.apply_partner(model, f, x)
-        rhs = calc.apply_hamiltonian_factorized(shifted, f, x) + r_used * f(x)
-        residuals.append(abs(lhs - rhs) / calc.residual_scale(model, f, x))
-        xs.append(x)
-    return _report("shape_invariance", model, trials, seed, residuals, xs, tolerance,
-                   extra={"remainder_used": r_used, "remainder_nominal": r_nominal})
+    return _report("shape_invariance", model, trials, seed,
+                   _shape_invariance(model, s, r_used), s.x, tolerance,
+                   extra={"remainder_used": r_used,
+                          "remainder_nominal": remainder_nominal(model)})
 
 
 def commutator_check(model: NBodyModel, trials: int, seed: int,
@@ -175,77 +312,18 @@ def commutator_check(model: NBodyModel, trials: int, seed: int,
     (restricted sum for i = j, single term for i != j), not against the
     jacobian used internally.
     """
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
-    n = model.n
-    residuals, xs = [], []
-    for rng in _child_rngs(seed, trials):
-        x = draw_configuration(model, rng)
-        f = calc.random_test_function(model, rng)
-        fv = f(x)
-        scale = calc.residual_scale(model, f, x)
-        worst = 0.0
-        for i in range(n):
-            for j in range(n):
-                if i < j:
-                    worst = max(worst,
-                                abs(calc.commutator_value(model, ("a", i), ("a", j), f, x)),
-                                abs(calc.commutator_value(model, ("adag", i), ("adag", j), f, x)))
-                mixed = calc.commutator_value(model, ("adag", i), ("a", j), f, x)
-                worst = max(worst, abs(mixed - _mixed_commutator(model, i, j, x) * fv))
-        residuals.append(worst / scale)
-        xs.append(x)
-    return _report("commutators", model, trials, seed, residuals, xs, tolerance)
-
-
-def _mixed_commutator(model: NBodyModel, i: int, j: int, x) -> float:
-    """Closed form of [A+_i, A_j] / f: the case-split pair formulas."""
-    x = np.asarray(x, dtype=float)
-    alpha = model.alpha
-    if model.kind == "calogero":
-        if i == j:
-            return float(np.sum([-2 * alpha / (x[i] - x[k]) ** 2
-                                 for k in range(model.n) if k != i]))
-        return 2 * alpha / (x[i] - x[j]) ** 2
-    if model.kind == "calogero_sutherland":
-        if i == j:
-            return float(np.sum([-2 * alpha / np.sin(x[i] - x[k]) ** 2
-                                 for k in range(model.n) if k != i]))
-        return 2 * alpha / np.sin(x[i] - x[j]) ** 2
-    beta = model.beta
-    if i == j:
-        return float(np.sum([-2 * (alpha / (x[i] - x[k]) ** 2 + beta)
-                             for k in range(model.n) if k != i]))
-    return 2 * (alpha / (x[i] - x[j]) ** 2 + beta)
+    s = _trial_set(model, trials, seed)
+    return _report("commutators", model, trials, seed,
+                   _commutators(model, s), s.x, tolerance)
 
 
 def momentum_commutation(model: NBodyModel, trials: int, seed: int,
                          tolerance: float = 1e-10) -> ResidualReport:
     """[P_tot, A_i] f and [P_tot, A+_i] f at sampled points (both vanish:
     the prepotential depends on differences only)."""
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
-    n = model.n
-    residuals, xs = [], []
-    for rng in _child_rngs(seed, trials):
-        x = draw_configuration(model, rng)
-        f = calc.random_test_function(model, rng)
-        jet = f.jet(np.asarray(x, float))
-        tf_value = float(np.sum(jet.g))
-        tf_grad = jet.h.sum(axis=1)
-        tjet = calc.Jet1(tf_value, tf_grad)
-        scale = calc.residual_scale(model, f, x)
-        worst = 0.0
-        for i in range(n):
-            for kind in ("a", "adag"):
-                first = (calc.apply_annihilator if kind == "a"
-                         else calc.apply_creator)(model, i, f, x)
-                p_after = float(np.sum(first.gradient))     # P (Op f)
-                op_after = calc.apply_to_jet1(model, kind, i, tjet, x)  # Op (P f)
-                worst = max(worst, abs(p_after - op_after))
-        residuals.append(worst / scale)
-        xs.append(x)
-    return _report("momentum_commutation", model, trials, seed, residuals, xs, tolerance)
+    s = _trial_set(model, trials, seed)
+    return _report("momentum_commutation", model, trials, seed,
+                   _momentum(model, s), s.x, tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -347,16 +425,13 @@ def constant_fit_diagnostic(model: NBodyModel, trials: int, seed: int,
     if trials < 2:
         raise DomainError("trials must be >= 2 for a fit")
     harmonic = model.kind == "harmonic_calogero"
-    d_vals, s_vals = [], []
-    for rng in _child_rngs(seed, trials):
-        x = draw_configuration(model, rng)
-        d_vals.append(model.ladder_potential(x) - model.pair_potential(x))
-        if harmonic:
-            diff = x[:, None] - x[None, :]
-            s_vals.append(float(np.sum(diff[~np.eye(model.n, dtype=bool)] ** 2)))
-    d_vals = np.asarray(d_vals)
+    x = _trial_set(model, trials, seed).x
+    d_vals = model.ladder_potential(x) - model.pair_potential(x)
     if harmonic:
-        design = np.column_stack([np.ones_like(d_vals), np.asarray(s_vals)])
+        diff = x[:, :, None] - x[:, None, :]
+        sq = np.ascontiguousarray(diff[:, ~np.eye(model.n, dtype=bool)] ** 2)
+        s_vals = sq.sum(axis=-1)
+        design = np.column_stack([np.ones_like(d_vals), s_vals])
     else:
         design = np.ones((d_vals.size, 1))
     coef, *_ = np.linalg.lstsq(design, d_vals, rcond=None)
@@ -398,12 +473,16 @@ def run_all(model: NBodyModel, trials: int, seed: int,
     def tol(default):
         return default if tolerance is None else tolerance
 
-    reports = {
-        "factorization": factorization_residual(model, trials, seed, tol(1e-8)),
-        "shape_invariance": shape_invariance_residual(model, trials, seed, tol(1e-8)),
-        "commutators": commutator_check(model, trials, seed, tol(1e-10)),
-        "momentum_commutation": momentum_commutation(model, trials, seed, tol(1e-10)),
-        "three_body_cancellation": three_body_report(model, trials, seed, tol(1e-12)),
-        "constant_fit": constant_fit_diagnostic(model, trials, seed, tol(1e-8)),
-    }
-    return reports
+    global _drawn
+    _drawn = {}
+    try:
+        return {
+            "factorization": factorization_residual(model, trials, seed, tol(1e-8)),
+            "shape_invariance": shape_invariance_residual(model, trials, seed, tol(1e-8)),
+            "commutators": commutator_check(model, trials, seed, tol(1e-10)),
+            "momentum_commutation": momentum_commutation(model, trials, seed, tol(1e-10)),
+            "three_body_cancellation": three_body_report(model, trials, seed, tol(1e-12)),
+            "constant_fit": constant_fit_diagnostic(model, trials, seed, tol(1e-8)),
+        }
+    finally:
+        _drawn = None

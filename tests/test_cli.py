@@ -68,6 +68,21 @@ def test_spectrum_rosen_morse(tmp_path):
     assert all(float(r.split(",")[3]) <= 1e-3 for r in rows[1:])
 
 
+@pytest.mark.parametrize("flags,members", [
+    (["--family", "coth", "--a", "0.3", "--nmax", "2", "--domain-max", "10"], 1),
+    (["--family", "sign", "--a", "1", "--nmax", "1",
+      "--domain-min", "-10", "--domain-max", "10"], 1),
+    (["--kind", "calogero", "--n", "2", "--alpha", "2", "--reduce", "--nmax", "2"], 0),
+])
+def test_spectrum_nmax_beyond_bound_levels(tmp_path, capsys, flags, members):
+    code = run(["spectrum", *flags, "--grid-m", "200", "--outdir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"holds {members} bound level(s)" in err
+    assert "no normalizable ground state" in err
+    assert not (tmp_path / "spectrum.csv").exists()
+
+
 def test_spectrum_dump_states(tmp_path):
     code = run(["spectrum", "--family", "rosen-morse", "--b", "2", "--a", "1",
                 "--nmax", "1", "--grid-m", "600", "--dump",

@@ -180,6 +180,22 @@ def test_batch_evaluation_matches_pointwise(kind, n):
         assert np.max(np.abs(batch - rows)) <= 1e-14 * max(1.0, np.max(np.abs(rows)))
 
 
+@pytest.mark.parametrize("kind", ["calogero", "harmonic_calogero",
+                                  "calogero_sutherland"])
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_ladder_potential_batch_matches_rows(kind, n):
+    # one value per configuration, not the sum over the batch
+    omega = 1.3 if kind == "harmonic_calogero" else None
+    m = make_nbody_model(kind, n, 1.7, omega=omega)
+    xs = np.sort(np.random.default_rng(n).uniform(0.05, 3.0, (60, n)), axis=1)
+    xs = xs[np.min(np.diff(xs, axis=1), axis=1) > 0.05]
+    for partner in (False, True):
+        batch = m.ladder_potential(xs, partner=partner)
+        rows = np.array([m.ladder_potential(x, partner=partner) for x in xs])
+        assert batch.shape == (len(xs),)
+        assert np.array_equal(batch, rows)
+
+
 @pytest.mark.parametrize("kind,alpha", [("calogero", 1.5),
                                         ("calogero_sutherland", 2.0),
                                         ("harmonic_calogero", 1.0)])
@@ -324,3 +340,11 @@ def test_config_rejects_unknown_key():
 def test_config_requires_core_keys():
     with pytest.raises(DomainError):
         model_from_config("kind = calogero\n")
+
+
+def test_config_resolves_kind_alias():
+    # the library reader accepts the aliases the CLI config reader accepts
+    m = model_from_config("kind = cs\nn = 3\nalpha = 1.5\n")
+    assert m == make_nbody_model("calogero_sutherland", 3, 1.5)
+    with pytest.raises(DomainError, match="unknown kind"):
+        model_from_config("kind = nope\nn = 3\nalpha = 1.5\n")

@@ -32,6 +32,22 @@ def test_spectrum_trivial():
     assert shape1d.algebraic_spectrum(prep, 0).energies == (0.0,)
 
 
+@pytest.mark.parametrize("family,params,n_max,members,energies", [
+    ("coth_hyperbolic", (0.3,), 2, 1, (0.0,)),      # a -> a - 1 leaves 0 < a < 1/2
+    ("sign", (1.0,), 3, 1, (0.0,)),                 # a -> -a
+    ("rosen_morse_trig", (0.3, 1.0), 2, 0, ()),     # b/a <= 1/2 from the start
+    ("rosen_morse_trig", (2.0, 1.0), 3, 4, (0.0, 5.0, 12.0, 21.0)),
+    ("rational_harmonic", (1.0, -1.0), 2, 3, (0.0, 4.0, 8.0)),
+])
+def test_spectrum_stops_at_last_normalizable_member(family, params, n_max,
+                                                    members, energies):
+    chain = shape1d.algebraic_spectrum(make_prepotential_1d(family, params), n_max)
+    assert chain.members == members
+    assert chain.energies == energies
+    assert len(chain.params_chain) == members
+    assert len(chain.remainders) == max(members - 1, 0)
+
+
 @pytest.mark.parametrize("b,a", [(2.0, 1.0), (1.0, 1.0), (2.5, 0.7), (3.0, 2.0)])
 def test_spectrum_matches_closed_form_generic(b, a):
     prep = make_prepotential_1d("rosen_morse_trig", (b, a))

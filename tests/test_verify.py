@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from shapeinv import calculus as calc
 from shapeinv import verify
 from shapeinv.errors import DomainError
 from shapeinv.models import make_nbody_model
@@ -85,10 +88,10 @@ def test_commutator_closed_forms():
     rep = verify.commutator_check(m, 20, seed=6)
     assert rep.passed
     # spot value: [A+_1, A_2] at x = (0, 1, 3) is 2 alpha / (x1-x2)^2 = 2
-    assert verify._mixed_commutator(m, 0, 1, np.array([0.0, 1.0, 3.0])) \
+    assert verify._mixed_commutator(m, np.array([0.0, 1.0, 3.0]))[0, 1] \
         == pytest.approx(2.0)
     cs = make_nbody_model("calogero_sutherland", 2, 1.0)
-    got = verify._mixed_commutator(cs, 0, 0, np.array([0.2, 1.0]))
+    got = verify._mixed_commutator(cs, np.array([0.2, 1.0]))[0, 0]
     assert got == pytest.approx(-2.0 / math.sin(0.8) ** 2)
 
 
@@ -203,3 +206,121 @@ def test_sampling_respects_sector():
         x = verify.draw_configuration(m, rng)
         assert np.all(np.diff(x) >= verify.DEFAULT_GAP)
         assert x[-1] - x[0] <= math.pi - verify.DEFAULT_GAP
+
+
+# ---------------------------------------------------------------------------
+# batched trial sets against the pointwise calculus path
+# ---------------------------------------------------------------------------
+
+def _pair_formula(model, i, j, x):
+    """[A+_i, A_j] / f written out pair by pair (restricted sum for i = j)."""
+    if i == j:
+        return float(np.sum([-_pair_formula(model, i, k, x)
+                             for k in range(model.n) if k != i]))
+    d = x[i] - x[j]
+    if model.kind == "calogero":
+        return 2 * model.alpha / d ** 2
+    if model.kind == "calogero_sutherland":
+        return 2 * model.alpha / np.sin(d) ** 2
+    return 2 * (model.alpha / d ** 2 + model.beta)
+
+
+def _scalar_residuals(model, trials, seed):
+    """Per-trial residuals of the four jet identities, one trial and one
+    operator product at a time through the public calculus functions (the
+    mixed-commutator closed form is checked on its own below)."""
+    shifted, r_used = model.shifted(1.0), verify.remainder_shift(model)
+    out = {"factorization": [], "shape_invariance": [], "commutators": [],
+           "momentum_commutation": []}
+    for rng in verify._child_rngs(seed, trials):
+        x = verify.draw_configuration(model, rng)
+        f = calc.random_test_function(model, rng)
+        fv, scale = f(x), calc.residual_scale(model, f, x)
+        out["factorization"].append(
+            abs(calc.apply_hamiltonian_direct(model, f, x)
+                - calc.apply_hamiltonian_factorized(model, f, x)) / scale)
+        out["shape_invariance"].append(
+            abs(calc.apply_partner(model, f, x)
+                - (calc.apply_hamiltonian_factorized(shifted, f, x) + r_used * fv)) / scale)
+        closed_form, worst = verify._mixed_commutator(model, x), 0.0
+        for i in range(model.n):
+            for j in range(model.n):
+                if i < j:
+                    for op in ("a", "adag"):
+                        worst = max(worst, abs(calc.commutator_value(
+                            model, (op, i), (op, j), f, x)))
+                mixed = calc.commutator_value(model, ("adag", i), ("a", j), f, x)
+                worst = max(worst, abs(mixed - closed_form[i, j] * fv))
+        out["commutators"].append(worst / scale)
+        jet = f.jet(x)
+        p_f = calc.Jet1(float(np.sum(jet.g)), jet.h.sum(axis=1))
+        worst = 0.0
+        for i in range(model.n):
+            for op, first in (("a", calc.apply_annihilator), ("adag", calc.apply_creator)):
+                after = float(np.sum(first(model, i, f, x).gradient))
+                worst = max(worst, abs(after - calc.apply_to_jet1(model, op, i, p_f, x)))
+        out["momentum_commutation"].append(worst / scale)
+    return out
+
+
+_BATCHED = {
+    "factorization": verify._factorization,
+    "shape_invariance": lambda m, s: verify._shape_invariance(m, s, verify.remainder_shift(m)),
+    "commutators": verify._commutators,
+    "momentum_commutation": verify._momentum,
+}
+
+
+@settings(deadline=None, max_examples=30)
+@given(kind=st.sampled_from(["calogero", "calogero_sutherland", "harmonic_calogero"]),
+       n=st.integers(2, 6), alpha=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_batched_residuals_match_scalar_path(kind, n, alpha, seed):
+    omega = 1.0 if kind == "harmonic_calogero" else None
+    m = make_nbody_model(kind, n, alpha, omega=omega)
+    trials = 5
+    scalar = _scalar_residuals(m, trials, seed)
+    s = verify._trial_set(m, trials, seed)
+    for name, batched in _BATCHED.items():
+        got = batched(m, s)
+        assert got.shape == (trials,)
+        np.testing.assert_allclose(got, scalar[name], rtol=1e-14, atol=0, err_msg=name)
+
+
+def test_mixed_commutator_matrix_matches_pair_formulas():
+    # the matrix squares arrays, where numpy scalars go through C pow, so
+    # entries may differ from the pair formulas in the last bit
+    for kind, omega in (("calogero", None), ("calogero_sutherland", None),
+                        ("harmonic_calogero", 1.0)):
+        m = make_nbody_model(kind, 4, 1.5, omega=omega)
+        xs = np.array([[0.1, 0.7, 1.6, 2.9], [0.3, 0.5, 1.2, 2.0]])
+        c = verify._mixed_commutator(m, xs)
+        assert c.shape == (2, 4, 4)
+        for t, x in enumerate(xs):
+            assert np.array_equal(c[t], verify._mixed_commutator(m, x))
+            for i in range(4):
+                for j in range(4):
+                    assert c[t, i, j] == pytest.approx(_pair_formula(m, i, j, x),
+                                                       rel=1e-14)
+
+
+def test_run_all_draws_each_trial_once(monkeypatch):
+    drawn = []
+    original = calc.random_test_function
+
+    def counting(model, rng):
+        drawn.append(model.n)
+        return original(model, rng)
+
+    monkeypatch.setattr(calc, "random_test_function", counting)
+    m = make_nbody_model("calogero_sutherland", 3, 1.5)
+    first = verify.run_all(m, 25, seed=4)
+    assert len(drawn) == 25
+    assert verify._drawn is None  # nothing outlives the call
+    second = verify.run_all(m, 25, seed=4)
+    assert len(drawn) == 50  # a second call draws again
+    assert {k: r.to_json() for k, r in first.items()} \
+        == {k: r.to_json() for k, r in second.items()}
+    verify.factorization_residual(m, 25, seed=4)
+    verify.commutator_check(m, 25, seed=4)
+    assert len(drawn) == 100  # outside run_all every identity draws its own
