@@ -15,6 +15,7 @@ dump, outdir.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -349,6 +350,7 @@ def _add_common(p):
     p.add_argument("--tol", type=float)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="shapeinv",
                                  description="shape-invariance verification toolkit")
@@ -358,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     _add_common(p)
     p.add_argument("--trials", type=int)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("spectrum", help="algebraic vs grid spectra")
     _add_model_flags(p)
@@ -373,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain-max", dest="domain_max", type=float)
     p.add_argument("--reduce", action="store_const", const=True)
     p.add_argument("--dump", action="store_const", const=True)
-    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("susy", help="supersymmetric sector analysis")
     _add_model_flags(p)
@@ -384,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="center-of-mass momenta 0, 1, -1, 2, -2, ... to keep")
     p.add_argument("--levels", type=int)
     p.add_argument("--stencil-order", dest="stencil_order", type=int, choices=(2, 4))
-    p.set_defaults(func=cmd_susy)
 
     p = sub.add_parser("groundstate", help="product ground state residuals")
     _add_model_flags(p)
@@ -393,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-m", dest="grid_m", type=int)
     p.add_argument("--stencil-order", dest="stencil_order", type=int, choices=(2, 4))
     p.add_argument("--dump", action="store_const", const=True)
-    p.set_defaults(func=cmd_groundstate)
 
     p = sub.add_parser("chain", help="creation-operator wavefunction chains")
     _add_common(p)
@@ -403,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=int)
     p.add_argument("--grid-m", dest="grid_m", type=int)
     p.add_argument("--dump", action="store_const", const=True)
-    p.set_defaults(func=cmd_chain)
     return ap
 
 
@@ -414,7 +411,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        # looked up at call time, so wrappers installed on cmd_* take effect
+        return globals()[f"cmd_{args.command}"](args)
     except ShapeInvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,6 +11,9 @@ than rows) reproduces the continuum structure exactly: the top sector gets
 a one-dimensional exact kernel (the product ground state), the bosonic
 sector stays strictly positive, and Q remains exactly nilpotent, center-of-
 mass modes included, because the momentum term is a scalar on each mode.
+The Fock states carrying the symmetric mode get the phase i, a diagonal
+unitary gauge that makes the center-of-mass coefficient real; every
+system is then real, and spectra and kernel tags come from real eigh.
 
 Full N-body grids (N >= 3) use square D_i + W_i ladders with skew D_i;
 there the commutators [A_i, A_j] survive at stencil order, so ||Q^2|| is
@@ -141,14 +144,13 @@ def _staggered_ladder(m_cells: int, length: float, w_fun, derivative_sign: int,
     if not np.all(np.isfinite(w)):
         raise DomainError("staggered grid point on a singularity")
     rows, cols, vals = [], [], []
-    for row in range(shape[0]):
-        for off, cd, ca in offsets:
-            col = row + off
-            if 0 <= col < shape[1]:
-                rows.append(row)
-                cols.append(col)
-                vals.append(derivative_sign * cd / (24.0 * h) + w[row] * ca / 16.0)
-    return sp.csr_matrix(sp.coo_matrix((vals, (rows, cols)), shape=shape))
+    for off, cd, ca in offsets:
+        row = np.arange(max(0, -off), min(shape[0], shape[1] - off))
+        rows.append(row)
+        cols.append(row + off)
+        vals.append(derivative_sign * cd / (24.0 * h) + w[row] * ca / 16.0)
+    return sp.csr_matrix(sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape))
 
 
 # ---------------------------------------------------------------------------
@@ -188,13 +190,9 @@ class SusySystem:
 
     def offblock_leak(self) -> float:
         """Largest |H| entry connecting different fermion numbers (exact 0)."""
-        worst = 0.0
-        for f in range(self.model.n + 1):
-            ix = self.sector_indices(f)
-            others = np.where(self.fermion_of != f)[0]
-            block = self.H[ix][:, others]
-            worst = max(worst, _spmax(block))
-        return worst
+        coo = self.H.tocoo()
+        cross = coo.data[self.fermion_of[coo.row] != self.fermion_of[coo.col]]
+        return float(np.max(np.abs(cross))) if cross.size else 0.0
 
     def sector_blocks(self, f: int):
         """(cm_index, fock_state, offset, size) entries of sector f."""
@@ -207,7 +205,7 @@ def _finish(sys: SusySystem):
     q2 = q @ q
     sys.diagnostics["q_squared_fro"] = float(
         np.sqrt(np.sum(np.abs(q2.data) ** 2)) if q2.nnz else 0.0)
-    sys.diagnostics["hermiticity_defect"] = _spmax(ham - ham.conj().T)
+    sys.diagnostics["hermiticity_defect"] = _spmax(ham - ham.T)
     sys.diagnostics["offblock_leak"] = sys.offblock_leak()
     hq = ham @ q - q @ ham
     scale = max(1.0, _spmax(ham)) * max(1.0, _spmax(q))
@@ -230,6 +228,13 @@ def _build_two_body(model: NBodyModel, grid: GridSpec, variant: str,
     node-to-midpoint ladder at shifted coupling.  Fermion-number sectors:
     0-fermion and the symmetric half of the 1-fermion sector live on nodes;
     the difference half and the 2-fermion sector live on midpoints.
+
+    The Fock states |s> and |sd> carry the phase i.  This diagonal unitary
+    gauge leaves spectra, |Q v|, |Q+ v| and every diagnostic unchanged and
+    turns c into the real -k/2 (s1) or +k/2 (s2), so Q, Q+ and H are real.
+    Each momentum block of Q is c times a fixed center-of-mass layout plus
+    a fixed relative layout, and Q is their Kronecker products with the
+    momentum space.
     """
     if grid.dim != 1:
         raise DomainError("two-body systems take a 1-D relative grid")
@@ -242,52 +247,47 @@ def _build_two_body(model: NBodyModel, grid: GridSpec, variant: str,
     u = m_cells - 1
     if variant == "s1":
         x_op = _staggered_ladder(m_cells, length, model.pair_w, +1, to_nodes=True)
-        conj_cm = False
+        c_over_k = -0.5
     else:
         up = model.shifted(1.0)
         node_to_mid = _staggered_ladder(m_cells, length, up.pair_w, +1, to_nodes=False)
         x_op = sp.csr_matrix(node_to_mid.T)     # wide, ~ (-d/dr + w(alpha+1))
-        conj_cm = True
+        c_over_k = 0.5
     kvals = np.asarray(cm_momenta, dtype=float)
     if kvals.size == 0:
         raise DomainError("need at least one center-of-mass momentum mode")
     fock = make_fock_basis(2)
-    size_of = {0: u, 1: u, 2: m_cells, 3: m_cells}
-
-    blocks, fermion_of, offset = [], [], 0
-    for ik in range(len(kvals)):
-        for f in range(4):
-            blocks.append((ik, f, offset, size_of[f]))
-            fermion_of.extend([fock.fermion_number(f)] * size_of[f])
-            offset += size_of[f]
-    dim = offset
+    sizes = (u, u, m_cells, m_cells)
+    dim = len(kvals) * sum(sizes)
     if dim > SPARSE_CAP:
         raise DimensionCapError(f"total dimension {dim} exceeds cap {SPARSE_CAP}")
-    fermion_of = np.asarray(fermion_of)
-    offset_of = {(b[0], b[1]): b[2] for b in blocks}
+    starts = (0, u, 2 * u, 2 * u + m_cells, 2 * u + 2 * m_cells)
+    blocks = [(ik, f, ik * starts[4] + starts[f], sizes[f])
+              for ik in range(len(kvals)) for f in range(4)]
+    fermion_of = np.tile(np.repeat([fock.fermion_number(f) for f in range(4)], sizes),
+                         len(kvals))
+
+    def fock_layout(entries):
+        # zero diagonal blocks fix every block row and column size
+        return sp.bmat([[entries.get((r, col), sp.csr_matrix((sizes[r], sizes[col]))
+                                     if r == col else None)
+                         for col in range(4)] for r in range(4)])
 
     root2 = math.sqrt(2.0)
-    rows, cols, vals = [], [], []
-
-    def add_block(r0, c0, mat):
-        mat = sp.coo_matrix(mat)
-        rows.extend(r0 + mat.row)
-        cols.extend(c0 + mat.col)
-        vals.extend(mat.data)
-
-    eye_u = sp.identity(u, format="coo")
-    eye_m = sp.identity(m_cells, format="coo")
-    for ik, k in enumerate(kvals):
-        c = -0.5j * k if conj_cm else 0.5j * k
-        # psi_sum moves |s> -> |0> and |sd> -> |d> with sign +1
-        add_block(offset_of[(ik, 0)], offset_of[(ik, 1)], root2 * c * eye_u)
-        add_block(offset_of[(ik, 2)], offset_of[(ik, 3)], root2 * c * eye_m)
-        # psi_diff moves |d> -> |0> (+1) and |sd> -> |s> (-1)
-        add_block(offset_of[(ik, 0)], offset_of[(ik, 2)], root2 * x_op)
-        add_block(offset_of[(ik, 1)], offset_of[(ik, 3)], -root2 * x_op)
-    q = sp.csr_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim),
-                                    dtype=complex))
-    qdag = sp.csr_matrix(q.conj().T)
+    # psi_sum moves |s> -> |0> and |sd> -> |d> with sign +1
+    cm_block = fock_layout({(0, 1): root2 * sp.identity(u),
+                            (2, 3): root2 * sp.identity(m_cells)})
+    # psi_diff moves |d> -> |0> (+1) and |sd> -> |s> (-1)
+    x_block = fock_layout({(0, 2): root2 * x_op, (1, 3): -root2 * x_op})
+    k_ix = np.arange(len(kvals))
+    cm_part = sp.kron(sp.coo_matrix((c_over_k * kvals, (k_ix, k_ix))), cm_block, format="coo")
+    x_part = sp.kron(sp.identity(len(kvals)), x_block, format="coo")
+    # concatenated, not summed: a sum drops the k = 0 entries, and the
+    # pattern of Q (and the summation order of H) would depend on the momenta
+    q = sp.csr_matrix(sp.coo_matrix(
+        (np.r_[cm_part.data, x_part.data],
+         (np.r_[cm_part.row, x_part.row], np.r_[cm_part.col, x_part.col])), shape=(dim, dim)))
+    qdag = sp.csr_matrix(q.T)
     ham = (qdag @ q + q @ qdag).tocsr()
     h = length / m_cells
     nodes = h * np.arange(1, m_cells)
@@ -318,11 +318,11 @@ def _build_grid(model: NBodyModel, grid: GridSpec, variant: str,
     total = n_nodes * fock.dim
     if total > SPARSE_CAP:
         raise DimensionCapError(f"total dimension {total} exceeds cap {SPARSE_CAP}")
-    q = sp.csr_matrix((total, total), dtype=complex)
+    q = sp.csr_matrix((total, total))
     for i in range(model.n):
         lowering = ladders[i] if variant == "s1" else sp.csr_matrix(ladders[i].T)
-        q = q + sp.kron(lowering.astype(complex), fock.annihilators[i], format="csr")
-    qdag = sp.csr_matrix(q.conj().T)
+        q = q + sp.kron(lowering, fock.annihilators[i], format="csr")
+    qdag = sp.csr_matrix(q.T)
     ham = (qdag @ q + q @ qdag).tocsr()
     fermion_of = np.tile([fock.fermion_number(f) for f in range(fock.dim)], n_nodes)
     sys = SusySystem(model=model, grid=grid, variant=variant, fock=fock,
@@ -357,9 +357,9 @@ def _sector_eigh(sys: SusySystem, f: int):
     The sector matrix splits exactly into the connected components of its
     sparsity graph: on two-body systems one per center-of-mass momentum,
     and one per momentum and Fock state in the 1-fermion sector; a single
-    one on N >= 3 grids.  Each block is solved densely; the eigenvalues are
-    merged by a stable sort, and vecs holds every eigenvector on the
-    sector's indices ix.
+    one on N >= 3 grids.  Each block is solved by a dense real eigh; the
+    eigenvalues are merged by a stable sort, and vecs holds every
+    eigenvector on the sector's indices ix.
     """
     if f not in sys._sector_eig:
         ix = sys.sector_indices(f)
@@ -367,8 +367,7 @@ def _sector_eigh(sys: SusySystem, f: int):
             raise DimensionCapError(
                 f"sector {f} dimension {len(ix)} exceeds dense cap {DENSE_SECTOR_CAP}")
         mat = sys.sector_matrix(f)
-        # != 0 drops stored zeros (the 1-fermion cross terms cancel exactly);
-        # csgraph would also warn on complex entries
+        # != 0 drops stored zeros (the 1-fermion cross terms cancel exactly)
         n_blocks, labels = connected_components(mat != 0, directed=False)
         members = [np.flatnonzero(labels == b) for b in range(n_blocks)]
         dense = mat.toarray()
@@ -378,7 +377,7 @@ def _sector_eigh(sys: SusySystem, f: int):
         order = np.argsort(all_vals, kind="stable")
         column = np.empty_like(order)
         column[order] = np.arange(len(order))
-        vecs = np.zeros((len(ix), len(ix)), dtype=complex)
+        vecs = np.zeros((len(ix), len(ix)))
         first = 0
         for rows, (_, bvecs) in zip(members, solved):
             vecs[np.ix_(rows, column[first:first + len(rows)])] = bvecs
@@ -433,7 +432,7 @@ def _sector_charges(sys: SusySystem, f: int):
             # and arr.T[cols] stacks their column vectors as rows
             cols = starts[sizes == size][:, None] + np.arange(size)
             stacked = qv.T[cols]
-            _, rot = np.linalg.eigh(stacked.conj() @ stacked.transpose(0, 2, 1))
+            _, rot = np.linalg.eigh(stacked @ stacked.transpose(0, 2, 1))
             rot_t = np.ascontiguousarray(rot.transpose(0, 2, 1))
             for arr in (rotated, qv, qdv):
                 arr.T[cols] = rot_t @ arr.T[cols]
@@ -616,7 +615,7 @@ def _sum_check_grid(sys, classify, report, k, tol, zero_tol):
             continue
         checked += 1
         raw = _grid_components(sys, vecsm[:, t], fkm)
-        chi_sum = np.zeros(raw.shape[1], dtype=complex)
+        chi_sum = np.zeros(raw.shape[1])
         for pos, s in enumerate(fkm):
             i = int(full_state ^ int(s)).bit_length() - 1  # the empty mode
             sign = -1.0 if (int(s) & ((1 << i) - 1)).bit_count() % 2 else 1.0
@@ -652,12 +651,12 @@ def _epsilon_relation(sys: SusySystem, k: int, zero_tol: float) -> dict:
         if u_norm ** 2 < 0.5 * lam:
             continue  # dominantly annihilated by Q: the relation is 0 = 0
         raw2 = _grid_components(sys, vecs2[:, t2], fk2)
-        chi = np.zeros((3, raw2.shape[1]), dtype=complex)
+        chi = np.zeros((3, raw2.shape[1]))
         for pos, s in enumerate(fk2):
             empty = int(7 ^ int(s)).bit_length() - 1
             sign = -1.0 if (int(s) & ((1 << empty) - 1)).bit_count() % 2 else 1.0
             chi[empty] = sign * raw2[pos]
-        phi_pred = np.zeros((raw2.shape[1], 3), dtype=complex)
+        phi_pred = np.zeros((raw2.shape[1], 3))
         for i in range(3):
             for j in range(3):
                 for kk in range(3):

@@ -52,6 +52,15 @@ def test_missing_subcommand():
     assert run([]) == 2
 
 
+def test_parser_built_once_and_command_resolved_per_call(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.append(args.n) or 0)
+    assert run(["verify", "--n", "3"]) == 0
+    assert run(["verify", "--n", "4"]) == 0
+    assert seen == [3, 4]
+    assert cli.build_parser() is cli.build_parser()
+
+
 # ---------------------------------------------------------------------------
 # spectrum
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from shapeinv import susy
@@ -248,15 +249,24 @@ def test_cm_momenta_order_and_blocks():
     assert connected_components(s.sector_matrix(0) != 0, directed=False)[0] == 12
 
 
-def _reference_classify(sys_, zero_tol=1e-2, split_tol=1e-6):
+def _reference_classify(sys_, zero_tol=1e-2, split_tol=1e-6, ops=None):
     """Dense per-cluster tagging on the embedded sector eigenvectors, kept as
-    the reference for the cached block-wise classification."""
+    the reference for the cached block-wise classification.  ops = (Q, Q+, H)
+    stands in for the system's matrices; each sector of that H is then
+    solved whole.  Returns per sector (tags, counts, eigenvalues, |Q v|,
+    |Q+ v|), norms NaN on zero modes, and the unsplit count."""
+    q, qdag, ham = ops or (sys_.Q, sys_.Qdag, sys_.H)
     sectors, unsplit = {}, 0
     for f in range(sys_.model.n + 1):
-        vals, vecs, ix = susy._sector_eigh(sys_, f)
-        full = np.zeros((sys_.dim, len(vals)), dtype=complex)
+        if ops is None:
+            vals, vecs, ix = susy._sector_eigh(sys_, f)
+        else:
+            ix = sys_.sector_indices(f)
+            vals, vecs = np.linalg.eigh(ham[ix][:, ix].toarray())
+        full = np.zeros((sys_.dim, len(vals)), dtype=vecs.dtype)
         full[ix, :] = vecs
         tags = [None] * len(vals)
+        qn, qdn = np.full(len(vals), np.nan), np.full(len(vals), np.nan)
         counts = {"ker_q": 0, "ker_qdag": 0, "zero": 0}
         for sl in susy._cluster_slices(vals):
             lam = float(vals[sl].mean())
@@ -266,11 +276,11 @@ def _reference_classify(sys_, zero_tol=1e-2, split_tol=1e-6):
                     counts["zero"] += 1
                 continue
             block = full[:, sl]
-            gram = (sys_.Q @ block).conj().T @ (sys_.Q @ block)
+            gram = (q @ block).conj().T @ (q @ block)
             _, rot = np.linalg.eigh(gram)
             rotated = block @ rot
-            rqn = np.linalg.norm(sys_.Q @ rotated, axis=0)
-            rqdn = np.linalg.norm(sys_.Qdag @ rotated, axis=0)
+            rqn = qn[sl] = np.linalg.norm(q @ rotated, axis=0)
+            rqdn = qdn[sl] = np.linalg.norm(qdag @ rotated, axis=0)
             for t in range(rotated.shape[1]):
                 in_ker_q = rqn[t] <= split_tol * math.sqrt(lam)
                 in_ker_qdag = rqdn[t] <= split_tol * math.sqrt(lam)
@@ -283,7 +293,7 @@ def _reference_classify(sys_, zero_tol=1e-2, split_tol=1e-6):
                 else:
                     counts["ker_qdag"] += 1
                     tags[sl.start + t] = "ker_qdag"
-        sectors[f] = (tags, counts)
+        sectors[f] = (tags, counts, vals, qn, qdn)
     return sectors, unsplit
 
 
@@ -322,6 +332,100 @@ def test_block_eigh_matches_dense(case):
     report = susy.kernel_classify(sys_)
     sectors, unsplit = _reference_classify(sys_)
     assert report["unsplit"] == unsplit
-    for f, (tags, counts) in sectors.items():
+    for f, (tags, counts, _, _, _) in sectors.items():
         assert report["sectors"][f]["tags"] == tags
         assert report["sectors"][f]["counts"] == counts
+
+
+# ---------------------------------------------------------------------------
+# real arithmetic
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("variant", susy.VARIANTS)
+@pytest.mark.parametrize("builder", ["two_body", "grid"])
+def test_susy_systems_are_real(builder, variant):
+    if builder == "two_body":
+        model = make_nbody_model("calogero_sutherland", 2, 1.0)
+        sys_ = susy.build_susy(model, GridSpec.line(0.0, math.pi, 16), variant, (0, 1, -1))
+    else:
+        model = make_nbody_model("calogero_sutherland", 3, 1.0)
+        sys_ = susy.build_susy(model, GridSpec.box(0.0, math.pi, 8, 3, sector="ordered"),
+                               variant)
+    for mat in (sys_.Q, sys_.Qdag, sys_.H):
+        assert mat.dtype == np.float64
+    susy.kernel_classify(sys_)
+    for f in range(model.n + 1):
+        assert susy._sector_eigh(sys_, f)[1].dtype == np.float64
+        assert susy._sector_charges(sys_, f)[1].dtype == np.float64
+
+
+@pytest.mark.parametrize("case", [
+    (_CS2, "s1", susy.DEFAULT_CM_MOMENTA), (_CS2, "s2", susy.DEFAULT_CM_MOMENTA),
+    (("calogero", 1.5, 8.0), "s2", (0, 1, -1)),
+], ids=lambda c: f"{c[0][0]}-{c[1]}-{len(c[2])}cm")
+def test_real_gauge_matches_complex_reference(case):
+    (kind, alpha, hi), variant, cm = case
+    model = make_nbody_model(kind, 2, alpha)
+    sys_ = susy.build_susy(model, GridSpec.line(0.0, hi, 32), variant, cm)
+    # undo the gauge: U = diag(1, i, 1, i) over (|0>, |s>, |d>, |sd>) per momentum
+    fock_state = np.concatenate([np.full(size, f) for _, f, _, size in sys_.blocks])
+    u_gauge = sp.diags(np.where(np.isin(fock_state, (1, 3)), 1j, 1.0))
+    q_c = (u_gauge @ sys_.Q @ u_gauge.conj().T).tocsr()
+    qdag_c = q_c.conj().T.tocsr()
+    h_c = (qdag_c @ q_c + q_c @ qdag_c).tocsr()
+    # ... which restores the complex center-of-mass coefficient c = +-i k / 2
+    c_sign = 1.0 if variant == "s1" else -1.0
+    for ik, f, off, size in sys_.blocks:
+        if f == 0:
+            coeff = q_c[off:off + size, off + size:off + 2 * size].diagonal()
+            assert np.array_equal(coeff, np.full(size, math.sqrt(2.0) * c_sign * 0.5j * cm[ik]))
+    spectra = susy.sector_spectra(sys_)
+    report = susy.kernel_classify(sys_)
+    sectors, unsplit = _reference_classify(sys_, ops=(q_c, qdag_c, h_c))
+    assert report["unsplit"] == unsplit
+    for f, (tags, counts, vals, qn, qdn) in sectors.items():
+        assert np.max(np.abs(spectra[f] - vals) / np.maximum(1.0, np.abs(vals))) <= 1e-10
+        assert report["sectors"][f]["tags"] == tags
+        assert report["sectors"][f]["counts"] == counts
+        nonzero = ~np.isnan(qn)
+        scale = np.sqrt(np.maximum(1.0, vals[nonzero]))
+        for norms, ref in (("q_norms", qn), ("qdag_norms", qdn)):
+            got = np.array(report["sectors"][f][norms])[nonzero]
+            assert np.max(np.abs(got - ref[nonzero]) / scale) <= 1e-10
+
+
+def test_staggered_ladder_matches_loop_stencil():
+    # the per-row loop the vectorized stencil replaced, kept as its reference
+    def loop_ladder(m_cells, length, w_fun, sign, to_nodes):
+        h = length / m_cells
+        if to_nodes:
+            r_eval, shape = h * np.arange(1, m_cells), (m_cells - 1, m_cells)
+            offsets = ((0, -27.0, 9.0), (1, 27.0, 9.0), (-1, 1.0, -1.0), (2, -1.0, -1.0))
+        else:
+            r_eval, shape = h * (np.arange(m_cells) + 0.5), (m_cells, m_cells - 1)
+            offsets = ((-1, -27.0, 9.0), (0, 27.0, 9.0), (-2, 1.0, -1.0), (1, -1.0, -1.0))
+        w = w_fun(r_eval)
+        dense = np.zeros(shape)
+        for row in range(shape[0]):
+            for off, cd, ca in offsets:
+                if 0 <= row + off < shape[1]:
+                    dense[row, row + off] = sign * cd / (24.0 * h) + w[row] * ca / 16.0
+        return dense
+
+    for kind, alpha, hi in (_CS2, ("calogero", 1.5, 8.0)):
+        model = make_nbody_model(kind, 2, alpha)
+        for m_cells in (3, 4, 32):
+            for sign in (1, -1):
+                for to_nodes in (True, False):
+                    got = susy._staggered_ladder(m_cells, hi, model.pair_w, sign, to_nodes)
+                    ref = loop_ladder(m_cells, hi, model.pair_w, sign, to_nodes)
+                    assert np.array_equal(got.toarray(), ref)
+
+
+def test_offblock_leak_reports_a_cross_sector_entry():
+    model = make_nbody_model("calogero_sutherland", 2, 1.0)
+    sys_ = susy.build_susy(model, GridSpec.line(0.0, math.pi, 16), "s1", (0, 1))
+    i, j = sys_.sector_indices(0)[3], sys_.sector_indices(1)[5]
+    leak = sp.csr_matrix(([2.5e-9, -3.5e-9], ([i, j], [j, i])), shape=sys_.H.shape)
+    sys_.H = sys_.H + leak
+    assert sys_.offblock_leak() == 3.5e-9
