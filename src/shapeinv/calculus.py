@@ -236,7 +236,7 @@ def periodic_product(n: int, rng: np.random.Generator) -> TestFunction:
 
 
 def random_test_function(model: NBodyModel, rng: np.random.Generator) -> TestFunction:
-    if model.kind == "calogero_sutherland":
+    if model.kind_row.period:
         return periodic_product(model.n, rng)
     return gaussian_polynomial(model.n, rng)
 
@@ -254,12 +254,8 @@ def jastrow_function(model: NBodyModel, dalpha: float = 0.0) -> TestFunction:
     for i in range(n):
         for j in range(i + 1, n):
             diff = coordinate(i, n) - coordinate(j, n)
-            if model.kind == "calogero_sutherland":
-                f = f * diff.sin().abs_pow(alpha)
-            elif model.kind == "calogero":
-                f = f * diff.abs_pow(alpha)
-            else:
-                f = f * diff.abs_pow(alpha)
+            f = f * (diff.sin() if model.kind_row.period else diff).abs_pow(alpha)
+            if model.kind_row.confined:
                 f = f * (diff.pow_int(2) * (-0.5 * model.beta)).exp()
     return f
 

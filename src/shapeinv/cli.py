@@ -212,8 +212,7 @@ def cmd_susy(args) -> int:
     model = _model_from_cfg(cfg)
     if model.n != 2:
         raise DomainError("the CLI susy command builds two-body systems")
-    domain_hi = math.pi if model.kind == "calogero_sutherland" else 8.0
-    grid = GridSpec.line(0.0, domain_hi, cfg["grid_m"])
+    grid = GridSpec.line(0.0, model.kind_row.period or 8.0, cfg["grid_m"])
     cm = susy.cm_momenta(cfg["cm_modes"])
     out = _outdir(cfg)
     ok = True
@@ -276,11 +275,10 @@ def cmd_groundstate(args) -> int:
         worst = max(worst, abs(hval) / scale)
     energy = spectral.partner_ground_state(model).energy
     state_info = {"jet_residual": worst, "partner_energy": energy,
-                  "normalizable": spectral._jastrow_normalizable(model),
+                  "normalizable": model.kind_row.normalizable(model),
                   "boundary_ambiguous": spectral.boundary_ambiguous(model)}
     if model.n == 2:
-        domain_hi = math.pi if model.kind == "calogero_sutherland" else 8.0
-        grid = GridSpec.line(0.0, domain_hi, cfg["grid_m"])
+        grid = GridSpec.line(0.0, model.kind_row.period or 8.0, cfg["grid_m"])
         gf, grid_resid = spectral.jastrow_ground_state(model, grid,
                                                        cfg["stencil_order"])
         state_info["grid_residual"] = grid_resid

@@ -12,7 +12,11 @@ are odd, W(-x) = -W(x), which is what makes the N-body cross terms reducible
 to pair terms (see ``PairPrepotential.condition_residual``).
 
 Each family formula is written once, in ``FAMILIES``; the N-body models and
-the pair rows read it through ``KINDS`` and ``PAIR_ROWS``.
+the pair rows read it through ``KINDS`` and ``PAIR_ROWS``.  Everything the
+rest of the package knows about an N-body kind is its ``Kind`` row in
+``KINDS``: the family of its pair prepotential and the closed forms that the
+identity checks compare against, written out apart from ``FAMILIES``.  No
+other module names a kind, so a new kind is one row.
 """
 
 from __future__ import annotations
@@ -103,16 +107,51 @@ FAMILIES = {
 }
 FAMILIES_1D = tuple(FAMILIES)
 
-# N-body kind -> (1-D family of its pair prepotential w(x_i - x_j), that
-# family's parameters as a function of the model, the kind's aliases)
+
+@dataclass(frozen=True)
+class Kind:
+    """One N-body kind: the 1-D family of its pair prepotential w(x_i - x_j)
+    and the closed forms that the identity checks compare against, written
+    out here and never read from ``FAMILIES``, so that no check compares the
+    family table with itself.  Every callable takes the model.
+    """
+
+    family: str               # 1-D family of w
+    params: Callable          # that family's parameters
+    period: float | None      # singular period: pair terms in sin(x_i - x_j), not x_i - x_j
+    confined: bool            # takes omega and beta: (omega^2/4) (x_i - x_j)^2 pair term;
+                              # R is then probed and `remainder` is its nominal value
+    c: Callable               # additive constant of the standard potential
+    remainder: Callable       # closed-form shift R(alpha + 1)
+    normalizable: Callable    # product ground state square-integrable
+    note: str                 # the relative problem of the two-body reduction
+    aliases: tuple = ()
+
+
 KINDS = {
-    "calogero": ("rational_harmonic", lambda m: (0.0, -m.alpha), ()),
-    "harmonic_calogero": ("rational_harmonic", lambda m: (m.beta, -m.alpha), ()),
-    "calogero_sutherland": ("rosen_morse_trig", lambda m: (m.alpha, 1.0), ("cs",)),
+    "calogero": Kind(
+        "rational_harmonic", lambda m: (0.0, -m.alpha), period=None, confined=False,
+        c=lambda m: 0.0, remainder=lambda m: 0.0,
+        normalizable=lambda m: False,  # no confinement: a formal zero mode only
+        note="free relative dilation family: continuum, no bound chain"),
+    "harmonic_calogero": Kind(
+        "rational_harmonic", lambda m: (m.beta, -m.alpha), period=None, confined=True,
+        c=lambda m: (-(m.omega / math.sqrt(2.0)) * math.sqrt(m.n) * (m.n - 1)
+                     * (m.alpha * m.n + 1)),
+        remainder=lambda m: (m.omega / math.sqrt(2.0)) * math.sqrt(m.n) * (m.n - 1) * m.n,
+        # pair Gaussians confine the relative coordinates, not the center of mass
+        normalizable=lambda m: m.beta > 0 and m.alpha > -0.5,
+        note="relative radial-oscillator family"),
+    "calogero_sutherland": Kind(
+        "rosen_morse_trig", lambda m: (m.alpha, 1.0), period=math.pi, confined=False,
+        c=lambda m: -m.alpha ** 2 * m.n * (m.n ** 2 - 1) / 3.0,
+        remainder=lambda m: ((m.alpha + 1.0) ** 2 - m.alpha ** 2) * m.n * (m.n ** 2 - 1) / 3.0,
+        normalizable=lambda m: m.alpha > -0.5,
+        note="relative problem on (0, pi); ground state |sin r|^alpha", aliases=("cs",)),
 }
 NBODY_KINDS = tuple(KINDS)
-KIND_NAMES = {name: kind for kind, (_, _, aliases) in KINDS.items()
-              for name in (kind, *aliases)}
+KIND_NAMES = {name: kind for kind, row in KINDS.items()
+              for name in (kind, *row.aliases)}
 FAMILY_NAMES = {name: family for family, row in FAMILIES.items()
                 for name in (family, *row.aliases)}
 
@@ -238,7 +277,7 @@ def _set_diagonal(a: np.ndarray, value):
 class NBodyModel:
     """An N-body model with pairwise prepotential W_i = sum_j' w(x_i - x_j).
 
-    w is the W of the 1-D family that ``KINDS`` names for the kind.
+    w is the W of the 1-D family that the kind's row of ``KINDS`` names.
     The coupling is g = 2 alpha (alpha - 1).  For the harmonic kind, `beta`
     scales the linear pair term in w; it defaults to omega / (2 sqrt N) and is
     deliberately overridable because the additive constant and the quadratic
@@ -259,27 +298,21 @@ class NBodyModel:
 
     @property
     def c(self) -> float:
-        """Additive constant of the model's standard potential form.
+        """Additive constant of the model's standard potential form: exact for
+        calogero_sutherland, -alpha^2 N (N^2-1)/3; for harmonic_calogero the
+        nominal closed form of the default normalization, checked by fit."""
+        return self.kind_row.c(self)
 
-        For calogero_sutherland this is -alpha^2 N (N^2-1)/3 and is exact;
-        for harmonic_calogero it is the nominal closed form tied to the
-        default normalization and is checked by fit, never trusted blindly.
-        """
-        if self.kind == "calogero":
-            return 0.0
-        if self.kind == "calogero_sutherland":
-            n = self.n
-            return -self.alpha ** 2 * n * (n * n - 1) / 3.0
-        n = self.n
-        return -(self.omega / math.sqrt(2.0)) * math.sqrt(n) * (n - 1) * (self.alpha * n + 1)
+    @property
+    def kind_row(self) -> Kind:
+        return KINDS[self.kind]
 
     # -- pair functions ----------------------------------------------------
     @functools.cached_property
     def pair_family(self) -> tuple:
         """(family, params): the 1-D family whose W is the pair prepotential
         (computed once per model; the jet harness reads it on every call)."""
-        family, params, _ = KINDS[self.kind]
-        return family, params(self)
+        return self.kind_row.family, self.kind_row.params(self)
 
     def pair_w(self, r):
         family, params = self.pair_family
@@ -301,9 +334,10 @@ class NBodyModel:
         """Distance of the closest pair to its nearest singular hyperplane."""
         x = np.asarray(x, dtype=float)
         d = x[..., :, None] - x[..., None, :]
-        if self.kind == "calogero_sutherland":
-            # singular whenever x_i - x_j is a multiple of pi
-            d = d - math.pi * np.round(d / math.pi)
+        period = self.kind_row.period
+        if period:
+            # singular whenever x_i - x_j is a multiple of the period
+            d = d - period * np.round(d / period)
         d = np.abs(d)
         _set_diagonal(d, math.inf)
         return d.min(axis=(-2, -1))
@@ -358,10 +392,10 @@ class NBodyModel:
         factorization checks compare the ladder products against it."""
         x = self.check_configuration(x)
         d = self._diff(x)
-        inv_sq = 1.0 / (np.sin(d) if self.kind == "calogero_sutherland" else d) ** 2
+        inv_sq = 1.0 / (np.sin(d) if self.kind_row.period else d) ** 2
         _set_diagonal(inv_sq, 0.0)
         v = (self.g / 2.0) * inv_sq.sum(axis=(-2, -1))
-        if self.kind == "harmonic_calogero":
+        if self.kind_row.confined:
             sq = d ** 2
             _set_diagonal(sq, 0.0)
             v = v + 0.25 * self.omega ** 2 * sq.sum(axis=(-2, -1))
@@ -390,7 +424,7 @@ class NBodyModel:
 
     def descriptor(self) -> dict:
         d = {"kind": self.kind, "n": self.n, "alpha": self.alpha}
-        if self.kind == "harmonic_calogero":
+        if self.kind_row.confined:
             d["omega"] = self.omega
             d["beta"] = self.beta
         return d
@@ -400,23 +434,29 @@ def make_nbody_model(kind: str, n: int, alpha: float, omega: float | None = None
                      beta: float | None = None, eps_sing: float = 1e-6) -> NBodyModel:
     """Construct a validated N-body model.
 
-    omega is required iff kind = harmonic_calogero; beta defaults to
-    omega / (2 sqrt N) and may be overridden.
+    omega is required by the confined kind (harmonic_calogero) and rejected
+    by the others, and so is an explicit beta; beta defaults to
+    omega / (2 sqrt N) and may be overridden.  Every parameter given must
+    be finite.
     """
     if kind not in NBODY_KINDS:
         raise DomainError(f"unknown kind {kind!r}; expected one of {NBODY_KINDS}")
     n = int(n)
     if n < 2:
         raise DomainError(f"need at least 2 particles, got n={n}")
-    if kind == "harmonic_calogero":
+    for name, value in (("alpha", alpha), ("omega", omega), ("beta", beta),
+                        ("eps_sing", eps_sing)):
+        if value is not None and not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
+    if KINDS[kind].confined:
         if omega is None:
-            raise DomainError("harmonic_calogero requires omega")
+            raise DomainError(f"{kind} requires omega")
         if beta is None:
             beta = omega / (2.0 * math.sqrt(n))
-    else:
-        if omega is not None:
-            raise DomainError(f"{kind} does not take omega")
-        beta = None
+    elif omega is not None:
+        raise DomainError(f"{kind} does not take omega")
+    elif beta is not None:
+        raise DomainError(f"{kind} does not take beta")
     if eps_sing <= 0:
         raise DomainError("eps_sing must be positive")
     return NBodyModel(kind, n, float(alpha), omega, beta, float(eps_sing))
@@ -431,11 +471,8 @@ def remainder_shift(model: NBodyModel) -> float:
     constant; the probe asserts that) because the textbook normalization is
     under test elsewhere.
     """
-    if model.kind == "calogero":
-        return 0.0
-    if model.kind == "calogero_sutherland":
-        a0, a1, n = model.alpha, model.alpha + 1.0, model.n
-        return (a1 ** 2 - a0 ** 2) * n * (n * n - 1) / 3.0
+    if not model.kind_row.confined:
+        return model.kind_row.remainder(model)
     up = model.shifted(1.0)
     values = []
     for s, t in ((0.83, 0.11), (1.31, -0.07), (0.57, 0.19)):
@@ -456,10 +493,7 @@ def remainder_nominal(model: NBodyModel) -> float:
     the harmonic kind this is the nominal (omega/sqrt 2) sqrt(N) (N-1) N and
     is recorded side by side with the measured value in reports.
     """
-    if model.kind == "harmonic_calogero":
-        n = model.n
-        return (model.omega / math.sqrt(2.0)) * math.sqrt(n) * (n - 1) * n
-    return remainder_shift(model)
+    return model.kind_row.remainder(model)
 
 
 # ---------------------------------------------------------------------------

@@ -414,21 +414,11 @@ def jastrow_ground_state(model: NBodyModel, grid: GridSpec,
         raise DomainError("grid too coarse: no trusted interior nodes")
     hv = ham.matrix @ values
     residual = float(np.max(np.abs(hv[mask] / values[mask])))
-    normalizable = _jastrow_normalizable(model)
+    normalizable = model.kind_row.normalizable(model)
     gf = GridFunctionND(ham.nodes, values, grid,
                         {"normalizable": normalizable,
                          "model": model.descriptor()})
     return gf, residual
-
-
-def _jastrow_normalizable(model: NBodyModel) -> bool:
-    if model.kind == "calogero":
-        return False  # no confinement: a formal zero mode only
-    if model.kind == "calogero_sutherland":
-        return model.alpha > -0.5
-    # pair Gaussians confine relative coordinates; the free center of mass
-    # is excluded from the normalizability statement
-    return model.beta > 0 and model.alpha > -0.5
 
 
 def boundary_ambiguous(model: NBodyModel) -> bool:
@@ -455,7 +445,7 @@ def partner_ground_state(model: NBodyModel, grid: GridSpec | None = None,
     state = None
     if grid is not None:
         state, _ = jastrow_ground_state(shifted, grid, stencil_order)
-    return PartnerGroundState(energy, shifted, state, _jastrow_normalizable(shifted))
+    return PartnerGroundState(energy, shifted, state, shifted.kind_row.normalizable(shifted))
 
 
 # ---------------------------------------------------------------------------
@@ -486,13 +476,6 @@ class TwoBodyReduction:
         return self.kinetic_factor * np.asarray(chain.energies)
 
 
-_REDUCTION_NOTES = {
-    "calogero": "free relative dilation family: continuum, no bound chain",
-    "harmonic_calogero": "relative radial-oscillator family",
-    "calogero_sutherland": "relative problem on (0, pi); ground state |sin r|^alpha",
-}
-
-
 def two_body_reduction(model: NBodyModel) -> TwoBodyReduction:
     """Map an N = 2 model onto its relative 1-D shape-invariant problem."""
     if model.n != 2:
@@ -505,7 +488,7 @@ def two_body_reduction(model: NBodyModel) -> TwoBodyReduction:
         "center_of_mass": "free plane waves, energy k^2/2",
         "family": prep.family,
         "params": prep.params,
-        "note": _REDUCTION_NOTES[model.kind],
+        "note": model.kind_row.note,
     }
     return TwoBodyReduction(prep, 2.0, prep.domain(), report)
 

@@ -21,7 +21,6 @@ the call returns, so nothing is cached across calls.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -107,10 +106,11 @@ def draw_configuration(model: NBodyModel, rng: np.random.Generator,
     singular lattice (multiples of pi).
     """
     n = model.n
+    period = model.kind_row.period
     for _ in range(10_000):
-        if model.kind == "calogero_sutherland":
-            x = np.sort(rng.uniform(0.0, math.pi, size=n))
-            if np.min(np.diff(x)) < gap or (x[-1] - x[0]) > math.pi - gap:
+        if period:
+            x = np.sort(rng.uniform(0.0, period, size=n))
+            if np.min(np.diff(x)) < gap or (x[-1] - x[0]) > period - gap:
                 continue
         else:
             x = rng.uniform(-BOX_HALF, BOX_HALF, size=n)
@@ -263,13 +263,10 @@ def _mixed_commutator(model: NBodyModel, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     d = x[..., :, None] - x[..., None, :]
     _set_diagonal(d, 1.0)  # dummy, overwritten by the restricted sum
-    alpha = model.alpha
-    if model.kind == "calogero":
-        c = 2 * alpha / d ** 2
-    elif model.kind == "calogero_sutherland":
-        c = 2 * alpha / np.sin(d) ** 2
-    else:
-        c = 2 * (alpha / d ** 2 + model.beta)
+    c = model.alpha / (np.sin(d) if model.kind_row.period else d) ** 2
+    if model.kind_row.confined:
+        c = c + model.beta
+    c = 2 * c
     off = ~np.eye(model.n, dtype=bool)
     restricted = np.ascontiguousarray(c[..., off]).reshape(c.shape[:-1] + (model.n - 1,))
     _set_diagonal(c, -restricted.sum(axis=-1))
@@ -358,16 +355,12 @@ def three_body_cancellation(kind: str, x_triple) -> float:
     return float(abs(terms.sum() - target) / max(1.0, np.max(np.abs(terms))))
 
 
-def structural_kind(model: NBodyModel) -> str:
-    return "trig" if model.kind == "calogero_sutherland" else "rational"
-
-
 def three_body_report(model: NBodyModel, trials: int, seed: int,
                       tolerance: float = 1e-12) -> ResidualReport:
     """Sampled three-body cancellation for the model's flavor."""
     if trials < 1:
         raise DomainError("trials must be >= 1")
-    kind = structural_kind(model)
+    kind = "trig" if model.kind_row.period else "rational"
     probe = NBodyModel(model.kind, 3, model.alpha, model.omega, model.beta,
                        model.eps_sing)
     residuals, xs = [], []
@@ -424,10 +417,9 @@ def constant_fit_diagnostic(model: NBodyModel, trials: int, seed: int,
     """
     if trials < 2:
         raise DomainError("trials must be >= 2 for a fit")
-    harmonic = model.kind == "harmonic_calogero"
     x = _trial_set(model, trials, seed).x
     d_vals = model.ladder_potential(x) - model.pair_potential(x)
-    if harmonic:
+    if model.kind_row.confined:
         diff = x[:, :, None] - x[:, None, :]
         sq = np.ascontiguousarray(diff[:, ~np.eye(model.n, dtype=bool)] ** 2)
         s_vals = sq.sum(axis=-1)
@@ -444,7 +436,7 @@ def constant_fit_diagnostic(model: NBodyModel, trials: int, seed: int,
         constant_discrepancy=float(coef[0] - model.c),
         residual_std=std, scale=scale,
         passed=bool(std <= tolerance * scale))
-    if harmonic:
+    if model.kind_row.confined:
         fit.fitted_quadratic = float(coef[1])
         fit.expected_quadratic = 0.0  # standard quadratic already in V_pair
         fit.quadratic_discrepancy = float(coef[1])

@@ -44,6 +44,22 @@ def test_verify_unreachable_tolerance(tmp_path):
     assert payload["max_residual"] > 0.0  # actual residuals still recorded
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--kind", "calogero", "--beta-override", "0.3"], "calogero does not take beta"),
+    (["--kind", "cs", "--beta-override", "0.3"], "calogero_sutherland does not take beta"),
+    (["--kind", "cs", "--alpha", "nan"], "alpha must be finite"),
+    (["--kind", "harmonic_calogero", "--omega", "inf"], "omega must be finite"),
+    (["--kind", "harmonic_calogero", "--omega", "1", "--beta-override=-inf"],
+     "beta must be finite"),
+    (["--kind", "cs", "--epsilon-sing", "nan"], "eps_sing must be finite"),
+])
+def test_verify_rejects_bad_model_parameters(tmp_path, capsys, flags, message):
+    code = run(["verify", "--n", "3", "--trials", "4", *flags, "--outdir", str(tmp_path)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())  # no report records the rejected input
+
+
 def test_verify_unknown_flag():
     assert run(["verify", "--nonsense", "3"]) == 2
 

@@ -135,6 +135,28 @@ def test_harmonic_beta_default_and_override():
     assert m2.beta == 0.9
 
 
+@pytest.mark.parametrize("kind", ["calogero", "calogero_sutherland"])
+def test_beta_rejected_by_kinds_without_omega(kind):
+    # without omega there is no beta; a report config must not record one
+    with pytest.raises(DomainError, match="does not take beta"):
+        make_nbody_model(kind, 3, 1.5, beta=0.3)
+    with pytest.raises(DomainError, match="does not take beta"):
+        model_from_config(f"kind = {kind}\nn = 3\nalpha = 1.5\nbeta_override = 0.3\n")
+
+
+@pytest.mark.parametrize("param", ["alpha", "omega", "beta", "eps_sing"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_rejected(param, value):
+    # nan <= 0 is False, so a sign check alone lets NaN through
+    kwargs = {"alpha": 1.5, "omega": 1.0, "beta": None, "eps_sing": 1e-6, param: value}
+    with pytest.raises(DomainError, match=f"{param} must be finite"):
+        make_nbody_model("harmonic_calogero", 3, **kwargs)
+    if param != "omega":
+        kwargs["omega"] = None
+        with pytest.raises(DomainError, match=f"{param} must be finite"):
+            make_nbody_model("calogero_sutherland", 3, **kwargs)
+
+
 def test_prepotential_values_calogero():
     m = make_nbody_model("calogero", 2, 1.0)
     assert np.allclose(m.prepotential([0.0, 1.0]), [1.0, -1.0])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from shapeinv import calculus as calc
 from shapeinv import verify
 from shapeinv.errors import DomainError
-from shapeinv.models import make_nbody_model
+from shapeinv.models import FAMILIES, NBODY_KINDS, make_nbody_model, remainder_shift
 
 
 def test_factorization_calogero():
@@ -324,3 +325,44 @@ def test_run_all_draws_each_trial_once(monkeypatch):
     verify.factorization_residual(m, 25, seed=4)
     verify.commutator_check(m, 25, seed=4)
     assert len(drawn) == 100  # outside run_all every identity draws its own
+
+
+# ---------------------------------------------------------------------------
+# the references the checks compare against are independent of FAMILIES
+# ---------------------------------------------------------------------------
+
+def _guard_model(kind):
+    omega = 1.0 if kind == "harmonic_calogero" else None
+    return make_nbody_model(kind, 3, 1.5, omega=omega)
+
+
+def _scale_family_formula(monkeypatch, model, name):
+    """Replace one formula of the model's family row by a copy scaled by
+    (1 + 1e-6), as a wrong table entry would be."""
+    family = model.pair_family[0]
+    row = FAMILIES[family]
+    formula = getattr(row, name)
+    monkeypatch.setitem(FAMILIES, family, dataclasses.replace(
+        row, **{name: lambda x, *params: (1 + 1e-6) * formula(x, *params)}))
+
+
+@pytest.mark.parametrize("kind", NBODY_KINDS)
+def test_perturbed_family_w_is_detected(monkeypatch, kind):
+    m = _guard_model(kind)
+    if kind == "harmonic_calogero":
+        remainder_shift(m)  # the probe finds a constant before the perturbation
+        _scale_family_formula(monkeypatch, m, "w")
+        with pytest.raises(DomainError, match="not constant"):
+            remainder_shift(m)
+    else:
+        assert verify.factorization_residual(m, 20, seed=5).passed
+        _scale_family_formula(monkeypatch, m, "w")
+        assert not verify.factorization_residual(m, 20, seed=5).passed
+
+
+@pytest.mark.parametrize("kind", NBODY_KINDS)
+def test_perturbed_family_w_prime_is_detected(monkeypatch, kind):
+    m = _guard_model(kind)
+    assert verify.commutator_check(m, 20, seed=5).passed
+    _scale_family_formula(monkeypatch, m, "w_prime")
+    assert not verify.commutator_check(m, 20, seed=5).passed
