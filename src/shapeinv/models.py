@@ -56,6 +56,7 @@ class Family:
     degenerate_at_zero: str | None = None  # f produces no shift when it is 0
     x_scale: str | None = None  # W depends on x only through x_scale * x
     aliases: tuple = ()
+    w_prime_delta: Callable | None = None  # weight of delta(x) in W', where W jumps at 0
 
 
 FAMILIES = {
@@ -86,14 +87,15 @@ FAMILIES = {
     "sign": Family(
         ("a",),
         w=lambda x, a: a * np.sign(x),
-        # the delta spike at x = 0 is never evaluated numerically
+        # W' off the origin; its spike 2a delta(x) is w_prime_delta, which
+        # spectral.discretize puts on the grid node at x = 0
         w_prime=lambda x, a: np.zeros_like(x),
         log_psi0=lambda x, a: -a * np.abs(x),
         next_params=lambda a: (-a,),
         remainder_next=lambda a: 0.0,
         domain=lambda a: (-math.inf, math.inf),  # minus the origin
         normalizable=lambda a: a > 0,
-        degenerate_at_zero="a"),
+        degenerate_at_zero="a", w_prime_delta=lambda a: 2.0 * a),
     "coth_hyperbolic": Family(
         ("a",),
         w=lambda x, a: a / np.tanh(x),
@@ -199,8 +201,14 @@ class Prepotential1D:
     def w_prime(self, x):
         return self._evaluable().w_prime(np.asarray(x, dtype=float), *self.params)
 
+    def w_prime_delta(self) -> float:
+        """Weight of the delta(x) spike in W' (0 where W has no jump)."""
+        row = FAMILIES[self.family]
+        return 0.0 if row.w_prime_delta is None else row.w_prime_delta(*self.params)
+
     def potential(self, x):
-        """V(x) = W^2 - W', the potential factorized by A+ A."""
+        """V(x) = W^2 - W', the potential factorized by A+ A, off any spike
+        of W' (see ``w_prime_delta``)."""
         return self.w(x) ** 2 - self.w_prime(x)
 
     def partner_potential(self, x):

@@ -5,6 +5,9 @@ with Dirichlet walls on the coincidence hyperplanes (valid for alpha >= 1,
 where the wavefunction vanishes there); grids never place nodes on a
 singularity.  All spectra include the model's additive constant so grid and
 algebraic numbers compare directly.
+
+scipy is imported inside the functions that call it, so importing this
+module costs numpy alone.
 """
 
 from __future__ import annotations
@@ -13,9 +16,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError, DimensionCapError, DomainError
 from .models import (NBodyModel, Prepotential1D, make_prepotential_1d,
@@ -115,6 +115,8 @@ class SpectrumResult:
     residual_norms: np.ndarray
     solver: str
     norm_est: float
+    nnz: int                     # stored entries of H
+    shift: float | None          # sigma of the shift-invert path, else None
 
     def max_relative_residual(self) -> float:
         return float(np.max(self.residual_norms) / max(self.norm_est, 1e-300))
@@ -167,6 +169,8 @@ def _axis_operators(grid: GridSpec, idx: np.ndarray, coeffs, order: int) -> list
     maps the ghost two cells beyond a wall onto the first interior node by
     odd reflection through the wall (the neighbour on the wall is 0).
     """
+    import scipy.sparse as sp
+
     sizes = np.array([len(grid.axis_nodes(k)) for k in range(grid.dim)])
     strides = np.cumprod(np.r_[1, sizes[:0:-1]])[::-1]
     codes = idx @ strides  # row-major flat codes: sorted by construction
@@ -203,8 +207,16 @@ def discretize(operator, grid: GridSpec, stencil_order: int = 4,
     or a bare potential callable.  A callable gets the node vector (M,) on a
     1-D grid and the node array (M, dim) otherwise, and returns one value
     per node.  Construction fails if any node sits on a singularity of V.
+
+    A prepotential whose W jumps at the origin (the sign family) has
+    W' = w_prime_delta * delta(x) there.  Its grid needs an interior node at
+    x = 0; that node sits on the jump, so its W^2 - W' is the mean of its two
+    neighbours', and the spike adds -w_prime_delta / h to it.
     """
+    import scipy.sparse as sp
+
     info = {}
+    delta = 0.0
     if isinstance(operator, NBodyModel):
         model = operator
         if grid.dim != model.n:
@@ -217,6 +229,7 @@ def discretize(operator, grid: GridSpec, stencil_order: int = 4,
         if grid.dim != 1:
             raise DomainError("a 1-D prepotential needs a 1-D grid")
         vfun = operator.potential
+        delta = operator.w_prime_delta()
         info["family"] = operator.family
         info["params"] = operator.params
     elif callable(operator):
@@ -234,6 +247,14 @@ def discretize(operator, grid: GridSpec, stencil_order: int = 4,
         raise DomainError(f"potential returned shape {v.shape} for {len(idx)} nodes")
     if not np.all(np.isfinite(v)):
         raise DomainError("potential is singular on a grid node; offset the grid")
+    if delta:
+        h = grid.axis_h(0)
+        j = int(np.argmin(np.abs(nodes[:, 0])))
+        if abs(nodes[j, 0]) > 1e-9 * h or not 0 < j < len(v) - 1:
+            raise DomainError(f"{info['family']} puts a delta spike at x = 0: the grid "
+                              "needs an interior node there, as an even m on a "
+                              "symmetric domain gives")
+        v[j] = 0.5 * (v[j - 1] + v[j + 1]) - delta / h
 
     info["potential_floor"] = float(v.min())
     kin = sum(_axis_operators(grid, idx, _lap_coeffs, stencil_order))
@@ -261,7 +282,11 @@ def _shift_invert(ham: SparseHamiltonian, k: int, v0: np.ndarray, maxiter: int):
     without pivoting, serves as the inverse and proves that: by Sylvester's
     law of inertia every pivot is positive exactly when sigma is below every
     eigenvalue.  A 1-D band factorizes without fill; the wrap-around
-    entries of a periodic ring fill only the last rows and columns."""
+    entries of a periodic ring fill only the last rows and columns.
+    Returns the eigenpairs and sigma."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     n = ham.dim
     if "potential_floor" not in ham.info:
         raise DomainError("shift-invert needs info['potential_floor'], as "
@@ -277,8 +302,9 @@ def _shift_invert(ham: SparseHamiltonian, k: int, v0: np.ndarray, maxiter: int):
         raise ConvergenceError(f"shift {sigma:.6g} is not below the spectrum: "
                                "H - shift has a non-positive or exchanged pivot")
     opinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
-    return spla.eigsh(ham.matrix, k=k, sigma=sigma, which="LM", v0=v0,
+    w, v = spla.eigsh(ham.matrix, k=k, sigma=sigma, which="LM", v0=v0,
                       OPinv=opinv, maxiter=maxiter, tol=0)
+    return w, v, sigma
 
 
 def eigen(ham: SparseHamiltonian, k: int, seed: int = 0,
@@ -292,13 +318,15 @@ def eigen(ham: SparseHamiltonian, k: int, seed: int = 0,
     by `seed`.  Shift-invert puts its shift one below the potential floor
     that `discretize` records in `ham.info` and fails loudly if the shift is
     not below the spectrum.  Every returned eigenpair is held to
-    ||Hv - lambda v|| <= 1e-8 ||H||_est.
+    ||Hv - lambda v|| <= 1e-8 ||H||_est.  The result records the path, the
+    nnz of H and the shift (None off the shift-invert path).
     """
     n = ham.dim
     if not 1 <= k < n:
         raise DomainError(f"need 1 <= k < dim, got k={k}, dim={n}")
     mat = ham.matrix
     solver = method
+    shift = None
     if method == "auto":
         if ham.grid.dim == 1:
             solver = "shift_invert"
@@ -310,15 +338,19 @@ def eigen(ham: SparseHamiltonian, k: int, seed: int = 0,
     if solver == "dense":
         if n > 2 * DENSE_CUTOFF:
             raise DimensionCapError(f"dense path capped at {2 * DENSE_CUTOFF}, dim={n}")
+        import scipy.linalg
+
         w, v = scipy.linalg.eigh(mat.toarray(), subset_by_index=[0, k - 1])
     elif solver in ("iterative", "shift_invert"):
+        import scipy.sparse.linalg as spla
+
         v0 = np.random.default_rng(seed).standard_normal(n)
         maxiter = max(5000, 50 * k)
         try:
             if solver == "iterative":
                 w, v = spla.eigsh(mat, k=k, which="SA", v0=v0, maxiter=maxiter, tol=0)
             else:
-                w, v = _shift_invert(ham, k, v0, maxiter)
+                w, v, shift = _shift_invert(ham, k, v0, maxiter)
         except spla.ArpackNoConvergence as exc:
             raise ConvergenceError(
                 f"{solver} Lanczos failed to converge",
@@ -336,7 +368,7 @@ def eigen(ham: SparseHamiltonian, k: int, seed: int = 0,
         raise ConvergenceError(
             f"eigen-residual contract violated: {np.max(residuals):.2e} > "
             f"{RESIDUAL_CONTRACT:.0e} * {norm_est:.2e}", residuals=residuals)
-    return SpectrumResult(w, v, residuals, solver, norm_est)
+    return SpectrumResult(w, v, residuals, solver, norm_est, mat.nnz, shift)
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +570,10 @@ def isospectrality_check(operator, grid: GridSpec, k: int,
     """
     if isinstance(operator, Prepotential1D):
         prep = operator
+        if prep.w_prime_delta():
+            # a bare callable cannot carry the partner's +w_prime_delta spike
+            raise DomainError(f"{prep.family}: the partner's delta spike at x = 0 "
+                              "is not discretized")
         left = discretize(prep.partner_potential, grid, stencil_order)
         right = discretize(prep.step(), grid, stencil_order)
         shift = prep.remainder_next()

@@ -18,6 +18,9 @@ system is then real, and spectra and kernel tags come from real eigh.
 Full N-body grids (N >= 3) use square D_i + W_i ladders with skew D_i;
 there the commutators [A_i, A_j] survive at stencil order, so ||Q^2|| is
 reported as a diagnostic rather than guaranteed to vanish.
+
+scipy is imported inside the functions that call it: building a system
+loads scipy.sparse alone, and the sector analysis adds its csgraph.
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import DimensionCapError, DomainError
 from .models import NBodyModel
@@ -77,6 +78,8 @@ class FockBasis:
 
     def anticommutator_defect(self) -> float:
         """max |{psi_i, psi_j+} - delta_ij| + |{psi_i, psi_j}| over pairs."""
+        import scipy.sparse as sp
+
         worst = 0.0
         eye = sp.identity(self.dim, format="csr")
         for i in range(self.n_modes):
@@ -90,13 +93,15 @@ class FockBasis:
 
 
 def _spmax(mat) -> float:
-    mat = sp.csr_matrix(mat)
+    mat = mat.tocsr()
     return float(np.max(np.abs(mat.data))) if mat.nnz else 0.0
 
 
 def make_fock_basis(n_modes: int) -> FockBasis:
     if n_modes < 1:
         raise DomainError("need at least one fermionic mode")
+    import scipy.sparse as sp
+
     dim = 1 << n_modes
     basis = FockBasis(n_modes)
     for i in range(n_modes):
@@ -128,6 +133,8 @@ def _staggered_ladder(m_cells: int, length: float, w_fun, derivative_sign: int,
     (excluded) boundary nodes; values beyond them are zero-extended, which
     is where the one-column surplus of the wide direction comes from.
     """
+    import scipy.sparse as sp
+
     h = length / m_cells
     u = m_cells - 1
     if to_nodes:
@@ -236,6 +243,8 @@ def _build_two_body(model: NBodyModel, grid: GridSpec, variant: str,
     a fixed relative layout, and Q is their Kronecker products with the
     momentum space.
     """
+    import scipy.sparse as sp
+
     if grid.dim != 1:
         raise DomainError("two-body systems take a 1-D relative grid")
     if stencil_order != 4:
@@ -303,6 +312,8 @@ def _build_two_body(model: NBodyModel, grid: GridSpec, variant: str,
 def _build_grid(model: NBodyModel, grid: GridSpec, variant: str,
                 stencil_order: int) -> SusySystem:
     """Square-ladder assembly on an (ordered) N-body grid."""
+    import scipy.sparse as sp
+
     if grid.dim != model.n:
         raise DomainError("grid dimension must match the particle count")
     if model.g != 0.0 and grid.sector != "ordered":
@@ -362,6 +373,8 @@ def _sector_eigh(sys: SusySystem, f: int):
     eigenvector on the sector's indices ix.
     """
     if f not in sys._sector_eig:
+        from scipy.sparse.csgraph import connected_components
+
         ix = sys.sector_indices(f)
         if len(ix) > DENSE_SECTOR_CAP:
             raise DimensionCapError(

@@ -138,6 +138,29 @@ def test_spectrum_reduced(tmp_path):
     assert algebraic == [0.0, 10.0, 24.0, 42.0]
 
 
+SIGN_SPECTRUM = ["spectrum", "--family", "sign", "--a", "1", "--nmax", "0",
+                 "--domain-min", "-10", "--domain-max", "10"]
+
+
+def test_spectrum_sign_delta_bound_state(tmp_path):
+    # the -2a delta spike binds exp(-a|x|) at E0 = 0; the kink of that state
+    # leaves the order-4 stencil first order, so the check runs at order 2
+    code = run([*SIGN_SPECTRUM, "--grid-m", "2000", "--stencil-order", "2",
+                "--outdir", str(tmp_path)])
+    assert code == 0
+    level0 = (tmp_path / "spectrum.csv").read_text().splitlines()[1].split(",")
+    assert float(level0[1]) == 0.0
+    assert 0.0 < float(level0[2]) < 1e-4
+
+
+def test_spectrum_sign_needs_node_at_origin(tmp_path, capsys):
+    code = run([*SIGN_SPECTRUM, "--grid-m", "2001", "--stencil-order", "2",
+                "--outdir", str(tmp_path)])
+    assert code == 2
+    assert "delta spike at x = 0" in capsys.readouterr().err
+    assert not (tmp_path / "spectrum.csv").exists()
+
+
 def test_spectrum_needs_family_or_kind(tmp_path):
     assert run(["spectrum", "--outdir", str(tmp_path), "--nmax", "2",
                 "--family", "unknown-family"]) == 2
@@ -331,3 +354,33 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+def test_numpy_only_commands_never_load_scipy(tmp_path):
+    # a fresh interpreter: the jet checks, the 1-D chain and the N = 3
+    # ground state run on numpy alone; a grid spectrum loads the solvers
+    script = f"""
+import sys
+import shapeinv, shapeinv.cli, shapeinv.spectral, shapeinv.susy
+from shapeinv import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+out = {str(tmp_path)!r}
+assert cli.main(["verify", "--kind", "cs", "--n", "3", "--trials", "5",
+                 "--outdir", out + "/verify"]) == 0
+assert cli.main(["chain", "--levels", "1", "--grid-m", "512",
+                 "--outdir", out + "/chain"]) == 0
+assert cli.main(["groundstate", "--kind", "cs", "--n", "3", "--trials", "5",
+                 "--outdir", out + "/groundstate"]) == 0
+assert not scipy_modules(), scipy_modules()
+assert cli.main(["spectrum", "--family", "rosen-morse", "--nmax", "1",
+                 "--grid-m", "600", "--outdir", out + "/spectrum"]) == 0
+assert "scipy.sparse.linalg" in sys.modules
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr

@@ -39,6 +39,33 @@ def test_discretize_symmetric_and_metadata():
     assert ham.info["family"] == "rosen_morse_trig"
 
 
+def test_discretize_sign_puts_delta_on_origin_node():
+    # W = a sign(x): W' = 2a delta(x), so V = a^2 - 2a delta(x); the node at
+    # x = 0 sits on the jump of W and carries a^2 - 2a / h
+    prep = make_prepotential_1d("sign", (1.5,))
+    grid = GridSpec.line(-4.0, 4.0, 64)
+    ham = spectral.discretize(prep, grid, 2)
+    diag = ham.matrix.diagonal() - 2.0 / grid.axis_h(0) ** 2
+    origin = np.flatnonzero(ham.nodes[:, 0] == 0.0)
+    assert origin.tolist() == [31]
+    assert diag[31] == pytest.approx(1.5 ** 2 - 2 * 1.5 / grid.axis_h(0), rel=1e-12)
+    assert np.allclose(np.delete(diag, 31), 1.5 ** 2, rtol=0, atol=1e-9)
+    assert ham.info["potential_floor"] == pytest.approx(diag[31], rel=1e-12)
+
+
+@pytest.mark.parametrize("lo,hi,m", [(-4.0, 4.0, 63), (-4.0, 4.5, 64)],
+                         ids=["odd_m", "asymmetric"])
+def test_discretize_sign_needs_node_at_origin(lo, hi, m):
+    with pytest.raises(DomainError, match="delta spike at x = 0"):
+        spectral.discretize(make_prepotential_1d("sign", (1.0,)), GridSpec.line(lo, hi, m), 2)
+
+
+def test_isospectrality_rejects_partner_delta_spike():
+    with pytest.raises(DomainError, match="partner's delta spike"):
+        spectral.isospectrality_check(make_prepotential_1d("sign", (1.0,)),
+                                      GridSpec.line(-4.0, 4.0, 64), 2)
+
+
 def test_discretize_rejects_singular_node():
     # a potential with an exact pole on the midpoint node
     def pole(x):
@@ -190,6 +217,18 @@ def test_dense_iterative_agreement():
     assert np.max(np.abs(dense.eigenvalues - iterative.eigenvalues)) < 1e-9
 
 
+@pytest.mark.parametrize("method", ["dense", "iterative", "shift_invert"])
+def test_eigen_records_nnz_and_shift(method):
+    ham = spectral.discretize(_rm(), GridSpec.line(0.0, math.pi, 200), 4)
+    res = spectral.eigen(ham, 3, method=method)
+    assert res.solver == method
+    assert res.nnz == ham.matrix.nnz == 199 + 2 * 198 + 2 * 197  # five diagonals
+    if method == "shift_invert":
+        assert res.shift == ham.info["potential_floor"] - 1.0
+    else:
+        assert res.shift is None
+
+
 HARMONIC2 = make_nbody_model("harmonic_calogero", 2, 2.0, omega=1.0)
 
 
@@ -235,7 +274,8 @@ def test_lanczos_failure_carries_partial_residuals(monkeypatch, method):
     def no_convergence(*args, **kwargs):
         raise spla.ArpackNoConvergence("no convergence", partial_w, dense.eigenvectors)
 
-    monkeypatch.setattr(spectral.spla, "eigsh", no_convergence)
+    # spectral imports the same module object when eigen runs
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
     with pytest.raises(ConvergenceError) as err:
         spectral.eigen(ham, 4, method=method)
     assert np.allclose(err.value.residuals, [0.0, 0.5], rtol=0, atol=1e-9)
