@@ -6,6 +6,13 @@ A Jet2 carries (value, gradient, hessian) at a single configuration; jets
 propagate through arithmetic, exp, sin/cos and |u|^p exactly, so operator
 identities can be checked to roundoff without any differencing error.
 
+A Jet2 may also carry a leading batch axis: one test-function tree, built
+from every trial's parameters stacked into arrays, evaluated once at the
+stacked configurations (T, n).  Each row equals the jet of that trial's own
+tree bit for bit.  That holds because every operation is elementwise and
+every power goes through np.float_power: on arrays `**` may differ from
+Python's float ** int in the last bit, while exp, sin and cos match.
+
 Applying one ladder operator consumes one derivative order: it maps a Jet2
 to a Jet1 (value + gradient).  A second operator maps a Jet1 to a bare value.
 Deeper products are not evaluated on jets; chains live on grids instead.
@@ -22,7 +29,8 @@ from .models import NBodyModel
 
 __all__ = [
     "Jet1", "Jet2", "TestFunction", "coordinate", "constant",
-    "gaussian_polynomial", "periodic_product", "random_test_function",
+    "gaussian_polynomial", "periodic_product", "draw_test_parameters",
+    "build_test_function", "random_test_function",
     "jastrow_function", "apply_annihilator", "apply_creator", "apply_to_jet1",
     "apply_product", "commutator_value", "apply_hamiltonian_direct",
     "apply_hamiltonian_factorized", "apply_partner", "total_momentum",
@@ -30,19 +38,39 @@ __all__ = [
 ]
 
 
+def _vec(c):
+    """A scalar or per-trial (T,) factor, shaped to scale gradients (T, n)."""
+    return c[..., None] if np.ndim(c) else c
+
+
+def _mat(c):
+    """A scalar or per-trial (T,) factor, shaped to scale hessians (T, n, n)."""
+    return c[..., None, None] if np.ndim(c) else c
+
+
+def _outer(a, b):
+    """np.outer over the last axis, per trial."""
+    return a[..., :, None] * b[..., None, :]
+
+
 class Jet2:
-    """Second-order jet: value v, gradient g (n,), hessian h (n, n)."""
+    """Second-order jet: value v, gradient g (n,), hessian h (n, n).
+
+    An optional leading batch axis stacks T independent jets: v (T,),
+    g (T, n), h (T, n, n).  Constants combined with a stacked jet may be
+    scalars or per-trial arrays (T,).
+    """
 
     __slots__ = ("v", "g", "h")
 
     def __init__(self, v, g, h):
-        self.v = float(v)
+        self.v = v if np.ndim(v) else float(v)
         self.g = g
         self.h = h
 
     @property
     def n(self):
-        return self.g.shape[0]
+        return self.g.shape[-1]
 
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other):
@@ -63,46 +91,54 @@ class Jet2:
 
     def __mul__(self, other):
         if isinstance(other, Jet2):
-            cross = np.outer(self.g, other.g)
+            cross = _outer(self.g, other.g)
             return Jet2(self.v * other.v,
-                        self.v * other.g + other.v * self.g,
-                        self.v * other.h + other.v * self.h + cross + cross.T)
-        return Jet2(self.v * other, self.g * other, self.h * other)
+                        _vec(self.v) * other.g + _vec(other.v) * self.g,
+                        _mat(self.v) * other.h + _mat(other.v) * self.h
+                        + cross + cross.swapaxes(-1, -2))
+        return Jet2(self.v * other, self.g * _vec(other), self.h * _mat(other))
 
     __rmul__ = __mul__
 
     # -- library functions ----------------------------------------------------
+    # Every power goes through np.float_power: on arrays, `**` may differ from
+    # Python's float ** int in the last bit, and a stacked jet must equal the
+    # per-trial ones bit for bit.
+    def _chain(self, f, d1, d2):
+        """f(u) with f' = d1 and f'' = d2 at u = v."""
+        return Jet2(f, _vec(d1) * self.g,
+                    _mat(d1) * self.h + _mat(d2) * _outer(self.g, self.g))
+
     def exp(self):
         e = np.exp(self.v)
-        return Jet2(e, e * self.g, e * (self.h + np.outer(self.g, self.g)))
+        return Jet2(e, _vec(e) * self.g, _mat(e) * (self.h + _outer(self.g, self.g)))
 
     def sin(self):
         s, c = np.sin(self.v), np.cos(self.v)
-        return Jet2(s, c * self.g, c * self.h - s * np.outer(self.g, self.g))
+        return self._chain(s, c, -s)
 
     def cos(self):
         s, c = np.sin(self.v), np.cos(self.v)
-        return Jet2(c, -s * self.g, -s * self.h - c * np.outer(self.g, self.g))
+        return self._chain(c, -s, -c)
 
     def pow_int(self, k: int):
         if k < 0 or k != int(k):
             raise DomainError("pow_int takes a non-negative integer exponent")
-        u, g, h = self.v, self.g, self.h
+        u = self.v
         if k == 0:
-            return Jet2(1.0, np.zeros_like(g), np.zeros_like(h))
-        d1 = k * u ** (k - 1)
-        d2 = k * (k - 1) * u ** (k - 2) if k >= 2 else 0.0
-        return Jet2(u ** k, d1 * g, d1 * h + d2 * np.outer(g, g))
+            return Jet2(np.ones_like(u), np.zeros_like(self.g), np.zeros_like(self.h))
+        d1 = k * np.float_power(u, k - 1)
+        d2 = k * (k - 1) * np.float_power(u, k - 2) if k >= 2 else 0.0
+        return self._chain(np.float_power(u, k), d1, d2)
 
     def abs_pow(self, p: float):
         """|u|^p for u != 0 (chain rule with d|u|^p = p |u|^p / u)."""
         u = self.v
-        if u == 0.0:
+        if np.any(u == 0.0):
             raise DomainError("abs_pow evaluated at a zero of its argument")
-        a = np.abs(u) ** p
-        d1 = p * a / u
-        d2 = p * (p - 1) * np.abs(u) ** (p - 2)
-        return Jet2(a, d1 * self.g, d1 * self.h + d2 * np.outer(self.g, self.g))
+        a = np.float_power(np.abs(u), p)
+        return self._chain(a, p * a / u,
+                           p * (p - 1) * np.float_power(np.abs(u), p - 2))
 
 
 @dataclass
@@ -117,9 +153,12 @@ class TestFunction:
 
     Built compositionally from coordinates, constants, arithmetic, exp,
     sin/cos and |.|^p envelopes; carries its maximal derivative order (2).
+    `jet` takes one configuration (n,) or a stack of T configurations
+    (T, n); constants in the tree may then be per-trial arrays (T,).
     """
 
     max_order = 2
+    __array_ufunc__ = None  # ndarray * test function defers to __rmul__
 
     def __init__(self, n: int, fn):
         self.n = n
@@ -128,9 +167,10 @@ class TestFunction:
 
     def jet(self, x) -> Jet2:
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise DomainError(f"expected a configuration of shape ({self.n},)")
-        key = x.tobytes()
+        if x.ndim not in (1, 2) or x.shape[-1] != self.n:
+            raise DomainError(f"expected a configuration of shape ({self.n},) "
+                              f"or a stack of shape (T, {self.n})")
+        key = (x.shape, x.tobytes())
         if self._last is None or self._last[0] != key:
             self._last = (key, self._fn(x))
         return self._last[1]
@@ -188,57 +228,97 @@ def coordinate(i: int, n: int) -> TestFunction:
         raise DomainError(f"coordinate index {i} out of range for n={n}")
 
     def fn(x, i=i, n=n):
-        g = np.zeros(n)
-        g[i] = 1.0
-        return Jet2(x[i], g, np.zeros((n, n)))
+        g = np.zeros(x.shape)
+        g[..., i] = 1.0
+        return Jet2(x[..., i], g, np.zeros(x.shape + (n,)))
 
     return TestFunction(n, fn)
 
 
-def constant(c: float, n: int) -> TestFunction:
-    def fn(x, c=float(c), n=n):
-        return Jet2(c, np.zeros(n), np.zeros((n, n)))
+def constant(c, n: int) -> TestFunction:
+    """The constant c: a scalar, or one value per trial (T,)."""
+    def fn(x, c=c, n=n):
+        return Jet2(np.broadcast_to(c, x.shape[:-1]), np.zeros(x.shape),
+                    np.zeros(x.shape + (n,)))
 
     return TestFunction(n, fn)
 
 
-def gaussian_polynomial(n: int, rng: np.random.Generator,
-                        sigma_range=(0.8, 2.0)) -> TestFunction:
-    """Random degree-<=3 polynomial times a Gaussian envelope."""
+# Each test-function family is a parameter draw and a tree build.  The draw
+# consumes one trial's rng; the build takes one trial's parameters, or every
+# trial's stacked along a leading axis (scalars to (T,), vectors to (T, ...)),
+# and then its jet is evaluated at the stacked configurations (T, n).
+
+def _gaussian_parameters(n: int, rng: np.random.Generator, sigma_range=(0.8, 2.0)):
     mu = rng.uniform(-1.0, 1.0, size=n)
     sigma = rng.uniform(*sigma_range)
     c0 = rng.uniform(0.5, 1.5)
     c1 = rng.uniform(-1.0, 1.0, size=n)
     c2 = rng.uniform(-0.5, 0.5, size=n)
     c3 = rng.uniform(-0.2, 0.2, size=n)
+    return mu, sigma, c0, c1, c2, c3
+
+
+def _gaussian_tree(n: int, mu, sigma, c0, c1, c2, c3) -> TestFunction:
     coords = [coordinate(i, n) for i in range(n)]
     poly = constant(c0, n)
     quad = constant(0.0, n)
     for i in range(n):
-        u = coords[i] - mu[i]
-        poly = poly + c1[i] * u + c2[i] * u.pow_int(2) + c3[i] * u.pow_int(3)
+        u = coords[i] - mu[..., i]
+        poly = (poly + c1[..., i] * u + c2[..., i] * u.pow_int(2)
+                + c3[..., i] * u.pow_int(3))
         quad = quad + u.pow_int(2)
-    return poly * (quad * (-0.5 / sigma ** 2)).exp()
+    return poly * (quad * (-0.5 / np.float_power(sigma, 2))).exp()
 
 
-def periodic_product(n: int, rng: np.random.Generator) -> TestFunction:
-    """Random product of two bounded trigonometric combinations."""
+def _periodic_parameters(n: int, rng: np.random.Generator):
+    """a (2,), b (2, n), phi (2, n): a, b, phi drawn per factor in turn."""
+    factors = [(rng.uniform(1.2, 2.0), rng.uniform(-1.0, 1.0, size=n),
+                rng.uniform(0.0, 2 * np.pi, size=n)) for _ in range(2)]
+    return tuple(np.array(p) for p in zip(*factors))
+
+
+def _periodic_tree(n: int, a, b, phi) -> TestFunction:
     f = constant(1.0, n)
-    for _ in range(2):
-        a = rng.uniform(1.2, 2.0)
-        b = rng.uniform(-1.0, 1.0, size=n)
-        phi = rng.uniform(0.0, 2 * np.pi, size=n)
-        term = constant(a, n)
+    for k in range(2):
+        term = constant(a[..., k], n)
         for i in range(n):
-            term = term + b[i] * (coordinate(i, n) + phi[i]).sin()
+            term = term + b[..., k, i] * (coordinate(i, n) + phi[..., k, i]).sin()
         f = f * term
     return f
 
 
-def random_test_function(model: NBodyModel, rng: np.random.Generator) -> TestFunction:
+def gaussian_polynomial(n: int, rng: np.random.Generator,
+                        sigma_range=(0.8, 2.0)) -> TestFunction:
+    """Random degree-<=3 polynomial times a Gaussian envelope."""
+    return _gaussian_tree(n, *_gaussian_parameters(n, rng, sigma_range))
+
+
+def periodic_product(n: int, rng: np.random.Generator) -> TestFunction:
+    """Random product of two bounded trigonometric combinations."""
+    return _periodic_tree(n, *_periodic_parameters(n, rng))
+
+
+def _family(model: NBodyModel):
+    """(parameter draw, tree build) of the model's test-function family."""
     if model.kind_row.period:
-        return periodic_product(model.n, rng)
-    return gaussian_polynomial(model.n, rng)
+        return _periodic_parameters, _periodic_tree
+    return _gaussian_parameters, _gaussian_tree
+
+
+def draw_test_parameters(model: NBodyModel, rng: np.random.Generator) -> tuple:
+    """One trial's test-function parameters, drawn from rng."""
+    return _family(model)[0](model.n, rng)
+
+
+def build_test_function(model: NBodyModel, params) -> TestFunction:
+    """The test function of one trial's parameters, or of every trial's
+    stacked: then its jet takes the stacked configurations (T, n)."""
+    return _family(model)[1](model.n, *params)
+
+
+def random_test_function(model: NBodyModel, rng: np.random.Generator) -> TestFunction:
+    return build_test_function(model, draw_test_parameters(model, rng))
 
 
 def jastrow_function(model: NBodyModel, dalpha: float = 0.0) -> TestFunction:

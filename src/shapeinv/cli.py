@@ -113,16 +113,13 @@ def cmd_verify(args) -> int:
     out = _outdir(cfg)
     all_pass = True
     for name, rep in reports.items():
-        _write_json(out / f"{name}.json", rep.to_dict(), cfg)
-        all_pass &= rep.to_dict()["pass"]
-        print(f"{'PASS' if rep.to_dict()['pass'] else 'FAIL'}  {name}: "
-              f"max residual {_residual_of(rep):.3e}")
+        d = rep.to_dict()
+        _write_json(out / f"{name}.json", d, cfg)
+        all_pass &= d["pass"]
+        residual = d.get("max_residual", d.get("residual_std", math.nan))
+        print(f"{'PASS' if d['pass'] else 'FAIL'}  {name}: "
+              f"max residual {residual:.3e}")
     return 0 if all_pass else 1
-
-
-def _residual_of(rep) -> float:
-    d = rep.to_dict()
-    return d.get("max_residual", d.get("residual_std", math.nan))
 
 
 def _bound_levels(prep, n_max: int) -> tuple:

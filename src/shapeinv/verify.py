@@ -7,11 +7,14 @@ an independent child seed spawned from the master seed, so aggregation is
 order-independent and trials could run in parallel without changing a bit.
 
 The four jet identities run on a `TrialSet`, every trial's configuration
-and test-function 2-jet stacked into arrays, as array contractions over all
-trials at once: one batched W, J evaluation, the first applications of
-every A_j and A+_j as arrays u (T, N) and G (T, N, N), and every depth-2
-product as P[t, i, j] = s G[t, i, j] + W[t, i] u[t, j].  Each commutator is
-the difference of its two products.  The contractions keep the scalar
+and test-function 2-jet stacked into arrays.  Each trial draws only its
+configuration and its test function's parameters; one test-function tree
+over the stacked parameters gives all T jets in one evaluation.  The
+identities are array contractions over all trials at once: one batched
+W, J evaluation, the first applications of every A_j and A+_j as arrays
+u (T, N) and G (T, N, N), and every depth-2 product as
+P[t, i, j] = s G[t, i, j] + W[t, i] u[t, j].  Each commutator is the
+difference of its two products.  The contractions keep the scalar
 operation order of the pointwise `calculus` functions, which stay the
 reference: every residual equals theirs bit for bit.  `run_all` draws each
 trial set once and shares it with the identities; the memo is cleared when
@@ -153,19 +156,21 @@ _drawn: dict | None = None
 
 
 def _trial_set(model: NBodyModel, trials: int, seed: int) -> TrialSet:
-    """Each child rng draws a configuration, then a test function."""
+    """Each child rng draws a configuration, then its test function's
+    parameters; one test function over the stacked parameters gives every
+    trial's jet at once."""
     if trials < 1:
         raise DomainError("trials must be >= 1")
     key = (model.kind, model.n, trials, seed)
     if _drawn is not None and key in _drawn:
         return _drawn[key]
-    xs, jets = [], []
+    xs, params = [], []
     for rng in _child_rngs(seed, trials):
-        x = draw_configuration(model, rng)
-        jets.append(calc.random_test_function(model, rng).jet(x))
-        xs.append(x)
-    drawn = TrialSet(np.array(xs), np.array([j.v for j in jets]),
-                     np.array([j.g for j in jets]), np.array([j.h for j in jets]))
+        xs.append(draw_configuration(model, rng))
+        params.append(calc.draw_test_parameters(model, rng))
+    x = np.array(xs)
+    jet = calc.build_test_function(model, [np.array(p) for p in zip(*params)]).jet(x)
+    drawn = TrialSet(x, jet.v, jet.g, jet.h)
     if _drawn is not None:
         _drawn[key] = drawn
     return drawn

@@ -75,6 +75,37 @@ def test_abs_pow_jet():
         f.jet(np.array([0.0]))
 
 
+def test_stacked_pow_int_matches_python_pow():
+    # numpy's array ** is not Python's float ** int: at u = 0.9027556576068978
+    # the array cube is one ulp above Python's.  pow_int goes through
+    # np.float_power, so each row of a stacked jet equals its own scalar jet.
+    u = np.array([0.9027556576068978, -1.3, 2.652678663038987])
+    f = calc.coordinate(0, 1).pow_int(3)
+    stacked = f.jet(u[:, None])
+    assert stacked.v.shape == (3,) and stacked.h.shape == (3, 1, 1)
+    for t, ut in enumerate(u):
+        scalar = f.jet([ut])
+        assert stacked.v[t] == scalar.v == float(ut) ** 3
+        assert np.array_equal(stacked.g[t], scalar.g)
+        assert np.array_equal(stacked.h[t], scalar.h)
+
+
+def test_stacked_jet_shapes_and_cache():
+    f = calc.coordinate(0, 2) * calc.constant(np.array([2.0, 3.0]), 2)
+    x = np.array([[0.5, 1.0], [0.25, 1.0]])
+    jet = f.jet(x)
+    assert np.array_equal(jet.v, [1.0, 0.75])
+    assert np.array_equal(jet.g, [[2.0, 0.0], [3.0, 0.0]])
+    assert jet.h.shape == (2, 2, 2) and jet.n == 2
+    g = calc.coordinate(1, 2).exp()
+    assert isinstance(g.jet(x[0]).v, float)
+    assert g.jet(x[:1]).v.shape == (1,)  # same bytes, new shape: no stale cache
+    with pytest.raises(DomainError):
+        g.jet(x[None])
+    with pytest.raises(DomainError):
+        calc.coordinate(0, 2).abs_pow(1.5).jet(np.array([[1.0, 0.0], [0.0, 1.0]]))
+
+
 # ---------------------------------------------------------------------------
 # ladder actions
 # ---------------------------------------------------------------------------

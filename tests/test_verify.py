@@ -288,6 +288,23 @@ def test_batched_residuals_match_scalar_path(kind, n, alpha, seed):
         np.testing.assert_allclose(got, scalar[name], rtol=1e-14, atol=0, err_msg=name)
 
 
+@settings(deadline=None, max_examples=25)
+@given(kind=st.sampled_from(["calogero", "calogero_sutherland", "harmonic_calogero"]),
+       n=st.integers(2, 7), trials=st.sampled_from([1, 5, 200]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_jets_equal_per_trial_jets(kind, n, trials, seed):
+    m = make_nbody_model(kind, n, 1.5, omega=1.0 if kind == "harmonic_calogero" else None)
+    s = verify._trial_set(m, trials, seed)
+    xs, jets = [], []
+    for rng in verify._child_rngs(seed, trials):
+        xs.append(verify.draw_configuration(m, rng))
+        jets.append(calc.random_test_function(m, rng).jet(xs[-1]))
+    assert np.array_equal(s.x, xs)
+    assert np.array_equal(s.v, [j.v for j in jets])
+    assert np.array_equal(s.g, [j.g for j in jets])
+    assert np.array_equal(s.h, [j.h for j in jets])
+
+
 def test_mixed_commutator_matrix_matches_pair_formulas():
     # the matrix squares arrays, where numpy scalars go through C pow, so
     # entries may differ from the pair formulas in the last bit
@@ -307,13 +324,13 @@ def test_mixed_commutator_matrix_matches_pair_formulas():
 
 def test_run_all_draws_each_trial_once(monkeypatch):
     drawn = []
-    original = calc.random_test_function
+    original = calc.draw_test_parameters
 
     def counting(model, rng):
         drawn.append(model.n)
         return original(model, rng)
 
-    monkeypatch.setattr(calc, "random_test_function", counting)
+    monkeypatch.setattr(calc, "draw_test_parameters", counting)
     m = make_nbody_model("calogero_sutherland", 3, 1.5)
     first = verify.run_all(m, 25, seed=4)
     assert len(drawn) == 25
