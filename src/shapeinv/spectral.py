@@ -22,7 +22,12 @@ from .models import (NBodyModel, Prepotential1D, make_prepotential_1d,
                      remainder_shift)
 from . import shape1d
 
-DENSE_CUTOFF = 4000
+# 'auto' solves N-D operators densely up to DENSE_CUTOFF nodes.  On N = 3
+# grids (2-CPU host) dense eigh and Lanczos tie near 364 nodes; Lanczos wins
+# from 455 nodes up, 7 against 13 ms there and 18 against 60 ms at 969.
+# DENSE_CAP bounds the forced dense path.
+DENSE_CUTOFF = 400
+DENSE_CAP = 8000
 RESIDUAL_CONTRACT = 1e-8
 
 
@@ -336,8 +341,8 @@ def eigen(ham: SparseHamiltonian, k: int, seed: int = 0,
             solver = "iterative"
 
     if solver == "dense":
-        if n > 2 * DENSE_CUTOFF:
-            raise DimensionCapError(f"dense path capped at {2 * DENSE_CUTOFF}, dim={n}")
+        if n > DENSE_CAP:
+            raise DimensionCapError(f"dense path capped at {DENSE_CAP}, dim={n}")
         import scipy.linalg
 
         w, v = scipy.linalg.eigh(mat.toarray(), subset_by_index=[0, k - 1])

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -166,6 +167,11 @@ def _staggered_ladder(m_cells: int, length: float, w_fun, derivative_sign: int,
 
 @dataclass
 class SusySystem:
+    """Q, Q+ and H on (space) x (Fock), with the analysis cached on first
+    read: `diagnostics` when read, the block eigensolve of a sector
+    (`_sector_eig`) when its spectrum is asked for, and the cluster
+    rotations and charge norms (`_charges`) when it is classified.
+    """
     model: NBodyModel
     grid: GridSpec
     variant: str
@@ -179,13 +185,26 @@ class SusySystem:
     relative_ops: dict = field(default_factory=dict)
     a_space: list | None = None   # square ladders (N >= 3 grids only)
     space_nodes: np.ndarray | None = None
-    diagnostics: dict = field(default_factory=dict)
     _sector_eig: dict = field(default_factory=dict, repr=False)
     _charges: dict = field(default_factory=dict, repr=False)
 
     @property
     def dim(self) -> int:
         return self.H.shape[0]
+
+    @cached_property
+    def diagnostics(self) -> dict:
+        """||Q^2||_F, max |H - H^T|, the off-block leak and the scaled
+        max |[H, Q]|, computed on first read."""
+        q, ham = self.Q, self.H
+        q2 = q @ q
+        hq = ham @ q - q @ ham
+        scale = max(1.0, _spmax(ham)) * max(1.0, _spmax(q))
+        return {"q_squared_fro": float(np.sqrt(np.sum(np.abs(q2.data) ** 2))
+                                       if q2.nnz else 0.0),
+                "hermiticity_defect": _spmax(ham - ham.T),
+                "offblock_leak": self.offblock_leak(),
+                "h_q_commutator": _spmax(hq) / scale}
 
     def sector_indices(self, f: int) -> np.ndarray:
         return np.where(self.fermion_of == f)[0]
@@ -205,19 +224,6 @@ class SusySystem:
         """(cm_index, fock_state, offset, size) entries of sector f."""
         return [b for b in self.blocks
                 if self.fock.fermion_number(b[1]) == f]
-
-
-def _finish(sys: SusySystem):
-    q, ham = sys.Q, sys.H
-    q2 = q @ q
-    sys.diagnostics["q_squared_fro"] = float(
-        np.sqrt(np.sum(np.abs(q2.data) ** 2)) if q2.nnz else 0.0)
-    sys.diagnostics["hermiticity_defect"] = _spmax(ham - ham.T)
-    sys.diagnostics["offblock_leak"] = sys.offblock_leak()
-    hq = ham @ q - q @ ham
-    scale = max(1.0, _spmax(ham)) * max(1.0, _spmax(q))
-    sys.diagnostics["h_q_commutator"] = _spmax(hq) / scale
-    return sys
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +246,8 @@ def _build_two_body(model: NBodyModel, grid: GridSpec, variant: str,
     gauge leaves spectra, |Q v|, |Q+ v| and every diagnostic unchanged and
     turns c into the real -k/2 (s1) or +k/2 (s2), so Q, Q+ and H are real.
     Each momentum block of Q is c times a fixed center-of-mass layout plus
-    a fixed relative layout, and Q is their Kronecker products with the
-    momentum space.
+    a fixed relative layout, and the COO triplets of Q are written from
+    index arithmetic over the 4 Fock blocks and the momenta.
     """
     import scipy.sparse as sp
 
@@ -267,46 +273,44 @@ def _build_two_body(model: NBodyModel, grid: GridSpec, variant: str,
         raise DomainError("need at least one center-of-mass momentum mode")
     fock = make_fock_basis(2)
     sizes = (u, u, m_cells, m_cells)
-    dim = len(kvals) * sum(sizes)
+    n_k = len(kvals)
+    dim = n_k * sum(sizes)
     if dim > SPARSE_CAP:
         raise DimensionCapError(f"total dimension {dim} exceeds cap {SPARSE_CAP}")
     starts = (0, u, 2 * u, 2 * u + m_cells, 2 * u + 2 * m_cells)
     blocks = [(ik, f, ik * starts[4] + starts[f], sizes[f])
-              for ik in range(len(kvals)) for f in range(4)]
-    fermion_of = np.tile(np.repeat([fock.fermion_number(f) for f in range(4)], sizes),
-                         len(kvals))
-
-    def fock_layout(entries):
-        # zero diagonal blocks fix every block row and column size
-        return sp.bmat([[entries.get((r, col), sp.csr_matrix((sizes[r], sizes[col]))
-                                     if r == col else None)
-                         for col in range(4)] for r in range(4)])
+              for ik in range(n_k) for f in range(4)]
+    fermion_of = np.tile(np.repeat([fock.fermion_number(f) for f in range(4)], sizes), n_k)
 
     root2 = math.sqrt(2.0)
-    # psi_sum moves |s> -> |0> and |sd> -> |d> with sign +1
-    cm_block = fock_layout({(0, 1): root2 * sp.identity(u),
-                            (2, 3): root2 * sp.identity(m_cells)})
-    # psi_diff moves |d> -> |0> (+1) and |sd> -> |s> (-1)
-    x_block = fock_layout({(0, 2): root2 * x_op, (1, 3): -root2 * x_op})
-    k_ix = np.arange(len(kvals))
-    cm_part = sp.kron(sp.coo_matrix((c_over_k * kvals, (k_ix, k_ix))), cm_block, format="coo")
-    x_part = sp.kron(sp.identity(len(kvals)), x_block, format="coo")
-    # concatenated, not summed: a sum drops the k = 0 entries, and the
-    # pattern of Q (and the summation order of H) would depend on the momenta
+    # psi_sum moves |s> -> |0> and |sd> -> |d> with sign +1: c on the
+    # diagonals of Fock blocks (0, 1) and (2, 3)
+    cm_rows = np.r_[np.arange(u), starts[2] + np.arange(m_cells)]
+    cm_cols = np.r_[starts[1] + np.arange(u), starts[3] + np.arange(m_cells)]
+    # psi_diff moves |d> -> |0> (+1) and |sd> -> |s> (-1): X in Fock blocks
+    # (0, 2) and (1, 3)
+    x = x_op.tocoo()
+    x_rows = np.r_[x.row, starts[1] + x.row]
+    x_cols = np.r_[starts[2] + x.col, starts[3] + x.col]
+    x_vals = np.r_[root2 * x.data, -root2 * x.data]
+    # per momentum, offset by its block; the k = 0 entries of c are stored
+    # zeros, so the pattern of Q (and the summation order of H) does not
+    # depend on the momenta
+    shift = starts[4] * np.arange(n_k)[:, None]
     q = sp.csr_matrix(sp.coo_matrix(
-        (np.r_[cm_part.data, x_part.data],
-         (np.r_[cm_part.row, x_part.row], np.r_[cm_part.col, x_part.col])), shape=(dim, dim)))
+        (np.r_[np.repeat(c_over_k * kvals * root2, len(cm_rows)), np.tile(x_vals, n_k)],
+         (np.r_[(shift + cm_rows).ravel(), (shift + x_rows).ravel()],
+          np.r_[(shift + cm_cols).ravel(), (shift + x_cols).ravel()])), shape=(dim, dim)))
     qdag = sp.csr_matrix(q.T)
     ham = (qdag @ q + q @ qdag).tocsr()
     h = length / m_cells
     nodes = h * np.arange(1, m_cells)
-    sys = SusySystem(model=model, grid=grid, variant=variant, fock=fock,
-                     cm_momenta=tuple(cm_momenta), blocks=blocks,
-                     fermion_of=fermion_of, Q=q, Qdag=qdag, H=ham,
-                     relative_ops={"x": x_op, "nodes": nodes,
-                                   "mids": h * (np.arange(m_cells) + 0.5)},
-                     space_nodes=None)
-    return _finish(sys)
+    return SusySystem(model=model, grid=grid, variant=variant, fock=fock,
+                      cm_momenta=tuple(cm_momenta), blocks=blocks,
+                      fermion_of=fermion_of, Q=q, Qdag=qdag, H=ham,
+                      relative_ops={"x": x_op, "nodes": nodes,
+                                    "mids": h * (np.arange(m_cells) + 0.5)},
+                      space_nodes=None)
 
 
 def _build_grid(model: NBodyModel, grid: GridSpec, variant: str,
@@ -336,10 +340,9 @@ def _build_grid(model: NBodyModel, grid: GridSpec, variant: str,
     qdag = sp.csr_matrix(q.T)
     ham = (qdag @ q + q @ qdag).tocsr()
     fermion_of = np.tile([fock.fermion_number(f) for f in range(fock.dim)], n_nodes)
-    sys = SusySystem(model=model, grid=grid, variant=variant, fock=fock,
-                     cm_momenta=None, blocks=[], fermion_of=fermion_of,
-                     Q=q, Qdag=qdag, H=ham, a_space=ladders, space_nodes=nodes)
-    return _finish(sys)
+    return SusySystem(model=model, grid=grid, variant=variant, fock=fock,
+                      cm_momenta=None, blocks=[], fermion_of=fermion_of,
+                      Q=q, Qdag=qdag, H=ham, a_space=ladders, space_nodes=nodes)
 
 
 def build_susy(model: NBodyModel, grid: GridSpec, variant: str = "s1",
@@ -362,15 +365,42 @@ def build_susy(model: NBodyModel, grid: GridSpec, variant: str = "s1",
 # sector analysis
 # ---------------------------------------------------------------------------
 
-def _sector_eigh(sys: SusySystem, f: int):
-    """Eigenpairs (vals, vecs, ix) of sector f, cached on the system.
+@dataclass
+class _SectorEigen:
+    """Eigenvalues of one sector, merged from its block eigenpairs.
+
+    `pairs` holds (vals, vecs) per block, in the order of `members` (the
+    block's rows within the sector); identical blocks share one pair.  The
+    sector-wide eigenvector matrix `vecs` is assembled from them on first
+    read, and the block pairs are then dropped.
+    """
+    vals: np.ndarray      # ascending
+    ix: np.ndarray        # the sector's indices into the system
+    members: list
+    column: np.ndarray    # position in vals of each concatenated block eigenvalue
+    pairs: list | None
+
+    @cached_property
+    def vecs(self) -> np.ndarray:
+        vecs = np.zeros((len(self.ix), len(self.ix)))
+        first = 0
+        for rows, (_, bvecs) in zip(self.members, self.pairs):
+            vecs[np.ix_(rows, self.column[first:first + len(rows)])] = bvecs
+            first += len(rows)
+        self.pairs = None
+        return vecs
+
+
+def _sector_solve(sys: SusySystem, f: int) -> _SectorEigen:
+    """The block-wise eigensolve of sector f, cached on the system.
 
     The sector matrix splits exactly into the connected components of its
     sparsity graph: on two-body systems one per center-of-mass momentum,
     and one per momentum and Fock state in the 1-fermion sector; a single
-    one on N >= 3 grids.  Each block is solved by a dense real eigh; the
-    eigenvalues are merged by a stable sort, and vecs holds every
-    eigenvector on the sector's indices ix.
+    one on N >= 3 grids.  Each distinct block is solved once by a dense
+    real eigh, keyed by its bytes: H_k depends on k^2 alone, so the +k and
+    -k blocks are bit-identical and share their eigenpairs.  The
+    eigenvalues are merged by a stable sort.
     """
     if f not in sys._sector_eig:
         from scipy.sparse.csgraph import connected_components
@@ -384,26 +414,34 @@ def _sector_eigh(sys: SusySystem, f: int):
         n_blocks, labels = connected_components(mat != 0, directed=False)
         members = [np.flatnonzero(labels == b) for b in range(n_blocks)]
         dense = mat.toarray()
-        solved = [np.linalg.eigh(dense[np.ix_(rows, rows)]) for rows in members]
-        del dense  # before vecs, so the two never coexist
-        all_vals = np.concatenate([bvals for bvals, _ in solved])
+        solved, pairs = {}, []
+        for rows in members:
+            block = dense[np.ix_(rows, rows)]
+            key = (block.shape, block.tobytes())
+            if key not in solved:
+                solved[key] = np.linalg.eigh(block)
+            pairs.append(solved[key])
+        all_vals = np.concatenate([bvals for bvals, _ in pairs])
         order = np.argsort(all_vals, kind="stable")
         column = np.empty_like(order)
         column[order] = np.arange(len(order))
-        vecs = np.zeros((len(ix), len(ix)))
-        first = 0
-        for rows, (_, bvecs) in zip(members, solved):
-            vecs[np.ix_(rows, column[first:first + len(rows)])] = bvecs
-            first += len(rows)
-        sys._sector_eig[f] = (all_vals[order], vecs, ix)
+        sys._sector_eig[f] = _SectorEigen(all_vals[order], ix, members, column, pairs)
     return sys._sector_eig[f]
+
+
+def _sector_eigh(sys: SusySystem, f: int):
+    """Eigenpairs (vals, vecs, ix) of sector f: vecs holds every eigenvector
+    on the sector's indices ix, columns in the order of vals.  The blocks
+    are solved once by `_sector_solve`; vecs is assembled on first call."""
+    eig = _sector_solve(sys, f)
+    return eig.vals, eig.vecs, eig.ix
 
 
 def sector_spectra(sys: SusySystem, k: int | None = None) -> dict:
     """Eigenvalues per fermion-number sector (all of them when k is None)."""
     out = {}
     for f in range(sys.model.n + 1):
-        vals, _, _ = _sector_eigh(sys, f)
+        vals = _sector_solve(sys, f).vals
         out[f] = vals if k is None else vals[:k]
     return out
 
@@ -424,22 +462,24 @@ def _charge_product(op: sp.csr_matrix, ix: np.ndarray, vecs: np.ndarray) -> np.n
 
 
 def _sector_charges(sys: SusySystem, f: int):
-    """(lam, rotated, qn, qdn) of sector f, computed once and cached.
+    """(lam, qn, qdn, rotations) of sector f, computed once and cached.
 
     Each degenerate cluster of eigenvectors is rotated to diagonalize Q+Q
     on it, by the eigh of the cluster's Gram matrix of Q v columns; the
     superalgebra then puts each rotated state in ker Q or in ker Q+.  lam
     is the cluster mean per state, qn and qdn are |Q v| and |Q+ v| of the
-    rotated states.  None of it depends on a tolerance.
+    rotated states, and rotations lists (cols, rot_t) per cluster size, with
+    which `_rotated_states` builds those states.  None of it depends on a
+    tolerance.
     """
     if f not in sys._charges:
         vals, vecs, ix = _sector_eigh(sys, f)
         qv = _charge_product(sys.Q, ix, vecs)
         qdv = _charge_product(sys.Qdag, ix, vecs)
-        rotated = vecs.copy()
         starts = np.array([sl.start for sl in _cluster_slices(vals)])
         sizes = np.diff(starts, append=len(vals))
         lam = np.repeat(np.add.reduceat(vals, starts) / sizes, sizes)
+        rotations = []
         for size in np.unique(sizes[sizes > 1]):
             # every cluster of one size at once: cols[c] are cluster c's columns,
             # and arr.T[cols] stacks their column vectors as rows
@@ -447,11 +487,21 @@ def _sector_charges(sys: SusySystem, f: int):
             stacked = qv.T[cols]
             _, rot = np.linalg.eigh(stacked @ stacked.transpose(0, 2, 1))
             rot_t = np.ascontiguousarray(rot.transpose(0, 2, 1))
-            for arr in (rotated, qv, qdv):
+            for arr in (qv, qdv):
                 arr.T[cols] = rot_t @ arr.T[cols]
-        sys._charges[f] = (lam, rotated, np.linalg.norm(qv, axis=0),
-                           np.linalg.norm(qdv, axis=0))
+            rotations.append((cols, rot_t))
+        sys._charges[f] = (lam, np.linalg.norm(qv, axis=0),
+                           np.linalg.norm(qdv, axis=0), rotations)
     return sys._charges[f]
+
+
+def _rotated_states(sys: SusySystem, f: int) -> np.ndarray:
+    """The sector-f eigenvectors with each degenerate cluster rotated as in
+    `_sector_charges`: the states the kernel tags describe.  Not cached."""
+    rotated = _sector_eigh(sys, f)[1].copy()
+    for cols, rot_t in _sector_charges(sys, f)[3]:
+        rotated.T[cols] = rot_t @ rotated.T[cols]
+    return rotated
 
 
 def kernel_classify(sys: SusySystem, zero_tol: float = 1e-2,
@@ -463,12 +513,12 @@ def kernel_classify(sys: SusySystem, zero_tol: float = 1e-2,
     in ker Q+ (all of it from Q+Q).  States whose cluster has mean
     lambda < zero_tol count as zero modes.  Returns per-sector counts, tags
     and the charge norms of the rotated states, whose vectors
-    `_sector_charges` holds.
+    `_rotated_states` builds.
     """
     report = {"sectors": {}, "unsplit": 0}
     for f in range(sys.model.n + 1):
-        vals, _, _ = _sector_eigh(sys, f)
-        lam, _, qn, qdn = _sector_charges(sys, f)
+        vals = _sector_solve(sys, f).vals
+        lam, qn, qdn, _ = _sector_charges(sys, f)
         zero = lam < zero_tol
         bound = split_tol * np.sqrt(np.where(zero, 0.0, lam))
         in_ker_q, in_ker_qdag = qn <= bound, qdn <= bound
@@ -555,8 +605,8 @@ def _collect(sys: SusySystem, sector_blocks, vec, want_fock):
 def _sum_check_staggered(sys, classify, report, k, tol, zero_tol):
     h0 = sys.sector_matrix(0)
     h2 = sys.sector_matrix(2)
-    vals1, _, _ = _sector_eigh(sys, 1)
-    _, vecs1, _, _ = _sector_charges(sys, 1)   # the states the tags describe
+    vals1 = _sector_solve(sys, 1).vals
+    vecs1 = _rotated_states(sys, 1)   # the states the tags describe
     tags1 = classify["sectors"][1]["tags"]
     sector1 = sys.sector_blocks(1)
     checked_q = checked_qd = 0
@@ -600,8 +650,8 @@ def _sum_check_grid(sys, classify, report, k, tol, zero_tol):
     n = sys.model.n
     h0 = sys.sector_matrix(0)
     hn = sys.sector_matrix(n)
-    vals1, _, _ = _sector_eigh(sys, 1)
-    _, vecs1, _, _ = _sector_charges(sys, 1)   # the states the tags describe
+    vals1 = _sector_solve(sys, 1).vals
+    vecs1 = _rotated_states(sys, 1)   # the states the tags describe
     tags1 = classify["sectors"][1]["tags"]
     fk1 = sys.fock.sector_indices(1)
     checked = 0
@@ -615,8 +665,8 @@ def _sum_check_grid(sys, classify, report, k, tol, zero_tol):
         report["one_fermion"].append(
             _classify_sum(h0, comp.sum(axis=0), vals1[t], tol))
 
-    valsm, _, _ = _sector_eigh(sys, n - 1)
-    _, vecsm, _, _ = _sector_charges(sys, n - 1)
+    valsm = _sector_solve(sys, n - 1).vals
+    vecsm = _rotated_states(sys, n - 1)
     tagsm = classify["sectors"][n - 1]["tags"]
     fkm = sys.fock.sector_indices(n - 1)
     full_state = (1 << n) - 1
@@ -707,9 +757,9 @@ def variant_comparison(model: NBodyModel, grid: GridSpec,
     s1 = build_susy(model, grid, "s1", cm_momenta, stencil_order)
     s2 = build_susy(model, grid, "s2", cm_momenta, stencil_order)
     out = {"variants": ("s1", "s2"), "model": model.descriptor(), "sectors": {}}
+    spectra1, spectra2 = sector_spectra(s1, levels), sector_spectra(s2, levels)
     for f in range(model.n + 1):
-        e1 = sector_spectra(s1, levels)[f]
-        e2 = sector_spectra(s2, levels)[f]
+        e1, e2 = spectra1[f], spectra2[f]
         L = min(len(e1), len(e2), levels)
         shift = float(np.mean(e1[:L] - e2[:L]))
         dev = float(np.max(np.abs(e1[:L] - e2[:L] - shift))

@@ -250,6 +250,20 @@ def test_auto_shift_invert_matches_dense(make, k):
     assert np.max(np.abs(auto.eigenvalues - dense.eigenvalues)) < 1e-9
 
 
+@pytest.mark.parametrize("kind,alpha,lo,hi,m,k", [
+    ("calogero_sutherland", 1.0, 0.0, math.pi, 18, 4),    # 680 nodes
+    ("calogero", 2.0, -3.0, 3.0, 20, 10),                 # 969 nodes
+])
+def test_auto_takes_lanczos_above_the_dense_cutoff(kind, alpha, lo, hi, m, k):
+    model = make_nbody_model(kind, 3, alpha)
+    ham = spectral.discretize(model, GridSpec.box(lo, hi, m, 3, sector="ordered"), 4)
+    assert spectral.DENSE_CUTOFF < 500 < ham.dim < 4000
+    auto = spectral.eigen(ham, k, seed=3)
+    dense = spectral.eigen(ham, k, method="dense")
+    assert (auto.solver, dense.solver) == ("iterative", "dense")
+    assert np.max(np.abs(auto.eigenvalues - dense.eigenvalues)) < 1e-9
+
+
 def test_shift_invert_rejects_shift_inside_spectrum():
     # a recorded floor above the lowest level puts the shift inside the
     # spectrum; the factorization's pivots must expose it

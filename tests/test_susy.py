@@ -147,7 +147,7 @@ def test_sum_check_inspects_the_tagged_states(cs_system):
     # the sum checks read the cluster-rotated states the tags describe
     rep = susy.kernel_classify(cs_system)
     vals, _, ix = susy._sector_eigh(cs_system, 1)
-    _, rotated, _, _ = susy._sector_charges(cs_system, 1)
+    rotated = susy._rotated_states(cs_system, 1)
     qn = np.linalg.norm(cs_system.Q[:, ix] @ rotated, axis=0)
     qdn = np.linalg.norm(cs_system.Qdag[:, ix] @ rotated, axis=0)
     for t, tag in enumerate(rep["sectors"][1]["tags"]):
@@ -356,7 +356,7 @@ def test_susy_systems_are_real(builder, variant):
     susy.kernel_classify(sys_)
     for f in range(model.n + 1):
         assert susy._sector_eigh(sys_, f)[1].dtype == np.float64
-        assert susy._sector_charges(sys_, f)[1].dtype == np.float64
+        assert susy._rotated_states(sys_, f).dtype == np.float64
 
 
 @pytest.mark.parametrize("case", [
@@ -429,3 +429,146 @@ def test_offblock_leak_reports_a_cross_sector_entry():
     leak = sp.csr_matrix(([2.5e-9, -3.5e-9], ([i, j], [j, i])), shape=sys_.H.shape)
     sys_.H = sys_.H + leak
     assert sys_.offblock_leak() == 3.5e-9
+
+
+# ---------------------------------------------------------------------------
+# index-built two-body Q and work on first read
+# ---------------------------------------------------------------------------
+
+def _kron_two_body_q(sys_):
+    """The block-matrix assembly the index-built Q replaced, kept as its
+    reference: fixed center-of-mass and relative Fock layouts, their
+    Kronecker products with the momentum space, concatenated, not summed."""
+    x_op = sys_.relative_ops["x"]
+    u, m_cells = x_op.shape
+    kvals = np.asarray(sys_.cm_momenta, dtype=float)
+    c_over_k = -0.5 if sys_.variant == "s1" else 0.5
+    sizes = (u, u, m_cells, m_cells)
+    dim = len(kvals) * sum(sizes)
+
+    def fock_layout(entries):
+        # zero diagonal blocks fix every block row and column size
+        return sp.bmat([[entries.get((r, col), sp.csr_matrix((sizes[r], sizes[col]))
+                                     if r == col else None)
+                         for col in range(4)] for r in range(4)])
+
+    root2 = math.sqrt(2.0)
+    cm_block = fock_layout({(0, 1): root2 * sp.identity(u),
+                            (2, 3): root2 * sp.identity(m_cells)})
+    x_block = fock_layout({(0, 2): root2 * x_op, (1, 3): -root2 * x_op})
+    k_ix = np.arange(len(kvals))
+    cm_part = sp.kron(sp.coo_matrix((c_over_k * kvals, (k_ix, k_ix))), cm_block, format="coo")
+    x_part = sp.kron(sp.identity(len(kvals)), x_block, format="coo")
+    return sp.csr_matrix(sp.coo_matrix(
+        (np.r_[cm_part.data, x_part.data],
+         (np.r_[cm_part.row, x_part.row], np.r_[cm_part.col, x_part.col])), shape=(dim, dim)))
+
+
+_HARMONIC2 = ("harmonic_calogero", 1.0, 8.0)
+
+
+def _two_body(kind, alpha, hi, variant, cm, m=32):
+    omega = 1.0 if kind == "harmonic_calogero" else None
+    model = make_nbody_model(kind, 2, alpha, omega=omega)
+    return susy.build_susy(model, GridSpec.line(0.0, hi, m), variant, cm)
+
+
+@pytest.mark.parametrize("cm", [(0,), (0, 1, -1), susy.DEFAULT_CM_MOMENTA],
+                         ids=lambda cm: f"{len(cm)}cm")
+@pytest.mark.parametrize("variant", susy.VARIANTS)
+@pytest.mark.parametrize("kind", [_CS2, ("calogero", 1.5, 8.0), _HARMONIC2],
+                         ids=lambda kind: kind[0])
+def test_index_built_q_matches_kron_assembly(kind, variant, cm):
+    sys_ = _two_body(*kind, variant, cm)
+    q = _kron_two_body_q(sys_)
+    qdag = sp.csr_matrix(q.T)
+    ham = (qdag @ q + q @ qdag).tocsr()
+    for got, ref in ((sys_.Q, q), (sys_.Qdag, qdag), (sys_.H, ham)):
+        # bit for bit, signed zeros of the k = 0 entries included
+        assert np.array_equal(got.data.view(np.uint64), ref.data.view(np.uint64))
+        assert np.array_equal(got.indices, ref.indices)
+        assert np.array_equal(got.indptr, ref.indptr)
+
+
+@pytest.mark.parametrize("variant", susy.VARIANTS)
+def test_sector_eigh_solves_each_distinct_block_once(monkeypatch, variant):
+    sys_ = _two_body(*_CS2, variant, susy.DEFAULT_CM_MOMENTA)
+    eigh = np.linalg.eigh
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    # +k and -k share their blocks: 5 of 8 momenta, and 10 of the 16
+    # momentum and Fock-state blocks of the 1-fermion sector
+    for f, distinct in enumerate((5, 10, 5)):
+        calls.clear()
+        vals, vecs, ix = susy._sector_eigh(sys_, f)
+        assert len(calls) == distinct
+        # ... with the eigenvalues of solving every block
+        mat = sys_.sector_matrix(f)
+        labels = connected_components(mat != 0, directed=False)[1]
+        dense = mat.toarray()
+        every = np.concatenate([eigh(dense[np.ix_(rows, rows)])[0] for rows in
+                                (np.flatnonzero(labels == b) for b in range(labels.max() + 1))])
+        assert np.array_equal(vals, np.sort(every, kind="stable"))
+        assert np.max(np.linalg.norm(mat @ vecs - vecs * vals, axis=0)) <= 1e-10
+
+
+def _eager_diagnostics(sys_):
+    """The diagnostics as the builders once computed them, right after
+    assembly; the reference for the property read on demand."""
+    q, ham = sys_.Q, sys_.H
+    q2 = q @ q
+    out = {"q_squared_fro": float(np.sqrt(np.sum(np.abs(q2.data) ** 2)) if q2.nnz else 0.0),
+           "hermiticity_defect": susy._spmax(ham - ham.T),
+           "offblock_leak": sys_.offblock_leak()}
+    hq = ham @ q - q @ ham
+    scale = max(1.0, susy._spmax(ham)) * max(1.0, susy._spmax(q))
+    out["h_q_commutator"] = susy._spmax(hq) / scale
+    return out
+
+
+def test_variant_comparison_reads_eigenvalues_only(monkeypatch):
+    built = []
+    build = susy.build_susy
+
+    def recording_build(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    def no_rotation(sys_, f):
+        raise AssertionError("rotated states built")
+
+    monkeypatch.setattr(susy, "build_susy", recording_build)
+    monkeypatch.setattr(susy, "_rotated_states", no_rotation)
+    model = make_nbody_model("calogero_sutherland", 2, 1.0)
+    susy.variant_comparison(model, GridSpec.line(0.0, math.pi, 32))
+    assert [s.variant for s in built] == ["s1", "s2"]
+    for sys_ in built:
+        assert "diagnostics" not in vars(sys_)
+        assert sys_._charges == {}
+        assert sorted(sys_._sector_eig) == [0, 1, 2]
+        for eig in sys_._sector_eig.values():
+            assert "vecs" not in vars(eig) and eig.pairs is not None
+        # read later, the diagnostics are exactly the eager ones
+        assert sys_.diagnostics == _eager_diagnostics(sys_)
+
+
+@pytest.mark.parametrize("builder", ["two_body", "grid"])
+def test_diagnostics_on_first_read_equal_eager(monkeypatch, builder):
+    if builder == "two_body":
+        sys_ = _two_body(*_HARMONIC2, "s2", (0, 1, -1))
+    else:
+        model = make_nbody_model("calogero_sutherland", 3, 1.0)
+        sys_ = susy.build_susy(model, GridSpec.box(0.0, math.pi, 8, 3, sector="ordered"))
+    rotations = []
+    rotated_states = susy._rotated_states
+    monkeypatch.setattr(susy, "_rotated_states",
+                        lambda s, f: rotations.append(f) or rotated_states(s, f))
+    susy.pairing_check(sys_)
+    # tags and pairing read charge norms, never the rotated states
+    assert rotations == [] and "diagnostics" not in vars(sys_)
+    assert all(eig.pairs is None for eig in sys_._sector_eig.values())
+    eager = _eager_diagnostics(sys_)
+    assert sys_.diagnostics == eager
+    assert list(sys_.diagnostics) == list(eager)
+    susy.sector_sum_check(sys_, k=2)
+    assert rotations
