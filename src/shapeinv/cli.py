@@ -206,6 +206,8 @@ def cmd_susy(args) -> int:
     cfg = _merge(args, defaults)
     if cfg["variant"] not in ("s1", "s2", "both"):
         raise DomainError(f"variant must be s1, s2 or both, got {cfg['variant']!r}")
+    if cfg["levels"] < 1:
+        raise DomainError(f"levels must be at least 1, got {cfg['levels']}")
     model = _model_from_cfg(cfg)
     if model.n != 2:
         raise DomainError("the CLI susy command builds two-body systems")
@@ -214,7 +216,8 @@ def cmd_susy(args) -> int:
     out = _outdir(cfg)
     ok = True
     if cfg["variant"] == "both":
-        cmp = susy.variant_comparison(model, grid, cm, cfg["stencil_order"])
+        cmp = susy.variant_comparison(model, grid, cm, stencil_order=cfg["stencil_order"],
+                                      levels=cfg["levels"])
         _write_json(out / "variant_comparison.json", cmp, cfg)
         shared = cmp["sectors"][0]["relative_deviation_after_shift"] <= 1e-4
         distinct = cmp["sectors"][1]["relative_deviation_after_shift"] > 0.1

@@ -19,8 +19,12 @@ Full N-body grids (N >= 3) use square D_i + W_i ladders with skew D_i;
 there the commutators [A_i, A_j] survive at stencil order, so ||Q^2|| is
 reported as a diagnostic rather than guaranteed to vanish.
 
-scipy is imported inside the functions that call it: building a system
-loads scipy.sparse alone, and the sector analysis adds its csgraph.
+A two-body system is a direct sum over center-of-mass momenta, and each
+momentum holds four Fock blocks built from one dense relative ladder.  It
+is built and analyzed on numpy alone: its sector blocks, charge products
+and diagnostics are small block expressions, summed in the order of the
+sparse products they replace.  Its sparse Q, Q+ and H are assembled, with
+scipy.sparse, when first read; N >= 3 grids load scipy.sparse at build.
 """
 
 from __future__ import annotations
@@ -60,11 +64,10 @@ class FockBasis:
 
     Annihilators carry the ordered-string parity sign (-1)^(number of
     occupied modes below i), realizing the canonical anticommutators
-    exactly on integer matrices.
+    exactly on integer matrices.  They are sparse and built on first read:
+    two-body systems use the basis for its sector structure alone.
     """
     n_modes: int
-    annihilators: list = field(default_factory=list)
-    creators: list = field(default_factory=list)
 
     @property
     def dim(self) -> int:
@@ -76,6 +79,31 @@ class FockBasis:
     def sector_indices(self, f: int) -> np.ndarray:
         return np.array([s for s in range(self.dim)
                          if self.fermion_number(s) == f], dtype=int)
+
+    @cached_property
+    def annihilators(self) -> list:
+        import scipy.sparse as sp
+
+        ops = []
+        for i in range(self.n_modes):
+            rows, cols, vals = [], [], []
+            bit = 1 << i
+            low_mask = bit - 1
+            for s in range(self.dim):
+                if s & bit:
+                    sign = -1.0 if (s & low_mask).bit_count() % 2 else 1.0
+                    rows.append(s ^ bit)
+                    cols.append(s)
+                    vals.append(sign)
+            ops.append(sp.csr_matrix(sp.coo_matrix((vals, (rows, cols)),
+                                                   shape=(self.dim, self.dim))))
+        return ops
+
+    @cached_property
+    def creators(self) -> list:
+        import scipy.sparse as sp
+
+        return [sp.csr_matrix(op.T) for op in self.annihilators]
 
     def anticommutator_defect(self) -> float:
         """max |{psi_i, psi_j+} - delta_ij| + |{psi_i, psi_j}| over pairs."""
@@ -98,27 +126,15 @@ def _spmax(mat) -> float:
     return float(np.max(np.abs(mat.data))) if mat.nnz else 0.0
 
 
+def _absmax(arrays) -> float:
+    """Largest |entry| over dense arrays, 0.0 when they hold none."""
+    return max((float(np.max(np.abs(a))) for a in arrays if a.size), default=0.0)
+
+
 def make_fock_basis(n_modes: int) -> FockBasis:
     if n_modes < 1:
         raise DomainError("need at least one fermionic mode")
-    import scipy.sparse as sp
-
-    dim = 1 << n_modes
-    basis = FockBasis(n_modes)
-    for i in range(n_modes):
-        rows, cols, vals = [], [], []
-        bit = 1 << i
-        low_mask = bit - 1
-        for s in range(dim):
-            if s & bit:
-                sign = -1.0 if (s & low_mask).bit_count() % 2 else 1.0
-                rows.append(s ^ bit)
-                cols.append(s)
-                vals.append(sign)
-        op = sp.csr_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)))
-        basis.annihilators.append(op)
-        basis.creators.append(sp.csr_matrix(op.T))
-    return basis
+    return FockBasis(n_modes)
 
 
 # ---------------------------------------------------------------------------
@@ -126,16 +142,15 @@ def make_fock_basis(n_modes: int) -> FockBasis:
 # ---------------------------------------------------------------------------
 
 def _staggered_ladder(m_cells: int, length: float, w_fun, derivative_sign: int,
-                      to_nodes: bool) -> sp.csr_matrix:
-    """4th-order discretization of (sign * d/dr + w) between staggered grids.
+                      to_nodes: bool) -> np.ndarray:
+    """4th-order discretization of (sign * d/dr + w) between staggered grids,
+    as a dense banded matrix.
 
     to_nodes: midpoint values -> node values, shape (m-1, m); otherwise node
     values -> midpoint values, shape (m, m-1).  Dirichlet walls sit on the
     (excluded) boundary nodes; values beyond them are zero-extended, which
     is where the one-column surplus of the wide direction comes from.
     """
-    import scipy.sparse as sp
-
     h = length / m_cells
     u = m_cells - 1
     if to_nodes:
@@ -151,14 +166,33 @@ def _staggered_ladder(m_cells: int, length: float, w_fun, derivative_sign: int,
     w = np.asarray(w_fun(r_eval), dtype=float)
     if not np.all(np.isfinite(w)):
         raise DomainError("staggered grid point on a singularity")
-    rows, cols, vals = [], [], []
+    ladder = np.zeros(shape)
     for off, cd, ca in offsets:
         row = np.arange(max(0, -off), min(shape[0], shape[1] - off))
-        rows.append(row)
-        cols.append(row + off)
-        vals.append(derivative_sign * cd / (24.0 * h) + w[row] * ca / 16.0)
-    return sp.csr_matrix(sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape))
+        ladder[row, row + off] = derivative_sign * cd / (24.0 * h) + w[row] * ca / 16.0
+    return ladder
+
+
+def _band_apply(a: np.ndarray, v: np.ndarray, out: np.ndarray | None = None,
+                key=None) -> np.ndarray:
+    """out + a @ v for a dense banded matrix a (or a stack of them) and a
+    stack v of (..., a.shape[-1], n) operands, without BLAS.
+
+    Each entry is summed over the diagonals of a, in ascending offset order
+    sorted stably by `key`, starting from out (zeros when None).  Without a
+    key that is the order of a sparse product over a's sorted rows, whose
+    sums it reproduces bit for bit.  BLAS contracts to fused multiply-adds,
+    which round differently.
+    """
+    if out is None:
+        out = np.zeros(np.broadcast_shapes(a.shape[:-2], v.shape[:-2])
+                       + (a.shape[-2], v.shape[-1]))
+    rows, cols = np.nonzero(a)[-2:]
+    for d in sorted(np.unique(cols - rows), key=key):
+        lo, hi = max(0, -d), min(a.shape[-2], a.shape[-1] - d)
+        out[..., lo:hi, :] += (np.diagonal(a, d, axis1=-2, axis2=-1)[..., None]
+                               * v[..., lo + d:hi + d, :])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +205,13 @@ class SusySystem:
     read: `diagnostics` when read, the block eigensolve of a sector
     (`_sector_eig`) when its spectrum is asked for, and the cluster
     rotations and charge norms (`_charges`) when it is classified.
+
+    A two-body system is a direct sum over center-of-mass momenta.  It
+    keeps Q as its Fock blocks, c_k I per momentum (`cm_coeff`) and the
+    relative ladder xs = sqrt(2) X (`relative_ops["xs"]`), and H as its
+    per-momentum Fock blocks (`h_blocks`); the analysis reads these, and
+    the sparse Q, Q+ and H are assembled on first read.  N >= 3 grids
+    assemble them at build.
     """
     model: NBodyModel
     grid: GridSpec
@@ -179,23 +220,41 @@ class SusySystem:
     cm_momenta: tuple | None
     blocks: list                  # (cm_index, fock_state, offset, size)
     fermion_of: np.ndarray        # fermion number per degree of freedom
-    Q: sp.csr_matrix
-    Qdag: sp.csr_matrix
-    H: sp.csr_matrix
     relative_ops: dict = field(default_factory=dict)
     a_space: list | None = None   # square ladders (N >= 3 grids only)
     space_nodes: np.ndarray | None = None
+    cm_coeff: np.ndarray | None = None  # c_k per momentum (two-body only)
+    h_blocks: dict | None = field(default=None, repr=False)  # two-body only:
+    # {(state, state'): (n_k, size, size')}, H's Fock blocks per momentum
     _sector_eig: dict = field(default_factory=dict, repr=False)
     _charges: dict = field(default_factory=dict, repr=False)
 
     @property
     def dim(self) -> int:
-        return self.H.shape[0]
+        return len(self.fermion_of)
+
+    @cached_property
+    def Q(self):
+        """The supercharge, sparse: the grid builder sets it, and a two-body
+        system assembles it from its Fock blocks on first read."""
+        return _two_body_q(self)
+
+    @cached_property
+    def Qdag(self):
+        import scipy.sparse as sp
+
+        return sp.csr_matrix(self.Q.T)
+
+    @cached_property
+    def H(self):
+        return (self.Qdag @ self.Q + self.Q @ self.Qdag).tocsr()
 
     @cached_property
     def diagnostics(self) -> dict:
         """||Q^2||_F, max |H - H^T|, the off-block leak and the scaled
         max |[H, Q]|, computed on first read."""
+        if self.h_blocks is not None:
+            return _two_body_diagnostics(self)
         q, ham = self.Q, self.H
         q2 = q @ q
         hq = ham @ q - q @ ham
@@ -209,13 +268,17 @@ class SusySystem:
     def sector_indices(self, f: int) -> np.ndarray:
         return np.where(self.fermion_of == f)[0]
 
-    def sector_matrix(self, f: int) -> sp.csr_matrix:
+    def sector_matrix(self, f: int):
         """The sector-f diagonal block of H, sparse."""
         ix = self.sector_indices(f)
         return self.H[ix][:, ix]
 
     def offblock_leak(self) -> float:
         """Largest |H| entry connecting different fermion numbers (exact 0)."""
+        if self.h_blocks is not None:
+            number = self.fock.fermion_number
+            return _absmax(blk for (a, b), blk in self.h_blocks.items()
+                           if number(a) != number(b))
         coo = self.H.tocoo()
         cross = coo.data[self.fermion_of[coo.row] != self.fermion_of[coo.col]]
         return float(np.max(np.abs(cross))) if cross.size else 0.0
@@ -245,12 +308,12 @@ def _build_two_body(model: NBodyModel, grid: GridSpec, variant: str,
     The Fock states |s> and |sd> carry the phase i.  This diagonal unitary
     gauge leaves spectra, |Q v|, |Q+ v| and every diagnostic unchanged and
     turns c into the real -k/2 (s1) or +k/2 (s2), so Q, Q+ and H are real.
-    Each momentum block of Q is c times a fixed center-of-mass layout plus
-    a fixed relative layout, and the COO triplets of Q are written from
-    index arithmetic over the 4 Fock blocks and the momenta.
+    Per momentum, Q has four Fock blocks: psi_sum puts c_k = -+(k/2) sqrt(2)
+    on the diagonals of (|0>, |s>) and (|d>, |sd>), psi_diff puts
+    xs = sqrt(2) X in (|0>, |d>) and -xs in (|s>, |sd>).  The builder keeps
+    these and H's Fock blocks (`_two_body_h_blocks`), and declares one block
+    per momentum and Fock state.
     """
-    import scipy.sparse as sp
-
     if grid.dim != 1:
         raise DomainError("two-body systems take a 1-D relative grid")
     if stencil_order != 4:
@@ -260,57 +323,118 @@ def _build_two_body(model: NBodyModel, grid: GridSpec, variant: str,
     if lo != 0.0:
         raise DomainError("relative grids start at the coincidence wall r = 0")
     u = m_cells - 1
+    kvals = np.asarray(cm_momenta, dtype=float)
+    n_k = len(kvals)
+    if n_k == 0:
+        raise DomainError("need at least one center-of-mass momentum mode")
+    # the Fock blocks are dense, so every sector must fit the dense cap
+    for f, size in enumerate((u, u + m_cells, m_cells)):
+        _check_dense_cap(f, n_k * size)
     if variant == "s1":
         x_op = _staggered_ladder(m_cells, length, model.pair_w, +1, to_nodes=True)
         c_over_k = -0.5
     else:
         up = model.shifted(1.0)
         node_to_mid = _staggered_ladder(m_cells, length, up.pair_w, +1, to_nodes=False)
-        x_op = sp.csr_matrix(node_to_mid.T)     # wide, ~ (-d/dr + w(alpha+1))
+        x_op = np.ascontiguousarray(node_to_mid.T)   # wide, ~ (-d/dr + w(alpha+1))
         c_over_k = 0.5
-    kvals = np.asarray(cm_momenta, dtype=float)
-    if kvals.size == 0:
-        raise DomainError("need at least one center-of-mass momentum mode")
     fock = make_fock_basis(2)
     sizes = (u, u, m_cells, m_cells)
-    n_k = len(kvals)
-    dim = n_k * sum(sizes)
-    if dim > SPARSE_CAP:
-        raise DimensionCapError(f"total dimension {dim} exceeds cap {SPARSE_CAP}")
-    starts = (0, u, 2 * u, 2 * u + m_cells, 2 * u + 2 * m_cells)
+    starts = np.cumsum((0, *sizes))
     blocks = [(ik, f, ik * starts[4] + starts[f], sizes[f])
               for ik in range(n_k) for f in range(4)]
     fermion_of = np.tile(np.repeat([fock.fermion_number(f) for f in range(4)], sizes), n_k)
-
     root2 = math.sqrt(2.0)
+    xs = root2 * x_op
+    c = c_over_k * kvals * root2
+    h = length / m_cells
+    return SusySystem(model=model, grid=grid, variant=variant, fock=fock,
+                      cm_momenta=tuple(cm_momenta), blocks=blocks,
+                      fermion_of=fermion_of,
+                      relative_ops={"x": x_op, "xs": xs, "nodes": h * np.arange(1, m_cells),
+                                    "mids": h * (np.arange(m_cells) + 0.5)},
+                      cm_coeff=c, h_blocks=_two_body_h_blocks(xs, c))
+
+
+def _two_body_h_blocks(xs: np.ndarray, c: np.ndarray) -> dict:
+    """H = Q+Q + QQ+ per Fock state, stacked over the momenta.
+
+    Each entry is summed in the order of the sparse products (ascending
+    intermediate index), so the blocks equal those of the sparse H bit for
+    bit.  With G = sum_l xs[:, l] xs[:, l]^T and G2 = sum_l xs[l]^T xs[l],
+    both summed in ascending l from zero:
+      |0>:        c_k^2 I, then + xs[:, l] xs[:, l]^T in ascending l;
+      |s>:        G + c_k^2 I;
+      |d>, |sd>:  G2 + c_k^2 I.
+    G and G2 are shared by the momenta, and the +-k blocks are byte-equal.
+    The |s>-|d> terms c xs - xs c cancel exactly, so H holds no other block.
+    """
+    c2 = (c * c)[:, None, None]
+    eye_u, eye_m = np.eye(xs.shape[0]), np.eye(xs.shape[1])
+    h_mid = _band_apply(xs.T, xs) + c2 * eye_m
+    return {(0, 0): _band_apply(xs, xs.T, out=c2 * eye_u),
+            (1, 1): _band_apply(xs, xs.T) + c2 * eye_u,
+            (2, 2): h_mid, (3, 3): h_mid}
+
+
+def _two_body_q(sys: SusySystem):
+    """The sparse two-body Q: COO triplets from index arithmetic over its 4
+    Fock blocks and the momenta.  The k = 0 entries of c are stored zeros,
+    so the pattern of Q (and the summation order of H) does not depend on
+    the momenta."""
+    import scipy.sparse as sp
+
+    xs, c = sys.relative_ops["xs"], sys.cm_coeff
+    u, m_cells = xs.shape
+    starts = np.cumsum((0, u, u, m_cells, m_cells))
     # psi_sum moves |s> -> |0> and |sd> -> |d> with sign +1: c on the
     # diagonals of Fock blocks (0, 1) and (2, 3)
     cm_rows = np.r_[np.arange(u), starts[2] + np.arange(m_cells)]
     cm_cols = np.r_[starts[1] + np.arange(u), starts[3] + np.arange(m_cells)]
-    # psi_diff moves |d> -> |0> (+1) and |sd> -> |s> (-1): X in Fock blocks
+    # psi_diff moves |d> -> |0> (+1) and |sd> -> |s> (-1): xs in Fock blocks
     # (0, 2) and (1, 3)
-    x = x_op.tocoo()
-    x_rows = np.r_[x.row, starts[1] + x.row]
-    x_cols = np.r_[starts[2] + x.col, starts[3] + x.col]
-    x_vals = np.r_[root2 * x.data, -root2 * x.data]
-    # per momentum, offset by its block; the k = 0 entries of c are stored
-    # zeros, so the pattern of Q (and the summation order of H) does not
-    # depend on the momenta
-    shift = starts[4] * np.arange(n_k)[:, None]
-    q = sp.csr_matrix(sp.coo_matrix(
-        (np.r_[np.repeat(c_over_k * kvals * root2, len(cm_rows)), np.tile(x_vals, n_k)],
+    rows, cols = np.nonzero(xs)
+    x_rows = np.r_[rows, starts[1] + rows]
+    x_cols = np.r_[starts[2] + cols, starts[3] + cols]
+    x_vals = np.r_[xs[rows, cols], -xs[rows, cols]]
+    shift = starts[4] * np.arange(len(c))[:, None]
+    return sp.csr_matrix(sp.coo_matrix(
+        (np.r_[np.repeat(c, len(cm_rows)), np.tile(x_vals, len(c))],
          (np.r_[(shift + cm_rows).ravel(), (shift + x_rows).ravel()],
-          np.r_[(shift + cm_cols).ravel(), (shift + x_cols).ravel()])), shape=(dim, dim)))
-    qdag = sp.csr_matrix(q.T)
-    ham = (qdag @ q + q @ qdag).tocsr()
-    h = length / m_cells
-    nodes = h * np.arange(1, m_cells)
-    return SusySystem(model=model, grid=grid, variant=variant, fock=fock,
-                      cm_momenta=tuple(cm_momenta), blocks=blocks,
-                      fermion_of=fermion_of, Q=q, Qdag=qdag, H=ham,
-                      relative_ops={"x": x_op, "nodes": nodes,
-                                    "mids": h * (np.arange(m_cells) + 0.5)},
-                      space_nodes=None)
+          np.r_[(shift + cm_cols).ravel(), (shift + x_cols).ravel()])),
+        shape=(sys.dim, sys.dim)))
+
+
+def _two_body_diagnostics(sys: SusySystem) -> dict:
+    """The diagnostics of `SusySystem.diagnostics`, from Q's Fock blocks
+    (c I, xs, -xs, c I) and H's, each entry summed in the order of the
+    sparse products: they equal the formulas on the sparse Q and H.
+
+    Q^2 lives in the (|0>, |sd>) block alone, as c (-xs) + xs c; [H, Q]
+    lives in Q's four blocks, 8 block products, 4 of them with xs.  H Q sums
+    over each sparse row of H in its stored order, which is the reverse of
+    the order in which scipy's product and sum first touched the entries:
+    |0> rows hold the diagonal first, |s> rows hold it last where c_k != 0
+    (where c_k = 0, Q+Q adds nothing to them and the order is ascending).
+    """
+    xs, c = sys.relative_ops["xs"], sys.cm_coeff[:, None, None]
+    hb = sys.h_blocks
+    h0, h1, h2, h3 = (hb[s, s] for s in range(4))
+    q2 = c * -xs + 0.0 + xs * c     # a sparse sum starts at +0.0
+    q2 = q2[q2 != 0.0]
+    commutator = (
+        h0 * c - c * h1,
+        _band_apply(h0, xs, key=lambda d: d != 0) - _band_apply(xs, h2),
+        np.where(c != 0.0, _band_apply(h1, -xs, key=lambda d: d == 0), _band_apply(h1, -xs))
+        - _band_apply(-xs, h3),
+        h2 * c - c * h3)
+    scale = max(1.0, _absmax(hb.values())) * max(1.0, _absmax((c, xs)))
+    return {"q_squared_fro": float(np.sqrt(np.sum(np.abs(q2) ** 2))) if q2.size else 0.0,
+            "hermiticity_defect": _absmax(
+                blk - hb[b, a].swapaxes(1, 2) if (b, a) in hb else blk
+                for (a, b), blk in hb.items()),
+            "offblock_leak": sys.offblock_leak(),
+            "h_q_commutator": _absmax(commutator) / scale}
 
 
 def _build_grid(model: NBodyModel, grid: GridSpec, variant: str,
@@ -337,12 +461,13 @@ def _build_grid(model: NBodyModel, grid: GridSpec, variant: str,
     for i in range(model.n):
         lowering = ladders[i] if variant == "s1" else sp.csr_matrix(ladders[i].T)
         q = q + sp.kron(lowering, fock.annihilators[i], format="csr")
-    qdag = sp.csr_matrix(q.T)
-    ham = (qdag @ q + q @ qdag).tocsr()
     fermion_of = np.tile([fock.fermion_number(f) for f in range(fock.dim)], n_nodes)
-    return SusySystem(model=model, grid=grid, variant=variant, fock=fock,
-                      cm_momenta=None, blocks=[], fermion_of=fermion_of,
-                      Q=q, Qdag=qdag, H=ham, a_space=ladders, space_nodes=nodes)
+    system = SusySystem(model=model, grid=grid, variant=variant, fock=fock,
+                        cm_momenta=None, blocks=[], fermion_of=fermion_of,
+                        a_space=ladders, space_nodes=nodes)
+    system.Q = q
+    _ = system.H   # grid systems assemble Q+ and H at build
+    return system
 
 
 def build_susy(model: NBodyModel, grid: GridSpec, variant: str = "s1",
@@ -391,35 +516,47 @@ class _SectorEigen:
         return vecs
 
 
+def _check_dense_cap(f: int, size: int):
+    if size > DENSE_SECTOR_CAP:
+        raise DimensionCapError(
+            f"sector {f} dimension {size} exceeds dense cap {DENSE_SECTOR_CAP}")
+
+
+def _sector_parts(sys: SusySystem, f: int) -> list:
+    """The blocks of sector f as its builder declares them: (rows, block)
+    pairs, rows indexing the sector and block dense.
+
+    Two-body systems declare one block per center-of-mass momentum and
+    Fock state (`SusySystem.blocks`), read from `h_blocks`: H couples no
+    two of them.  An N >= 3 grid sector is one block.
+    """
+    if sys.h_blocks is None:
+        return [(np.arange(len(sys.sector_indices(f))), sys.sector_matrix(f).toarray())]
+    parts, first = [], 0
+    for ik, state, _, size in sys.sector_blocks(f):
+        parts.append((np.arange(first, first + size), sys.h_blocks[state, state][ik]))
+        first += size
+    return parts
+
+
 def _sector_solve(sys: SusySystem, f: int) -> _SectorEigen:
     """The block-wise eigensolve of sector f, cached on the system.
 
-    The sector matrix splits exactly into the connected components of its
-    sparsity graph: on two-body systems one per center-of-mass momentum,
-    and one per momentum and Fock state in the 1-fermion sector; a single
-    one on N >= 3 grids.  Each distinct block is solved once by a dense
-    real eigh, keyed by its bytes: H_k depends on k^2 alone, so the +k and
-    -k blocks are bit-identical and share their eigenpairs.  The
-    eigenvalues are merged by a stable sort.
+    The blocks are those the builder declares (`_sector_parts`), not
+    searched for.  Each distinct block is solved once by a dense real
+    eigh, keyed by its bytes: H_k depends on k^2 alone, so the +k and -k
+    blocks are bit-identical and share their eigenpairs.  The eigenvalues
+    are merged by a stable sort.
     """
     if f not in sys._sector_eig:
-        from scipy.sparse.csgraph import connected_components
-
         ix = sys.sector_indices(f)
-        if len(ix) > DENSE_SECTOR_CAP:
-            raise DimensionCapError(
-                f"sector {f} dimension {len(ix)} exceeds dense cap {DENSE_SECTOR_CAP}")
-        mat = sys.sector_matrix(f)
-        # != 0 drops stored zeros (the 1-fermion cross terms cancel exactly)
-        n_blocks, labels = connected_components(mat != 0, directed=False)
-        members = [np.flatnonzero(labels == b) for b in range(n_blocks)]
-        dense = mat.toarray()
-        solved, pairs = {}, []
-        for rows in members:
-            block = dense[np.ix_(rows, rows)]
+        _check_dense_cap(f, len(ix))
+        members, solved, pairs = [], {}, []
+        for rows, block in _sector_parts(sys, f):
             key = (block.shape, block.tobytes())
             if key not in solved:
                 solved[key] = np.linalg.eigh(block)
+            members.append(rows)
             pairs.append(solved[key])
         all_vals = np.concatenate([bvals for bvals, _ in pairs])
         order = np.argsort(all_vals, kind="stable")
@@ -455,10 +592,43 @@ def _cluster_slices(vals: np.ndarray, rel: float = 1e-8):
     return slices
 
 
-def _charge_product(op: sp.csr_matrix, ix: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """op applied to the sector eigenvectors, on the rows op can reach only."""
-    cols = op[:, ix]
-    return cols[cols.getnnz(axis=1) > 0] @ vecs
+def _charge_products(sys: SusySystem, f: int, eig: _SectorEigen) -> tuple:
+    """(Q v, Q+ v) for the sector-f eigenvectors eig.vecs, on the rows each
+    operator can reach from the sector, in ascending order.
+
+    On two-body systems each eigenvector lives on one momentum, so the
+    products run per momentum on that momentum's eigenvectors alone, with
+    Q's Fock blocks, summed in the order of the sparse product, which they
+    equal bit for bit; every other entry is +0.0, as there.  The sector's
+    rows are (|0>), (|s>, |d>) or (|sd>) per momentum.
+    """
+    vecs = eig.vecs
+    n = vecs.shape[1]
+    if sys.h_blocks is None:
+        return tuple(cols[cols.getnnz(axis=1) > 0] @ vecs
+                     for cols in (sys.Q[:, eig.ix], sys.Qdag[:, eig.ix]))
+    xs, c = sys.relative_ops["xs"], sys.cm_coeff[:, None, None]
+    # the blocks run momentum by momentum, so column holds each momentum's
+    # eigenvector columns in turn; v[k] is momentum k's eigenvectors on its
+    # rows (the two index arrays put the momentum and column axes first)
+    k, cols = np.arange(len(c))[:, None], eig.column.reshape(len(c), -1)
+    v = vecs.reshape(len(c), -1, n)[k, :, cols].transpose(0, 2, 1)
+    # + 0.0: a sparse sum starts at +0.0, so it turns the -0.0 of k = 0 into +0.0
+    if f == 0:      # Q+ reaches |s> (c) and |d> (xs^T)
+        qv, qdv = (), (c * v + 0.0, _band_apply(xs.T, v))
+    elif f == 1:    # Q reaches |0> (c, xs), Q+ reaches |sd> (-xs^T, c)
+        vs, vd = v[:, :xs.shape[0]], v[:, xs.shape[0]:]
+        qv = (_band_apply(xs, vd, out=c * vs + 0.0),)
+        qdv = (_band_apply(-xs.T, vs) + c * vd,)
+    else:           # Q reaches |s> (-xs) and |d> (c)
+        qv, qdv = (_band_apply(-xs, v), c * v + 0.0), ()
+    out = []
+    for rows in (qv, qdv):
+        full = np.zeros((len(c), sum(r.shape[1] for r in rows), n))
+        if rows:
+            full[k, :, cols] = np.concatenate(rows, axis=1).transpose(0, 2, 1)
+        out.append(full.reshape(-1, n))
+    return tuple(out)
 
 
 def _sector_charges(sys: SusySystem, f: int):
@@ -473,9 +643,9 @@ def _sector_charges(sys: SusySystem, f: int):
     tolerance.
     """
     if f not in sys._charges:
-        vals, vecs, ix = _sector_eigh(sys, f)
-        qv = _charge_product(sys.Q, ix, vecs)
-        qdv = _charge_product(sys.Qdag, ix, vecs)
+        eig = _sector_solve(sys, f)
+        vals = eig.vals
+        qv, qdv = _charge_products(sys, f, eig)
         starts = np.array([sl.start for sl in _cluster_slices(vals)])
         sizes = np.diff(starts, append=len(vals))
         lam = np.repeat(np.add.reduceat(vals, starts) / sizes, sizes)

@@ -190,6 +190,33 @@ def test_susy_variant_both(tmp_path):
     assert payload["sectors"]["1"]["relative_deviation_after_shift"] > 0.1
 
 
+def test_susy_variant_both_reads_levels(tmp_path):
+    # the shift is fitted to the lowest `levels` levels of each sector: one
+    # level always fits it exactly, so the 1-fermion spectra cannot differ
+    deviations = {}
+    for levels, expected_code in ((1, 1), (6, 0)):
+        out = tmp_path / str(levels)
+        code = run(["susy", "--kind", "cs", "--n", "2", "--alpha", "1", "--variant", "both",
+                    "--grid-m", "32", "--levels", str(levels),
+                    "--outdir", str(out)])
+        assert code == expected_code
+        payload = json.loads((out / "variant_comparison.json").read_text())
+        deviations[levels] = [payload["sectors"][f]["relative_deviation_after_shift"]
+                              for f in "012"]
+    assert deviations[1] == [0.0, 0.0, 0.0]
+    assert deviations[6][1] > 0.1
+
+
+@pytest.mark.parametrize("levels", [0, -1])
+def test_susy_levels_below_one_rejected(tmp_path, capsys, levels):
+    for variant in ("s1", "both"):
+        code = run(["susy", "--grid-m", "16", "--variant", variant, "--levels", str(levels),
+                    "--outdir", str(tmp_path)])
+        assert code == 2
+        assert "levels must be at least 1" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_susy_invalid_variant(tmp_path):
     assert run(["susy", "--variant", "s9", "--outdir", str(tmp_path)]) == 2
 
@@ -357,8 +384,9 @@ def test_module_entry_point(tmp_path):
 
 
 def test_numpy_only_commands_never_load_scipy(tmp_path):
-    # a fresh interpreter: the jet checks, the 1-D chain and the N = 3
-    # ground state run on numpy alone; a grid spectrum loads the solvers
+    # a fresh interpreter: the jet checks, the 1-D chain, the N = 3 ground
+    # state and two-body SUSY run on numpy alone; a grid spectrum loads the
+    # solvers
     script = f"""
 import sys
 import shapeinv, shapeinv.cli, shapeinv.spectral, shapeinv.susy
@@ -374,6 +402,9 @@ assert cli.main(["chain", "--levels", "1", "--grid-m", "512",
                  "--outdir", out + "/chain"]) == 0
 assert cli.main(["groundstate", "--kind", "cs", "--n", "3", "--trials", "5",
                  "--outdir", out + "/groundstate"]) == 0
+for variant in ("s1", "both"):
+    assert cli.main(["susy", "--kind", "cs", "--n", "2", "--alpha", "1", "--grid-m", "32",
+                     "--variant", variant, "--outdir", out + "/susy_" + variant]) == 0
 assert not scipy_modules(), scipy_modules()
 assert cli.main(["spectrum", "--family", "rosen-morse", "--nmax", "1",
                  "--grid-m", "600", "--outdir", out + "/spectrum"]) == 0

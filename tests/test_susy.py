@@ -419,12 +419,25 @@ def test_staggered_ladder_matches_loop_stencil():
                 for to_nodes in (True, False):
                     got = susy._staggered_ladder(m_cells, hi, model.pair_w, sign, to_nodes)
                     ref = loop_ladder(m_cells, hi, model.pair_w, sign, to_nodes)
-                    assert np.array_equal(got.toarray(), ref)
+                    assert np.array_equal(got, ref)
 
 
 def test_offblock_leak_reports_a_cross_sector_entry():
     model = make_nbody_model("calogero_sutherland", 2, 1.0)
     sys_ = susy.build_susy(model, GridSpec.line(0.0, math.pi, 16), "s1", (0, 1))
+    # the analysis reads H's Fock blocks: entries (3, 5) and (5, 3) of the
+    # (|0>, |s>) and (|s>, |0>) blocks at the first momentum, which join
+    # entry 3 of sector 0 and entry 5 of sector 1
+    u = sys_.blocks[0][3]
+    to_s, to_0 = np.zeros((2, u, u)), np.zeros((2, u, u))
+    to_s[0, 3, 5], to_0[0, 5, 3] = 2.5e-9, -3.5e-9
+    sys_.h_blocks[0, 1], sys_.h_blocks[1, 0] = to_s, to_0
+    assert sys_.offblock_leak() == 3.5e-9
+
+
+def test_offblock_leak_reports_a_cross_sector_entry_on_a_grid():
+    model = make_nbody_model("calogero_sutherland", 3, 1.0)
+    sys_ = susy.build_susy(model, GridSpec.box(0.0, math.pi, 8, 3, sector="ordered"))
     i, j = sys_.sector_indices(0)[3], sys_.sector_indices(1)[5]
     leak = sp.csr_matrix(([2.5e-9, -3.5e-9], ([i, j], [j, i])), shape=sys_.H.shape)
     sys_.H = sys_.H + leak
@@ -488,6 +501,32 @@ def test_index_built_q_matches_kron_assembly(kind, variant, cm):
         assert np.array_equal(got.data.view(np.uint64), ref.data.view(np.uint64))
         assert np.array_equal(got.indices, ref.indices)
         assert np.array_equal(got.indptr, ref.indptr)
+
+
+@pytest.mark.parametrize("case", [
+    *((kind, variant, cm) for kind in (_CS2, ("calogero", 1.5, 8.0), _HARMONIC2)
+      for variant in susy.VARIANTS
+      for cm in ((0,), (0, 1, -1), susy.DEFAULT_CM_MOMENTA)),
+    *(("cs3_grid", variant, None) for variant in susy.VARIANTS),
+], ids=lambda c: f"cs3_grid-{c[1]}" if c[0] == "cs3_grid" else f"{c[0][0]}-{c[1]}-{len(c[2])}cm")
+def test_declared_blocks_are_the_connected_components(case):
+    kind, variant, cm = case
+    if kind == "cs3_grid":
+        model = make_nbody_model("calogero_sutherland", 3, 1.0)
+        sys_ = susy.build_susy(model, GridSpec.box(0.0, math.pi, 8, 3, sector="ordered"),
+                               variant)
+    else:
+        sys_ = _two_body(*kind, variant, cm)
+    for f in range(sys_.model.n + 1):
+        mat = sys_.sector_matrix(f)
+        n_blocks, labels = connected_components(mat != 0, directed=False)
+        parts = susy._sector_parts(sys_, f)
+        assert len(parts) == n_blocks
+        dense = mat.toarray()
+        for b, (rows, block) in enumerate(parts):
+            assert np.array_equal(rows, np.flatnonzero(labels == b))
+            # ... holding the entries of the sparse H byte for byte
+            assert block.tobytes() == dense[np.ix_(rows, rows)].tobytes()
 
 
 @pytest.mark.parametrize("variant", susy.VARIANTS)
