@@ -19,6 +19,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -63,6 +64,18 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
+def _write_text(path: Path, text: str, newline: str | None = None):
+    """Write text to path, overwriting an existing file in place and cutting
+    it to the new length.  Opening with truncation to zero would make ext4
+    (auto_da_alloc) start a disk write when the file closes, and the next
+    rewrite of the file would wait for it: a millisecond or more per report,
+    far more on a busy disk."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", newline=newline) as fh:
+        fh.write(text)
+        fh.truncate()
+
+
 def _write_json(path: Path, payload: dict, cfg: dict):
     # outdir is not a scientific input: reports are byte-identical wherever
     # they are written
@@ -70,15 +83,14 @@ def _write_json(path: Path, payload: dict, cfg: dict):
     payload = dict(payload)
     payload["config"] = cfg
     payload["config_sha256"] = _config_hash(cfg)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _write_csv(path: Path, header, rows):
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(c) if isinstance(c, float) else str(c)
-                              for c in row) + "\n")
+    lines = [",".join(header)]
+    lines += [",".join(repr(c) if isinstance(c, float) else str(c) for c in row)
+              for row in rows]
+    _write_text(path, "\n".join(lines) + "\n", newline="\n")
 
 
 def _model_from_cfg(cfg: dict):
@@ -166,7 +178,7 @@ def cmd_spectrum(args) -> int:
                 vec = res.eigenvectors[:, k]
                 lines = [f"{float(x)!r} {float(v)!r}"
                          for x, v in zip(ham.nodes[:, 0], vec)]
-                (out / f"state_{k}.txt").write_text("\n".join(lines) + "\n")
+                _write_text(out / f"state_{k}.txt", "\n".join(lines) + "\n")
         print(f"{'PASS' if worst <= cfg['tol'] else 'FAIL'}  spectrum: "
               f"max rel error {worst:.3e} (tol {cfg['tol']:.0e})")
         return 0 if worst <= cfg["tol"] else 1
@@ -283,8 +295,8 @@ def cmd_groundstate(args) -> int:
                                                        cfg["stencil_order"])
         state_info["grid_residual"] = grid_resid
         if cfg["dump"]:
-            (out / "groundstate_state.txt").write_text(
-                spectral.dump_grid_function(gf))
+            _write_text(out / "groundstate_state.txt",
+                        spectral.dump_grid_function(gf))
     _write_json(out / "groundstate.json", state_info, cfg)
     if not state_info["normalizable"]:
         print(f"WARN  ground state not normalizable for {model.kind} "
@@ -319,8 +331,8 @@ def cmd_chain(args) -> int:
         rows.append((nlev, float(expected), float(rq), float(rel),
                      gf.sign_changes()))
         if cfg["dump"]:
-            (out / f"chain_state_{nlev}.txt").write_text(
-                "\n".join(gf.to_text_rows()) + "\n")
+            _write_text(out / f"chain_state_{nlev}.txt",
+                        "\n".join(gf.to_text_rows()) + "\n")
     _write_csv(out / "chain.csv",
                ("level", "algebraic", "rayleigh", "rel_error", "nodes"), rows)
     ok = worst <= cfg["tol"]

@@ -122,6 +122,7 @@ class SpectrumResult:
     norm_est: float
     nnz: int                     # stored entries of H
     shift: float | None          # sigma of the shift-invert path, else None
+    matvecs: int | None          # Lanczos operator applications, None if dense
 
     def max_relative_residual(self) -> float:
         return float(np.max(self.residual_norms) / max(self.norm_est, 1e-300))
@@ -279,7 +280,24 @@ def _residual_norms(mat, w, v) -> np.ndarray:
     return np.linalg.norm(mat @ v - v * w, axis=0)
 
 
-def _shift_invert(ham: SparseHamiltonian, k: int, v0: np.ndarray, maxiter: int):
+def _counted(n: int, apply):
+    """A LinearOperator that applies `apply`, and a one-item list counting
+    its calls.  The operator holds no reference to itself, so the matrix or
+    factorization that `apply` is bound to is freed with it, not by a later
+    garbage collection."""
+    import scipy.sparse.linalg as spla
+
+    calls = [0]
+
+    def matvec(x):
+        calls[0] += 1
+        return apply(x)
+
+    return spla.LinearOperator((n, n), matvec=matvec, dtype=float), calls
+
+
+def _shift_invert(ham: SparseHamiltonian, k: int, v0: np.ndarray, maxiter: int,
+                  norm_est: float):
     """Lanczos on (H - sigma)^-1 with sigma one below the potential floor.
 
     The kinetic term is positive semi-definite, so sigma lies below the
@@ -288,7 +306,7 @@ def _shift_invert(ham: SparseHamiltonian, k: int, v0: np.ndarray, maxiter: int):
     law of inertia every pivot is positive exactly when sigma is below every
     eigenvalue.  A 1-D band factorizes without fill; the wrap-around
     entries of a periodic ring fill only the last rows and columns.
-    Returns the eigenpairs and sigma."""
+    Returns the eigenpairs, sigma and the number of LU solves."""
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
@@ -306,10 +324,13 @@ def _shift_invert(ham: SparseHamiltonian, k: int, v0: np.ndarray, maxiter: int):
     if np.any(lu.perm_r != np.arange(n)) or not np.all(pivots > 0):
         raise ConvergenceError(f"shift {sigma:.6g} is not below the spectrum: "
                                "H - shift has a non-positive or exchanged pivot")
-    opinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+    opinv, solves = _counted(n, lu.solve)
+    # ARPACK accepts (H - sigma)^-1 v = theta v + r at ||r|| <= tol |theta|;
+    # times H - sigma that is ||Hv - lambda v|| <= (||H|| + |sigma|) tol
+    tol = RESIDUAL_CONTRACT * norm_est / (norm_est + abs(sigma))
     w, v = spla.eigsh(ham.matrix, k=k, sigma=sigma, which="LM", v0=v0,
-                      OPinv=opinv, maxiter=maxiter, tol=0)
-    return w, v, sigma
+                      OPinv=opinv, maxiter=maxiter, tol=tol)
+    return w, v, sigma, solves[0]
 
 
 def eigen(ham: SparseHamiltonian, k: int, seed: int = 0,
@@ -323,15 +344,28 @@ def eigen(ham: SparseHamiltonian, k: int, seed: int = 0,
     by `seed`.  Shift-invert puts its shift one below the potential floor
     that `discretize` records in `ham.info` and fails loudly if the shift is
     not below the spectrum.  Every returned eigenpair is held to
-    ||Hv - lambda v|| <= 1e-8 ||H||_est.  The result records the path, the
-    nnz of H and the shift (None off the shift-invert path).
+    ||Hv - lambda v|| <= 1e-8 ||H||_est (RESIDUAL_CONTRACT).
+
+    Both Lanczos paths stop at that contract, not at machine precision.
+    ARPACK accepts a Ritz pair (theta, v) of its operator at ||r|| <= tol
+    |theta|.  On the 'SA' path tol = 1e-8, and |theta| <= ||H||_2 <=
+    ||H||_est.  On the shift-invert path tol = 1e-8 ||H||_est / (||H||_est +
+    |sigma|), and ||Hv - lambda v|| <= ||H - sigma|| ||r|| / |theta| <=
+    (||H||_est + |sigma|) tol.  So every accepted pair meets the contract a
+    priori; the check after the solve still gates it.  The eigenvalue error
+    is second order in the residual (||r||^2 / gap for a symmetric H).
+
+    The result records the path, the nnz of H, the shift (None off the
+    shift-invert path) and the number of Lanczos operator applications:
+    products with H on 'SA', LU solves on shift-invert, None when dense.
     """
     n = ham.dim
     if not 1 <= k < n:
         raise DomainError(f"need 1 <= k < dim, got k={k}, dim={n}")
     mat = ham.matrix
+    norm_est = ham.norm_est()
     solver = method
-    shift = None
+    shift = matvecs = None
     if method == "auto":
         if ham.grid.dim == 1:
             solver = "shift_invert"
@@ -353,9 +387,12 @@ def eigen(ham: SparseHamiltonian, k: int, seed: int = 0,
         maxiter = max(5000, 50 * k)
         try:
             if solver == "iterative":
-                w, v = spla.eigsh(mat, k=k, which="SA", v0=v0, maxiter=maxiter, tol=0)
+                op, products = _counted(n, mat.dot)
+                w, v = spla.eigsh(op, k=k, which="SA", v0=v0, maxiter=maxiter,
+                                  tol=RESIDUAL_CONTRACT)
+                matvecs = products[0]
             else:
-                w, v, shift = _shift_invert(ham, k, v0, maxiter)
+                w, v, shift, matvecs = _shift_invert(ham, k, v0, maxiter, norm_est)
         except spla.ArpackNoConvergence as exc:
             raise ConvergenceError(
                 f"{solver} Lanczos failed to converge",
@@ -368,12 +405,12 @@ def eigen(ham: SparseHamiltonian, k: int, seed: int = 0,
     w = np.asarray(w, dtype=float)
     v = np.asarray(v, dtype=float)
     residuals = _residual_norms(mat, w, v)
-    norm_est = ham.norm_est()
     if np.max(residuals) > RESIDUAL_CONTRACT * norm_est:
         raise ConvergenceError(
             f"eigen-residual contract violated: {np.max(residuals):.2e} > "
             f"{RESIDUAL_CONTRACT:.0e} * {norm_est:.2e}", residuals=residuals)
-    return SpectrumResult(w, v, residuals, solver, norm_est, mat.nnz, shift)
+    return SpectrumResult(w, v, residuals, solver, norm_est, mat.nnz, shift,
+                          matvecs)
 
 
 # ---------------------------------------------------------------------------

@@ -583,13 +583,17 @@ def sector_spectra(sys: SusySystem, k: int | None = None) -> dict:
     return out
 
 
-def _cluster_slices(vals: np.ndarray, rel: float = 1e-8):
-    slices, start = [], 0
-    for i in range(1, len(vals) + 1):
-        if i == len(vals) or abs(vals[i] - vals[start]) > rel * max(1.0, abs(vals[start])):
-            slices.append(slice(start, i))
-            start = i
-    return slices
+def _cluster_starts(vals: np.ndarray, rel: float = 1e-8) -> np.ndarray:
+    """Index of the first value of each cluster of the ascending vals.  A
+    cluster runs while a value stays within rel * max(1, |first|) of its
+    first value.  The loop runs over Python floats, which round exactly like
+    the float64 entries."""
+    starts, bound = [], None
+    for i, x in enumerate(vals.tolist()):
+        if bound is None or abs(x - first) > bound:
+            starts.append(i)
+            first, bound = x, rel * max(1.0, abs(x))
+    return np.array(starts, dtype=int)
 
 
 def _charge_products(sys: SusySystem, f: int, eig: _SectorEigen) -> tuple:
@@ -646,7 +650,7 @@ def _sector_charges(sys: SusySystem, f: int):
         eig = _sector_solve(sys, f)
         vals = eig.vals
         qv, qdv = _charge_products(sys, f, eig)
-        starts = np.array([sl.start for sl in _cluster_slices(vals)])
+        starts = _cluster_starts(vals)
         sizes = np.diff(starts, append=len(vals))
         lam = np.repeat(np.add.reduceat(vals, starts) / sizes, sizes)
         rotations = []

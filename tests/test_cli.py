@@ -299,6 +299,20 @@ def test_chain_levels(tmp_path):
     assert (tmp_path / "chain_state_1.txt").exists()
 
 
+def test_rerun_into_same_outdir_rewrites_reports_whole(tmp_path):
+    """Reports are overwritten in place; a shorter rerun leaves no old tail."""
+    def chain(levels, outdir):
+        assert run(["chain", "--family", "rosen-morse", "--b", "2", "--a", "1",
+                    "--levels", str(levels), "--grid-m", "1024",
+                    "--outdir", str(outdir)]) == 0
+        return (outdir / "chain.csv").read_bytes()
+
+    fresh = chain(1, tmp_path / "fresh")
+    chain(3, tmp_path / "rerun")
+    assert chain(1, tmp_path / "rerun") == fresh
+    assert len(fresh.splitlines()) == 3
+
+
 @pytest.mark.parametrize("flags,message", [
     (["--a", "0"], "grid endpoints must be finite"),
     (["--family", "nope"], "unknown family 'nope'"),

@@ -204,10 +204,15 @@ def test_rosen_morse_grid_levels():
 
 
 def test_eigen_residual_contract():
-    ham = spectral.discretize(_rm(), GridSpec.line(0.0, math.pi, 500), 4)
-    res = spectral.eigen(ham, 6)
-    assert np.all(res.residual_norms <= 1e-8 * res.norm_est)
-    assert np.all(np.diff(res.eigenvalues) >= 0)
+    # a 1-D operator (shift-invert) and an N-D one (SA Lanczos)
+    cs3 = make_nbody_model("calogero_sutherland", 3, 1.0)
+    for ham in (spectral.discretize(_rm(), GridSpec.line(0.0, math.pi, 500), 4),
+                spectral.discretize(cs3, GridSpec.box(0.0, math.pi, 16, 3,
+                                                      sector="ordered"), 4)):
+        res = spectral.eigen(ham, 6)
+        assert res.solver in ("shift_invert", "iterative")
+        assert np.all(res.residual_norms <= 1e-8 * res.norm_est)
+        assert np.all(np.diff(res.eigenvalues) >= 0)
 
 
 def test_dense_iterative_agreement():
@@ -227,6 +232,10 @@ def test_eigen_records_nnz_and_shift(method):
         assert res.shift == ham.info["potential_floor"] - 1.0
     else:
         assert res.shift is None
+    if method == "dense":
+        assert res.matvecs is None
+    else:
+        assert res.matvecs > 0
 
 
 HARMONIC2 = make_nbody_model("harmonic_calogero", 2, 2.0, omega=1.0)
@@ -262,6 +271,22 @@ def test_auto_takes_lanczos_above_the_dense_cutoff(kind, alpha, lo, hi, m, k):
     dense = spectral.eigen(ham, k, method="dense")
     assert (auto.solver, dense.solver) == ("iterative", "dense")
     assert np.max(np.abs(auto.eigenvalues - dense.eigenvalues)) < 1e-9
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_lanczos_keeps_exact_degeneracies_of_the_free_box(seed):
+    # the free 2-D box has the levels p^2 + q^2 of its 1-D stencil, each
+    # p != q twice (5.064, 10.123, 13.16, 17.192 among the lowest ten); SA
+    # Lanczos stops at the residual contract and must still keep both copies
+    ham = spectral.discretize(lambda x: np.zeros(len(x)), GridSpec.box(
+        0.0, math.pi, 24, 2), 4)
+    assert ham.dim == 529 > spectral.DENSE_CUTOFF
+    auto = spectral.eigen(ham, 10, seed=seed)
+    dense = spectral.eigen(ham, 10, method="dense")
+    assert (auto.solver, dense.solver) == ("iterative", "dense")
+    levels = dense.eigenvalues
+    assert np.sum(np.abs(np.diff(levels)) < 1e-9) == 4
+    assert np.max(np.abs(auto.eigenvalues - levels)) < 1e-9
 
 
 def test_shift_invert_rejects_shift_inside_spectrum():

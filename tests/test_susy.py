@@ -249,6 +249,33 @@ def test_cm_momenta_order_and_blocks():
     assert connected_components(s.sector_matrix(0) != 0, directed=False)[0] == 12
 
 
+def _reference_cluster_slices(vals, rel=1e-8):
+    """The start-anchored cluster rule as a loop over float64 entries, kept as
+    the reference for `susy._cluster_starts`."""
+    slices, start = [], 0
+    for i in range(1, len(vals) + 1):
+        if i == len(vals) or abs(vals[i] - vals[start]) > rel * max(1.0, abs(vals[start])):
+            slices.append(slice(start, i))
+            start = i
+    return slices
+
+
+def test_cluster_starts_match_reference_rule():
+    # clustered ascending values whose in-cluster spreads straddle the
+    # threshold rel * max(1, |first|), on both sides of |first| = 1
+    rng = np.random.default_rng(7)
+    for _ in range(500):
+        scale = 10.0 ** rng.uniform(-3, 3)
+        levels = np.sort(rng.uniform(-1, 1, rng.integers(1, 12)) * scale)
+        size = rng.integers(1, 5, len(levels))
+        spread = rng.uniform(0.0, 2.0, size.sum()) * 1e-8 * np.maximum(
+            1.0, np.abs(np.repeat(levels, size)))
+        vals = np.sort(np.repeat(levels, size) + spread)
+        expected = [sl.start for sl in _reference_cluster_slices(vals)]
+        assert susy._cluster_starts(vals).tolist() == expected
+    assert susy._cluster_starts(np.array([])).tolist() == []
+
+
 def _reference_classify(sys_, zero_tol=1e-2, split_tol=1e-6, ops=None):
     """Dense per-cluster tagging on the embedded sector eigenvectors, kept as
     the reference for the cached block-wise classification.  ops = (Q, Q+, H)
@@ -268,7 +295,7 @@ def _reference_classify(sys_, zero_tol=1e-2, split_tol=1e-6, ops=None):
         tags = [None] * len(vals)
         qn, qdn = np.full(len(vals), np.nan), np.full(len(vals), np.nan)
         counts = {"ker_q": 0, "ker_qdag": 0, "zero": 0}
-        for sl in susy._cluster_slices(vals):
+        for sl in _reference_cluster_slices(vals):
             lam = float(vals[sl].mean())
             if lam < zero_tol:
                 for t in range(sl.start, sl.stop):
