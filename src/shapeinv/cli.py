@@ -23,8 +23,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import models, shape1d, spectral, susy, verify
 from .errors import DomainError, ShapeInvError
 from .models import make_nbody_model, make_prepotential_1d, parse_key_values
@@ -154,7 +152,6 @@ def cmd_spectrum(args) -> int:
                 "domain_max": None, "tol": 1e-3, "seed": 0,
                 "reduce": False, "outdir": ".", "dump": False}
     cfg = _merge(args, defaults)
-    out = _outdir(cfg)
     if cfg["family"]:
         prep = _prepotential_from_cfg(cfg)
         lo, hi = prep.domain()
@@ -163,51 +160,49 @@ def cmd_spectrum(args) -> int:
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise DomainError("unbounded domain: set domain_min/domain_max")
         levels = _bound_levels(prep, cfg["nmax"])
-        grid = GridSpec.line(lo, hi, cfg["grid_m"])
-        ham = spectral.discretize(prep, grid, cfg["stencil_order"])
-        res = spectral.eigen(ham, cfg["nmax"] + 1, cfg["seed"])
-        rows, worst = [], 0.0
-        for k, (ea, eg) in enumerate(zip(levels, res.eigenvalues)):
-            rel = abs(eg - ea) / max(1.0, abs(ea))
-            worst = max(worst, rel)
-            rows.append((k, float(ea), float(eg), float(rel)))
-        _write_csv(out / "spectrum.csv",
-                   ("level", "algebraic", "grid", "rel_error"), rows)
-        if cfg["dump"]:
-            for k in range(res.eigenvectors.shape[1]):
-                vec = res.eigenvectors[:, k]
-                lines = [f"{float(x)!r} {float(v)!r}"
-                         for x, v in zip(ham.nodes[:, 0], vec)]
-                _write_text(out / f"state_{k}.txt", "\n".join(lines) + "\n")
-        print(f"{'PASS' if worst <= cfg['tol'] else 'FAIL'}  spectrum: "
-              f"max rel error {worst:.3e} (tol {cfg['tol']:.0e})")
-        return 0 if worst <= cfg["tol"] else 1
-    if not cfg["kind"]:
-        raise DomainError("spectrum needs either --family or --kind")
-    model = _model_from_cfg(cfg)
-    if not cfg["reduce"]:
-        raise DomainError("N-body spectra are supported through --reduce "
-                          "(two-body relative problem)")
-    red = spectral.two_body_reduction(model)
-    _bound_levels(red.prep, cfg["nmax"])
-    lo, hi = red.domain
-    if not math.isfinite(hi):
-        hi = cfg["domain_max"] if cfg["domain_max"] is not None else 12.0
-    grid = GridSpec.line(lo, hi, cfg["grid_m"])
-    ham = spectral.discretize(red.operator_potential, grid,
-                              cfg["stencil_order"], kinetic_scale=red.kinetic_factor)
+        ham = spectral.discretize(prep, GridSpec.line(lo, hi, cfg["grid_m"]),
+                                  cfg["stencil_order"])
+        label = "spectrum"
+    else:
+        if not cfg["kind"]:
+            raise DomainError("spectrum needs either --family or --kind")
+        model = _model_from_cfg(cfg)
+        if not cfg["reduce"]:
+            raise DomainError("N-body spectra are supported through --reduce "
+                              "(two-body relative problem)")
+        red = spectral.two_body_reduction(model)
+        levels = [red.kinetic_factor * e
+                  for e in _bound_levels(red.prep, cfg["nmax"])]
+        lo, hi = red.domain
+        if cfg["domain_min"] is not None:
+            raise DomainError(f"the relative grid starts at the wall r = {lo!r}, "
+                              "so domain_min does not apply under reduce")
+        if not math.isfinite(hi):
+            hi = cfg["domain_max"] if cfg["domain_max"] is not None else 12.0
+        elif cfg["domain_max"] is not None:
+            raise DomainError(f"the relative grid ends at the wall r = {hi!r}, "
+                              "so domain_max does not apply to this kind")
+        ham = spectral.discretize(red.operator_potential,
+                                  GridSpec.line(lo, hi, cfg["grid_m"]),
+                                  cfg["stencil_order"], kinetic_scale=red.kinetic_factor)
+        label = "reduced spectrum"
     res = spectral.eigen(ham, cfg["nmax"] + 1, cfg["seed"])
-    alg = red.algebraic_energies(cfg["nmax"])
+    out = _outdir(cfg)
     rows, worst = [], 0.0
-    for k in range(cfg["nmax"] + 1):
-        rel = abs(res.eigenvalues[k] - alg[k]) / max(1.0, abs(alg[k]))
+    for k, (ea, eg) in enumerate(zip(levels, res.eigenvalues)):
+        rel = abs(eg - ea) / max(1.0, abs(ea))
         worst = max(worst, rel)
-        rows.append((k, float(alg[k]), float(res.eigenvalues[k]), float(rel)))
-    _write_csv(out / "spectrum.csv",
-               ("level", "algebraic", "grid", "rel_error"), rows)
-    print(f"{'PASS' if worst <= cfg['tol'] else 'FAIL'}  reduced spectrum: "
-          f"max rel error {worst:.3e}")
-    return 0 if worst <= cfg["tol"] else 1
+        rows.append((k, float(ea), float(eg), float(rel)))
+    _write_csv(out / "spectrum.csv", ("level", "algebraic", "grid", "rel_error"), rows)
+    if cfg["dump"]:
+        for k in range(res.eigenvectors.shape[1]):
+            lines = [f"{float(x)!r} {float(v)!r}"
+                     for x, v in zip(ham.nodes[:, 0], res.eigenvectors[:, k])]
+            _write_text(out / f"state_{k}.txt", "\n".join(lines) + "\n")
+    ok = worst <= cfg["tol"]
+    print(f"{'PASS' if ok else 'FAIL'}  {label}: max rel error {worst:.3e} "
+          f"(tol {cfg['tol']:.0e})")
+    return 0 if ok else 1
 
 
 def cmd_susy(args) -> int:
@@ -275,16 +270,7 @@ def cmd_groundstate(args) -> int:
     cfg = _merge(args, defaults)
     model = _model_from_cfg(cfg)
     out = _outdir(cfg)
-    from . import calculus as calc
-    phi = calc.jastrow_function(model)
-    rng_children = np.random.SeedSequence(cfg["seed"]).spawn(cfg["trials"])
-    worst = 0.0
-    for child in rng_children:
-        rng = np.random.default_rng(child)
-        x = verify.draw_configuration(model, rng)
-        hval = calc.apply_hamiltonian_factorized(model, phi, x)
-        scale = max(1.0, abs(model.potential(x))) * max(abs(phi(x)), 1e-300)
-        worst = max(worst, abs(hval) / scale)
+    worst = verify.jastrow_residual(model, cfg["trials"], cfg["seed"])
     energy = spectral.partner_ground_state(model).energy
     state_info = {"jet_residual": worst, "partner_energy": energy,
                   "normalizable": model.kind_row.normalizable(model),
@@ -318,7 +304,7 @@ def cmd_chain(args) -> int:
         raise DomainError("chain currently drives the trigonometric family")
     prep = _prepotential_from_cfg(cfg)
     lo, hi = prep.domain()
-    grid = shape1d.Grid1D(lo, hi, cfg["grid_m"])
+    grid = GridSpec.line(lo, hi, cfg["grid_m"])
     levels = _bound_levels(prep, cfg["levels"])
     out = _outdir(cfg)
     rows, worst = [], 0.0

@@ -6,58 +6,50 @@ on grids, and the tower of higher Hamiltonians.
 from __future__ import annotations
 
 import itertools
-import math
 import warnings
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DomainError
 from .models import Prepotential1D, make_prepotential_1d
 
+if TYPE_CHECKING:  # spectral imports this module
+    from .spectral import GridSpec
+
 MAX_CHAIN = 6
-MIN_CHAIN_SAMPLES = 512
+MIN_CHAIN_CELLS = 511  # 512 samples with both walls
 
 
-@dataclass(frozen=True)
-class Grid1D:
-    """Uniform 1-D grid including both endpoints."""
-    x_min: float
-    x_max: float
-    m: int
-    bc: str = "dirichlet"
-
-    def __post_init__(self):
-        if self.m < 8:
-            raise DomainError("need at least 8 samples")
-        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
-            raise DomainError("grid endpoints must be finite, "
-                              f"got [{self.x_min}, {self.x_max}]")
-        if self.x_max <= self.x_min:
-            raise DomainError("empty domain")
-        if self.bc not in ("dirichlet", "periodic"):
-            raise DomainError(f"unknown boundary condition {self.bc!r}")
-
-    @property
-    def h(self) -> float:
-        return (self.x_max - self.x_min) / (self.m - 1)
-
-    def points(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.m)
+def _samples(grid: GridSpec) -> np.ndarray:
+    """The m + 1 samples of a one-axis Dirichlet grid of m cells: both walls
+    and the grid's interior nodes."""
+    if grid.dim != 1 or grid.bc != "dirichlet":
+        raise DomainError("1-D grid functions need a one-axis Dirichlet grid, "
+                          f"got {grid.dim} axis(es) with {grid.bc!r} conditions")
+    lo, hi, _ = grid.axes[0]
+    return np.r_[lo, grid.axis_nodes(0), hi]
 
 
 @dataclass
 class GridFunction1D:
-    grid: Grid1D
+    """Values at the samples of a one-axis Dirichlet GridSpec, walls
+    included."""
+    grid: GridSpec
     values: np.ndarray
     meta: dict = field(default_factory=dict)
 
     @property
     def x(self) -> np.ndarray:
-        return self.grid.points()
+        return _samples(self.grid)
+
+    @property
+    def h(self) -> float:
+        return self.grid.axis_h(0)
 
     def norm(self) -> float:
-        return float(np.sqrt(np.trapezoid(self.values ** 2, dx=self.grid.h)))
+        return float(np.sqrt(np.trapezoid(self.values ** 2, dx=self.h)))
 
     def normalized(self) -> "GridFunction1D":
         nrm = self.norm()
@@ -68,7 +60,7 @@ class GridFunction1D:
     def inner(self, other: "GridFunction1D") -> float:
         if other.grid != self.grid:
             raise DomainError("grid mismatch")
-        return float(np.trapezoid(self.values * other.values, dx=self.grid.h))
+        return float(np.trapezoid(self.values * other.values, dx=self.h))
 
     def sign_changes(self) -> int:
         """Strict sign changes in the grid interior (node count)."""
@@ -112,18 +104,18 @@ def algebraic_spectrum(prep: Prepotential1D, n_max: int) -> SpectrumChain:
                          remainders, energies, len(members))
 
 
-def ground_state_1d(prep: Prepotential1D, grid: Grid1D) -> GridFunction1D:
-    """psi0 ~ exp(-int W) on the grid, unit discrete L2 norm.
+def ground_state_1d(prep: Prepotential1D, grid: GridSpec) -> GridFunction1D:
+    """psi0 ~ exp(-int W) on the grid, zero on its walls, unit discrete L2
+    norm.
 
     Non-normalizable parameter ranges are flagged (meta['normalizable'])
     and warned about, but the state is still returned.
     """
-    x = grid.points()
+    x = _samples(grid)
     vals = np.zeros_like(x)
-    interior = slice(1, -1) if grid.bc == "dirichlet" else slice(None)
     with np.errstate(divide="ignore"):
-        logpsi = prep.log_ground_state(x[interior])
-    vals[interior] = np.where(np.isfinite(logpsi), np.exp(logpsi), 0.0)
+        logpsi = prep.log_ground_state(x[1:-1])
+    vals[1:-1] = np.where(np.isfinite(logpsi), np.exp(logpsi), 0.0)
     gf = GridFunction1D(grid, vals, {"normalizable": prep.ground_state_normalizable(),
                                      "family": prep.family, "params": prep.params})
     if not gf.meta["normalizable"]:
@@ -144,9 +136,10 @@ def _d1_order4(v: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
-def wavefunction_chain(prep: Prepotential1D, n: int, grid: Grid1D,
+def wavefunction_chain(prep: Prepotential1D, n: int, grid: GridSpec,
                        n_max_chain: int = MAX_CHAIN) -> GridFunction1D:
-    """psi_n = A+(alpha_0) ... A+(alpha_{n-1}) psi_0(alpha_n) on the grid.
+    """psi_n = A+(alpha_0) ... A+(alpha_{n-1}) psi_0(alpha_n) on the samples
+    of a one-axis Dirichlet grid of at least MIN_CHAIN_CELLS cells.
 
     Each creation step applies -d/dx + W(alpha_j) with 4th-order stencils
     and renormalizes; meta['boundary_margin_cells'] records the interior
@@ -154,20 +147,20 @@ def wavefunction_chain(prep: Prepotential1D, n: int, grid: Grid1D,
     """
     if n < 0 or n > n_max_chain:
         raise DomainError(f"chain length {n} outside [0, {n_max_chain}]")
-    if grid.m < MIN_CHAIN_SAMPLES:
-        raise DomainError(f"chain grids need at least {MIN_CHAIN_SAMPLES} samples")
+    x = _samples(grid)
+    if len(x) - 1 < MIN_CHAIN_CELLS:
+        raise DomainError(f"chain grids need at least {MIN_CHAIN_CELLS} cells")
     chain = [prep]
     for _ in range(n):
         chain.append(chain[-1].step())
     psi = ground_state_1d(chain[-1], grid)
-    x, h = grid.points(), grid.h
+    h = grid.axis_h(0)
     values = psi.values.copy()
     for j in range(n - 1, -1, -1):
         w = np.zeros_like(x)
         w[1:-1] = chain[j].w(x[1:-1])  # endpoints may sit on poles of W
         values = -_d1_order4(values, h) + w * values
-        if grid.bc == "dirichlet":
-            values[0] = values[-1] = 0.0
+        values[0] = values[-1] = 0.0
         values /= np.sqrt(np.trapezoid(values ** 2, dx=h))
     meta = {"levels": n, "boundary_margin_cells": 2 * n,
             "params_chain": tuple(p.params for p in chain)}
@@ -180,7 +173,7 @@ def rayleigh_quotient(prep: Prepotential1D, gf: GridFunction1D) -> float:
     Evaluated on the central interior (two cells trimmed at each end), which
     is where chain states are trusted; the trimmed tails vanish at the walls.
     """
-    x, h, v = gf.x, gf.grid.h, gf.values
+    x, h, v = gf.x, gf.h, gf.values
     d2 = (-v[:-4] + 16 * v[1:-3] - 30 * v[2:-2] + 16 * v[3:-1] - v[4:]) / (12 * h * h)
     inner = slice(2, -2)
     hv = -d2 + prep.potential(x[inner]) * v[inner]

@@ -54,7 +54,7 @@ class GridSpec:
             if m < 8:
                 raise DomainError("grids need at least 8 cells per axis")
             if not (np.isfinite(lo) and np.isfinite(hi)):
-                raise DomainError(f"axis endpoints must be finite, got [{lo}, {hi}]")
+                raise DomainError(f"grid endpoints must be finite, got [{lo}, {hi}]")
             if hi <= lo:
                 raise DomainError("empty axis")
         if self.sector == "ordered":

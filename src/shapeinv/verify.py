@@ -328,6 +328,21 @@ def momentum_commutation(model: NBodyModel, trials: int, seed: int,
                    _momentum(model, s), s.x, tolerance)
 
 
+def jastrow_residual(model: NBodyModel, trials: int, seed: int) -> float:
+    """Largest |sum A+_i A_i Phi0| / (max(1, |V|) max(|Phi0|, 1e-300)) over
+    seeded configurations: the product ground state Phi0 is annihilated by
+    every A_i, so this is roundoff.  One Jastrow tree gives every trial's
+    jet at once."""
+    if trials < 1:
+        raise DomainError("trials must be >= 1")
+    x = np.array([draw_configuration(model, rng) for rng in _child_rngs(seed, trials)])
+    jet = calc.jastrow_function(model).jet(x)
+    hval = _ladder_sums(model, 1.0, TrialSet(x, jet.v, jet.g, jet.h))
+    scale = (np.maximum(1.0, np.abs(model.potential(x)))
+             * np.maximum(np.abs(jet.v), 1e-300))
+    return float(np.max(np.abs(hval) / scale))
+
+
 # ---------------------------------------------------------------------------
 # structural identities
 # ---------------------------------------------------------------------------

@@ -138,6 +138,31 @@ def test_spectrum_reduced(tmp_path):
     assert algebraic == [0.0, 10.0, 24.0, 42.0]
 
 
+def test_spectrum_reduced_dump_states(tmp_path):
+    code = run(["spectrum", "--kind", "cs", "--n", "2", "--alpha", "2", "--reduce",
+                "--nmax", "2", "--grid-m", "800", "--dump", "--outdir", str(tmp_path)])
+    assert code == 0
+    for k in range(3):
+        lines = (tmp_path / f"state_{k}.txt").read_text().splitlines()
+        assert len(lines) == 799  # interior nodes of the relative grid
+    r0, _ = lines[0].split()
+    assert 0.0 < float(r0) < 0.01
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--kind", "cs", "--domain-min", "0.5"], "starts at the wall r = 0.0"),
+    (["--kind", "cs", "--domain-max", "2"], "ends at the wall r = 3.14"),
+    (["--kind", "harmonic_calogero", "--omega", "1", "--domain-min", "0.5",
+      "--domain-max", "10"], "starts at the wall r = 0.0"),
+])
+def test_spectrum_reduced_rejects_domain_overrides(tmp_path, capsys, flags, message):
+    code = run(["spectrum", *flags, "--n", "2", "--alpha", "2", "--reduce",
+                "--nmax", "2", "--grid-m", "800", "--dump", "--outdir", str(tmp_path)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "spectrum.csv").exists()
+
+
 SIGN_SPECTRUM = ["spectrum", "--family", "sign", "--a", "1", "--nmax", "0",
                  "--domain-min", "-10", "--domain-max", "10"]
 

@@ -6,13 +6,30 @@ import pytest
 from shapeinv import shape1d
 from shapeinv.errors import DomainError
 from shapeinv.models import make_prepotential_1d
-from shapeinv.shape1d import Grid1D
+from shapeinv.spectral import GridSpec
 
 
-def test_grid1d_rejects_non_finite_endpoints():
-    for lo, hi in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)):
-        with pytest.raises(DomainError, match="finite"):
-            Grid1D(lo, hi, 64)
+@pytest.mark.parametrize("lo,hi,m", [(0.0, math.pi, 1023), (0.0, math.pi, 2048),
+                                     (-1.3, 2.7, 777), (0.1, 12.0, 8)])
+def test_samples_are_walls_plus_nodes(lo, hi, m):
+    # the walls and GridSpec's interior nodes are linspace's m + 1 samples
+    # bit for bit, so a chain at m cells matches one built on linspace
+    grid = GridSpec.line(lo, hi, m)
+    samples = np.r_[lo, grid.axis_nodes(0), hi]
+    assert np.array_equal(samples, np.linspace(lo, hi, m + 1))
+    assert grid.axis_h(0) == (hi - lo) / m
+    prep = make_prepotential_1d("rosen_morse_trig", (2.0, 1.0))
+    assert np.array_equal(shape1d.ground_state_1d(prep, grid).x, samples)
+
+
+@pytest.mark.parametrize("grid", [GridSpec.line(0.0, math.pi, 1024, bc="periodic"),
+                                  GridSpec.box(0.0, math.pi, 1024, 2)])
+def test_chain_rejects_periodic_and_multi_axis_grids(grid):
+    prep = make_prepotential_1d("rosen_morse_trig", (2.0, 1.0))
+    with pytest.raises(DomainError, match="one-axis Dirichlet"):
+        shape1d.ground_state_1d(prep, grid)
+    with pytest.raises(DomainError, match="one-axis Dirichlet"):
+        shape1d.wavefunction_chain(prep, 1, grid)
 
 
 def test_spectrum_closed_form():
@@ -59,32 +76,32 @@ def test_spectrum_matches_closed_form_generic(b, a):
 
 def test_ground_state_closed_form():
     prep = make_prepotential_1d("rosen_morse_trig", (2.0, 1.0))
-    grid = Grid1D(0.0, math.pi, 1024)
+    grid = GridSpec.line(0.0, math.pi, 1023)
     gf = shape1d.ground_state_1d(prep, grid)
-    ref = np.sin(grid.points()) ** 2
-    ref /= np.sqrt(np.trapezoid(ref ** 2, dx=grid.h))
+    ref = np.sin(gf.x) ** 2
+    ref /= np.sqrt(np.trapezoid(ref ** 2, dx=gf.h))
     assert np.max(np.abs(gf.values - ref)) < 1e-12
 
 
 def test_ground_state_box():
     prep = make_prepotential_1d("rosen_morse_trig", (1.0, 1.0))
-    grid = Grid1D(0.0, math.pi, 1024)
+    grid = GridSpec.line(0.0, math.pi, 1023)
     gf = shape1d.ground_state_1d(prep, grid)
-    ref = np.sin(grid.points())
-    ref /= np.sqrt(np.trapezoid(ref ** 2, dx=grid.h))
+    ref = np.sin(gf.x)
+    ref /= np.sqrt(np.trapezoid(ref ** 2, dx=gf.h))
     assert np.max(np.abs(gf.values - ref)) < 1e-12
 
 
 def test_ground_state_symmetry():
     prep = make_prepotential_1d("rosen_morse_trig", (2.0, 1.0))
-    grid = Grid1D(0.0, math.pi, 1001)
+    grid = GridSpec.line(0.0, math.pi, 1000)
     vals = shape1d.ground_state_1d(prep, grid).values
     assert np.max(np.abs(vals - vals[::-1])) < 1e-12
 
 
 def test_ground_state_non_normalizable_flagged():
     prep = make_prepotential_1d("rosen_morse_trig", (0.4, 1.0))
-    grid = Grid1D(0.0, math.pi, 600)
+    grid = GridSpec.line(0.0, math.pi, 599)
     with pytest.warns(UserWarning):
         gf = shape1d.ground_state_1d(prep, grid)
     assert gf.meta["normalizable"] is False
@@ -93,7 +110,7 @@ def test_ground_state_non_normalizable_flagged():
 
 def test_chain_level_zero_is_ground_state():
     prep = make_prepotential_1d("rosen_morse_trig", (2.0, 1.0))
-    grid = Grid1D(0.0, math.pi, 700)
+    grid = GridSpec.line(0.0, math.pi, 699)
     g0 = shape1d.ground_state_1d(prep, grid)
     c0 = shape1d.wavefunction_chain(prep, 0, grid)
     assert np.max(np.abs(np.abs(c0.values) - np.abs(g0.values))) < 1e-12
@@ -101,7 +118,7 @@ def test_chain_level_zero_is_ground_state():
 
 def test_chain_rayleigh_quotients():
     prep = make_prepotential_1d("rosen_morse_trig", (2.0, 1.0))
-    grid = Grid1D(0.0, math.pi, 2048)
+    grid = GridSpec.line(0.0, math.pi, 2047)
     chain = shape1d.algebraic_spectrum(prep, 3)
     for n in range(4):
         gf = shape1d.wavefunction_chain(prep, n, grid)
@@ -112,7 +129,7 @@ def test_chain_rayleigh_quotients():
 
 def test_chain_orthogonality():
     prep = make_prepotential_1d("rosen_morse_trig", (2.0, 1.0))
-    grid = Grid1D(0.0, math.pi, 2048)
+    grid = GridSpec.line(0.0, math.pi, 2047)
     g0 = shape1d.wavefunction_chain(prep, 0, grid)
     g1 = shape1d.wavefunction_chain(prep, 1, grid)
     assert abs(g0.inner(g1)) < 1e-6
@@ -123,7 +140,7 @@ def test_chain_convergence_order():
     prep = make_prepotential_1d("rosen_morse_trig", (2.0, 1.0))
     errs = []
     for m in (512, 1024, 2048):
-        gf = shape1d.wavefunction_chain(prep, 2, Grid1D(0.0, math.pi, m))
+        gf = shape1d.wavefunction_chain(prep, 2, GridSpec.line(0.0, math.pi, m - 1))
         errs.append(abs(shape1d.rayleigh_quotient(prep, gf) - 12.0))
     order1 = math.log(errs[0] / errs[1]) / math.log(2.0)
     order2 = math.log(errs[1] / errs[2]) / math.log(2.0)
@@ -133,14 +150,18 @@ def test_chain_convergence_order():
 def test_chain_preconditions():
     prep = make_prepotential_1d("rosen_morse_trig", (2.0, 1.0))
     with pytest.raises(DomainError):
-        shape1d.wavefunction_chain(prep, 7, Grid1D(0.0, math.pi, 1024))
+        shape1d.wavefunction_chain(prep, 7, GridSpec.line(0.0, math.pi, 1023))
     with pytest.raises(DomainError):
-        shape1d.wavefunction_chain(prep, 1, Grid1D(0.0, math.pi, 128))
+        shape1d.wavefunction_chain(prep, 1, GridSpec.line(0.0, math.pi, 127))
+    with pytest.raises(DomainError, match="511 cells"):
+        shape1d.wavefunction_chain(prep, 1, GridSpec.line(0.0, math.pi, 510))
+    gf = shape1d.wavefunction_chain(prep, 1, GridSpec.line(0.0, math.pi, 511))
+    assert len(gf.x) == 512
 
 
 def test_chain_boundary_margin_recorded():
     prep = make_prepotential_1d("rosen_morse_trig", (2.0, 1.0))
-    gf = shape1d.wavefunction_chain(prep, 2, Grid1D(0.0, math.pi, 600))
+    gf = shape1d.wavefunction_chain(prep, 2, GridSpec.line(0.0, math.pi, 599))
     assert gf.meta["boundary_margin_cells"] == 4
     assert len(gf.meta["params_chain"]) == 3
 
@@ -163,7 +184,7 @@ def test_hierarchy_potential_difference():
 
 def test_grid_function_export():
     prep = make_prepotential_1d("rosen_morse_trig", (2.0, 1.0))
-    gf = shape1d.ground_state_1d(prep, Grid1D(0.0, math.pi, 32))
+    gf = shape1d.ground_state_1d(prep, GridSpec.line(0.0, math.pi, 31))
     rows = list(gf.to_text_rows())
     assert len(rows) == 32
     x0, v0 = rows[0].split()

@@ -305,6 +305,25 @@ def test_stacked_jets_equal_per_trial_jets(kind, n, trials, seed):
     assert np.array_equal(s.h, [j.h for j in jets])
 
 
+@pytest.mark.parametrize("kind,n,alpha,trials", [
+    ("calogero_sutherland", 2, 1.0, 25), ("calogero_sutherland", 3, 2.0, 200),
+    ("calogero_sutherland", 6, 1.5, 25), ("calogero", 2, 2.0, 200),
+    ("calogero", 3, 2.0, 25), ("harmonic_calogero", 4, 1.5, 25),
+])
+def test_jastrow_residual_matches_scalar_loop(kind, n, alpha, trials):
+    m = make_nbody_model(kind, n, alpha, omega=1.0 if kind == "harmonic_calogero" else None)
+    phi = calc.jastrow_function(m)
+    worst = 0.0
+    for rng in verify._child_rngs(3, trials):
+        x = verify.draw_configuration(m, rng)
+        scale = max(1.0, abs(m.potential(x))) * max(abs(phi(x)), 1e-300)
+        worst = max(worst, abs(calc.apply_hamiltonian_factorized(m, phi, x)) / scale)
+    assert verify.jastrow_residual(m, trials, 3) == worst
+    assert worst < 1e-8
+    with pytest.raises(DomainError):
+        verify.jastrow_residual(m, 0, 3)
+
+
 def test_mixed_commutator_matrix_matches_pair_formulas():
     # the matrix squares arrays, where numpy scalars go through C pow, so
     # entries may differ from the pair formulas in the last bit
