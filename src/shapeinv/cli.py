@@ -20,6 +20,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -89,6 +90,18 @@ def _write_csv(path: Path, header, rows):
     lines += [",".join(repr(c) if isinstance(c, float) else str(c) for c in row)
               for row in rows]
     _write_text(path, "\n".join(lines) + "\n", newline="\n")
+
+
+def _write_dumps(out: Path, pattern: str, dumps: dict):
+    """Write a command's dump files {name: text} into out, then delete the
+    files there whose names match `pattern` (a regex) that this run did not
+    write, so that a rerun into the same outdir leaves no dump of an
+    earlier run behind, also when it writes none."""
+    for name, text in dumps.items():
+        _write_text(out / name, text)
+    for path in out.iterdir():
+        if path.name not in dumps and re.fullmatch(pattern, path.name):
+            path.unlink()
 
 
 def _model_from_cfg(cfg: dict):
@@ -194,11 +207,13 @@ def cmd_spectrum(args) -> int:
         worst = max(worst, rel)
         rows.append((k, float(ea), float(eg), float(rel)))
     _write_csv(out / "spectrum.csv", ("level", "algebraic", "grid", "rel_error"), rows)
+    dumps = {}
     if cfg["dump"]:
         for k in range(res.eigenvectors.shape[1]):
             lines = [f"{float(x)!r} {float(v)!r}"
                      for x, v in zip(ham.nodes[:, 0], res.eigenvectors[:, k])]
-            _write_text(out / f"state_{k}.txt", "\n".join(lines) + "\n")
+            dumps[f"state_{k}.txt"] = "\n".join(lines) + "\n"
+    _write_dumps(out, r"state_\d+\.txt", dumps)
     ok = worst <= cfg["tol"]
     print(f"{'PASS' if ok else 'FAIL'}  {label}: max rel error {worst:.3e} "
           f"(tol {cfg['tol']:.0e})")
@@ -275,14 +290,15 @@ def cmd_groundstate(args) -> int:
     state_info = {"jet_residual": worst, "partner_energy": energy,
                   "normalizable": model.kind_row.normalizable(model),
                   "boundary_ambiguous": spectral.boundary_ambiguous(model)}
+    dumps = {}
     if model.n == 2:
         grid = GridSpec.line(0.0, model.kind_row.period or 8.0, cfg["grid_m"])
         gf, grid_resid = spectral.jastrow_ground_state(model, grid,
                                                        cfg["stencil_order"])
         state_info["grid_residual"] = grid_resid
         if cfg["dump"]:
-            _write_text(out / "groundstate_state.txt",
-                        spectral.dump_grid_function(gf))
+            dumps["groundstate_state.txt"] = spectral.dump_grid_function(gf)
+    _write_dumps(out, r"groundstate_state\.txt", dumps)
     _write_json(out / "groundstate.json", state_info, cfg)
     if not state_info["normalizable"]:
         print(f"WARN  ground state not normalizable for {model.kind} "
@@ -307,7 +323,7 @@ def cmd_chain(args) -> int:
     grid = GridSpec.line(lo, hi, cfg["grid_m"])
     levels = _bound_levels(prep, cfg["levels"])
     out = _outdir(cfg)
-    rows, worst = [], 0.0
+    rows, worst, dumps = [], 0.0, {}
     for nlev in range(cfg["levels"] + 1):
         gf = shape1d.wavefunction_chain(prep, nlev, grid)
         rq = shape1d.rayleigh_quotient(prep, gf)
@@ -317,8 +333,8 @@ def cmd_chain(args) -> int:
         rows.append((nlev, float(expected), float(rq), float(rel),
                      gf.sign_changes()))
         if cfg["dump"]:
-            _write_text(out / f"chain_state_{nlev}.txt",
-                        "\n".join(gf.to_text_rows()) + "\n")
+            dumps[f"chain_state_{nlev}.txt"] = "\n".join(gf.to_text_rows()) + "\n"
+    _write_dumps(out, r"chain_state_\d+\.txt", dumps)
     _write_csv(out / "chain.csv",
                ("level", "algebraic", "rayleigh", "rel_error", "nodes"), rows)
     ok = worst <= cfg["tol"]

@@ -157,12 +157,46 @@ KIND_NAMES = {name: kind for kind, row in KINDS.items()
 FAMILY_NAMES = {name: family for family, row in FAMILIES.items()
                 for name in (family, *row.aliases)}
 
-# pair row -> (1-D family, its parameters as a function of the row's)
+
+@dataclass(frozen=True)
+class PairRow:
+    """One pair row of the cross-term balance condition: the 1-D family of
+    its W and the closed forms that the checks compare against, written out
+    here and never read from ``FAMILIES``.  The closed forms take x, then
+    the row's parameters.
+    """
+
+    family: str               # 1-D family of W
+    params: Callable          # that family's parameters, from the row's
+    names: tuple              # the row's parameter names, in order
+    v0: Callable              # W^2 - W', valid for x != 0
+    vtilde0: Callable         # the companion that balances the cross-pair products
+    period: float | None = None  # spacing of the singular points of W (None: the origin only)
+    half_width: float = 2.0   # check_pair_condition draws A, B from (-half_width, half_width)
+    v0_delta_note: str | None = None  # distributional piece never evaluated numerically
+
+
 PAIR_ROWS = {
-    "rational_harmonic": ("rational_harmonic", lambda a, b: (a, b)),
-    "sign": ("sign", lambda a: (a,)),
-    "cot": ("rosen_morse_trig", lambda a: (-a, 1.0)),
-    "coth": ("coth_hyperbolic", lambda a: (a,)),
+    "rational_harmonic": PairRow(
+        "rational_harmonic", lambda a, b: (a, b), ("a", "b"),
+        v0=lambda x, a, b: a ** 2 * x ** 2 + 2 * a * b - a + b * (b + 1) / x ** 2,
+        vtilde0=lambda x, a, b: a * b + 0.5 * a ** 2 * x ** 2),
+    # the sign and coth rows balance with the opposite sign of the cot row:
+    # their pair products sum to -a^2 rather than +a^2 on A + B + C = 0
+    "sign": PairRow(
+        "sign", lambda a: (a,), ("a",),
+        v0=lambda x, a: np.full_like(x, a ** 2),
+        vtilde0=lambda x, a: np.full_like(x, a ** 2 / 3.0),
+        v0_delta_note="v0 carries -2*a*delta(x) at the origin; numeric v0 is valid for x != 0"),
+    "cot": PairRow(
+        "rosen_morse_trig", lambda a: (-a, 1.0), ("a",),
+        v0=lambda x, a: a * (a + 1) / np.sin(x) ** 2 - a ** 2,
+        vtilde0=lambda x, a: np.full_like(x, -a ** 2 / 3.0),
+        period=math.pi, half_width=1.4),
+    "coth": PairRow(
+        "coth_hyperbolic", lambda a: (a,), ("a",),
+        v0=lambda x, a: a * (a + 1) / np.sinh(x) ** 2 + a ** 2,
+        vtilde0=lambda x, a: np.full_like(x, a ** 2 / 3.0)),
 }
 PAIR_FAMILIES = tuple(PAIR_ROWS)
 
@@ -522,60 +556,44 @@ class PairPrepotential:
 
     family: str
     params: tuple
-    # symbolic note for distributional pieces never evaluated numerically
-    v0_delta_note: str | None = None
 
     @property
-    def _row(self) -> tuple:
+    def row(self) -> PairRow:
+        return PAIR_ROWS[self.family]
+
+    @property
+    def _family(self) -> tuple:
         """(Family, params): the 1-D table row whose formulas this row uses."""
-        family, params = PAIR_ROWS[self.family]
-        return FAMILIES[family], params(*self.params)
+        return FAMILIES[self.row.family], self.row.params(*self.params)
+
+    @property
+    def v0_delta_note(self) -> str | None:
+        return self.row.v0_delta_note
 
     def w(self, x):
-        row, params = self._row
+        row, params = self._family
         return row.w(np.asarray(x, dtype=float), *params)
 
     def w_prime(self, x):
-        row, params = self._row
+        row, params = self._family
         return row.w_prime(np.asarray(x, dtype=float), *params)
 
     def v0(self, x):
-        """Closed-form W^2 - W' (valid for x != 0; see v0_delta_note).
-
-        Written out per row rather than from the family table, so that it
-        checks the table's W and W'."""
-        x = np.asarray(x, dtype=float)
-        if self.family == "rational_harmonic":
-            a, b = self.params
-            return a ** 2 * x ** 2 + 2 * a * b - a + b * (b + 1) / x ** 2
-        if self.family == "sign":
-            (a,) = self.params
-            return np.full_like(x, a ** 2)
-        if self.family == "cot":
-            (a,) = self.params
-            return a * (a + 1) / np.sin(x) ** 2 - a ** 2
-        (a,) = self.params
-        return a * (a + 1) / np.sinh(x) ** 2 + a ** 2
+        """Closed-form W^2 - W' (valid for x != 0; see v0_delta_note),
+        from the pair row rather than the family table, so that it checks
+        the table's W and W'."""
+        return self.row.v0(np.asarray(x, dtype=float), *self.params)
 
     def vtilde0(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.family == "rational_harmonic":
-            a, b = self.params
-            return a * b + 0.5 * a ** 2 * x ** 2
-        (a,) = self.params
-        if self.family == "cot":
-            return np.full_like(x, -a ** 2 / 3.0)
-        # sign and coth rows balance with the opposite sign of the cot row:
-        # their pair products sum to -a^2 rather than +a^2 on A+B+C=0
-        return np.full_like(x, a ** 2 / 3.0)
+        return self.row.vtilde0(np.asarray(x, dtype=float), *self.params)
 
     def log_psi0(self, x):
-        row, params = self._row
+        row, params = self._family
         return row.log_psi0(np.asarray(x, dtype=float), *params)
 
     def singular_period(self) -> float | None:
         """Spacing of singular points of W (None if only the origin)."""
-        return math.pi if self.family == "cot" else None
+        return self.row.period
 
     def condition_residual(self, A, B, vtilde_override=None):
         """|lhs - rhs| of the balance condition at C = -A - B.
@@ -596,13 +614,10 @@ def make_pair_prepotential(family: str, *params) -> PairPrepotential:
     if family not in PAIR_FAMILIES:
         raise DomainError(f"unknown pair family {family!r}; expected one of {PAIR_FAMILIES}")
     params = tuple(float(p) for p in params)
-    expected_len = 2 if family == "rational_harmonic" else 1
+    expected_len = len(PAIR_ROWS[family].names)
     if len(params) != expected_len:
         raise DomainError(f"{family} takes {expected_len} parameter(s), got {params}")
-    note = None
-    if family == "sign":
-        note = "v0 carries -2*a*delta(x) at the origin; numeric v0 is valid for x != 0"
-    return PairPrepotential(family, params, note)
+    return PairPrepotential(family, params)
 
 
 @dataclass(frozen=True)
@@ -619,13 +634,13 @@ def check_pair_condition(pair: PairPrepotential, samples: int, seed: int,
                          eps_sing: float = 1e-3) -> PairConditionStats:
     """Sample the balance condition at random (A, B) with C = -A - B.
 
-    Draws avoid singular arguments by resampling; the cot row additionally
-    keeps |A + B| below the singular period.
+    Draws avoid singular arguments by resampling; a row with a singular
+    period additionally keeps |A + B| below it.
     """
     if samples < 1:
         raise DomainError("samples must be >= 1")
     rng = np.random.default_rng(seed)
-    half = 1.4 if pair.family == "cot" else 2.0
+    half, period = pair.row.half_width, pair.row.period
     residuals = np.empty(samples)
     filled = 0
     while filled < samples:
@@ -633,8 +648,8 @@ def check_pair_condition(pair: PairPrepotential, samples: int, seed: int,
         b = rng.uniform(-half, half, size=samples - filled)
         c = -a - b
         ok = (np.abs(a) > eps_sing) & (np.abs(b) > eps_sing) & (np.abs(c) > eps_sing)
-        if pair.singular_period() is not None:
-            ok &= np.abs(c) < math.pi - eps_sing
+        if period is not None:
+            ok &= np.abs(c) < period - eps_sing
         a, b = a[ok], b[ok]
         if a.size:
             residuals[filled:filled + a.size] = pair.condition_residual(a, b)

@@ -21,10 +21,11 @@ reported as a diagnostic rather than guaranteed to vanish.
 
 A two-body system is a direct sum over center-of-mass momenta, and each
 momentum holds four Fock blocks built from one dense relative ladder.  It
-is built and analyzed on numpy alone: its sector blocks, charge products
-and diagnostics are small block expressions, summed in the order of the
-sparse products they replace.  Its sparse Q, Q+ and H are assembled, with
-scipy.sparse, when first read; N >= 3 grids load scipy.sparse at build.
+is built and analyzed on numpy alone, the sector-sum check included: its
+sector blocks, charge products and diagnostics are small block
+expressions, summed in the order of the sparse products they replace.  Its
+sparse Q, Q+ and H are assembled, with scipy.sparse, when first read;
+N >= 3 grids load scipy.sparse at build.
 """
 
 from __future__ import annotations
@@ -88,13 +89,11 @@ class FockBasis:
         for i in range(self.n_modes):
             rows, cols, vals = [], [], []
             bit = 1 << i
-            low_mask = bit - 1
             for s in range(self.dim):
                 if s & bit:
-                    sign = -1.0 if (s & low_mask).bit_count() % 2 else 1.0
                     rows.append(s ^ bit)
                     cols.append(s)
-                    vals.append(sign)
+                    vals.append(_string_sign(s, i))
             ops.append(sp.csr_matrix(sp.coo_matrix((vals, (rows, cols)),
                                                    shape=(self.dim, self.dim))))
         return ops
@@ -119,6 +118,20 @@ class FockBasis:
                 worst = max(worst, _spmax(anti))
                 worst = max(worst, _spmax(ai @ aj + aj @ ai))
         return worst
+
+
+def _string_sign(state: int, mode: int) -> float:
+    """The ordered-string sign of `mode` in a Fock state: (-1)^(number of
+    occupied modes below it)."""
+    return -1.0 if (int(state) & ((1 << mode) - 1)).bit_count() % 2 else 1.0
+
+
+def _holes(fock: FockBasis) -> list:
+    """(empty mode, its string sign) of each (N-1)-fermion Fock state, in
+    ascending state order."""
+    states = [int(s) for s in fock.sector_indices(fock.n_modes - 1)]
+    modes = [((fock.dim - 1) ^ s).bit_length() - 1 for s in states]
+    return [(mode, _string_sign(s, mode)) for s, mode in zip(states, modes)]
 
 
 def _spmax(mat) -> float:
@@ -749,135 +762,89 @@ def sector_sum_check(sys: SusySystem, k: int = 6, tol: float = 1e-6,
     components in general) does the same against the N-fermion block.
     Each inspected state is classified; for N = 3 the cross relation
     phi_i ~ sum_jk eps_ijk A_j chi_k is evaluated and its alignment
-    residual reported.
+    residual reported.  Only the sums depend on the builder
+    (`_component_sums`), and a two-body check runs on numpy alone.
     """
     n = sys.model.n
     classify = kernel_classify(sys, zero_tol=zero_tol, split_tol=split_tol)
-    report = {"one_fermion": [], "n_minus_one": [], "epsilon_relation": None}
-
-    if n == 2 and sys.cm_momenta is not None:
-        _sum_check_staggered(sys, classify, report, k, tol, zero_tol)
-    else:
-        _sum_check_grid(sys, classify, report, k, tol, zero_tol)
-    if n == 3 and sys.a_space is not None:
-        report["epsilon_relation"] = _epsilon_relation(sys, k, zero_tol)
-    return report
-
-
-def _collect(sys: SusySystem, sector_blocks, vec, want_fock):
-    """Concatenate the pieces of a sector eigenvector lying in fock state
-    want_fock, ordered by center-of-mass block."""
-    pieces = []
-    pos = 0
-    for _, f, _, size in sector_blocks:
-        if f == want_fock:
-            pieces.append(vec[pos:pos + size])
-        pos += size
-    return np.concatenate(pieces)
+    particle, dual = _component_sums(sys)
+    # the states the tags describe, rotated once per sector (N = 2 reads
+    # sector 1 twice)
+    states = {f: _rotated_states(sys, f) for f in {1, n - 1}}
+    return {"one_fermion": _sum_check(sys, classify, 1, "ker_q", 0, particle,
+                                      states[1], k, tol, zero_tol),
+            "n_minus_one": _sum_check(sys, classify, n - 1, "ker_qdag", n, dual,
+                                      states[n - 1], k, tol, zero_tol),
+            "epsilon_relation": (_epsilon_relation(sys, k, zero_tol)
+                                 if n == 3 and sys.a_space is not None else None)}
 
 
-def _sum_check_staggered(sys, classify, report, k, tol, zero_tol):
-    h0 = sys.sector_matrix(0)
-    h2 = sys.sector_matrix(2)
-    vals1 = _sector_solve(sys, 1).vals
-    vecs1 = _rotated_states(sys, 1)   # the states the tags describe
-    tags1 = classify["sectors"][1]["tags"]
-    sector1 = sys.sector_blocks(1)
-    checked_q = checked_qd = 0
-    for t in range(len(vals1)):
-        if checked_q >= k and checked_qd >= k:
-            break
-        lam = vals1[t]
-        if lam <= zero_tol:
-            continue
-        vec = vecs1[:, t]
-        if tags1[t] == "ker_q" and checked_q < k:
-            checked_q += 1
-            # particle-mode sum phi_1 + phi_2 = sqrt(2) * symmetric part
-            phi = _collect(sys, sector1, vec, want_fock=1)
-            report["one_fermion"].append(
-                _classify_sum(h0, phi, lam, tol))
-        elif tags1[t] == "ker_qdag" and checked_qd < k:
-            checked_qd += 1
-            # dual sum chi_1 + chi_2 = sqrt(2) * difference part
-            chi = _collect(sys, sector1, vec, want_fock=2)
-            report["n_minus_one"].append(
-                _classify_sum(h2, chi, lam, tol))
+def _component_sums(sys: SusySystem) -> tuple:
+    """(particle, dual): the maps of a sector eigenvector to its particle-
+    mode component sum (sector 1 -> sector 0) and its dual sum (sector
+    N-1 -> sector N).
 
-
-def _classify_sum(block, summed, lam, tol):
-    norm = float(np.linalg.norm(summed))
-    if norm < tol:
-        return {"lambda": float(lam), "class": "vanishing", "residual": norm}
-    resid = float(np.linalg.norm(block @ summed - lam * summed)
-                  / (norm * max(1.0, abs(lam))))
-    cls = "degenerate" if resid < tol else "unexplained"
-    return {"lambda": float(lam), "class": cls, "residual": resid}
-
-
-def _grid_components(sys: SusySystem, block_vec: np.ndarray, fock_ix: np.ndarray):
-    mat = block_vec.reshape(-1, len(fock_ix))
-    return mat.T.copy()
-
-
-def _sum_check_grid(sys, classify, report, k, tol, zero_tol):
+    A two-body 1-fermion vector holds, per momentum, its |s> part then its
+    |d> part.  The sums phi_1 + phi_2 and chi_1 + chi_2 are sqrt(2) times
+    these parts, which are taken as they are, in block order.  A grid
+    vector holds each node's Fock components in ascending Fock state; the
+    dual sum signs each by the string sign of its empty mode.
+    """
+    if sys.h_blocks is not None:
+        u, n_k = sys.relative_ops["xs"].shape[0], len(sys.cm_coeff)
+        return (lambda v: v.reshape(n_k, -1)[:, :u].ravel(),
+                lambda v: v.reshape(n_k, -1)[:, u:].ravel())
     n = sys.model.n
-    h0 = sys.sector_matrix(0)
-    hn = sys.sector_matrix(n)
-    vals1 = _sector_solve(sys, 1).vals
-    vecs1 = _rotated_states(sys, 1)   # the states the tags describe
-    tags1 = classify["sectors"][1]["tags"]
-    fk1 = sys.fock.sector_indices(1)
-    checked = 0
-    for t in range(len(vals1)):
-        if checked >= k:
-            break
-        if tags1[t] != "ker_q" or vals1[t] <= zero_tol:
-            continue
-        checked += 1
-        comp = _grid_components(sys, vecs1[:, t], fk1)
-        report["one_fermion"].append(
-            _classify_sum(h0, comp.sum(axis=0), vals1[t], tol))
+    signs = np.array([sign for _, sign in _holes(sys.fock)])
+    return (lambda v: v.reshape(-1, n).sum(axis=1),
+            lambda v: (v.reshape(-1, n) * signs).sum(axis=1))
 
-    valsm = _sector_solve(sys, n - 1).vals
-    vecsm = _rotated_states(sys, n - 1)
-    tagsm = classify["sectors"][n - 1]["tags"]
-    fkm = sys.fock.sector_indices(n - 1)
-    full_state = (1 << n) - 1
-    checked = 0
-    for t in range(len(valsm)):
-        if checked >= k:
+
+def _sum_check(sys: SusySystem, classify: dict, f: int, tag: str, target: int,
+               summed, states: np.ndarray, k: int, tol: float, zero_tol: float) -> list:
+    """Classify the component sums of the first k of the sector-f `states`
+    that carry `tag` and lie above zero_tol: a sum either vanishes or
+    solves the sector-`target` block of H at the state's eigenvalue
+    ("degenerate"), else it is "unexplained".  H_target is applied by the
+    blocks its builder declares (`_sector_parts`)."""
+    vals = _sector_solve(sys, f).vals
+    parts = _sector_parts(sys, target)
+    cases = []
+    for t, state_tag in enumerate(classify["sectors"][f]["tags"]):
+        if len(cases) >= k:
             break
-        if tagsm[t] != "ker_qdag" or valsm[t] <= zero_tol:
+        lam = float(vals[t])
+        if state_tag != tag or lam <= zero_tol:
             continue
-        checked += 1
-        raw = _grid_components(sys, vecsm[:, t], fkm)
-        chi_sum = np.zeros(raw.shape[1])
-        for pos, s in enumerate(fkm):
-            i = int(full_state ^ int(s)).bit_length() - 1  # the empty mode
-            sign = -1.0 if (int(s) & ((1 << i) - 1)).bit_count() % 2 else 1.0
-            chi_sum += sign * raw[pos]
-        report["n_minus_one"].append(
-            _classify_sum(hn, chi_sum, valsm[t], tol))
+        phi = summed(states[:, t])
+        norm = float(np.linalg.norm(phi))
+        if norm < tol:
+            cases.append({"lambda": lam, "class": "vanishing", "residual": norm})
+            continue
+        h_phi = np.empty_like(phi)
+        for rows, block in parts:
+            h_phi[rows] = block @ phi[rows]
+        resid = float(np.linalg.norm(h_phi - lam * phi) / (norm * max(1.0, abs(lam))))
+        cases.append({"lambda": lam, "class": "degenerate" if resid < tol else "unexplained",
+                      "residual": resid})
+    return cases
 
 
 def _epsilon_relation(sys: SusySystem, k: int, zero_tol: float) -> dict:
     """N = 3 cross relation between 2-fermion states and their 1-fermion
-    partners: phi_i ~ sum_jk eps_ijk A_j chi_k.
+    partners: phi_i ~ sum_jk eps_ijk A_j chi_k, the three cyclic terms
+    A_j chi_k - A_k chi_j.
 
     The relation is the component form of applying the supercharge, so its
     alignment with Q v validates the index structure exactly; how
     good an eigenvector that partner is (its eigen-residual in the 1-fermion
     block) measures the grid-limited degeneracy claim, reported separately.
     """
-    eps = np.zeros((3, 3, 3))
-    for i, j, kk in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        eps[i, j, kk] = 1.0
-        eps[i, kk, j] = -1.0
     vals2, vecs2, ix2 = _sector_eigh(sys, 2)
     q21 = sys.Q[sys.sector_indices(1)][:, ix2]
     h1 = sys.sector_matrix(1)
-    fk2 = sys.fock.sector_indices(2)
+    holes = _holes(sys.fock)
+    a = sys.a_space
     results = []
     for t2 in range(len(vals2)):
         lam = float(vals2[t2])
@@ -887,19 +854,13 @@ def _epsilon_relation(sys: SusySystem, k: int, zero_tol: float) -> dict:
         u_norm = np.linalg.norm(u)
         if u_norm ** 2 < 0.5 * lam:
             continue  # dominantly annihilated by Q: the relation is 0 = 0
-        raw2 = _grid_components(sys, vecs2[:, t2], fk2)
-        chi = np.zeros((3, raw2.shape[1]))
-        for pos, s in enumerate(fk2):
-            empty = int(7 ^ int(s)).bit_length() - 1
-            sign = -1.0 if (int(s) & ((1 << empty) - 1)).bit_count() % 2 else 1.0
-            chi[empty] = sign * raw2[pos]
-        phi_pred = np.zeros((raw2.shape[1], 3))
-        for i in range(3):
-            for j in range(3):
-                for kk in range(3):
-                    if eps[i, j, kk]:
-                        phi_pred[:, i] += eps[i, j, kk] * (sys.a_space[j] @ chi[kk])
-        pred = phi_pred.reshape(-1)  # space-major, matching the sector layout
+        comps = vecs2[:, t2].reshape(-1, 3)   # each node's 2-fermion components
+        chi = [None] * 3
+        for pos, (mode, sign) in enumerate(holes):
+            chi[mode] = sign * comps[:, pos]
+        # phi_i per node, space-major, matching the sector layout
+        pred = np.stack([a[j] @ chi[kk] - a[kk] @ chi[j]
+                         for j, kk in ((1, 2), (2, 0), (0, 1))], axis=1).reshape(-1)
         nrm = np.linalg.norm(pred)
         if nrm == 0.0:
             continue

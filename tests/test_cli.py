@@ -338,6 +338,36 @@ def test_rerun_into_same_outdir_rewrites_reports_whole(tmp_path):
     assert len(fresh.splitlines()) == 3
 
 
+@pytest.mark.parametrize("argv,count_flag,pattern", [
+    (["spectrum", "--family", "rosen-morse", "--b", "2", "--a", "1", "--grid-m", "600"],
+     "--nmax", "state_*.txt"),
+    (["chain", "--family", "rosen-morse", "--b", "2", "--a", "1", "--grid-m", "512"],
+     "--levels", "chain_state_*.txt"),
+])
+def test_rerun_into_same_outdir_leaves_no_stale_dumps(tmp_path, argv, count_flag, pattern):
+    """A rerun's dump files are those its own config writes, and no more."""
+    (tmp_path / "state_notes.txt").write_text("not a dump\n")
+
+    def dumped(count, *dump):
+        assert run([*argv, count_flag, str(count), *dump, "--outdir", str(tmp_path)]) == 0
+        return sorted(p.name for p in tmp_path.glob(pattern) if p.name != "state_notes.txt")
+
+    prefix = pattern.split("*")[0]
+    assert dumped(3, "--dump") == [f"{prefix}{k}.txt" for k in range(4)]
+    assert dumped(1, "--dump") == [f"{prefix}0.txt", f"{prefix}1.txt"]
+    assert dumped(1) == []
+    assert (tmp_path / "state_notes.txt").read_text() == "not a dump\n"
+
+
+def test_groundstate_rerun_without_dump_removes_its_dump(tmp_path):
+    argv = ["groundstate", "--kind", "cs", "--n", "2", "--alpha", "2", "--trials", "5",
+            "--grid-m", "200", "--outdir", str(tmp_path)]
+    assert run([*argv, "--dump"]) == 0
+    assert (tmp_path / "groundstate_state.txt").exists()
+    assert run(argv) == 0
+    assert not (tmp_path / "groundstate_state.txt").exists()
+
+
 @pytest.mark.parametrize("flags,message", [
     (["--a", "0"], "grid endpoints must be finite"),
     (["--family", "nope"], "unknown family 'nope'"),

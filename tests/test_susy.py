@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,15 +136,88 @@ def test_zero_mode_is_jastrow(cs_system):
     assert np.max(np.abs(np.abs(chunk) - ref)) < 1e-3
 
 
-def test_sector_sum_classification(cs_system):
-    rep = susy.sector_sum_check(cs_system, k=6)
-    assert len(rep["one_fermion"]) > 0
-    for case in rep["one_fermion"]:
-        assert case["class"] in ("vanishing", "degenerate")
-        assert case["residual"] < 1e-6
-    assert len(rep["n_minus_one"]) > 0
-    seen = {case["class"] for case in rep["n_minus_one"]}
-    assert seen <= {"vanishing", "degenerate"}
+def _expected_sums(sys_, f, target, states):
+    """Component sums of the sector-f columns of `states`, written out apart
+    from `susy._component_sums`: the |s> (target 0) or |d> pieces of a
+    two-body vector in block order, and <target| sum_i psi_i (or psi_i+)
+    per node on a grid, from the Fock operators."""
+    if sys_.h_blocks is not None:
+        want, pieces, first = (1 if target == 0 else 2), [], 0
+        for _, state, _, size in sys_.sector_blocks(f):
+            if state == want:
+                pieces.append(states[first:first + size])
+            first += size
+        return np.concatenate(pieces)
+    fock = sys_.fock
+    ops = fock.annihilators if target < f else fock.creators
+    full = np.zeros((sys_.dim, states.shape[1]))
+    full[sys_.sector_indices(f)] = states
+    summed = sp.kron(sp.identity(len(sys_.space_nodes)), sum(ops)) @ full
+    return summed[sys_.sector_indices(target)]
+
+
+@pytest.mark.parametrize("case", ["cs-s1", "cs-s2", "calogero-s1", "cs3_grid-s1"])
+def test_sector_sum_classification(case):
+    kind, variant = case.split("-")
+    kw = {}
+    if kind == "cs3_grid":
+        model = make_nbody_model("calogero_sutherland", 3, 1.0)
+        sys_ = susy.build_susy(model, GridSpec.box(0.0, math.pi, 8, 3, sector="ordered"),
+                               variant)
+        kw = {"k": 3, "split_tol": 0.45}
+    elif kind == "cs":
+        sys_ = _two_body(*_CS2, variant, susy.DEFAULT_CM_MOMENTA, m=64)
+    else:
+        sys_ = _two_body("calogero", 1.5, 8.0, variant, (0, 1, -1))
+    rep = susy.sector_sum_check(sys_, **kw)
+    tags = susy.kernel_classify(sys_, split_tol=kw.get("split_tol", 1e-6))["sectors"]
+    n = sys_.model.n
+    for key, f, tag, target in (("one_fermion", 1, "ker_q", 0),
+                                ("n_minus_one", n - 1, "ker_qdag", n)):
+        vals = susy._sector_solve(sys_, f).vals
+        picked = [t for t, tg in enumerate(tags[f]["tags"])
+                  if tg == tag and vals[t] > 1e-2][:kw.get("k", 6)]
+        cases = rep[key]
+        assert len(cases) == len(picked) > 0
+        summed = _expected_sums(sys_, f, target, susy._rotated_states(sys_, f)[:, picked])
+        h_target = sys_.sector_matrix(target)
+        for case_, t, phi in zip(cases, picked, summed.T):
+            lam = vals[t]
+            assert case_["lambda"] == lam
+            norm = np.linalg.norm(phi)
+            if norm < 1e-6:
+                assert case_["class"] == "vanishing"
+                assert abs(case_["residual"] - norm) <= 1e-12
+                continue
+            resid = np.linalg.norm(h_target @ phi - lam * phi) / (norm * max(1.0, lam))
+            assert abs(case_["residual"] - resid) <= 1e-12
+            assert case_["class"] == ("degenerate" if resid < 1e-6 else "unexplained")
+        if kind != "cs3_grid":
+            # two-body sums vanish or solve the target block
+            assert {c["class"] for c in cases} <= {"vanishing", "degenerate"}
+
+
+def test_two_body_sum_check_runs_on_numpy_alone():
+    # a fresh interpreter: the two-body check applies H's declared blocks,
+    # never the sparse H
+    script = """
+import math, sys
+from shapeinv import susy
+from shapeinv.models import make_nbody_model
+from shapeinv.spectral import GridSpec
+
+sys_ = susy.build_susy(make_nbody_model("calogero_sutherland", 2, 1.0),
+                       GridSpec.line(0.0, math.pi, 32), "s1", susy.cm_momenta(3))
+rep = susy.sector_sum_check(sys_, k=3)
+assert rep["one_fermion"] and rep["n_minus_one"]
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+    src = str(Path(susy.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_sum_check_inspects_the_tagged_states(cs_system):
