@@ -591,10 +591,6 @@ class PairPrepotential:
         row, params = self._family
         return row.log_psi0(np.asarray(x, dtype=float), *params)
 
-    def singular_period(self) -> float | None:
-        """Spacing of singular points of W (None if only the origin)."""
-        return self.row.period
-
     def condition_residual(self, A, B, vtilde_override=None):
         """|lhs - rhs| of the balance condition at C = -A - B.
 

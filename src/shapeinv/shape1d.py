@@ -136,8 +136,7 @@ def _d1_order4(v: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
-def wavefunction_chain(prep: Prepotential1D, n: int, grid: GridSpec,
-                       n_max_chain: int = MAX_CHAIN) -> GridFunction1D:
+def wavefunction_chain(prep: Prepotential1D, n: int, grid: GridSpec) -> GridFunction1D:
     """psi_n = A+(alpha_0) ... A+(alpha_{n-1}) psi_0(alpha_n) on the samples
     of a one-axis Dirichlet grid of at least MIN_CHAIN_CELLS cells.
 
@@ -145,8 +144,8 @@ def wavefunction_chain(prep: Prepotential1D, n: int, grid: GridSpec,
     and renormalizes; meta['boundary_margin_cells'] records the interior
     margin trusted after repeated one-sided differentiation.
     """
-    if n < 0 or n > n_max_chain:
-        raise DomainError(f"chain length {n} outside [0, {n_max_chain}]")
+    if n < 0 or n > MAX_CHAIN:
+        raise DomainError(f"chain length {n} outside [0, {MAX_CHAIN}]")
     x = _samples(grid)
     if len(x) - 1 < MIN_CHAIN_CELLS:
         raise DomainError(f"chain grids need at least {MIN_CHAIN_CELLS} cells")

@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionCapError, DomainError
-from .models import NBodyModel
+from .models import NBodyModel, remainder_shift
 from .spectral import GridSpec, _axis_operators, _deriv_coeffs, _sector_nodes
 
 SPARSE_CAP = 200_000
@@ -879,19 +879,22 @@ def _epsilon_relation(sys: SusySystem, k: int, zero_tol: float) -> dict:
 # ---------------------------------------------------------------------------
 
 def variant_comparison(model: NBodyModel, grid: GridSpec,
-                       cm_momenta=DEFAULT_CM_MOMENTA, stencil_order: int = 4,
-                       levels: int = 6) -> dict:
+                       cm_momenta=DEFAULT_CM_MOMENTA, levels: int = 6) -> dict:
     """Build both extensions and compare their sector spectra.
 
     The 0-fermion spectra must agree up to one additive constant (the shape
-    invariance shift); the 1-fermion spectra must not be related by any
-    constant shift.  Spectra are the right comparison object here: the two
+    invariance shift).  After the best such shift the 1-fermion spectra
+    can still differ only where the remainder R (recorded as "remainder")
+    is nonzero: the two-body 1-fermion sector holds two copies of the
+    bosonic spectrum and a tower both variants share, and s2's copies sit
+    R below s1's.  Spectra are the right comparison object here: the two
     variants carry their staggered blocks on different grids, so matrix
     entries are not directly comparable even though the physics is.
     """
-    s1 = build_susy(model, grid, "s1", cm_momenta, stencil_order)
-    s2 = build_susy(model, grid, "s2", cm_momenta, stencil_order)
-    out = {"variants": ("s1", "s2"), "model": model.descriptor(), "sectors": {}}
+    s1 = build_susy(model, grid, "s1", cm_momenta)
+    s2 = build_susy(model, grid, "s2", cm_momenta)
+    out = {"variants": ("s1", "s2"), "model": model.descriptor(),
+           "remainder": remainder_shift(model), "sectors": {}}
     spectra1, spectra2 = sector_spectra(s1, levels), sector_spectra(s2, levels)
     for f in range(model.n + 1):
         e1, e2 = spectra1[f], spectra2[f]

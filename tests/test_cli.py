@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -246,6 +247,18 @@ def test_susy_invalid_variant(tmp_path):
     assert run(["susy", "--variant", "s9", "--outdir", str(tmp_path)]) == 2
 
 
+def test_susy_variant_both_calogero_remainder_zero(tmp_path, capsys):
+    # calogero has R = 0, so its two variants' 1-fermion spectra coincide
+    # after the shift; the comparison says so instead of failing
+    code = run(["susy", "--kind", "calogero", "--n", "2", "--alpha", "2", "--variant", "both",
+                "--grid-m", "48", "--outdir", str(tmp_path)])
+    assert code == 0
+    assert "(R = 0: not compared)" in capsys.readouterr().out
+    payload = json.loads((tmp_path / "variant_comparison.json").read_text())
+    assert payload["remainder"] == 0.0
+    assert payload["sectors"]["0"]["relative_deviation_after_shift"] <= 1e-4
+
+
 @pytest.mark.parametrize("modes", [1, 3, 12])
 def test_susy_cm_modes_count(tmp_path, modes):
     code = run(["susy", "--kind", "cs", "--n", "2", "--alpha", "1", "--grid-m", "16",
@@ -422,6 +435,66 @@ def test_config_file_resolves_kind_alias(tmp_path):
 def test_config_keys_share_model_types():
     shared = {key: cli._CONFIG_KEYS[key] for key in models._CONFIG_KEYS}
     assert shared == models._CONFIG_KEYS
+
+
+_MODEL_FLAGS = ["--alpha", "--beta-override", "--epsilon-sing", "--kind", "--n", "--omega"]
+_COMMON_FLAGS = ["--config", "--help", "--outdir", "--seed", "--tol"]
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("verify", [*_MODEL_FLAGS, "--trials"]),
+    ("spectrum", [*_MODEL_FLAGS, "--a", "--b", "--domain-max", "--domain-min", "--dump",
+                  "--family", "--grid-m", "--nmax", "--reduce", "--stencil-order"]),
+    ("susy", [*_MODEL_FLAGS, "--cm-modes", "--grid-m", "--levels", "--variant"]),
+    ("groundstate", [*_MODEL_FLAGS, "--dump", "--grid-m", "--stencil-order", "--trials"]),
+    ("chain", ["--a", "--b", "--dump", "--family", "--grid-m", "--levels"]),
+])
+def test_subcommand_long_options(command, flags):
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = [o for a in sub.choices[command]._actions for o in a.option_strings
+               if o.startswith("--")]
+    assert sorted(options) == sorted([*flags, *_COMMON_FLAGS])
+
+
+def test_command_keys_are_config_keys():
+    for _, defaults in cli.COMMANDS.values():
+        assert set(defaults) <= set(cli._CONFIG_KEYS)
+
+
+def test_config_value_checked_like_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("stencil_order = 3\n")
+    out = tmp_path / "out"
+    code = run(["groundstate", "--kind", "cs", "--n", "3", "--trials", "5",
+                "--config", str(cfg), "--outdir", str(out)])
+    assert code == 2
+    assert "stencil_order must be one of (2, 4), got 3" in capsys.readouterr().err
+    assert not (out / "groundstate.json").exists()
+
+
+def test_config_keys_a_command_does_not_list_are_ignored(tmp_path):
+    # susy builds at stencil order 4 alone, so its reports must not record
+    # another order from a config file shared with other commands
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("stencil_order = 2\ntrials = 5\n")
+    by_file, by_flags = tmp_path / "file", tmp_path / "flags"
+    argv = ["susy", "--kind", "cs", "--n", "2", "--grid-m", "16"]
+    assert run([*argv, "--config", str(cfg), "--outdir", str(by_file)]) == 0
+    assert run([*argv, "--outdir", str(by_flags)]) == 0
+    for name in ("susy_report.json", "sector_spectra.csv"):
+        assert (by_file / name).read_bytes() == (by_flags / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["spectrum", "--family", "rosen-morse", "--stencil-order", "3"],
+     "stencil_order must be one of (2, 4), got 3"),
+    (["susy", "--variant", "s9"], "variant must be one of ('s1', 's2', 'both'), got 's9'"),
+])
+def test_flag_value_outside_its_choices(tmp_path, capsys, argv, message):
+    assert run([*argv, "--outdir", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_config_file_unknown_key(tmp_path):
