@@ -23,9 +23,13 @@ A two-body system is a direct sum over center-of-mass momenta, and each
 momentum holds four Fock blocks built from one dense relative ladder.  It
 is built and analyzed on numpy alone, the sector-sum check included: its
 sector blocks, charge products and diagnostics are small block
-expressions, summed in the order of the sparse products they replace.  Its
-sparse Q, Q+ and H are assembled, with scipy.sparse, when first read;
-N >= 3 grids load scipy.sparse at build.
+expressions, summed in the order of the sparse products they replace.  Q,
+Q+ and H keep the momentum, so the sector analysis runs one momentum at a
+time: each eigenvector, charge product and cluster rotation lives on one
+momentum's rows, and no sector-wide eigenvector or charge matrix is
+formed.  An N >= 3 grid sector is the one-momentum case.  The sparse Q,
+Q+ and H of a two-body system are assembled, with scipy.sparse, when first
+read; N >= 3 grids load scipy.sparse at build.
 """
 
 from __future__ import annotations
@@ -509,24 +513,15 @@ class _SectorEigen:
 
     `pairs` holds (vals, vecs) per block, in the order of `members` (the
     block's rows within the sector); identical blocks share one pair.  The
-    sector-wide eigenvector matrix `vecs` is assembled from them on first
-    read, and the block pairs are then dropped.
+    block eigenpairs, concatenated in block order, are indexed by `order`:
+    vals[p] is the eigenvalue of concatenated eigenpair order[p].  No
+    sector-wide eigenvector matrix is formed.
     """
     vals: np.ndarray      # ascending
     ix: np.ndarray        # the sector's indices into the system
     members: list
-    column: np.ndarray    # position in vals of each concatenated block eigenvalue
-    pairs: list | None
-
-    @cached_property
-    def vecs(self) -> np.ndarray:
-        vecs = np.zeros((len(self.ix), len(self.ix)))
-        first = 0
-        for rows, (_, bvecs) in zip(self.members, self.pairs):
-            vecs[np.ix_(rows, self.column[first:first + len(rows)])] = bvecs
-            first += len(rows)
-        self.pairs = None
-        return vecs
+    order: np.ndarray
+    pairs: list
 
 
 def _check_dense_cap(f: int, size: int):
@@ -573,18 +568,8 @@ def _sector_solve(sys: SusySystem, f: int) -> _SectorEigen:
             pairs.append(solved[key])
         all_vals = np.concatenate([bvals for bvals, _ in pairs])
         order = np.argsort(all_vals, kind="stable")
-        column = np.empty_like(order)
-        column[order] = np.arange(len(order))
-        sys._sector_eig[f] = _SectorEigen(all_vals[order], ix, members, column, pairs)
+        sys._sector_eig[f] = _SectorEigen(all_vals[order], ix, members, order, pairs)
     return sys._sector_eig[f]
-
-
-def _sector_eigh(sys: SusySystem, f: int):
-    """Eigenpairs (vals, vecs, ix) of sector f: vecs holds every eigenvector
-    on the sector's indices ix, columns in the order of vals.  The blocks
-    are solved once by `_sector_solve`; vecs is assembled on first call."""
-    eig = _sector_solve(sys, f)
-    return eig.vals, eig.vecs, eig.ix
 
 
 def sector_spectra(sys: SusySystem, k: int | None = None) -> dict:
@@ -610,85 +595,101 @@ def _cluster_starts(vals: np.ndarray, rel: float = 1e-8) -> np.ndarray:
 
 
 def _charge_products(sys: SusySystem, f: int, eig: _SectorEigen) -> tuple:
-    """(Q v, Q+ v) for the sector-f eigenvectors eig.vecs, on the rows each
-    operator can reach from the sector, in ascending order.
+    """(Q v, Q+ v) for the sector-f block eigenvectors, one momentum at a
+    time: arrays (n_k, rows, cols) whose rows are those each operator
+    reaches from one momentum's rows of the sector, in ascending order, and
+    whose cols are that momentum's block eigenvectors in concatenated block
+    order.  Q and Q+ keep the momentum, so no other entry is nonzero.  An
+    N >= 3 grid sector is one block, and n_k = 1.
 
-    On two-body systems each eigenvector lives on one momentum, so the
-    products run per momentum on that momentum's eigenvectors alone, with
-    Q's Fock blocks, summed in the order of the sparse product, which they
-    equal bit for bit; every other entry is +0.0, as there.  The sector's
-    rows are (|0>), (|s>, |d>) or (|sd>) per momentum.
+    Two-body products come from Q's Fock blocks, each entry summed in the
+    order of the sparse product.  The sector's rows are (|0>), (|s>, |d>)
+    or (|sd>) per momentum, and the 1-fermion eigenvectors live on |s> or
+    on |d> alone.
     """
-    vecs = eig.vecs
-    n = vecs.shape[1]
     if sys.h_blocks is None:
-        return tuple(cols[cols.getnnz(axis=1) > 0] @ vecs
-                     for cols in (sys.Q[:, eig.ix], sys.Qdag[:, eig.ix]))
+        [(_, vecs)] = eig.pairs
+        return tuple((ops[ops.getnnz(axis=1) > 0] @ vecs)[None]
+                     for ops in (sys.Q[:, eig.ix], sys.Qdag[:, eig.ix]))
     xs, c = sys.relative_ops["xs"], sys.cm_coeff[:, None, None]
-    # the blocks run momentum by momentum, so column holds each momentum's
-    # eigenvector columns in turn; v[k] is momentum k's eigenvectors on its
-    # rows (the two index arrays put the momentum and column axes first)
-    k, cols = np.arange(len(c))[:, None], eig.column.reshape(len(c), -1)
-    v = vecs.reshape(len(c), -1, n)[k, :, cols].transpose(0, 2, 1)
-    # + 0.0: a sparse sum starts at +0.0, so it turns the -0.0 of k = 0 into +0.0
+    vecs = [bvecs for _, bvecs in eig.pairs]
+    if f == 1:      # Q reaches |0> (c, xs), Q+ reaches |sd> (-xs^T, c)
+        vs, vd = np.stack(vecs[0::2]), np.stack(vecs[1::2])
+        return (np.concatenate((c * vs, _band_apply(xs, vd)), axis=2),
+                np.concatenate((_band_apply(-xs.T, vs), c * vd), axis=2))
+    v = np.stack(vecs)
+    empty = np.zeros((len(c), 0, v.shape[2]))
     if f == 0:      # Q+ reaches |s> (c) and |d> (xs^T)
-        qv, qdv = (), (c * v + 0.0, _band_apply(xs.T, v))
-    elif f == 1:    # Q reaches |0> (c, xs), Q+ reaches |sd> (-xs^T, c)
-        vs, vd = v[:, :xs.shape[0]], v[:, xs.shape[0]:]
-        qv = (_band_apply(xs, vd, out=c * vs + 0.0),)
-        qdv = (_band_apply(-xs.T, vs) + c * vd,)
-    else:           # Q reaches |s> (-xs) and |d> (c)
-        qv, qdv = (_band_apply(-xs, v), c * v + 0.0), ()
-    out = []
-    for rows in (qv, qdv):
-        full = np.zeros((len(c), sum(r.shape[1] for r in rows), n))
-        if rows:
-            full[k, :, cols] = np.concatenate(rows, axis=1).transpose(0, 2, 1)
-        out.append(full.reshape(-1, n))
-    return tuple(out)
+        return empty, np.concatenate((c * v, _band_apply(xs.T, v)), axis=1)
+    # Q reaches |s> (-xs) and |d> (c)
+    return np.concatenate((_band_apply(-xs, v), c * v), axis=1), empty
 
 
 def _sector_charges(sys: SusySystem, f: int):
-    """(lam, qn, qdn, rotations) of sector f, computed once and cached.
+    """(lam, qn, qdn, (basis, weights)) of sector f, computed once and cached.
 
     Each degenerate cluster of eigenvectors is rotated to diagonalize Q+Q
-    on it, by the eigh of the cluster's Gram matrix of Q v columns; the
-    superalgebra then puts each rotated state in ker Q or in ker Q+.  lam
-    is the cluster mean per state, qn and qdn are |Q v| and |Q+ v| of the
-    rotated states, and rotations lists (cols, rot_t) per cluster size, with
-    which `_rotated_states` builds those states.  None of it depends on a
-    tolerance.
+    on it; the superalgebra then puts each rotated state in ker Q or in
+    ker Q+.  Q keeps the momentum, so the cluster's Gram matrix of Q v
+    columns is block-diagonal by momentum: each momentum's run of the
+    cluster is rotated by the eigh of its own Gram, all runs of one size in
+    one batched call.  Each cluster's states are then ordered by ascending
+    |Q v|^2, the Gram eigenvalue, which is the order the eigh of the whole
+    Gram returns.  lam is the cluster mean per state, qn and qdn are |Q v|
+    and |Q+ v| of the rotated states, and state p is the sum over b of
+    weights[p, b] times concatenated block eigenvector basis[p, b], from
+    which `_rotated_states` builds it.  None of it depends on a tolerance.
     """
     if f not in sys._charges:
         eig = _sector_solve(sys, f)
-        vals = eig.vals
+        vals, order = eig.vals, eig.order
         qv, qdv = _charge_products(sys, f, eig)
+        n_groups, n_cols = qv.shape[0], qv.shape[2]
         starts = _cluster_starts(vals)
         sizes = np.diff(starts, append=len(vals))
         lam = np.repeat(np.add.reduceat(vals, starts) / sizes, sizes)
-        rotations = []
-        for size in np.unique(sizes[sizes > 1]):
-            # every cluster of one size at once: cols[c] are cluster c's columns,
-            # and arr.T[cols] stacks their column vectors as rows
-            cols = starts[sizes == size][:, None] + np.arange(size)
-            stacked = qv.T[cols]
-            _, rot = np.linalg.eigh(stacked @ stacked.transpose(0, 2, 1))
-            rot_t = np.ascontiguousarray(rot.transpose(0, 2, 1))
-            for arr in (qv, qdv):
-                arr.T[cols] = rot_t @ arr.T[cols]
-            rotations.append((cols, rot_t))
-        sys._charges[f] = (lam, np.linalg.norm(qv, axis=0),
-                           np.linalg.norm(qdv, axis=0), rotations)
+        cluster = np.repeat(np.arange(len(starts)), sizes)
+        # a run is the positions of one cluster on one momentum, ascending
+        run_key = cluster * n_groups + order // n_cols
+        pos = np.argsort(run_key, kind="stable")
+        first = np.flatnonzero(np.diff(run_key[pos], prepend=-1))
+        length = np.diff(first, append=len(pos))
+        # an unrotated state is its own eigenpair, with |Q v|^2 as its Gram
+        # eigenvalue; the runs overwrite what they rotate
+        basis = np.repeat(np.arange(len(vals))[:, None], length.max(initial=1), axis=1)
+        weights = np.zeros(basis.shape)
+        weights[:, 0] = 1.0
+        qn, qdn = (np.linalg.norm(arr, axis=1).ravel() for arr in (qv, qdv))
+        gram_vals = qn * qn
+        for size in np.unique(length[length > 1]):
+            conc = order[pos[first[length == size][:, None] + np.arange(size)]]
+            g, j = np.divmod(conc, n_cols)
+            stacked = qv[g, :, j]
+            gram_vals[conc], rot = np.linalg.eigh(stacked @ stacked.transpose(0, 2, 1))
+            rot_t = rot.transpose(0, 2, 1)
+            for arr, norms in ((qv, qn), (qdv, qdn)):
+                norms[conc] = np.linalg.norm(rot_t @ arr[g, :, j], axis=2)
+            basis[conc.ravel(), :size] = np.repeat(conc, size, axis=0)
+            weights[conc.ravel(), :size] = rot_t.reshape(-1, size)
+        state = order[np.lexsort((gram_vals[order], cluster))]
+        sys._charges[f] = (lam, qn[state], qdn[state], (basis[state], weights[state]))
     return sys._charges[f]
 
 
-def _rotated_states(sys: SusySystem, f: int) -> np.ndarray:
-    """The sector-f eigenvectors with each degenerate cluster rotated as in
-    `_sector_charges`: the states the kernel tags describe.  Not cached."""
-    rotated = _sector_eigh(sys, f)[1].copy()
-    for cols, rot_t in _sector_charges(sys, f)[3]:
-        rotated.T[cols] = rot_t @ rotated.T[cols]
-    return rotated
+def _rotated_states(sys: SusySystem, f: int, positions) -> np.ndarray:
+    """The sector-f states at `positions` of the classification order, as
+    sector-wide columns: the cluster-rotated states the kernel tags
+    describe, combined from the block eigenvectors as `_sector_charges`
+    records.  Only these columns are built, and they are not cached."""
+    eig = _sector_solve(sys, f)
+    basis, weights = _sector_charges(sys, f)[3]
+    firsts = np.cumsum([0, *map(len, eig.members)])
+    out = np.zeros((len(eig.ix), len(positions)))
+    for col, p in enumerate(positions):
+        for i, w in zip(basis[p], weights[p]):
+            b = np.searchsorted(firsts, i, side="right") - 1
+            out[eig.members[b], col] += w * eig.pairs[b][1][:, i - firsts[b]]
+    return out
 
 
 def kernel_classify(sys: SusySystem, zero_tol: float = 1e-2,
@@ -768,13 +769,10 @@ def sector_sum_check(sys: SusySystem, k: int = 6, tol: float = 1e-6,
     n = sys.model.n
     classify = kernel_classify(sys, zero_tol=zero_tol, split_tol=split_tol)
     particle, dual = _component_sums(sys)
-    # the states the tags describe, rotated once per sector (N = 2 reads
-    # sector 1 twice)
-    states = {f: _rotated_states(sys, f) for f in {1, n - 1}}
     return {"one_fermion": _sum_check(sys, classify, 1, "ker_q", 0, particle,
-                                      states[1], k, tol, zero_tol),
+                                      k, tol, zero_tol),
             "n_minus_one": _sum_check(sys, classify, n - 1, "ker_qdag", n, dual,
-                                      states[n - 1], k, tol, zero_tol),
+                                      k, tol, zero_tol),
             "epsilon_relation": (_epsilon_relation(sys, k, zero_tol)
                                  if n == 3 and sys.a_space is not None else None)}
 
@@ -801,22 +799,21 @@ def _component_sums(sys: SusySystem) -> tuple:
 
 
 def _sum_check(sys: SusySystem, classify: dict, f: int, tag: str, target: int,
-               summed, states: np.ndarray, k: int, tol: float, zero_tol: float) -> list:
-    """Classify the component sums of the first k of the sector-f `states`
-    that carry `tag` and lie above zero_tol: a sum either vanishes or
-    solves the sector-`target` block of H at the state's eigenvalue
-    ("degenerate"), else it is "unexplained".  H_target is applied by the
-    blocks its builder declares (`_sector_parts`)."""
-    vals = _sector_solve(sys, f).vals
+               summed, k: int, tol: float, zero_tol: float) -> list:
+    """Classify the component sums of the first k sector-f states that
+    carry `tag` and lie above zero_tol: a sum either vanishes or solves the
+    sector-`target` block of H at the state's eigenvalue ("degenerate"),
+    else it is "unexplained".  Only these k states are built
+    (`_rotated_states`), and H_target is applied by the blocks its builder
+    declares (`_sector_parts`)."""
+    vals = _sector_solve(sys, f).vals.tolist()
+    picked = [t for t, state_tag in enumerate(classify["sectors"][f]["tags"])
+              if state_tag == tag and vals[t] > zero_tol][:k]
     parts = _sector_parts(sys, target)
     cases = []
-    for t, state_tag in enumerate(classify["sectors"][f]["tags"]):
-        if len(cases) >= k:
-            break
-        lam = float(vals[t])
-        if state_tag != tag or lam <= zero_tol:
-            continue
-        phi = summed(states[:, t])
+    for t, state in zip(picked, _rotated_states(sys, f, picked).T):
+        lam = vals[t]
+        phi = summed(state)
         norm = float(np.linalg.norm(phi))
         if norm < tol:
             cases.append({"lambda": lam, "class": "vanishing", "residual": norm})
@@ -840,7 +837,9 @@ def _epsilon_relation(sys: SusySystem, k: int, zero_tol: float) -> dict:
     good an eigenvector that partner is (its eigen-residual in the 1-fermion
     block) measures the grid-limited degeneracy claim, reported separately.
     """
-    vals2, vecs2, ix2 = _sector_eigh(sys, 2)
+    eig2 = _sector_solve(sys, 2)
+    vals2, ix2 = eig2.vals, eig2.ix
+    vecs2 = eig2.pairs[0][1][:, eig2.order]   # a grid sector is one block
     q21 = sys.Q[sys.sector_indices(1)][:, ix2]
     h1 = sys.sector_matrix(1)
     holes = _holes(sys.fock)

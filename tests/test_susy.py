@@ -22,6 +22,18 @@ def cs_system():
     return susy.build_susy(model, grid, "s1")
 
 
+def _sector_eigh(sys_, f):
+    """(vals, vecs, ix) of sector f, with vecs the sector-wide eigenvector
+    matrix in the order of vals, zero-padded from the block eigenpairs: the
+    matrix the analysis never forms, assembled here as the reference."""
+    eig = susy._sector_solve(sys_, f)
+    vecs, first = np.zeros((len(eig.ix), len(eig.ix))), 0
+    for rows, (_, bvecs) in zip(eig.members, eig.pairs):
+        vecs[np.ix_(rows, np.arange(first, first + len(rows)))] = bvecs
+        first += len(rows)
+    return eig.vals, vecs[:, eig.order], eig.ix
+
+
 # ---------------------------------------------------------------------------
 # Fock space
 # ---------------------------------------------------------------------------
@@ -113,7 +125,7 @@ def test_no_zero_mode_in_bosonic_sector(cs_system):
 
 def test_zero_mode_is_jastrow(cs_system):
     # the exact kernel vector at k = 0 reproduces |sin r|^alpha on midpoints
-    vals, vecs, ix = susy._sector_eigh(cs_system, 2)
+    vals, vecs, ix = _sector_eigh(cs_system, 2)
     mids = cs_system.relative_ops["mids"]
     k0_zero = np.argmin(np.abs(vals))
     assert abs(vals[k0_zero]) < 1e-10
@@ -179,7 +191,7 @@ def test_sector_sum_classification(case):
                   if tg == tag and vals[t] > 1e-2][:kw.get("k", 6)]
         cases = rep[key]
         assert len(cases) == len(picked) > 0
-        summed = _expected_sums(sys_, f, target, susy._rotated_states(sys_, f)[:, picked])
+        summed = _expected_sums(sys_, f, target, susy._rotated_states(sys_, f, picked))
         h_target = sys_.sector_matrix(target)
         for case_, t, phi in zip(cases, picked, summed.T):
             lam = vals[t]
@@ -223,8 +235,8 @@ assert not loaded, loaded
 def test_sum_check_inspects_the_tagged_states(cs_system):
     # the sum checks read the cluster-rotated states the tags describe
     rep = susy.kernel_classify(cs_system)
-    vals, _, ix = susy._sector_eigh(cs_system, 1)
-    rotated = susy._rotated_states(cs_system, 1)
+    vals, _, ix = _sector_eigh(cs_system, 1)
+    rotated = susy._rotated_states(cs_system, 1, np.arange(len(vals)))
     qn = np.linalg.norm(cs_system.Q[:, ix] @ rotated, axis=0)
     qdn = np.linalg.norm(cs_system.Qdag[:, ix] @ rotated, axis=0)
     for t, tag in enumerate(rep["sectors"][1]["tags"]):
@@ -363,7 +375,7 @@ def _reference_classify(sys_, zero_tol=1e-2, split_tol=1e-6, ops=None):
     sectors, unsplit = {}, 0
     for f in range(sys_.model.n + 1):
         if ops is None:
-            vals, vecs, ix = susy._sector_eigh(sys_, f)
+            vals, vecs, ix = _sector_eigh(sys_, f)
         else:
             ix = sys_.sector_indices(f)
             vals, vecs = np.linalg.eigh(ham[ix][:, ix].toarray())
@@ -426,7 +438,7 @@ def test_block_eigh_matches_dense(case):
     for f in range(model.n + 1):
         mat = sys_.sector_matrix(f)
         assert connected_components(mat != 0, directed=False)[0] == expect_blocks[f]
-        vals, vecs, ix = susy._sector_eigh(sys_, f)
+        vals, vecs, ix = _sector_eigh(sys_, f)
         assert np.array_equal(ix, sys_.sector_indices(f))
         dense = np.linalg.eigvalsh(mat.toarray())
         assert np.all(np.diff(vals) >= 0.0)
@@ -459,8 +471,9 @@ def test_susy_systems_are_real(builder, variant):
         assert mat.dtype == np.float64
     susy.kernel_classify(sys_)
     for f in range(model.n + 1):
-        assert susy._sector_eigh(sys_, f)[1].dtype == np.float64
-        assert susy._rotated_states(sys_, f).dtype == np.float64
+        vals, vecs, _ = _sector_eigh(sys_, f)
+        assert vecs.dtype == np.float64
+        assert susy._rotated_states(sys_, f, np.arange(len(vals))).dtype == np.float64
 
 
 @pytest.mark.parametrize("case", [
@@ -643,7 +656,7 @@ def test_sector_eigh_solves_each_distinct_block_once(monkeypatch, variant):
     # momentum and Fock-state blocks of the 1-fermion sector
     for f, distinct in enumerate((5, 10, 5)):
         calls.clear()
-        vals, vecs, ix = susy._sector_eigh(sys_, f)
+        vals, vecs, ix = _sector_eigh(sys_, f)
         assert len(calls) == distinct
         # ... with the eigenvalues of solving every block
         mat = sys_.sector_matrix(f)
@@ -677,7 +690,7 @@ def test_variant_comparison_reads_eigenvalues_only(monkeypatch):
         built.append(build(*args, **kwargs))
         return built[-1]
 
-    def no_rotation(sys_, f):
+    def no_rotation(sys_, f, positions):
         raise AssertionError("rotated states built")
 
     monkeypatch.setattr(susy, "build_susy", recording_build)
@@ -705,13 +718,83 @@ def test_diagnostics_on_first_read_equal_eager(monkeypatch, builder):
     rotations = []
     rotated_states = susy._rotated_states
     monkeypatch.setattr(susy, "_rotated_states",
-                        lambda s, f: rotations.append(f) or rotated_states(s, f))
+                        lambda s, f, t: rotations.append(f) or rotated_states(s, f, t))
     susy.pairing_check(sys_)
     # tags and pairing read charge norms, never the rotated states
     assert rotations == [] and "diagnostics" not in vars(sys_)
-    assert all(eig.pairs is None for eig in sys_._sector_eig.values())
+    assert all("vecs" not in vars(eig) for eig in sys_._sector_eig.values())
     eager = _eager_diagnostics(sys_)
     assert sys_.diagnostics == eager
     assert list(sys_.diagnostics) == list(eager)
     susy.sector_sum_check(sys_, k=2)
     assert rotations
+
+
+# ---------------------------------------------------------------------------
+# per-momentum classification against the sector-wide rotation
+# ---------------------------------------------------------------------------
+
+def _sector_wide_charges(sys_, f):
+    """The sector-wide classification the per-momentum one replaced, kept as
+    its reference: Q v and Q+ v of the sector-wide eigenvector matrix, zero
+    rows included, and each degenerate cluster rotated by the eigh of its
+    whole Gram matrix, all clusters of one size in one batched call.
+    Returns (lam, |Q v|, |Q+ v|, the rotated states)."""
+    vals, vecs, ix = _sector_eigh(sys_, f)
+    qv, qdv = sys_.Q[:, ix] @ vecs, sys_.Qdag[:, ix] @ vecs
+    starts = np.array([sl.start for sl in _reference_cluster_slices(vals)], dtype=int)
+    sizes = np.diff(starts, append=len(vals))
+    lam = np.repeat(np.add.reduceat(vals, starts) / sizes, sizes)
+    for size in np.unique(sizes[sizes > 1]):
+        cols = starts[sizes == size][:, None] + np.arange(size)
+        stacked = qv.T[cols]
+        _, rot = np.linalg.eigh(stacked @ stacked.transpose(0, 2, 1))
+        rot_t = rot.transpose(0, 2, 1)
+        for arr in (qv, qdv, vecs):
+            arr.T[cols] = rot_t @ arr.T[cols]
+    return lam, np.linalg.norm(qv, axis=0), np.linalg.norm(qdv, axis=0), vecs
+
+
+@pytest.mark.parametrize("cm", [(0,), (0, 1, -1), susy.DEFAULT_CM_MOMENTA],
+                         ids=lambda cm: f"{len(cm)}cm")
+@pytest.mark.parametrize("variant", susy.VARIANTS)
+@pytest.mark.parametrize("kind", [_CS2, ("calogero_sutherland", 2.0, math.pi),
+                                  ("calogero", 1.5, 8.0), ("harmonic_calogero", 2.0, 8.0)],
+                         ids=lambda kind: f"{kind[0]}-{kind[1]}")
+def test_per_momentum_classification_matches_sector_wide(monkeypatch, kind, variant, cm):
+    sys_ = _two_body(*kind, variant, cm)
+    report, sums = susy.kernel_classify(sys_), susy.sector_sum_check(sys_)
+    # the same tagging and sum check, on the sector-wide rotation
+    ref = {f: _sector_wide_charges(sys_, f) for f in range(3)}
+    monkeypatch.setattr(susy, "_sector_charges", lambda s, f: ref[f])
+    monkeypatch.setattr(susy, "_rotated_states", lambda s, f, t: ref[f][3][:, t])
+    ref_report, ref_sums = susy.kernel_classify(sys_), susy.sector_sum_check(sys_)
+    assert report["unsplit"] == ref_report["unsplit"]
+    for f, got in report["sectors"].items():
+        want = ref_report["sectors"][f]
+        assert got["tags"] == want["tags"]
+        assert got["counts"] == want["counts"]
+        scale = np.sqrt(np.maximum(1.0, np.array(want["eigenvalues"])))
+        for norms in ("q_norms", "qdag_norms"):
+            assert np.max(np.abs(np.subtract(got[norms], want[norms])) / scale) <= 1e-12
+    for key in ("one_fermion", "n_minus_one"):
+        assert len(sums[key]) == len(ref_sums[key]) > 0
+        for got, want in zip(sums[key], ref_sums[key]):
+            assert (got["lambda"], got["class"]) == (want["lambda"], want["class"])
+            assert abs(got["residual"] - want["residual"]) <= 1e-12
+
+
+def test_two_body_analysis_forms_no_sector_wide_matrix():
+    sys_ = _two_body(*_CS2, "s1", susy.DEFAULT_CM_MOMENTA)
+    susy.kernel_classify(sys_)
+    susy.pairing_check(sys_)
+    susy.sector_sum_check(sys_)
+    n_k = len(sys_.cm_momenta)
+    for f, eig in sys_._sector_eig.items():
+        assert "vecs" not in vars(eig)
+        # nothing cached holds more than one momentum's share of a
+        # sector-wide matrix
+        lam, qn, qdn, (basis, weights) = sys_._charges[f]
+        held = [eig.vals, eig.order, lam, qn, qdn, basis, weights,
+                *(a for pair in eig.pairs for a in pair)]
+        assert max(a.size for a in held) <= len(eig.ix) ** 2 // n_k
