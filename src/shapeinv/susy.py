@@ -23,13 +23,16 @@ A two-body system is a direct sum over center-of-mass momenta, and each
 momentum holds four Fock blocks built from one dense relative ladder.  It
 is built and analyzed on numpy alone, the sector-sum check included: its
 sector blocks, charge products and diagnostics are small block
-expressions, summed in the order of the sparse products they replace.  Q,
-Q+ and H keep the momentum, so the sector analysis runs one momentum at a
-time: each eigenvector, charge product and cluster rotation lives on one
-momentum's rows, and no sector-wide eigenvector or charge matrix is
-formed.  An N >= 3 grid sector is the one-momentum case.  The sparse Q,
-Q+ and H of a two-body system are assembled, with scipy.sparse, when first
-read; N >= 3 grids load scipy.sparse at build.
+expressions, summed in the order of the sparse products they replace.
+Each diagonal Fock block of H is G + c_k^2 I or G2 + c_k^2 I, with
+G = xs xs^T and G2 = xs^T xs shared by all momenta, so one eigh of G and
+one of G2 serve every sector and momentum.  They are solved apart, so the
+pairing of their nonzero eigenvalues stays a measurement.  Q, Q+ and H
+keep the momentum, so the sector analysis runs one momentum at a time,
+and no sector-wide eigenvector or charge matrix is formed.  An N >= 3 grid
+sector is the one-momentum case, its own relative matrix with shift 0.
+The sparse Q, Q+ and H of a two-body system are assembled, with
+scipy.sparse, when first read; N >= 3 grids load scipy.sparse at build.
 """
 
 from __future__ import annotations
@@ -37,12 +40,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionCapError, DomainError
+from .errors import ConvergenceError, DimensionCapError, DomainError
 from .models import NBodyModel, remainder_shift
-from .spectral import GridSpec, _axis_operators, _deriv_coeffs, _sector_nodes
+from .spectral import (RESIDUAL_CONTRACT, GridSpec, _axis_operators, _deriv_coeffs,
+                       _sector_nodes)
 
 SPARSE_CAP = 200_000
 DENSE_SECTOR_CAP = 5000
@@ -225,10 +230,12 @@ class SusySystem:
 
     A two-body system is a direct sum over center-of-mass momenta.  It
     keeps Q as its Fock blocks, c_k I per momentum (`cm_coeff`) and the
-    relative ladder xs = sqrt(2) X (`relative_ops["xs"]`), and H as its
-    per-momentum Fock blocks (`h_blocks`); the analysis reads these, and
-    the sparse Q, Q+ and H are assembled on first read.  N >= 3 grids
-    assemble them at build.
+    relative ladder xs = sqrt(2) X (`relative_ops["xs"]`), H as its
+    per-momentum Fock blocks (`h_blocks`), and the two k-independent
+    relative matrices G = xs xs^T and G2 = xs^T xs that each diagonal block
+    is c_k^2 I away from (`h_relative`); the analysis reads these, and the
+    sparse Q, Q+ and H are assembled on first read.  N >= 3 grids assemble
+    them at build.
     """
     model: NBodyModel
     grid: GridSpec
@@ -243,6 +250,9 @@ class SusySystem:
     cm_coeff: np.ndarray | None = None  # c_k per momentum (two-body only)
     h_blocks: dict | None = field(default=None, repr=False)  # two-body only:
     # {(state, state'): (n_k, size, size')}, H's Fock blocks per momentum
+    h_relative: dict | None = field(default=None, repr=False)  # two-body only:
+    # {"G": G, "G2": G2}; H's (s, s) blocks are h_relative[_RELATIVE_OF[s]] + c_k^2 I
+    _relative_eig: dict = field(default_factory=dict, repr=False)
     _sector_eig: dict = field(default_factory=dict, repr=False)
     _charges: dict = field(default_factory=dict, repr=False)
 
@@ -328,8 +338,9 @@ def _build_two_body(model: NBodyModel, grid: GridSpec, variant: str,
     Per momentum, Q has four Fock blocks: psi_sum puts c_k = -+(k/2) sqrt(2)
     on the diagonals of (|0>, |s>) and (|d>, |sd>), psi_diff puts
     xs = sqrt(2) X in (|0>, |d>) and -xs in (|s>, |sd>).  The builder keeps
-    these and H's Fock blocks (`_two_body_h_blocks`), and declares one block
-    per momentum and Fock state.
+    these, H's Fock blocks and their k-independent parts G and G2
+    (`_two_body_h_blocks`), and declares one block per momentum and Fock
+    state.
     """
     if grid.dim != 1:
         raise DomainError("two-body systems take a 1-D relative grid")
@@ -365,16 +376,22 @@ def _build_two_body(model: NBodyModel, grid: GridSpec, variant: str,
     xs = root2 * x_op
     c = c_over_k * kvals * root2
     h = length / m_cells
+    h_blocks, h_relative = _two_body_h_blocks(xs, c)
     return SusySystem(model=model, grid=grid, variant=variant, fock=fock,
                       cm_momenta=tuple(cm_momenta), blocks=blocks,
                       fermion_of=fermion_of,
                       relative_ops={"x": x_op, "xs": xs, "nodes": h * np.arange(1, m_cells),
                                     "mids": h * (np.arange(m_cells) + 0.5)},
-                      cm_coeff=c, h_blocks=_two_body_h_blocks(xs, c))
+                      cm_coeff=c, h_blocks=h_blocks, h_relative=h_relative)
 
 
-def _two_body_h_blocks(xs: np.ndarray, c: np.ndarray) -> dict:
-    """H = Q+Q + QQ+ per Fock state, stacked over the momenta.
+# the k-independent relative matrix of each Fock state |0>, |s>, |d>, |sd>
+_RELATIVE_OF = ("G", "G", "G2", "G2")
+
+
+def _two_body_h_blocks(xs: np.ndarray, c: np.ndarray) -> tuple:
+    """(H's Fock blocks, {"G": G, "G2": G2}): H = Q+Q + QQ+ per Fock state,
+    stacked over the momenta, and the relative matrices they share.
 
     Each entry is summed in the order of the sparse products (ascending
     intermediate index), so the blocks equal those of the sparse H bit for
@@ -388,10 +405,12 @@ def _two_body_h_blocks(xs: np.ndarray, c: np.ndarray) -> dict:
     """
     c2 = (c * c)[:, None, None]
     eye_u, eye_m = np.eye(xs.shape[0]), np.eye(xs.shape[1])
-    h_mid = _band_apply(xs.T, xs) + c2 * eye_m
-    return {(0, 0): _band_apply(xs, xs.T, out=c2 * eye_u),
-            (1, 1): _band_apply(xs, xs.T) + c2 * eye_u,
-            (2, 2): h_mid, (3, 3): h_mid}
+    g, g2 = _band_apply(xs, xs.T), _band_apply(xs.T, xs)
+    h_mid = g2 + c2 * eye_m
+    return ({(0, 0): _band_apply(xs, xs.T, out=c2 * eye_u),
+             (1, 1): g + c2 * eye_u,
+             (2, 2): h_mid, (3, 3): h_mid},
+            {"G": g, "G2": g2})
 
 
 def _two_body_q(sys: SusySystem):
@@ -509,19 +528,32 @@ def build_susy(model: NBodyModel, grid: GridSpec, variant: str = "s1",
 
 @dataclass
 class _SectorEigen:
-    """Eigenvalues of one sector, merged from its block eigenpairs.
+    """Eigenvalues of one sector, with the eigenvectors of its parts.
 
-    `pairs` holds (vals, vecs) per block, in the order of `members` (the
-    block's rows within the sector); identical blocks share one pair.  The
-    block eigenpairs, concatenated in block order, are indexed by `order`:
-    vals[p] is the eigenvalue of concatenated eigenpair order[p].  No
-    sector-wide eigenvector matrix is formed.
+    The sector's blocks are those of its parts (`_sector_parts`), one per
+    momentum and Fock state; part b holds its blocks' rows within the
+    sector, rows[b], and one eigenvector matrix part_vecs[b] that all its
+    momenta share.  The block eigenpairs, concatenated momentum-major and
+    then part by part, are indexed by `order`: vals[p] is the eigenvalue of
+    concatenated eigenpair order[p].  No sector-wide eigenvector matrix is
+    formed.
     """
     vals: np.ndarray      # ascending
     ix: np.ndarray        # the sector's indices into the system
-    members: list
     order: np.ndarray
-    pairs: list
+    rows: list            # (n_k, size) per part
+    part_vecs: list       # (size, size) per part
+
+
+class _SectorPart(NamedTuple):
+    """One Fock state's blocks of a sector, stacked over the momenta:
+    blocks[i] = relative + shifts[i] I, up to roundoff, on the sector rows
+    rows[i].  Parts with one key share their relative matrix."""
+    rows: np.ndarray        # (n_k, size)
+    blocks: np.ndarray      # (n_k, size, size), H's blocks as declared
+    key: object
+    relative: np.ndarray    # (size, size)
+    shifts: np.ndarray      # (n_k,)
 
 
 def _check_dense_cap(f: int, size: int):
@@ -531,44 +563,66 @@ def _check_dense_cap(f: int, size: int):
 
 
 def _sector_parts(sys: SusySystem, f: int) -> list:
-    """The blocks of sector f as its builder declares them: (rows, block)
-    pairs, rows indexing the sector and block dense.
+    """The blocks of sector f as its builder declares them, one
+    `_SectorPart` per Fock state in ascending state order.
 
     Two-body systems declare one block per center-of-mass momentum and
     Fock state (`SusySystem.blocks`), read from `h_blocks`: H couples no
-    two of them.  An N >= 3 grid sector is one block.
+    two of them.  Each is its Fock state's relative matrix G or G2
+    (`h_relative`) plus c_k^2 I.  An N >= 3 grid sector is one block, its
+    own relative matrix with shift 0.
     """
     if sys.h_blocks is None:
-        return [(np.arange(len(sys.sector_indices(f))), sys.sector_matrix(f).toarray())]
-    parts, first = [], 0
-    for ik, state, _, size in sys.sector_blocks(f):
-        parts.append((np.arange(first, first + size), sys.h_blocks[state, state][ik]))
+        block = sys.sector_matrix(f).toarray()
+        return [_SectorPart(np.arange(len(block))[None], block[None], f, block,
+                            np.zeros(1))]
+    rows, first = {}, 0
+    for _, state, _, size in sys.sector_blocks(f):
+        rows.setdefault(state, []).append(np.arange(first, first + size))
         first += size
-    return parts
+    c2 = sys.cm_coeff * sys.cm_coeff
+    return [_SectorPart(np.stack(state_rows), sys.h_blocks[state, state], _RELATIVE_OF[state],
+                        sys.h_relative[_RELATIVE_OF[state]], c2)
+            for state, state_rows in rows.items()]
 
 
 def _sector_solve(sys: SusySystem, f: int) -> _SectorEigen:
     """The block-wise eigensolve of sector f, cached on the system.
 
     The blocks are those the builder declares (`_sector_parts`), not
-    searched for.  Each distinct block is solved once by a dense real
-    eigh, keyed by its bytes: H_k depends on k^2 alone, so the +k and -k
-    blocks are bit-identical and share their eigenpairs.  The eigenvalues
-    are merged by a stable sort.
+    searched for.  Each relative matrix is solved once per system by a
+    dense real eigh (two-body: G for |0> and |s>, G2 for |d> and |sd>),
+    and each block's eigenvalues are its relative eigenvalues plus its
+    shift c_k^2; all momenta share the eigenvectors.  A residual gate holds
+    the eigenpairs to the declared blocks, batched over the momenta:
+    ||H_k v - lambda v|| <= RESIDUAL_CONTRACT ||H_k||_inf for every pair,
+    else ConvergenceError carries the residuals.  The eigenvalues are
+    merged by a stable sort.
     """
     if f not in sys._sector_eig:
         ix = sys.sector_indices(f)
         _check_dense_cap(f, len(ix))
-        members, solved, pairs = [], {}, []
-        for rows, block in _sector_parts(sys, f):
-            key = (block.shape, block.tobytes())
-            if key not in solved:
-                solved[key] = np.linalg.eigh(block)
-            members.append(rows)
-            pairs.append(solved[key])
-        all_vals = np.concatenate([bvals for bvals, _ in pairs])
+        parts = _sector_parts(sys, f)
+        block_vals, part_vecs = [], []
+        for part in parts:
+            if part.key not in sys._relative_eig:
+                sys._relative_eig[part.key] = np.linalg.eigh(part.relative)
+            rel_vals, vecs = sys._relative_eig[part.key]
+            vals = rel_vals + part.shifts[:, None]
+            resid = np.matmul(part.blocks, vecs)
+            resid -= vecs * vals[:, None, :]
+            resid = np.linalg.norm(resid, axis=1)
+            bound = RESIDUAL_CONTRACT * np.abs(part.blocks).sum(axis=2).max(axis=1)
+            if np.any(resid > bound[:, None]):
+                raise ConvergenceError(
+                    f"sector {f} eigenpairs miss their blocks: residual {np.max(resid):.2e}"
+                    f" > {RESIDUAL_CONTRACT:.0e} * ||H_k||_inf", residuals=resid)
+            block_vals.append(vals)
+            part_vecs.append(vecs)
+        all_vals = np.concatenate(block_vals, axis=1).ravel()
         order = np.argsort(all_vals, kind="stable")
-        sys._sector_eig[f] = _SectorEigen(all_vals[order], ix, members, order, pairs)
+        sys._sector_eig[f] = _SectorEigen(all_vals[order], ix, order,
+                                          [part.rows for part in parts], part_vecs)
     return sys._sector_eig[f]
 
 
@@ -605,24 +659,29 @@ def _charge_products(sys: SusySystem, f: int, eig: _SectorEigen) -> tuple:
     Two-body products come from Q's Fock blocks, each entry summed in the
     order of the sparse product.  The sector's rows are (|0>), (|s>, |d>)
     or (|sd>) per momentum, and the 1-fermion eigenvectors live on |s> or
-    on |d> alone.
+    on |d> alone.  All momenta share a Fock state's eigenvectors
+    (`_sector_solve`), so a product with xs is formed once and broadcast
+    over them.
     """
     if sys.h_blocks is None:
-        [(_, vecs)] = eig.pairs
+        [vecs] = eig.part_vecs
         return tuple((ops[ops.getnnz(axis=1) > 0] @ vecs)[None]
                      for ops in (sys.Q[:, eig.ix], sys.Qdag[:, eig.ix]))
     xs, c = sys.relative_ops["xs"], sys.cm_coeff[:, None, None]
-    vecs = [bvecs for _, bvecs in eig.pairs]
+
+    def per_k(a):
+        return np.broadcast_to(a, (len(c), *a.shape))
+
     if f == 1:      # Q reaches |0> (c, xs), Q+ reaches |sd> (-xs^T, c)
-        vs, vd = np.stack(vecs[0::2]), np.stack(vecs[1::2])
-        return (np.concatenate((c * vs, _band_apply(xs, vd)), axis=2),
-                np.concatenate((_band_apply(-xs.T, vs), c * vd), axis=2))
-    v = np.stack(vecs)
-    empty = np.zeros((len(c), 0, v.shape[2]))
+        vs, vd = eig.part_vecs
+        return (np.concatenate((c * vs, per_k(_band_apply(xs, vd))), axis=2),
+                np.concatenate((per_k(_band_apply(-xs.T, vs)), c * vd), axis=2))
+    [v] = eig.part_vecs
+    empty = np.zeros((len(c), 0, v.shape[1]))
     if f == 0:      # Q+ reaches |s> (c) and |d> (xs^T)
-        return empty, np.concatenate((c * v, _band_apply(xs.T, v)), axis=1)
+        return empty, np.concatenate((c * v, per_k(_band_apply(xs.T, v))), axis=1)
     # Q reaches |s> (-xs) and |d> (c)
-    return np.concatenate((_band_apply(-xs, v), c * v), axis=1), empty
+    return np.concatenate((per_k(_band_apply(-xs, v)), c * v), axis=1), empty
 
 
 def _sector_charges(sys: SusySystem, f: int):
@@ -683,12 +742,13 @@ def _rotated_states(sys: SusySystem, f: int, positions) -> np.ndarray:
     records.  Only these columns are built, and they are not cached."""
     eig = _sector_solve(sys, f)
     basis, weights = _sector_charges(sys, f)[3]
-    firsts = np.cumsum([0, *map(len, eig.members)])
+    firsts = np.cumsum([0, *(len(vecs) for vecs in eig.part_vecs)])
     out = np.zeros((len(eig.ix), len(positions)))
     for col, p in enumerate(positions):
         for i, w in zip(basis[p], weights[p]):
-            b = np.searchsorted(firsts, i, side="right") - 1
-            out[eig.members[b], col] += w * eig.pairs[b][1][:, i - firsts[b]]
+            ik, j = divmod(i, firsts[-1])
+            b = np.searchsorted(firsts, j, side="right") - 1
+            out[eig.rows[b][ik], col] += w * eig.part_vecs[b][:, j - firsts[b]]
     return out
 
 
@@ -809,7 +869,8 @@ def _sum_check(sys: SusySystem, classify: dict, f: int, tag: str, target: int,
     vals = _sector_solve(sys, f).vals.tolist()
     picked = [t for t, state_tag in enumerate(classify["sectors"][f]["tags"])
               if state_tag == tag and vals[t] > zero_tol][:k]
-    parts = _sector_parts(sys, target)
+    blocks = [(rows, block) for part in _sector_parts(sys, target)
+              for rows, block in zip(part.rows, part.blocks)]
     cases = []
     for t, state in zip(picked, _rotated_states(sys, f, picked).T):
         lam = vals[t]
@@ -819,7 +880,7 @@ def _sum_check(sys: SusySystem, classify: dict, f: int, tag: str, target: int,
             cases.append({"lambda": lam, "class": "vanishing", "residual": norm})
             continue
         h_phi = np.empty_like(phi)
-        for rows, block in parts:
+        for rows, block in blocks:
             h_phi[rows] = block @ phi[rows]
         resid = float(np.linalg.norm(h_phi - lam * phi) / (norm * max(1.0, abs(lam))))
         cases.append({"lambda": lam, "class": "degenerate" if resid < tol else "unexplained",
@@ -839,7 +900,7 @@ def _epsilon_relation(sys: SusySystem, k: int, zero_tol: float) -> dict:
     """
     eig2 = _sector_solve(sys, 2)
     vals2, ix2 = eig2.vals, eig2.ix
-    vecs2 = eig2.pairs[0][1][:, eig2.order]   # a grid sector is one block
+    vecs2 = eig2.part_vecs[0][:, eig2.order]   # a grid sector is one block
     q21 = sys.Q[sys.sector_indices(1)][:, ix2]
     h1 = sys.sector_matrix(1)
     holes = _holes(sys.fock)

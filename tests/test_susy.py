@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from shapeinv import susy
-from shapeinv.errors import DimensionCapError, DomainError
+from shapeinv.errors import ConvergenceError, DimensionCapError, DomainError
 from shapeinv.models import make_nbody_model
 from shapeinv.spectral import GridSpec
 
@@ -28,9 +28,10 @@ def _sector_eigh(sys_, f):
     matrix the analysis never forms, assembled here as the reference."""
     eig = susy._sector_solve(sys_, f)
     vecs, first = np.zeros((len(eig.ix), len(eig.ix))), 0
-    for rows, (_, bvecs) in zip(eig.members, eig.pairs):
-        vecs[np.ix_(rows, np.arange(first, first + len(rows)))] = bvecs
-        first += len(rows)
+    for block_rows in zip(*eig.rows):       # momentum-major, then part by part
+        for rows, bvecs in zip(block_rows, eig.part_vecs):
+            vecs[np.ix_(rows, np.arange(first, first + len(rows)))] = bvecs
+            first += len(rows)
     return eig.vals, vecs[:, eig.order], eig.ix
 
 
@@ -637,35 +638,96 @@ def test_declared_blocks_are_the_connected_components(case):
     for f in range(sys_.model.n + 1):
         mat = sys_.sector_matrix(f)
         n_blocks, labels = connected_components(mat != 0, directed=False)
-        parts = susy._sector_parts(sys_, f)
-        assert len(parts) == n_blocks
+        blocks = sorted(((rows, block) for part in susy._sector_parts(sys_, f)
+                         for rows, block in zip(part.rows, part.blocks)),
+                        key=lambda entry: entry[0][0])
+        assert len(blocks) == n_blocks
         dense = mat.toarray()
-        for b, (rows, block) in enumerate(parts):
+        for b, (rows, block) in enumerate(blocks):
             assert np.array_equal(rows, np.flatnonzero(labels == b))
             # ... holding the entries of the sparse H byte for byte
             assert block.tobytes() == dense[np.ix_(rows, rows)].tobytes()
+        # each block is its part's relative matrix plus its shift, to roundoff
+        for part in susy._sector_parts(sys_, f):
+            eye = np.eye(len(part.relative))
+            for block, shift in zip(part.blocks, part.shifts):
+                gap = np.max(np.abs(block - (part.relative + shift * eye)))
+                assert gap <= 4 * np.finfo(float).eps * np.max(np.abs(block))
 
 
 @pytest.mark.parametrize("variant", susy.VARIANTS)
 def test_sector_eigh_solves_each_distinct_block_once(monkeypatch, variant):
-    sys_ = _two_body(*_CS2, variant, susy.DEFAULT_CM_MOMENTA)
     eigh = np.linalg.eigh
     calls = []
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
-    # +k and -k share their blocks: 5 of 8 momenta, and 10 of the 16
-    # momentum and Fock-state blocks of the 1-fermion sector
-    for f, distinct in enumerate((5, 10, 5)):
+    for cm in ((0,), (0, 1, -1), susy.DEFAULT_CM_MOMENTA, (2, -3)):
+        sys_ = _two_body(*_CS2, variant, cm)
+        u, m_cells = sys_.relative_ops["xs"].shape
+        # every block is G + c_k^2 I or G2 + c_k^2 I: one eigh of each
+        # serves all three sectors and every momentum
         calls.clear()
-        vals, vecs, ix = _sector_eigh(sys_, f)
-        assert len(calls) == distinct
-        # ... with the eigenvalues of solving every block
-        mat = sys_.sector_matrix(f)
-        labels = connected_components(mat != 0, directed=False)[1]
-        dense = mat.toarray()
-        every = np.concatenate([eigh(dense[np.ix_(rows, rows)])[0] for rows in
-                                (np.flatnonzero(labels == b) for b in range(labels.max() + 1))])
-        assert np.array_equal(vals, np.sort(every, kind="stable"))
-        assert np.max(np.linalg.norm(mat @ vecs - vecs * vals, axis=0)) <= 1e-10
+        spectra = [_sector_eigh(sys_, f) for f in range(3)]
+        assert calls == [(u, u), (m_cells, m_cells)]
+        for f, (vals, vecs, ix) in enumerate(spectra):
+            # ... with the eigenvalues of solving every block, to roundoff
+            mat = sys_.sector_matrix(f)
+            labels = connected_components(mat != 0, directed=False)[1]
+            dense = mat.toarray()
+            every = np.sort(np.concatenate([
+                eigh(dense[np.ix_(rows, rows)])[0]
+                for rows in (np.flatnonzero(labels == b) for b in range(labels.max() + 1))]))
+            assert np.all(np.diff(vals) >= 0.0)
+            assert np.max(np.abs(vals - every) / np.maximum(1.0, np.abs(every))) <= 1e-12
+            assert np.max(np.linalg.norm(mat @ vecs - vecs * vals, axis=0)) <= 1e-10
+
+
+def test_sector_solve_checks_the_declared_blocks():
+    sys_ = _two_body(*_CS2, "s1", (0, 1, -1))
+    # the |d> block of momentum 1 leaves G2 + c_k^2 I by 1e-6 per entry
+    bumped = sys_.h_blocks[2, 2].copy()
+    bumped[1] += 1e-6
+    sys_.h_blocks[2, 2] = bumped
+    susy._sector_solve(sys_, 0)    # sector 0 holds no |d> block
+    with pytest.raises(ConvergenceError) as err:
+        susy.sector_spectra(sys_)
+    resid = err.value.residuals
+    norms = np.abs(bumped).sum(axis=2).max(axis=1)
+    assert resid.shape == (3, bumped.shape[1])
+    assert np.max(resid[1]) > susy.RESIDUAL_CONTRACT * norms[1]
+    assert np.max(resid[[0, 2]]) <= 1e-12 * np.max(norms)
+
+
+def _stacked_charge_products(sys_, f, eig):
+    """Q v and Q+ v of a two-body sector, each product formed on a stack of
+    per-momentum copies of the block eigenvectors: the reference for the
+    product formed once and broadcast."""
+    xs, c = sys_.relative_ops["xs"], sys_.cm_coeff[:, None, None]
+    stacks = [np.stack([vecs] * len(c)) for vecs in eig.part_vecs]
+    if f == 1:
+        vs, vd = stacks
+        return (np.concatenate((c * vs, susy._band_apply(xs, vd)), axis=2),
+                np.concatenate((susy._band_apply(-xs.T, vs), c * vd), axis=2))
+    [v] = stacks
+    empty = np.zeros((len(c), 0, v.shape[2]))
+    if f == 0:
+        return empty, np.concatenate((c * v, susy._band_apply(xs.T, v)), axis=1)
+    return np.concatenate((susy._band_apply(-xs, v), c * v), axis=1), empty
+
+
+@pytest.mark.parametrize("cm", [(0,), (0, 1, -1), susy.DEFAULT_CM_MOMENTA],
+                         ids=lambda cm: f"{len(cm)}cm")
+@pytest.mark.parametrize("variant", susy.VARIANTS)
+@pytest.mark.parametrize("kind", [_CS2, ("calogero", 1.5, 8.0), _HARMONIC2],
+                         ids=lambda kind: kind[0])
+def test_charge_products_once_equal_the_stacked_products(kind, variant, cm):
+    sys_ = _two_body(*kind, variant, cm)
+    for f in range(3):
+        eig = susy._sector_solve(sys_, f)
+        got = susy._charge_products(sys_, f, eig)
+        for a, b in zip(got, _stacked_charge_products(sys_, f, eig)):
+            assert a.shape == b.shape
+            # bit for bit, signed zeros of the k = 0 products included
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def _eager_diagnostics(sys_):
@@ -703,7 +765,7 @@ def test_variant_comparison_reads_eigenvalues_only(monkeypatch):
         assert sys_._charges == {}
         assert sorted(sys_._sector_eig) == [0, 1, 2]
         for eig in sys_._sector_eig.values():
-            assert "vecs" not in vars(eig) and eig.pairs is not None
+            assert "vecs" not in vars(eig) and eig.part_vecs
         # read later, the diagnostics are exactly the eager ones
         assert sys_.diagnostics == _eager_diagnostics(sys_)
 
@@ -795,6 +857,6 @@ def test_two_body_analysis_forms_no_sector_wide_matrix():
         # nothing cached holds more than one momentum's share of a
         # sector-wide matrix
         lam, qn, qdn, (basis, weights) = sys_._charges[f]
-        held = [eig.vals, eig.order, lam, qn, qdn, basis, weights,
-                *(a for pair in eig.pairs for a in pair)]
+        held = [eig.vals, eig.order, lam, qn, qdn, basis, weights, *eig.rows,
+                *eig.part_vecs]
         assert max(a.size for a in held) <= len(eig.ix) ** 2 // n_k
