@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DomainError
-from .models import Prepotential1D, make_prepotential_1d
+from .models import Prepotential1D
 
 if TYPE_CHECKING:  # spectral imports this module
     from .spectral import GridSpec
@@ -177,25 +177,3 @@ def rayleigh_quotient(prep: Prepotential1D, gf: GridFunction1D) -> float:
     inner = slice(2, -2)
     hv = -d2 + prep.potential(x[inner]) * v[inner]
     return float(np.sum(v[inner] * hv) / np.sum(v[inner] ** 2))
-
-
-def hierarchy(prep: Prepotential1D, n: int):
-    """The tower H(k) = H(0) at alpha_k plus accumulated remainders.
-
-    Returns a list of (potential_k, E0_k): potential_k is a callable
-    evaluating W^2 - W' at alpha_k shifted by E0_k = sum_{j<=k} R(alpha_j),
-    which is the ground energy of the k-th member in the original reference.
-    """
-    if n < 0:
-        raise DomainError("n must be >= 0")
-    chain = algebraic_spectrum(prep, n)
-    out = []
-    for k, params in enumerate(chain.params_chain):
-        pk = make_prepotential_1d(prep.family, params)
-        e0 = chain.energies[k]
-
-        def potential_k(x, _p=pk, _e=e0):
-            return _p.potential(x) + _e
-
-        out.append((potential_k, e0))
-    return out

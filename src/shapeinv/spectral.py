@@ -571,14 +571,6 @@ def two_body_reduction(model: NBodyModel) -> TwoBodyReduction:
 # exports
 # ---------------------------------------------------------------------------
 
-def spectrum_table(result: SpectrumResult):
-    """Header and rows for the eigenvalue CSV: index, lambda, residual."""
-    header = ("index", "lambda", "residual")
-    rows = [(i, float(result.eigenvalues[i]), float(result.residual_norms[i]))
-            for i in range(len(result.eigenvalues))]
-    return header, rows
-
-
 def dump_grid_function(gf: GridFunctionND) -> str:
     """Self-describing text dump: axes, ordering, then one value per line.
 

@@ -1,4 +1,4 @@
-"""Supersymmetric extension at desk scale: fermionic Fock space, sparse
+"""Supersymmetric extension at desk scale: fermionic Fock space,
 supercharges Q = sum_i A_i psi_i, the Hamiltonian H = Q+Q + QQ+, the
 fermion-number sector structure with its exact pairing, and the two
 inequivalent extensions sharing a bosonic sector.
@@ -22,17 +22,17 @@ reported as a diagnostic rather than guaranteed to vanish.
 A two-body system is a direct sum over center-of-mass momenta, and each
 momentum holds four Fock blocks built from one dense relative ladder.  It
 is built and analyzed on numpy alone, the sector-sum check included: its
-sector blocks, charge products and diagnostics are small block
-expressions, summed in the order of the sparse products they replace.
-Each diagonal Fock block of H is G + c_k^2 I or G2 + c_k^2 I, with
-G = xs xs^T and G2 = xs^T xs shared by all momenta, so one eigh of G and
-one of G2 serve every sector and momentum.  They are solved apart, so the
-pairing of their nonzero eigenvalues stays a measurement.  Q, Q+ and H
-keep the momentum, so the sector analysis runs one momentum at a time,
-and no sector-wide eigenvector or charge matrix is formed.  An N >= 3 grid
-sector is the one-momentum case, its own relative matrix with shift 0.
-The sparse Q, Q+ and H of a two-body system are assembled, with
-scipy.sparse, when first read; N >= 3 grids load scipy.sparse at build.
+sector blocks, charge products and diagnostics are plain numpy products
+of Q's Fock blocks.  Each diagonal Fock block of H is G + c_k^2 I or
+G2 + c_k^2 I, with G = xs xs^T and G2 = xs^T xs shared by all momenta, so
+one eigh of G and one of G2 serve every sector and momentum.  They are
+solved apart, so the pairing of their nonzero eigenvalues stays a
+measurement.  Q, Q+ and H keep the momentum, so the sector analysis runs
+one momentum at a time, and no sector-wide eigenvector or charge matrix is
+formed.  An N >= 3 grid sector is the one-momentum case, its own relative
+matrix with shift 0.  A two-body system has no sparse Q; its sparse H is
+assembled from the declared blocks, with scipy.sparse, when first read.
+N >= 3 grids form their sparse Q, Q+ and H at build.
 """
 
 from __future__ import annotations
@@ -113,21 +113,6 @@ class FockBasis:
 
         return [sp.csr_matrix(op.T) for op in self.annihilators]
 
-    def anticommutator_defect(self) -> float:
-        """max |{psi_i, psi_j+} - delta_ij| + |{psi_i, psi_j}| over pairs."""
-        import scipy.sparse as sp
-
-        worst = 0.0
-        eye = sp.identity(self.dim, format="csr")
-        for i in range(self.n_modes):
-            ai = self.annihilators[i]
-            for j in range(self.n_modes):
-                aj, cj = self.annihilators[j], self.creators[j]
-                anti = ai @ cj + cj @ ai - (eye if i == j else 0 * eye)
-                worst = max(worst, _spmax(anti))
-                worst = max(worst, _spmax(ai @ aj + aj @ ai))
-        return worst
-
 
 def _string_sign(state: int, mode: int) -> float:
     """The ordered-string sign of `mode` in a Fock state: (-1)^(number of
@@ -195,35 +180,13 @@ def _staggered_ladder(m_cells: int, length: float, w_fun, derivative_sign: int,
     return ladder
 
 
-def _band_apply(a: np.ndarray, v: np.ndarray, out: np.ndarray | None = None,
-                key=None) -> np.ndarray:
-    """out + a @ v for a dense banded matrix a (or a stack of them) and a
-    stack v of (..., a.shape[-1], n) operands, without BLAS.
-
-    Each entry is summed over the diagonals of a, in ascending offset order
-    sorted stably by `key`, starting from out (zeros when None).  Without a
-    key that is the order of a sparse product over a's sorted rows, whose
-    sums it reproduces bit for bit.  BLAS contracts to fused multiply-adds,
-    which round differently.
-    """
-    if out is None:
-        out = np.zeros(np.broadcast_shapes(a.shape[:-2], v.shape[:-2])
-                       + (a.shape[-2], v.shape[-1]))
-    rows, cols = np.nonzero(a)[-2:]
-    for d in sorted(np.unique(cols - rows), key=key):
-        lo, hi = max(0, -d), min(a.shape[-2], a.shape[-1] - d)
-        out[..., lo:hi, :] += (np.diagonal(a, d, axis1=-2, axis2=-1)[..., None]
-                               * v[..., lo + d:hi + d, :])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # system container
 # ---------------------------------------------------------------------------
 
 @dataclass
 class SusySystem:
-    """Q, Q+ and H on (space) x (Fock), with the analysis cached on first
+    """H = Q+Q + QQ+ on (space) x (Fock), with the analysis cached on first
     read: `diagnostics` when read, the block eigensolve of a sector
     (`_sector_eig`) when its spectrum is asked for, and the cluster
     rotations and charge norms (`_charges`) when it is classified.
@@ -233,9 +196,9 @@ class SusySystem:
     relative ladder xs = sqrt(2) X (`relative_ops["xs"]`), H as its
     per-momentum Fock blocks (`h_blocks`), and the two k-independent
     relative matrices G = xs xs^T and G2 = xs^T xs that each diagonal block
-    is c_k^2 I away from (`h_relative`); the analysis reads these, and the
-    sparse Q, Q+ and H are assembled on first read.  N >= 3 grids assemble
-    them at build.
+    is c_k^2 I away from (`h_relative`).  The analysis reads these; Q and
+    Q+ are fields of N >= 3 grids alone, and the sparse H is assembled from
+    the declared blocks on first read.
     """
     model: NBodyModel
     grid: GridSpec
@@ -246,6 +209,8 @@ class SusySystem:
     fermion_of: np.ndarray        # fermion number per degree of freedom
     relative_ops: dict = field(default_factory=dict)
     a_space: list | None = None   # square ladders (N >= 3 grids only)
+    Q: object = field(default=None, repr=False)      # sparse Q (N >= 3 grids only)
+    Qdag: object = field(default=None, repr=False)   # sparse Q+ (N >= 3 grids only)
     space_nodes: np.ndarray | None = None
     cm_coeff: np.ndarray | None = None  # c_k per momentum (two-body only)
     h_blocks: dict | None = field(default=None, repr=False)  # two-body only:
@@ -261,20 +226,18 @@ class SusySystem:
         return len(self.fermion_of)
 
     @cached_property
-    def Q(self):
-        """The supercharge, sparse: the grid builder sets it, and a two-body
-        system assembles it from its Fock blocks on first read."""
-        return _two_body_q(self)
-
-    @cached_property
-    def Qdag(self):
+    def H(self):
+        """H, sparse: a grid system's Q+Q + QQ+, formed at build, and a
+        two-body system's declared blocks on the diagonal, zeros
+        eliminated, assembled on first read."""
+        if self.Q is not None:
+            return (self.Qdag @ self.Q + self.Q @ self.Qdag).tocsr()
         import scipy.sparse as sp
 
-        return sp.csr_matrix(self.Q.T)
-
-    @cached_property
-    def H(self):
-        return (self.Qdag @ self.Q + self.Q @ self.Qdag).tocsr()
+        ham = sp.block_diag([self.h_blocks[s, s][ik] for ik, s, _, _ in self.blocks],
+                            format="csr")
+        ham.eliminate_zeros()
+        return ham
 
     @cached_property
     def diagnostics(self) -> dict:
@@ -340,7 +303,8 @@ def _build_two_body(model: NBodyModel, grid: GridSpec, variant: str,
     xs = sqrt(2) X in (|0>, |d>) and -xs in (|s>, |sd>).  The builder keeps
     these, H's Fock blocks and their k-independent parts G and G2
     (`_two_body_h_blocks`), and declares one block per momentum and Fock
-    state.
+    state.  The momenta must be a nonempty 1-D sequence of distinct finite
+    numbers, else DomainError.
     """
     if grid.dim != 1:
         raise DomainError("two-body systems take a 1-D relative grid")
@@ -351,10 +315,15 @@ def _build_two_body(model: NBodyModel, grid: GridSpec, variant: str,
     if lo != 0.0:
         raise DomainError("relative grids start at the coincidence wall r = 0")
     u = m_cells - 1
-    kvals = np.asarray(cm_momenta, dtype=float)
+    try:
+        kvals = np.asarray(cm_momenta, dtype=float)
+    except (TypeError, ValueError):
+        kvals = None
+    if (kvals is None or kvals.ndim != 1 or kvals.size == 0
+            or not np.isfinite(kvals).all() or len(np.unique(kvals)) != kvals.size):
+        raise DomainError("center-of-mass momenta must be a nonempty 1-D sequence of "
+                          f"distinct finite numbers, got {cm_momenta!r}")
     n_k = len(kvals)
-    if n_k == 0:
-        raise DomainError("need at least one center-of-mass momentum mode")
     # the Fock blocks are dense, so every sector must fit the dense cap
     for f, size in enumerate((u, u + m_cells, m_cells)):
         _check_dense_cap(f, n_k * size)
@@ -375,13 +344,12 @@ def _build_two_body(model: NBodyModel, grid: GridSpec, variant: str,
     root2 = math.sqrt(2.0)
     xs = root2 * x_op
     c = c_over_k * kvals * root2
-    h = length / m_cells
     h_blocks, h_relative = _two_body_h_blocks(xs, c)
     return SusySystem(model=model, grid=grid, variant=variant, fock=fock,
                       cm_momenta=tuple(cm_momenta), blocks=blocks,
                       fermion_of=fermion_of,
-                      relative_ops={"x": x_op, "xs": xs, "nodes": h * np.arange(1, m_cells),
-                                    "mids": h * (np.arange(m_cells) + 0.5)},
+                      relative_ops={"x": x_op, "xs": xs,
+                                    "mids": length / m_cells * (np.arange(m_cells) + 0.5)},
                       cm_coeff=c, h_blocks=h_blocks, h_relative=h_relative)
 
 
@@ -391,81 +359,33 @@ _RELATIVE_OF = ("G", "G", "G2", "G2")
 
 def _two_body_h_blocks(xs: np.ndarray, c: np.ndarray) -> tuple:
     """(H's Fock blocks, {"G": G, "G2": G2}): H = Q+Q + QQ+ per Fock state,
-    stacked over the momenta, and the relative matrices they share.
-
-    Each entry is summed in the order of the sparse products (ascending
-    intermediate index), so the blocks equal those of the sparse H bit for
-    bit.  With G = sum_l xs[:, l] xs[:, l]^T and G2 = sum_l xs[l]^T xs[l],
-    both summed in ascending l from zero:
-      |0>:        c_k^2 I, then + xs[:, l] xs[:, l]^T in ascending l;
-      |s>:        G + c_k^2 I;
-      |d>, |sd>:  G2 + c_k^2 I.
-    G and G2 are shared by the momenta, and the +-k blocks are byte-equal.
-    The |s>-|d> terms c xs - xs c cancel exactly, so H holds no other block.
+    stacked over the momenta, and the relative matrices they share:
+      |0>, |s>:   G + c_k^2 I,  G = xs xs^T;
+      |d>, |sd>:  G2 + c_k^2 I, G2 = xs^T xs.
+    numpy forms a product with its own transpose as a symmetric one, so G
+    and G2 are exactly symmetric.  The |s>-|d> terms c xs - xs c cancel
+    exactly, so H holds no other block.
     """
     c2 = (c * c)[:, None, None]
-    eye_u, eye_m = np.eye(xs.shape[0]), np.eye(xs.shape[1])
-    g, g2 = _band_apply(xs, xs.T), _band_apply(xs.T, xs)
-    h_mid = g2 + c2 * eye_m
-    return ({(0, 0): _band_apply(xs, xs.T, out=c2 * eye_u),
-             (1, 1): g + c2 * eye_u,
-             (2, 2): h_mid, (3, 3): h_mid},
+    g, g2 = xs @ xs.T, xs.T @ xs
+    h_top, h_mid = g + c2 * np.eye(len(g)), g2 + c2 * np.eye(len(g2))
+    return ({(0, 0): h_top, (1, 1): h_top, (2, 2): h_mid, (3, 3): h_mid},
             {"G": g, "G2": g2})
-
-
-def _two_body_q(sys: SusySystem):
-    """The sparse two-body Q: COO triplets from index arithmetic over its 4
-    Fock blocks and the momenta.  The k = 0 entries of c are stored zeros,
-    so the pattern of Q (and the summation order of H) does not depend on
-    the momenta."""
-    import scipy.sparse as sp
-
-    xs, c = sys.relative_ops["xs"], sys.cm_coeff
-    u, m_cells = xs.shape
-    starts = np.cumsum((0, u, u, m_cells, m_cells))
-    # psi_sum moves |s> -> |0> and |sd> -> |d> with sign +1: c on the
-    # diagonals of Fock blocks (0, 1) and (2, 3)
-    cm_rows = np.r_[np.arange(u), starts[2] + np.arange(m_cells)]
-    cm_cols = np.r_[starts[1] + np.arange(u), starts[3] + np.arange(m_cells)]
-    # psi_diff moves |d> -> |0> (+1) and |sd> -> |s> (-1): xs in Fock blocks
-    # (0, 2) and (1, 3)
-    rows, cols = np.nonzero(xs)
-    x_rows = np.r_[rows, starts[1] + rows]
-    x_cols = np.r_[starts[2] + cols, starts[3] + cols]
-    x_vals = np.r_[xs[rows, cols], -xs[rows, cols]]
-    shift = starts[4] * np.arange(len(c))[:, None]
-    return sp.csr_matrix(sp.coo_matrix(
-        (np.r_[np.repeat(c, len(cm_rows)), np.tile(x_vals, len(c))],
-         (np.r_[(shift + cm_rows).ravel(), (shift + x_rows).ravel()],
-          np.r_[(shift + cm_cols).ravel(), (shift + x_cols).ravel()])),
-        shape=(sys.dim, sys.dim)))
 
 
 def _two_body_diagnostics(sys: SusySystem) -> dict:
     """The diagnostics of `SusySystem.diagnostics`, from Q's Fock blocks
-    (c I, xs, -xs, c I) and H's, each entry summed in the order of the
-    sparse products: they equal the formulas on the sparse Q and H.
+    (c I, xs, -xs, c I) and H's.
 
     Q^2 lives in the (|0>, |sd>) block alone, as c (-xs) + xs c; [H, Q]
-    lives in Q's four blocks, 8 block products, 4 of them with xs.  H Q sums
-    over each sparse row of H in its stored order, which is the reverse of
-    the order in which scipy's product and sum first touched the entries:
-    |0> rows hold the diagonal first, |s> rows hold it last where c_k != 0
-    (where c_k = 0, Q+Q adds nothing to them and the order is ascending).
+    lives in Q's four blocks, h_a Q_ab - Q_ab h_b for each.
     """
     xs, c = sys.relative_ops["xs"], sys.cm_coeff[:, None, None]
     hb = sys.h_blocks
     h0, h1, h2, h3 = (hb[s, s] for s in range(4))
-    q2 = c * -xs + 0.0 + xs * c     # a sparse sum starts at +0.0
-    q2 = q2[q2 != 0.0]
-    commutator = (
-        h0 * c - c * h1,
-        _band_apply(h0, xs, key=lambda d: d != 0) - _band_apply(xs, h2),
-        np.where(c != 0.0, _band_apply(h1, -xs, key=lambda d: d == 0), _band_apply(h1, -xs))
-        - _band_apply(-xs, h3),
-        h2 * c - c * h3)
+    commutator = (h0 * c - c * h1, h0 @ xs - xs @ h2, xs @ h3 - h1 @ xs, h2 * c - c * h3)
     scale = max(1.0, _absmax(hb.values())) * max(1.0, _absmax((c, xs)))
-    return {"q_squared_fro": float(np.sqrt(np.sum(np.abs(q2) ** 2))) if q2.size else 0.0,
+    return {"q_squared_fro": float(np.linalg.norm(c * -xs + xs * c)),
             "hermiticity_defect": _absmax(
                 blk - hb[b, a].swapaxes(1, 2) if (b, a) in hb else blk
                 for (a, b), blk in hb.items()),
@@ -500,9 +420,8 @@ def _build_grid(model: NBodyModel, grid: GridSpec, variant: str,
     fermion_of = np.tile([fock.fermion_number(f) for f in range(fock.dim)], n_nodes)
     system = SusySystem(model=model, grid=grid, variant=variant, fock=fock,
                         cm_momenta=None, blocks=[], fermion_of=fermion_of,
-                        a_space=ladders, space_nodes=nodes)
-    system.Q = q
-    _ = system.H   # grid systems assemble Q+ and H at build
+                        a_space=ladders, space_nodes=nodes, Q=q, Qdag=sp.csr_matrix(q.T))
+    _ = system.H   # grid systems assemble H at build
     return system
 
 
@@ -656,12 +575,11 @@ def _charge_products(sys: SusySystem, f: int, eig: _SectorEigen) -> tuple:
     order.  Q and Q+ keep the momentum, so no other entry is nonzero.  An
     N >= 3 grid sector is one block, and n_k = 1.
 
-    Two-body products come from Q's Fock blocks, each entry summed in the
-    order of the sparse product.  The sector's rows are (|0>), (|s>, |d>)
-    or (|sd>) per momentum, and the 1-fermion eigenvectors live on |s> or
-    on |d> alone.  All momenta share a Fock state's eigenvectors
-    (`_sector_solve`), so a product with xs is formed once and broadcast
-    over them.
+    Two-body products come from Q's Fock blocks.  The sector's rows are
+    (|0>), (|s>, |d>) or (|sd>) per momentum, and the 1-fermion
+    eigenvectors live on |s> or on |d> alone.  All momenta share a Fock
+    state's eigenvectors (`_sector_solve`), so a product with xs is formed
+    once per Fock state and broadcast over them.
     """
     if sys.h_blocks is None:
         [vecs] = eig.part_vecs
@@ -674,14 +592,14 @@ def _charge_products(sys: SusySystem, f: int, eig: _SectorEigen) -> tuple:
 
     if f == 1:      # Q reaches |0> (c, xs), Q+ reaches |sd> (-xs^T, c)
         vs, vd = eig.part_vecs
-        return (np.concatenate((c * vs, per_k(_band_apply(xs, vd))), axis=2),
-                np.concatenate((per_k(_band_apply(-xs.T, vs)), c * vd), axis=2))
+        return (np.concatenate((c * vs, per_k(xs @ vd)), axis=2),
+                np.concatenate((per_k(-xs.T @ vs), c * vd), axis=2))
     [v] = eig.part_vecs
     empty = np.zeros((len(c), 0, v.shape[1]))
     if f == 0:      # Q+ reaches |s> (c) and |d> (xs^T)
-        return empty, np.concatenate((c * v, per_k(_band_apply(xs.T, v))), axis=1)
+        return empty, np.concatenate((c * v, per_k(xs.T @ v)), axis=1)
     # Q reaches |s> (-xs) and |d> (c)
-    return np.concatenate((per_k(_band_apply(-xs, v)), c * v), axis=1), empty
+    return np.concatenate((per_k(-xs @ v), c * v), axis=1), empty
 
 
 def _sector_charges(sys: SusySystem, f: int):

@@ -512,6 +512,20 @@ def test_outputs_byte_for_byte_deterministic(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+@pytest.mark.parametrize("variant, names", [
+    ("s1", ("susy_report.json", "sector_spectra.csv")),
+    ("both", ("variant_comparison.json",)),
+])
+def test_susy_outputs_byte_for_byte_deterministic(tmp_path, variant, names):
+    # two-body products go through BLAS; their results must not vary by run
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    for out in (out1, out2):
+        assert run(["susy", "--kind", "cs", "--n", "2", "--alpha", "1", "--grid-m", "32",
+                    "--variant", variant, "--outdir", str(out)]) == 0
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
 def test_module_entry_point(tmp_path):
     # the child imports the same package as this process, installed or not
     src = str(Path(cli.__file__).resolve().parents[1])

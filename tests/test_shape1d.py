@@ -166,9 +166,24 @@ def test_chain_boundary_margin_recorded():
     assert len(gf.meta["params_chain"]) == 3
 
 
+def _hierarchy(prep, n):
+    """The tower H(k) = H(0) at alpha_k plus accumulated remainders.
+
+    Returns a list of (potential_k, E0_k): potential_k is a callable
+    evaluating W^2 - W' at alpha_k shifted by E0_k = sum_{j<=k} R(alpha_j),
+    which is the ground energy of the k-th member in the original reference.
+    """
+    chain = shape1d.algebraic_spectrum(prep, n)
+    out = []
+    for params, e0 in zip(chain.params_chain, chain.energies):
+        pk = make_prepotential_1d(prep.family, params)
+        out.append((lambda x, _p=pk, _e=e0: _p.potential(x) + _e, e0))
+    return out
+
+
 def test_hierarchy_energies():
     prep = make_prepotential_1d("rosen_morse_trig", (2.0, 1.0))
-    tower = shape1d.hierarchy(prep, 2)
+    tower = _hierarchy(prep, 2)
     assert tower[0][1] == 0.0
     assert tower[2][1] == pytest.approx(12.0)
 
@@ -177,7 +192,7 @@ def test_hierarchy_potential_difference():
     # at the domain midpoint the 1/sin^2 coefficient difference is
     # b1(b1 - a) - b(b - a) = 4 for (b, a) = (2, 1)
     prep = make_prepotential_1d("rosen_morse_trig", (2.0, 1.0))
-    tower = shape1d.hierarchy(prep, 1)
+    tower = _hierarchy(prep, 1)
     v0, v1 = tower[0][0], tower[1][0]
     assert v1(math.pi / 2) - v0(math.pi / 2) == pytest.approx(4.0)
 

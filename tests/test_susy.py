@@ -39,10 +39,24 @@ def _sector_eigh(sys_, f):
 # Fock space
 # ---------------------------------------------------------------------------
 
+def _anticommutator_defect(basis):
+    """max |{psi_i, psi_j+} - delta_ij| + |{psi_i, psi_j}| over pairs."""
+    worst = 0.0
+    eye = sp.identity(basis.dim, format="csr")
+    for i in range(basis.n_modes):
+        ai = basis.annihilators[i]
+        for j in range(basis.n_modes):
+            aj, cj = basis.annihilators[j], basis.creators[j]
+            anti = ai @ cj + cj @ ai - (eye if i == j else 0 * eye)
+            worst = max(worst, susy._spmax(anti))
+            worst = max(worst, susy._spmax(ai @ aj + aj @ ai))
+    return worst
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_anticommutators_exact(n):
     basis = susy.make_fock_basis(n)
-    assert basis.anticommutator_defect() == 0.0
+    assert _anticommutator_defect(basis) == 0.0
 
 
 def test_fock_sector_sizes():
@@ -73,10 +87,7 @@ def test_superalgebra_exact(cs_system):
 
 
 def test_h_equals_anticommutator(cs_system):
-    sys_ = cs_system
-    rebuilt = sys_.Qdag @ sys_.Q + sys_.Q @ sys_.Qdag
-    diff = rebuilt - sys_.H
-    assert (np.max(np.abs(diff.data)) if diff.nnz else 0.0) == 0.0
+    _assert_h_is_the_reference_anticommutator(cs_system)
 
 
 def test_sector_minima(cs_system):
@@ -193,7 +204,7 @@ def test_sector_sum_classification(case):
         cases = rep[key]
         assert len(cases) == len(picked) > 0
         summed = _expected_sums(sys_, f, target, susy._rotated_states(sys_, f, picked))
-        h_target = sys_.sector_matrix(target)
+        h_target = _reference_sector(sys_, target)
         for case_, t, phi in zip(cases, picked, summed.T):
             lam = vals[t]
             assert case_["lambda"] == lam
@@ -238,8 +249,9 @@ def test_sum_check_inspects_the_tagged_states(cs_system):
     rep = susy.kernel_classify(cs_system)
     vals, _, ix = _sector_eigh(cs_system, 1)
     rotated = susy._rotated_states(cs_system, 1, np.arange(len(vals)))
-    qn = np.linalg.norm(cs_system.Q[:, ix] @ rotated, axis=0)
-    qdn = np.linalg.norm(cs_system.Qdag[:, ix] @ rotated, axis=0)
+    q, qdag, _ = _reference_ops(cs_system)
+    qn = np.linalg.norm(q[:, ix] @ rotated, axis=0)
+    qdn = np.linalg.norm(qdag[:, ix] @ rotated, axis=0)
     for t, tag in enumerate(rep["sectors"][1]["tags"]):
         if tag == "ker_q":
             assert qn[t] <= 1e-6 * math.sqrt(vals[t])
@@ -284,6 +296,10 @@ def test_build_validation():
         susy.build_susy(model, grid, "s3")
     with pytest.raises(DimensionCapError):
         susy.build_susy(model, GridSpec.line(0.0, math.pi, 40000), "s1")
+    # two-body momenta are a nonempty 1-D sequence of distinct finite numbers
+    for cm in ((0, 0), (0, 1, -1, 1), None, 3, (), [[0, 1]], ("a",), (0, math.nan)):
+        with pytest.raises(DomainError, match="distinct"):
+            susy.build_susy(model, GridSpec.line(0.0, math.pi, 16), "s1", cm)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +352,7 @@ def test_cm_momenta_order_and_blocks():
     s = susy.build_susy(model, GridSpec.line(0.0, math.pi, 16), "s1",
                         susy.cm_momenta(12))
     # one bosonic block per center-of-mass momentum
-    assert connected_components(s.sector_matrix(0) != 0, directed=False)[0] == 12
+    assert connected_components(_reference_sector(s, 0) != 0, directed=False)[0] == 12
 
 
 def _reference_cluster_slices(vals, rel=1e-8):
@@ -372,7 +388,7 @@ def _reference_classify(sys_, zero_tol=1e-2, split_tol=1e-6, ops=None):
     stands in for the system's matrices; each sector of that H is then
     solved whole.  Returns per sector (tags, counts, eigenvalues, |Q v|,
     |Q+ v|), norms NaN on zero modes, and the unsplit count."""
-    q, qdag, ham = ops or (sys_.Q, sys_.Qdag, sys_.H)
+    q, qdag, ham = ops or _reference_ops(sys_)
     sectors, unsplit = {}, 0
     for f in range(sys_.model.n + 1):
         if ops is None:
@@ -437,7 +453,7 @@ def test_block_eigh_matches_dense(case):
         # one block per momentum; the 1-fermion one splits by Fock state
         expect_blocks = [len(cm), 2 * len(cm), len(cm)]
     for f in range(model.n + 1):
-        mat = sys_.sector_matrix(f)
+        mat = _reference_sector(sys_, f)
         assert connected_components(mat != 0, directed=False)[0] == expect_blocks[f]
         vals, vecs, ix = _sector_eigh(sys_, f)
         assert np.array_equal(ix, sys_.sector_indices(f))
@@ -468,7 +484,12 @@ def test_susy_systems_are_real(builder, variant):
         model = make_nbody_model("calogero_sutherland", 3, 1.0)
         sys_ = susy.build_susy(model, GridSpec.box(0.0, math.pi, 8, 3, sector="ordered"),
                                variant)
-    for mat in (sys_.Q, sys_.Qdag, sys_.H):
+    if builder == "two_body":
+        held = [sys_.cm_coeff, sys_.relative_ops["xs"], sys_.H, *sys_.h_blocks.values(),
+                *sys_.h_relative.values()]
+    else:
+        held = [sys_.Q, sys_.Qdag, sys_.H]
+    for mat in held:
         assert mat.dtype == np.float64
     susy.kernel_classify(sys_)
     for f in range(model.n + 1):
@@ -488,7 +509,7 @@ def test_real_gauge_matches_complex_reference(case):
     # undo the gauge: U = diag(1, i, 1, i) over (|0>, |s>, |d>, |sd>) per momentum
     fock_state = np.concatenate([np.full(size, f) for _, f, _, size in sys_.blocks])
     u_gauge = sp.diags(np.where(np.isin(fock_state, (1, 3)), 1j, 1.0))
-    q_c = (u_gauge @ sys_.Q @ u_gauge.conj().T).tocsr()
+    q_c = (u_gauge @ _kron_two_body_q(sys_) @ u_gauge.conj().T).tocsr()
     qdag_c = q_c.conj().T.tocsr()
     h_c = (qdag_c @ q_c + q_c @ qdag_c).tocsr()
     # ... which restores the complex center-of-mass coefficient c = +-i k / 2
@@ -563,13 +584,17 @@ def test_offblock_leak_reports_a_cross_sector_entry_on_a_grid():
 
 
 # ---------------------------------------------------------------------------
-# index-built two-body Q and work on first read
+# the sparse two-body reference and work on first read
 # ---------------------------------------------------------------------------
 
+EPS = np.finfo(float).eps
+
+
 def _kron_two_body_q(sys_):
-    """The block-matrix assembly the index-built Q replaced, kept as its
-    reference: fixed center-of-mass and relative Fock layouts, their
-    Kronecker products with the momentum space, concatenated, not summed."""
+    """The sparse two-body Q, the reference for every test that reads one:
+    fixed center-of-mass and relative Fock layouts, their Kronecker
+    products with the momentum space, concatenated, not summed.  The k = 0
+    entries of c are stored zeros."""
     x_op = sys_.relative_ops["x"]
     u, m_cells = x_op.shape
     kvals = np.asarray(sys_.cm_momenta, dtype=float)
@@ -595,6 +620,32 @@ def _kron_two_body_q(sys_):
          (np.r_[cm_part.row, x_part.row], np.r_[cm_part.col, x_part.col])), shape=(dim, dim)))
 
 
+def _reference_ops(sys_):
+    """(Q, Q+, H), sparse: those of the kron reference for a two-body
+    system, with H = Q+Q + QQ+, and a grid system's own."""
+    if sys_.h_blocks is None:
+        return sys_.Q, sys_.Qdag, sys_.H
+    q = _kron_two_body_q(sys_)
+    qdag = sp.csr_matrix(q.T)
+    return q, qdag, (qdag @ q + q @ qdag).tocsr()
+
+
+def _reference_sector(sys_, f):
+    """The sector-f diagonal block of the reference H, sparse."""
+    ix = sys_.sector_indices(f)
+    return _reference_ops(sys_)[2][ix][:, ix]
+
+
+def _assert_h_is_the_reference_anticommutator(sys_):
+    """The system's sparse H against the reference Q+Q + QQ+: the same
+    pattern, and every entry within 4 ulp of max |H|."""
+    ham, ref = sys_.H.sorted_indices(), _reference_ops(sys_)[2].sorted_indices()
+    assert ham.shape == ref.shape
+    assert np.array_equal(ham.indptr, ref.indptr)
+    assert np.array_equal(ham.indices, ref.indices)
+    assert np.max(np.abs(ham.data - ref.data)) <= 4 * EPS * np.max(np.abs(ref.data))
+
+
 _HARMONIC2 = ("harmonic_calogero", 1.0, 8.0)
 
 
@@ -610,15 +661,13 @@ def _two_body(kind, alpha, hi, variant, cm, m=32):
 @pytest.mark.parametrize("kind", [_CS2, ("calogero", 1.5, 8.0), _HARMONIC2],
                          ids=lambda kind: kind[0])
 def test_index_built_q_matches_kron_assembly(kind, variant, cm):
+    # the index layout the builder declares carries the kron reference: its
+    # Q lowers the fermion number by one, and the H placed from the
+    # declared blocks at their offsets is its Q+Q + QQ+
     sys_ = _two_body(*kind, variant, cm)
-    q = _kron_two_body_q(sys_)
-    qdag = sp.csr_matrix(q.T)
-    ham = (qdag @ q + q @ qdag).tocsr()
-    for got, ref in ((sys_.Q, q), (sys_.Qdag, qdag), (sys_.H, ham)):
-        # bit for bit, signed zeros of the k = 0 entries included
-        assert np.array_equal(got.data.view(np.uint64), ref.data.view(np.uint64))
-        assert np.array_equal(got.indices, ref.indices)
-        assert np.array_equal(got.indptr, ref.indptr)
+    q = _kron_two_body_q(sys_).tocoo()
+    assert np.array_equal(sys_.fermion_of[q.col] - sys_.fermion_of[q.row], np.ones(q.nnz))
+    _assert_h_is_the_reference_anticommutator(sys_)
 
 
 @pytest.mark.parametrize("case", [
@@ -636,7 +685,7 @@ def test_declared_blocks_are_the_connected_components(case):
     else:
         sys_ = _two_body(*kind, variant, cm)
     for f in range(sys_.model.n + 1):
-        mat = sys_.sector_matrix(f)
+        mat = _reference_sector(sys_, f)
         n_blocks, labels = connected_components(mat != 0, directed=False)
         blocks = sorted(((rows, block) for part in susy._sector_parts(sys_, f)
                          for rows, block in zip(part.rows, part.blocks)),
@@ -645,14 +694,15 @@ def test_declared_blocks_are_the_connected_components(case):
         dense = mat.toarray()
         for b, (rows, block) in enumerate(blocks):
             assert np.array_equal(rows, np.flatnonzero(labels == b))
-            # ... holding the entries of the sparse H byte for byte
-            assert block.tobytes() == dense[np.ix_(rows, rows)].tobytes()
+            # ... holding the entries of the reference H, to roundoff
+            gap = np.max(np.abs(block - dense[np.ix_(rows, rows)]))
+            assert gap <= 4 * EPS * np.max(np.abs(block))
         # each block is its part's relative matrix plus its shift, to roundoff
         for part in susy._sector_parts(sys_, f):
             eye = np.eye(len(part.relative))
             for block, shift in zip(part.blocks, part.shifts):
                 gap = np.max(np.abs(block - (part.relative + shift * eye)))
-                assert gap <= 4 * np.finfo(float).eps * np.max(np.abs(block))
+                assert gap <= 4 * EPS * np.max(np.abs(block))
 
 
 @pytest.mark.parametrize("variant", susy.VARIANTS)
@@ -670,7 +720,7 @@ def test_sector_eigh_solves_each_distinct_block_once(monkeypatch, variant):
         assert calls == [(u, u), (m_cells, m_cells)]
         for f, (vals, vecs, ix) in enumerate(spectra):
             # ... with the eigenvalues of solving every block, to roundoff
-            mat = sys_.sector_matrix(f)
+            mat = _reference_sector(sys_, f)
             labels = connected_components(mat != 0, directed=False)[1]
             dense = mat.toarray()
             every = np.sort(np.concatenate([
@@ -697,51 +747,59 @@ def test_sector_solve_checks_the_declared_blocks():
     assert np.max(resid[[0, 2]]) <= 1e-12 * np.max(norms)
 
 
-def _stacked_charge_products(sys_, f, eig):
-    """Q v and Q+ v of a two-body sector, each product formed on a stack of
-    per-momentum copies of the block eigenvectors: the reference for the
-    product formed once and broadcast."""
-    xs, c = sys_.relative_ops["xs"], sys_.cm_coeff[:, None, None]
-    stacks = [np.stack([vecs] * len(c)) for vecs in eig.part_vecs]
-    if f == 1:
-        vs, vd = stacks
-        return (np.concatenate((c * vs, susy._band_apply(xs, vd)), axis=2),
-                np.concatenate((susy._band_apply(-xs.T, vs), c * vd), axis=2))
-    [v] = stacks
-    empty = np.zeros((len(c), 0, v.shape[2]))
-    if f == 0:
-        return empty, np.concatenate((c * v, susy._band_apply(xs.T, v)), axis=1)
-    return np.concatenate((susy._band_apply(-xs, v), c * v), axis=1), empty
-
-
 @pytest.mark.parametrize("cm", [(0,), (0, 1, -1), susy.DEFAULT_CM_MOMENTA],
                          ids=lambda cm: f"{len(cm)}cm")
 @pytest.mark.parametrize("variant", susy.VARIANTS)
 @pytest.mark.parametrize("kind", [_CS2, ("calogero", 1.5, 8.0), _HARMONIC2],
                          ids=lambda kind: kind[0])
 def test_charge_products_once_equal_the_stacked_products(kind, variant, cm):
+    # the products formed once and broadcast over the momenta, against the
+    # reference Q v and Q+ v of each momentum's block eigenvectors
     sys_ = _two_body(*kind, variant, cm)
+    q, qdag, _ = _reference_ops(sys_)
     for f in range(3):
         eig = susy._sector_solve(sys_, f)
         got = susy._charge_products(sys_, f, eig)
-        for a, b in zip(got, _stacked_charge_products(sys_, f, eig)):
-            assert a.shape == b.shape
-            # bit for bit, signed zeros of the k = 0 products included
-            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        for ik in range(len(cm)):
+            rows = np.concatenate([part_rows[ik] for part_rows in eig.rows])
+            vecs = np.zeros((len(rows), len(rows)))
+            first = 0
+            for bvecs in eig.part_vecs:
+                vecs[first:first + len(bvecs), first:first + len(bvecs)] = bvecs
+                first += len(bvecs)
+            for arr, op in zip(got, (q, qdag)):
+                cols = op[:, eig.ix[rows]]
+                ref = cols[np.flatnonzero(cols.getnnz(axis=1))] @ vecs
+                assert arr[ik].shape == ref.shape
+                scale = max(1.0, np.max(np.abs(ref), initial=0.0))
+                assert np.max(np.abs(arr[ik] - ref), initial=0.0) <= 4 * EPS * scale
 
 
-def _eager_diagnostics(sys_):
-    """The diagnostics as the builders once computed them, right after
-    assembly; the reference for the property read on demand."""
-    q, ham = sys_.Q, sys_.H
+def _reference_diagnostics(sys_):
+    """The formulas of the diagnostics on the sparse Q and H of
+    `_reference_ops`."""
+    q, _, ham = _reference_ops(sys_)
     q2 = q @ q
+    coo = ham.tocoo()
+    cross = coo.data[sys_.fermion_of[coo.row] != sys_.fermion_of[coo.col]]
     out = {"q_squared_fro": float(np.sqrt(np.sum(np.abs(q2.data) ** 2)) if q2.nnz else 0.0),
            "hermiticity_defect": susy._spmax(ham - ham.T),
-           "offblock_leak": sys_.offblock_leak()}
+           "offblock_leak": float(np.max(np.abs(cross))) if cross.size else 0.0}
     hq = ham @ q - q @ ham
     scale = max(1.0, susy._spmax(ham)) * max(1.0, susy._spmax(q))
     out["h_q_commutator"] = susy._spmax(hq) / scale
     return out
+
+
+def _assert_diagnostics_match_reference(sys_):
+    """A grid system's diagnostics equal the formulas exactly; a two-body
+    system's, from its blocks, equal them up to 1e-15 in [H, Q]."""
+    got, want = sys_.diagnostics, _reference_diagnostics(sys_)
+    assert list(got) == list(want)
+    for key in ("q_squared_fro", "hermiticity_defect", "offblock_leak"):
+        assert got[key] == want[key]
+    tol = 0.0 if sys_.h_blocks is None else 1e-15
+    assert abs(got["h_q_commutator"] - want["h_q_commutator"]) <= tol
 
 
 def test_variant_comparison_reads_eigenvalues_only(monkeypatch):
@@ -766,8 +824,8 @@ def test_variant_comparison_reads_eigenvalues_only(monkeypatch):
         assert sorted(sys_._sector_eig) == [0, 1, 2]
         for eig in sys_._sector_eig.values():
             assert "vecs" not in vars(eig) and eig.part_vecs
-        # read later, the diagnostics are exactly the eager ones
-        assert sys_.diagnostics == _eager_diagnostics(sys_)
+        # read later, the diagnostics are those of the reference operators
+        _assert_diagnostics_match_reference(sys_)
 
 
 @pytest.mark.parametrize("builder", ["two_body", "grid"])
@@ -785,9 +843,7 @@ def test_diagnostics_on_first_read_equal_eager(monkeypatch, builder):
     # tags and pairing read charge norms, never the rotated states
     assert rotations == [] and "diagnostics" not in vars(sys_)
     assert all("vecs" not in vars(eig) for eig in sys_._sector_eig.values())
-    eager = _eager_diagnostics(sys_)
-    assert sys_.diagnostics == eager
-    assert list(sys_.diagnostics) == list(eager)
+    _assert_diagnostics_match_reference(sys_)
     susy.sector_sum_check(sys_, k=2)
     assert rotations
 
@@ -803,7 +859,8 @@ def _sector_wide_charges(sys_, f):
     whole Gram matrix, all clusters of one size in one batched call.
     Returns (lam, |Q v|, |Q+ v|, the rotated states)."""
     vals, vecs, ix = _sector_eigh(sys_, f)
-    qv, qdv = sys_.Q[:, ix] @ vecs, sys_.Qdag[:, ix] @ vecs
+    q, qdag, _ = _reference_ops(sys_)
+    qv, qdv = q[:, ix] @ vecs, qdag[:, ix] @ vecs
     starts = np.array([sl.start for sl in _reference_cluster_slices(vals)], dtype=int)
     sizes = np.diff(starts, append=len(vals))
     lam = np.repeat(np.add.reduceat(vals, starts) / sizes, sizes)
