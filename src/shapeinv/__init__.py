@@ -14,7 +14,6 @@ from .models import (
     model_from_config,
     model_to_config,
     remainder_1d,
-    remainder_nominal,
     remainder_shift,
 )
 
@@ -24,6 +23,6 @@ __all__ = [
     "NBodyModel", "PairPrepotential", "Prepotential1D",
     "check_pair_condition", "make_nbody_model",
     "make_pair_prepotential", "make_prepotential_1d", "model_from_config",
-    "model_to_config", "remainder_1d", "remainder_nominal", "remainder_shift",
+    "model_to_config", "remainder_1d", "remainder_shift",
     "__version__",
 ]

@@ -121,8 +121,7 @@ class Kind:
     family: str               # 1-D family of w
     params: Callable          # that family's parameters
     period: float | None      # singular period: pair terms in sin(x_i - x_j), not x_i - x_j
-    confined: bool            # takes omega and beta: (omega^2/4) (x_i - x_j)^2 pair term;
-                              # R is then probed and `remainder` is its nominal value
+    confined: bool            # takes omega and beta: (N beta^2/2) (x_i - x_j)^2 pair term
     c: Callable               # additive constant of the standard potential
     remainder: Callable       # closed-form shift R(alpha + 1)
     normalizable: Callable    # product ground state square-integrable
@@ -138,9 +137,10 @@ KINDS = {
         note="free relative dilation family: continuum, no bound chain"),
     "harmonic_calogero": Kind(
         "rational_harmonic", lambda m: (m.beta, -m.alpha), period=None, confined=True,
-        c=lambda m: (-(m.omega / math.sqrt(2.0)) * math.sqrt(m.n) * (m.n - 1)
-                     * (m.alpha * m.n + 1)),
-        remainder=lambda m: (m.omega / math.sqrt(2.0)) * math.sqrt(m.n) * (m.n - 1) * m.n,
+        # sum W_i^2 - sum d_i W_i = N beta^2 sum_{i<j} x_ij^2 + g sum_{i<j} x_ij^-2 + c:
+        # the three-body alpha beta terms sum to 3 per triple
+        c=lambda m: -m.n * (m.n - 1) * m.beta * (m.alpha * m.n + 1),
+        remainder=lambda m: m.n * (m.n - 1) * (m.n + 2) * m.beta,
         # pair Gaussians confine the relative coordinates, not the center of mass
         normalizable=lambda m: m.beta > 0 and m.alpha > -0.5,
         note="relative radial-oscillator family"),
@@ -321,10 +321,9 @@ class NBodyModel:
 
     w is the W of the 1-D family that the kind's row of ``KINDS`` names.
     The coupling is g = 2 alpha (alpha - 1).  For the harmonic kind, `beta`
-    scales the linear pair term in w; it defaults to omega / (2 sqrt N) and is
-    deliberately overridable because the additive constant and the quadratic
-    coefficient of the assembled potential are measured, not assumed (see
-    verify.constant_fit_diagnostic).
+    scales the linear pair term in w and every closed form is written in it;
+    omega only sets its default, omega / (2 sqrt N).  At beta = omega / sqrt(2N)
+    the pair potential is the textbook (omega^2/4) sum_{i != j} (x_i - x_j)^2.
     """
 
     kind: str
@@ -340,9 +339,9 @@ class NBodyModel:
 
     @property
     def c(self) -> float:
-        """Additive constant of the model's standard potential form: exact for
-        calogero_sutherland, -alpha^2 N (N^2-1)/3; for harmonic_calogero the
-        nominal closed form of the default normalization, checked by fit."""
+        """Additive constant of the model's standard potential form: 0 for
+        calogero, -alpha^2 N (N^2-1)/3 for calogero_sutherland and
+        -N (N-1) beta (alpha N + 1) for harmonic_calogero."""
         return self.kind_row.c(self)
 
     @property
@@ -440,7 +439,7 @@ class NBodyModel:
         if self.kind_row.confined:
             sq = d ** 2
             _set_diagonal(sq, 0.0)
-            v = v + 0.25 * self.omega ** 2 * sq.sum(axis=(-2, -1))
+            v = v + 0.5 * self.n * self.beta ** 2 * sq.sum(axis=(-2, -1))
         return v
 
     def potential(self, x):
@@ -506,35 +505,9 @@ def make_nbody_model(kind: str, n: int, alpha: float, omega: float | None = None
 
 def remainder_shift(model: NBodyModel) -> float:
     """R(alpha+1): the constant by which the partner sum A A+ exceeds the
-    ladder sum A+ A at shifted coupling.
-
-    Exact closed forms for calogero (0) and calogero_sutherland; for the
-    harmonic kind the shift is measured on probe configurations (it is a
-    constant; the probe asserts that) because the textbook normalization is
-    under test elsewhere.
-    """
-    if not model.kind_row.confined:
-        return model.kind_row.remainder(model)
-    up = model.shifted(1.0)
-    values = []
-    for s, t in ((0.83, 0.11), (1.31, -0.07), (0.57, 0.19)):
-        x = s * np.arange(model.n, dtype=float) + t * np.arange(model.n) ** 2
-        values.append(model.ladder_potential(x, partner=True)
-                      - up.ladder_potential(x))
-    values = np.asarray(values)
-    spread = values.max() - values.min()
-    if spread > 1e-8 * max(1.0, abs(values.mean())):
-        raise DomainError(f"harmonic remainder probe is not constant (spread {spread:.2e})")
-    return float(values.mean())
-
-
-def remainder_nominal(model: NBodyModel) -> float:
-    """Closed-form candidate for the shift under the default normalization.
-
-    Identical to remainder_shift for calogero and calogero_sutherland; for
-    the harmonic kind this is the nominal (omega/sqrt 2) sqrt(N) (N-1) N and
-    is recorded side by side with the measured value in reports.
-    """
+    ladder sum A+ A at shifted coupling, in closed form: 0 for calogero,
+    ((alpha+1)^2 - alpha^2) N (N^2-1)/3 for calogero_sutherland and
+    N (N-1) (N+2) beta for harmonic_calogero."""
     return model.kind_row.remainder(model)
 
 

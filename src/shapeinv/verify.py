@@ -30,14 +30,27 @@ import numpy as np
 
 from . import calculus as calc
 from .errors import DomainError
-from .models import NBodyModel, _set_diagonal, remainder_nominal, remainder_shift
+from .models import NBodyModel, _set_diagonal, remainder_shift
 
 DEFAULT_GAP = 0.05
 BOX_HALF = 2.0  # configurations drawn from a box of side 4
 
 
+class _Serialized:
+    """`to_dict` and `to_json` of a report dataclass; `passed` is written
+    as "pass"."""
+
+    def to_dict(self) -> dict:
+        d = asdict(self)
+        d["pass"] = d.pop("passed")
+        return d
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+
+
 @dataclass
-class ResidualReport:
+class ResidualReport(_Serialized):
     identity: str
     model: dict
     trials: int
@@ -49,24 +62,15 @@ class ResidualReport:
     worst_sample: dict
     extra: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["pass"] = d.pop("passed")
-        return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
 
 @dataclass
-class ConstantFit:
-    """Least-squares fit of D(x) = sum W_i^2 - sum d_i W_i - V_pair(x).
+class ConstantFit(_Serialized):
+    """Least-squares fit of D(x) = sum W_i^2 - sum d_i W_i - V_pair(x) as a
+    constant.
 
-    D must be a pure constant (plus a quadratic in the pair separations for
-    the harmonic kind); `residual_std` after the fit is the theorem-level
-    check that no genuine many-body term survives.  `expected_*` are the
-    closed-form values of the default normalization, recorded next to the
-    fitted ones rather than asserted.
+    `residual_std` after the fit is the theorem-level check that no genuine
+    many-body term survives, and the fitted constant must match the closed
+    form `expected_constant` (the model's `c`) for every kind.
     """
     model: dict
     trials: int
@@ -77,17 +81,6 @@ class ConstantFit:
     residual_std: float
     scale: float
     passed: bool
-    fitted_quadratic: float | None = None
-    expected_quadratic: float | None = None
-    quadratic_discrepancy: float | None = None
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["pass"] = d.pop("passed")
-        return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -292,18 +285,14 @@ def factorization_residual(model: NBodyModel, trials: int, seed: int,
 
 def shape_invariance_residual(model: NBodyModel, trials: int, seed: int,
                               tolerance: float = 1e-8) -> ResidualReport:
-    """Residual of sum A_i A+_i (alpha) f - sum A+_i A_i (alpha+1) f - R f.
-
-    R is the closed-form shift for calogero (0) and calogero_sutherland;
-    for the harmonic kind it is the measured constant, with the nominal
-    closed form recorded in `extra` for comparison.
-    """
+    """Residual of sum A_i A+_i (alpha) f - sum A+_i A_i (alpha+1) f - R f,
+    with R the kind's closed-form shift (`remainder_shift`), recorded in
+    `extra`."""
     s = _trial_set(model, trials, seed)
     r_used = remainder_shift(model)
     return _report("shape_invariance", model, trials, seed,
                    _shape_invariance(model, s, r_used), s.x, tolerance,
-                   extra={"remainder_used": r_used,
-                          "remainder_nominal": remainder_nominal(model)})
+                   extra={"remainder_used": r_used})
 
 
 def commutator_check(model: NBodyModel, trials: int, seed: int,
@@ -428,43 +417,28 @@ def prepotential_structure_report(model: NBodyModel, trials: int, seed: int,
 
 def constant_fit_diagnostic(model: NBodyModel, trials: int, seed: int,
                             tolerance: float = 1e-8) -> ConstantFit:
-    """Fit D(x) = sum W_i^2 - sum d_i W_i - V_pair(x) as a constant, plus a
-    coefficient on sum'(x_i - x_j)^2 for the harmonic kind.
+    """Fit D(x) = sum W_i^2 - sum d_i W_i - V_pair(x) as a constant.
 
-    The post-fit residual std certifies that D has no remaining shape; the
-    fitted values arbitrate the harmonic normalization question without ever
-    entering an assertion.
+    It passes when the post-fit residual std shows that D has no remaining
+    shape and the fitted constant equals the closed form `model.c`, both to
+    `tolerance` relative.
     """
     if trials < 2:
         raise DomainError("trials must be >= 2 for a fit")
     x = _trial_set(model, trials, seed).x
     d_vals = model.ladder_potential(x) - model.pair_potential(x)
-    if model.kind_row.confined:
-        diff = x[:, :, None] - x[:, None, :]
-        sq = np.ascontiguousarray(diff[:, ~np.eye(model.n, dtype=bool)] ** 2)
-        s_vals = sq.sum(axis=-1)
-        design = np.column_stack([np.ones_like(d_vals), s_vals])
-    else:
-        design = np.ones((d_vals.size, 1))
+    design = np.ones((d_vals.size, 1))
     coef, *_ = np.linalg.lstsq(design, d_vals, rcond=None)
     resid = d_vals - design @ coef
     scale = float(max(1.0, np.max(np.abs(d_vals))))
     std = float(np.sqrt(np.mean(resid ** 2)))
-    fit = ConstantFit(
+    discrepancy = float(coef[0] - model.c)
+    return ConstantFit(
         model=model.descriptor(), trials=trials, seed=seed,
         fitted_constant=float(coef[0]), expected_constant=model.c,
-        constant_discrepancy=float(coef[0] - model.c),
-        residual_std=std, scale=scale,
-        passed=bool(std <= tolerance * scale))
-    if model.kind_row.confined:
-        fit.fitted_quadratic = float(coef[1])
-        fit.expected_quadratic = 0.0  # standard quadratic already in V_pair
-        fit.quadratic_discrepancy = float(coef[1])
-    else:
-        # for the exactly-solved kinds the constant itself is part of the pass
-        fit.passed = bool(fit.passed and abs(fit.constant_discrepancy)
-                          <= tolerance * max(1.0, abs(model.c)))
-    return fit
+        constant_discrepancy=discrepancy, residual_std=std, scale=scale,
+        passed=bool(std <= tolerance * scale
+                    and abs(discrepancy) <= tolerance * max(1.0, abs(model.c))))
 
 
 # ---------------------------------------------------------------------------

@@ -131,10 +131,9 @@ def test_criterion_06_constant_diagnostics():
             ok &= abs(fit.fitted_constant - expected) <= 1e-8
             details.append(f"CS N={n}: c = {fit.fitted_constant:.9f}")
         elif kind == "harmonic_calogero":
-            # reported, never asserted against the textbook normalization
-            details.append(f"harmonic N={n}: c = {fit.fitted_constant:.6f} "
-                           f"(nominal {fit.expected_constant:.6f}), "
-                           f"quad discrepancy {fit.fitted_quadratic:.6f}")
+            expected = -n * (n - 1) * m.beta * (alpha * n + 1)
+            ok &= abs(fit.fitted_constant - expected) <= 1e-8 * abs(expected)
+            details.append(f"harmonic N={n}: c = {fit.fitted_constant:.9f}")
     elapsed = time.perf_counter() - t0
     _report(6, ok, "; ".join(details), elapsed, 10)
 

@@ -14,7 +14,6 @@ from shapeinv.models import (
     model_from_config,
     model_to_config,
     remainder_1d,
-    remainder_nominal,
     remainder_shift,
 )
 from shapeinv.spectral import two_body_reduction
@@ -273,13 +272,48 @@ def test_remainder_shift_values():
     cs2 = make_nbody_model("calogero_sutherland", 2, 1.0)
     assert remainder_shift(cs2) == pytest.approx(6.0)
     h = make_nbody_model("harmonic_calogero", 2, 1.0, omega=1.0)
-    # the measured shift is beta N (N-1) (N+2); the nominal closed form differs
+    # the shift is beta N (N-1) (N+2)
     assert remainder_shift(h) == pytest.approx(8 * h.beta, rel=1e-10)
-    assert remainder_nominal(h) == pytest.approx(2.0)
     # partner potential minus shifted ladder potential is that constant
     x = np.array([-0.7, 0.4])
     rho = h.ladder_potential(x, partner=True) - h.shifted(1.0).ladder_potential(x)
     assert rho == pytest.approx(remainder_shift(h), rel=1e-12)
+
+
+HARMONIC_OMEGA = 1.3
+
+
+def _harmonic_beta(label, n):
+    """None (the default omega / (2 sqrt N)), the textbook omega / sqrt(2N),
+    or a value unrelated to omega."""
+    return {"default": None, "textbook": HARMONIC_OMEGA / math.sqrt(2 * n),
+            "free": 0.7}[label]
+
+
+@pytest.mark.parametrize("beta", ["default", "textbook", "free"])
+@pytest.mark.parametrize("alpha", [0.5, 1.5, 2.0])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_harmonic_closed_forms_follow_beta(n, alpha, beta):
+    # c and R are closed forms in beta; the partner-minus-shifted difference
+    # is the probe that once measured R, kept here as its reference
+    m = make_nbody_model("harmonic_calogero", n, alpha, omega=HARMONIC_OMEGA,
+                         beta=_harmonic_beta(beta, n))
+    rng = np.random.default_rng(100 * n + int(10 * alpha))
+    xs = rng.uniform(-2.0, 2.0, (40, n))
+    xs = xs[m.separation_margin(xs) > 0.05]
+    ladder = m.ladder_potential(xs)
+    scale = max(1.0, np.max(np.abs(ladder)))
+    assert np.max(np.abs(ladder - m.pair_potential(xs) - m.c)) <= 1e-12 * scale
+    partner = m.ladder_potential(xs, partner=True)
+    probe = partner - m.shifted(1.0).ladder_potential(xs)
+    scale = max(1.0, np.max(np.abs(partner)))
+    assert np.max(np.abs(probe - remainder_shift(m))) <= 1e-12 * scale
+    if beta == "textbook":
+        d = xs[:, :, None] - xs[:, None, :]
+        upper = np.triu(np.ones((n, n), dtype=bool), 1)
+        textbook = (HARMONIC_OMEGA ** 2 / 4 * 2 * np.sum(d[:, upper] ** 2, axis=1)
+                    + m.g * np.sum(d[:, upper] ** -2.0, axis=1))
+        assert np.allclose(m.pair_potential(xs), textbook, rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from shapeinv import calculus as calc
 from shapeinv import verify
 from shapeinv.errors import DomainError
-from shapeinv.models import FAMILIES, NBODY_KINDS, make_nbody_model, remainder_shift
+from shapeinv.models import FAMILIES, NBODY_KINDS, make_nbody_model
 
 
 def test_factorization_calogero():
@@ -41,12 +41,13 @@ def test_factorization_harmonic_consistent_beta():
     assert rep.passed
 
 
-def test_factorization_harmonic_default_beta_fails():
-    # the default normalization does not reproduce the standard quadratic
-    # coefficient; the factorization residual honestly reports that
-    m = make_nbody_model("harmonic_calogero", 3, 1.5, omega=1.0)
-    rep = verify.factorization_residual(m, 30, seed=4)
-    assert not rep.passed
+def test_factorization_harmonic_default_beta_passes():
+    # the potential and its constant are written in beta, so the default
+    # beta = omega / (2 sqrt N) factorizes as well as any other
+    for n in (2, 3, 4):
+        m = make_nbody_model("harmonic_calogero", n, 1.5, omega=1.0)
+        rep = verify.factorization_residual(m, 30, seed=4)
+        assert rep.passed, (n, rep.max_residual)
 
 
 def test_shape_invariance_cs_n3():
@@ -69,8 +70,6 @@ def test_shape_invariance_harmonic_fitted():
     assert rep.passed
     assert rep.extra["remainder_used"] == pytest.approx(
         m.beta * 3 * 2 * 5, rel=1e-10)  # beta N (N-1) (N+2)
-    assert rep.extra["remainder_nominal"] != pytest.approx(
-        rep.extra["remainder_used"], rel=1e-3)
 
 
 @pytest.mark.parametrize("kind", ["calogero", "calogero_sutherland"])
@@ -150,21 +149,18 @@ def test_constant_fit_calogero():
     assert fit.fitted_constant == pytest.approx(0.0, abs=1e-10)
 
 
-def test_constant_fit_harmonic_reports_discrepancy():
+def test_constant_fit_harmonic_default_beta():
     m = make_nbody_model("harmonic_calogero", 2, 1.0, omega=1.0)
     fit = verify.constant_fit_diagnostic(m, 150, seed=11)
-    # constancy after the quadratic term is the assertion; values are reported
     assert fit.passed
     assert fit.residual_std <= 1e-8 * fit.scale
-    # the default normalization gives half the nominal quadratic coefficient
-    assert fit.fitted_quadratic == pytest.approx(-0.125, abs=1e-9)
-    assert abs(fit.constant_discrepancy) > 0.1
+    assert fit.fitted_constant == pytest.approx(fit.expected_constant, abs=1e-9)
 
 
 def test_constant_fit_harmonic_consistent_beta():
     m = make_nbody_model("harmonic_calogero", 2, 1.0, omega=1.0, beta=0.5)
     fit = verify.constant_fit_diagnostic(m, 150, seed=11)
-    assert fit.fitted_quadratic == pytest.approx(0.0, abs=1e-9)
+    assert fit.passed
     assert fit.fitted_constant == pytest.approx(fit.expected_constant, abs=1e-9)
 
 
@@ -385,15 +381,9 @@ def _scale_family_formula(monkeypatch, model, name):
 @pytest.mark.parametrize("kind", NBODY_KINDS)
 def test_perturbed_family_w_is_detected(monkeypatch, kind):
     m = _guard_model(kind)
-    if kind == "harmonic_calogero":
-        remainder_shift(m)  # the probe finds a constant before the perturbation
-        _scale_family_formula(monkeypatch, m, "w")
-        with pytest.raises(DomainError, match="not constant"):
-            remainder_shift(m)
-    else:
-        assert verify.factorization_residual(m, 20, seed=5).passed
-        _scale_family_formula(monkeypatch, m, "w")
-        assert not verify.factorization_residual(m, 20, seed=5).passed
+    assert verify.factorization_residual(m, 20, seed=5).passed
+    _scale_family_formula(monkeypatch, m, "w")
+    assert not verify.factorization_residual(m, 20, seed=5).passed
 
 
 @pytest.mark.parametrize("kind", NBODY_KINDS)
