@@ -125,7 +125,6 @@ class Kind:
     c: Callable               # additive constant of the standard potential
     remainder: Callable       # closed-form shift R(alpha + 1)
     normalizable: Callable    # product ground state square-integrable
-    note: str                 # the relative problem of the two-body reduction
     aliases: tuple = ()
 
 
@@ -133,8 +132,7 @@ KINDS = {
     "calogero": Kind(
         "rational_harmonic", lambda m: (0.0, -m.alpha), period=None, confined=False,
         c=lambda m: 0.0, remainder=lambda m: 0.0,
-        normalizable=lambda m: False,  # no confinement: a formal zero mode only
-        note="free relative dilation family: continuum, no bound chain"),
+        normalizable=lambda m: False),  # no confinement: a formal zero mode only
     "harmonic_calogero": Kind(
         "rational_harmonic", lambda m: (m.beta, -m.alpha), period=None, confined=True,
         # sum W_i^2 - sum d_i W_i = N beta^2 sum_{i<j} x_ij^2 + g sum_{i<j} x_ij^-2 + c:
@@ -142,14 +140,12 @@ KINDS = {
         c=lambda m: -m.n * (m.n - 1) * m.beta * (m.alpha * m.n + 1),
         remainder=lambda m: m.n * (m.n - 1) * (m.n + 2) * m.beta,
         # pair Gaussians confine the relative coordinates, not the center of mass
-        normalizable=lambda m: m.beta > 0 and m.alpha > -0.5,
-        note="relative radial-oscillator family"),
+        normalizable=lambda m: m.beta > 0 and m.alpha > -0.5),
     "calogero_sutherland": Kind(
         "rosen_morse_trig", lambda m: (m.alpha, 1.0), period=math.pi, confined=False,
         c=lambda m: -m.alpha ** 2 * m.n * (m.n ** 2 - 1) / 3.0,
         remainder=lambda m: ((m.alpha + 1.0) ** 2 - m.alpha ** 2) * m.n * (m.n ** 2 - 1) / 3.0,
-        normalizable=lambda m: m.alpha > -0.5,
-        note="relative problem on (0, pi); ground state |sin r|^alpha", aliases=("cs",)),
+        normalizable=lambda m: m.alpha > -0.5, aliases=("cs",)),
 }
 NBODY_KINDS = tuple(KINDS)
 KIND_NAMES = {name: kind for kind, row in KINDS.items()

@@ -537,7 +537,6 @@ class TwoBodyReduction:
     prep: Prepotential1D
     kinetic_factor: float
     domain: tuple
-    report: dict
 
     def operator_potential(self, r):
         return self.kinetic_factor * self.prep.potential(r)
@@ -555,16 +554,7 @@ def two_body_reduction(model: NBodyModel) -> TwoBodyReduction:
     if model.n != 2:
         raise DomainError("reduction applies to two-body models only")
     prep = make_prepotential_1d(*model.pair_family)
-    report = {
-        "kind": model.kind,
-        "relative_coordinate": "r = x2 - x1 on the ordered sector",
-        "kinetic_factor": 2.0,
-        "center_of_mass": "free plane waves, energy k^2/2",
-        "family": prep.family,
-        "params": prep.params,
-        "note": model.kind_row.note,
-    }
-    return TwoBodyReduction(prep, 2.0, prep.domain(), report)
+    return TwoBodyReduction(prep, 2.0, prep.domain())
 
 
 # ---------------------------------------------------------------------------

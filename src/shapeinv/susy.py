@@ -3,6 +3,10 @@ supercharges Q = sum_i A_i psi_i, the Hamiltonian H = Q+Q + QQ+, the
 fermion-number sector structure with its exact pairing, and the two
 inequivalent extensions sharing a bosonic sector.
 
+Every system declares Q and H as Fock blocks stacked over the center-of-
+mass momenta (a grid has one momentum).  The whole sector analysis, the
+diagnostics included, reads only these blocks, with plain numpy products.
+
 Two-body systems are built on a staggered relative grid.  The point of the
 staggering is spectral honesty: a square discrete ladder matrix X forces
 spec(X X+) = spec(X+ X), which would hand the bosonic sector a spurious
@@ -14,32 +18,22 @@ mass modes included, because the momentum term is a scalar on each mode.
 The Fock states carrying the symmetric mode get the phase i, a diagonal
 unitary gauge that makes the center-of-mass coefficient real; every
 system is then real, and spectra and kernel tags come from real eigh.
+Built and analyzed on numpy alone, a two-body system needs one eigh of
+G = xs xs^T and one of G2 = xs^T xs for every sector and momentum; they
+are solved apart, so the pairing of their nonzero eigenvalues stays a
+measurement.
 
-Full N-body grids (N >= 3) use square D_i + W_i ladders with skew D_i;
-there the commutators [A_i, A_j] survive at stencil order, so ||Q^2|| is
-reported as a diagnostic rather than guaranteed to vanish.
-
-A two-body system is a direct sum over center-of-mass momenta, and each
-momentum holds four Fock blocks built from one dense relative ladder.  It
-is built and analyzed on numpy alone, the sector-sum check included: its
-sector blocks, charge products and diagnostics are plain numpy products
-of Q's Fock blocks.  Each diagonal Fock block of H is G + c_k^2 I or
-G2 + c_k^2 I, with G = xs xs^T and G2 = xs^T xs shared by all momenta, so
-one eigh of G and one of G2 serve every sector and momentum.  They are
-solved apart, so the pairing of their nonzero eigenvalues stays a
-measurement.  Q, Q+ and H keep the momentum, so the sector analysis runs
-one momentum at a time, and no sector-wide eigenvector or charge matrix is
-formed.  An N >= 3 grid sector is the one-momentum case, its own relative
-matrix with shift 0.  A two-body system has no sparse Q; its sparse H is
-assembled from the declared blocks, with scipy.sparse, when first read.
-N >= 3 grids form their sparse Q, Q+ and H at build.
+Full N-body grids (N >= 3) use dense square ladders D_i + W_i with skew
+D_i; there the commutators [A_i, A_j] survive at stencil order, so
+||Q^2|| is reported as a diagnostic rather than guaranteed to vanish.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -49,7 +43,6 @@ from .models import NBodyModel, remainder_shift
 from .spectral import (RESIDUAL_CONTRACT, GridSpec, _axis_operators, _deriv_coeffs,
                        _sector_nodes)
 
-SPARSE_CAP = 200_000
 DENSE_SECTOR_CAP = 5000
 VARIANTS = ("s1", "s2")
 
@@ -72,10 +65,9 @@ DEFAULT_CM_MOMENTA = cm_momenta(8)
 class FockBasis:
     """2^N occupation states; mode i is bit i of the basis index.
 
-    Annihilators carry the ordered-string parity sign (-1)^(number of
-    occupied modes below i), realizing the canonical anticommutators
-    exactly on integer matrices.  They are sparse and built on first read:
-    two-body systems use the basis for its sector structure alone.
+    psi_i carries the ordered-string parity sign (-1)^(number of occupied
+    modes below i) (`_string_sign`), which realizes the canonical
+    anticommutators exactly.
     """
     n_modes: int
 
@@ -90,29 +82,6 @@ class FockBasis:
         return np.array([s for s in range(self.dim)
                          if self.fermion_number(s) == f], dtype=int)
 
-    @cached_property
-    def annihilators(self) -> list:
-        import scipy.sparse as sp
-
-        ops = []
-        for i in range(self.n_modes):
-            rows, cols, vals = [], [], []
-            bit = 1 << i
-            for s in range(self.dim):
-                if s & bit:
-                    rows.append(s ^ bit)
-                    cols.append(s)
-                    vals.append(_string_sign(s, i))
-            ops.append(sp.csr_matrix(sp.coo_matrix((vals, (rows, cols)),
-                                                   shape=(self.dim, self.dim))))
-        return ops
-
-    @cached_property
-    def creators(self) -> list:
-        import scipy.sparse as sp
-
-        return [sp.csr_matrix(op.T) for op in self.annihilators]
-
 
 def _string_sign(state: int, mode: int) -> float:
     """The ordered-string sign of `mode` in a Fock state: (-1)^(number of
@@ -120,17 +89,9 @@ def _string_sign(state: int, mode: int) -> float:
     return -1.0 if (int(state) & ((1 << mode) - 1)).bit_count() % 2 else 1.0
 
 
-def _holes(fock: FockBasis) -> list:
-    """(empty mode, its string sign) of each (N-1)-fermion Fock state, in
-    ascending state order."""
-    states = [int(s) for s in fock.sector_indices(fock.n_modes - 1)]
-    modes = [((fock.dim - 1) ^ s).bit_length() - 1 for s in states]
-    return [(mode, _string_sign(s, mode)) for s, mode in zip(states, modes)]
-
-
-def _spmax(mat) -> float:
-    mat = mat.tocsr()
-    return float(np.max(np.abs(mat.data))) if mat.nnz else 0.0
+def _empty_mode(fock: FockBasis, state: int) -> int:
+    """The empty mode of an (N-1)-fermion Fock state."""
+    return (fock.dim - 1 ^ state).bit_length() - 1
 
 
 def _absmax(arrays) -> float:
@@ -186,19 +147,23 @@ def _staggered_ladder(m_cells: int, length: float, w_fun, derivative_sign: int,
 
 @dataclass
 class SusySystem:
-    """H = Q+Q + QQ+ on (space) x (Fock), with the analysis cached on first
-    read: `diagnostics` when read, the block eigensolve of a sector
-    (`_sector_eig`) when its spectrum is asked for, and the cluster
-    rotations and charge norms (`_charges`) when it is classified.
+    """H = Q+Q + QQ+ on (space) x (Fock), declared as Fock blocks, with the
+    analysis cached on first read: `diagnostics` when read, the block
+    eigensolve of a sector (`_sector_eig`) when its spectrum is asked for,
+    and the cluster rotations and charge norms (`_charges`) when it is
+    classified.
 
-    A two-body system is a direct sum over center-of-mass momenta.  It
-    keeps Q as its Fock blocks, c_k I per momentum (`cm_coeff`) and the
-    relative ladder xs = sqrt(2) X (`relative_ops["xs"]`), H as its
-    per-momentum Fock blocks (`h_blocks`), and the two k-independent
-    relative matrices G = xs xs^T and G2 = xs^T xs that each diagonal block
-    is c_k^2 I away from (`h_relative`).  The analysis reads these; Q and
-    Q+ are fields of N >= 3 grids alone, and the sparse H is assembled from
-    the declared blocks on first read.
+    The degrees of freedom run momentum by momentum, then Fock state by
+    Fock state (`blocks`).  `q_blocks[a, b]` is Q's block from Fock state b
+    to a, which is b with one fermion removed; `h_blocks` holds H's nonzero
+    blocks, each off-diagonal one formed once and its mirror held as its
+    transpose.  Both are stacked over the momenta; a grid has one, with
+    c_k = 0.  `parts` groups the Fock states that H couples, each group
+    with the key of its k-independent relative matrix in `h_relative`: a
+    two-body system's diagonal blocks are c_k^2 I away from G = xs xs^T or
+    G2 = xs^T xs, and a group whose key `h_relative` lacks is its own
+    relative matrix.  The sparse H is assembled from the blocks on first
+    read; the analysis never reads it.
     """
     model: NBodyModel
     grid: GridSpec
@@ -207,16 +172,13 @@ class SusySystem:
     cm_momenta: tuple | None
     blocks: list                  # (cm_index, fock_state, offset, size)
     fermion_of: np.ndarray        # fermion number per degree of freedom
+    q_blocks: dict = field(repr=False)   # {(a, b): (n_k, size_a, size_b)}
+    h_blocks: dict = field(repr=False)   # {(a, b): (n_k, size_a, size_b)}
+    cm_coeff: np.ndarray = field(repr=False)
+    sum_weights: tuple = field(repr=False)  # ({state: w} of sector 1, of sector N-1)
+    parts: dict = field(repr=False)         # {(Fock state, ...): relative key}
     relative_ops: dict = field(default_factory=dict)
-    a_space: list | None = None   # square ladders (N >= 3 grids only)
-    Q: object = field(default=None, repr=False)      # sparse Q (N >= 3 grids only)
-    Qdag: object = field(default=None, repr=False)   # sparse Q+ (N >= 3 grids only)
-    space_nodes: np.ndarray | None = None
-    cm_coeff: np.ndarray | None = None  # c_k per momentum (two-body only)
-    h_blocks: dict | None = field(default=None, repr=False)  # two-body only:
-    # {(state, state'): (n_k, size, size')}, H's Fock blocks per momentum
-    h_relative: dict | None = field(default=None, repr=False)  # two-body only:
-    # {"G": G, "G2": G2}; H's (s, s) blocks are h_relative[_RELATIVE_OF[s]] + c_k^2 I
+    h_relative: dict = field(default_factory=dict, repr=False)  # {key: matrix}
     _relative_eig: dict = field(default_factory=dict, repr=False)
     _sector_eig: dict = field(default_factory=dict, repr=False)
     _charges: dict = field(default_factory=dict, repr=False)
@@ -227,51 +189,53 @@ class SusySystem:
 
     @cached_property
     def H(self):
-        """H, sparse: a grid system's Q+Q + QQ+, formed at build, and a
-        two-body system's declared blocks on the diagonal, zeros
+        """H, sparse: the declared blocks placed at their offsets, zeros
         eliminated, assembled on first read."""
-        if self.Q is not None:
-            return (self.Qdag @ self.Q + self.Q @ self.Qdag).tocsr()
         import scipy.sparse as sp
 
-        ham = sp.block_diag([self.h_blocks[s, s][ik] for ik, s, _, _ in self.blocks],
-                            format="csr")
-        ham.eliminate_zeros()
-        return ham
+        offset = {(ik, s): off for ik, s, off, _ in self.blocks}
+        entries = []
+        for (a, b), stack in self.h_blocks.items():
+            k, r, c = np.nonzero(stack)
+            starts = np.array([(offset[ik, a], offset[ik, b]) for ik in range(len(stack))])
+            entries.append((stack[k, r, c], r + starts[k, 0], c + starts[k, 1]))
+        vals, rows, cols = (np.concatenate(x) for x in zip(*entries))
+        return sp.csr_matrix((vals, (rows, cols)), shape=(self.dim, self.dim))
 
     @cached_property
     def diagnostics(self) -> dict:
         """||Q^2||_F, max |H - H^T|, the off-block leak and the scaled
-        max |[H, Q]|, computed on first read."""
-        if self.h_blocks is not None:
-            return _two_body_diagnostics(self)
-        q, ham = self.Q, self.H
-        q2 = q @ q
-        hq = ham @ q - q @ ham
-        scale = max(1.0, _spmax(ham)) * max(1.0, _spmax(q))
-        return {"q_squared_fro": float(np.sqrt(np.sum(np.abs(q2.data) ** 2))
-                                       if q2.nnz else 0.0),
-                "hermiticity_defect": _spmax(ham - ham.T),
+        max |[H, Q]|, computed on first read from the declared blocks:
+        (Q^2)_ab sums Q_ac Q_cb, and [H, Q]_ab sums H_ac Q_cb - Q_ac H_cb.
+        A block whose mirror H lacks counts whole in max |H - H^T|."""
+        q, h = self.q_blocks, self.h_blocks
+        q2 = {}
+        for (a, c), q_ac in q.items():
+            for (c2, b), q_cb in q.items():
+                if c2 == c:
+                    q2[a, b] = q2.get((a, b), 0.0) + q_ac @ q_cb
+        every = range(self.fock.dim)
+        commutator = []
+        for a, b in q:
+            left = [h[a, c] @ q[c, b] for c in every if (a, c) in h and (c, b) in q]
+            right = [q[a, c] @ h[c, b] for c in every if (a, c) in q and (c, b) in h]
+            commutator.append(reduce(np.add, left) - reduce(np.add, right))
+        scale = max(1.0, _absmax(h.values())) * max(1.0, _absmax(q.values()))
+        return {"q_squared_fro": math.hypot(*(np.linalg.norm(blk) for blk in q2.values())),
+                "hermiticity_defect": _absmax(
+                    blk - h[b, a].swapaxes(1, 2) if (b, a) in h else blk
+                    for (a, b), blk in h.items()),
                 "offblock_leak": self.offblock_leak(),
-                "h_q_commutator": _spmax(hq) / scale}
+                "h_q_commutator": _absmax(commutator) / scale}
 
     def sector_indices(self, f: int) -> np.ndarray:
         return np.where(self.fermion_of == f)[0]
 
-    def sector_matrix(self, f: int):
-        """The sector-f diagonal block of H, sparse."""
-        ix = self.sector_indices(f)
-        return self.H[ix][:, ix]
-
     def offblock_leak(self) -> float:
         """Largest |H| entry connecting different fermion numbers (exact 0)."""
-        if self.h_blocks is not None:
-            number = self.fock.fermion_number
-            return _absmax(blk for (a, b), blk in self.h_blocks.items()
-                           if number(a) != number(b))
-        coo = self.H.tocoo()
-        cross = coo.data[self.fermion_of[coo.row] != self.fermion_of[coo.col]]
-        return float(np.max(np.abs(cross))) if cross.size else 0.0
+        number = self.fock.fermion_number
+        return _absmax(blk for (a, b), blk in self.h_blocks.items()
+                       if number(a) != number(b))
 
     def sector_blocks(self, f: int):
         """(cm_index, fock_state, offset, size) entries of sector f."""
@@ -300,11 +264,11 @@ def _build_two_body(model: NBodyModel, grid: GridSpec, variant: str,
     turns c into the real -k/2 (s1) or +k/2 (s2), so Q, Q+ and H are real.
     Per momentum, Q has four Fock blocks: psi_sum puts c_k = -+(k/2) sqrt(2)
     on the diagonals of (|0>, |s>) and (|d>, |sd>), psi_diff puts
-    xs = sqrt(2) X in (|0>, |d>) and -xs in (|s>, |sd>).  The builder keeps
-    these, H's Fock blocks and their k-independent parts G and G2
-    (`_two_body_h_blocks`), and declares one block per momentum and Fock
-    state.  The momenta must be a nonempty 1-D sequence of distinct finite
-    numbers, else DomainError.
+    xs = sqrt(2) X in (|0>, |d>) and -xs in (|s>, |sd>).  The builder
+    declares these, H's Fock blocks and their k-independent parts G and G2
+    (`_two_body_h_blocks`), and one block per momentum and Fock state.  The
+    momenta must be a nonempty 1-D sequence of distinct finite numbers,
+    else DomainError.
     """
     if grid.dim != 1:
         raise DomainError("two-body systems take a 1-D relative grid")
@@ -344,17 +308,25 @@ def _build_two_body(model: NBodyModel, grid: GridSpec, variant: str,
     root2 = math.sqrt(2.0)
     xs = root2 * x_op
     c = c_over_k * kvals * root2
+    q_blocks = {(0, 1): _scaled_identity(c, u), (0, 2): np.broadcast_to(xs, (n_k, u, m_cells)),
+                (1, 3): np.broadcast_to(-xs, (n_k, u, m_cells)),
+                (2, 3): _scaled_identity(c, m_cells)}
     h_blocks, h_relative = _two_body_h_blocks(xs, c)
     return SusySystem(model=model, grid=grid, variant=variant, fock=fock,
                       cm_momenta=tuple(cm_momenta), blocks=blocks,
-                      fermion_of=fermion_of,
+                      fermion_of=fermion_of, q_blocks=q_blocks, h_blocks=h_blocks,
+                      cm_coeff=c, sum_weights=({1: 1.0}, {2: 1.0}),
                       relative_ops={"x": x_op, "xs": xs,
                                     "mids": length / m_cells * (np.arange(m_cells) + 0.5)},
-                      cm_coeff=c, h_blocks=h_blocks, h_relative=h_relative)
+                      parts={(0,): "G", (1,): "G", (2,): "G2", (3,): "G2"},
+                      h_relative=h_relative)
 
 
-# the k-independent relative matrix of each Fock state |0>, |s>, |d>, |sd>
-_RELATIVE_OF = ("G", "G", "G2", "G2")
+def _scaled_identity(c: np.ndarray, size: int) -> np.ndarray:
+    """c_k I of the given size for each momentum, stacked."""
+    out = np.zeros((len(c), size, size))
+    out.reshape(len(c), -1)[:, ::size + 1] = c[:, None]
+    return out
 
 
 def _two_body_h_blocks(xs: np.ndarray, c: np.ndarray) -> tuple:
@@ -366,73 +338,75 @@ def _two_body_h_blocks(xs: np.ndarray, c: np.ndarray) -> tuple:
     and G2 are exactly symmetric.  The |s>-|d> terms c xs - xs c cancel
     exactly, so H holds no other block.
     """
-    c2 = (c * c)[:, None, None]
     g, g2 = xs @ xs.T, xs.T @ xs
-    h_top, h_mid = g + c2 * np.eye(len(g)), g2 + c2 * np.eye(len(g2))
+    h_top, h_mid = g + _scaled_identity(c * c, len(g)), g2 + _scaled_identity(c * c, len(g2))
     return ({(0, 0): h_top, (1, 1): h_top, (2, 2): h_mid, (3, 3): h_mid},
             {"G": g, "G2": g2})
 
 
-def _two_body_diagnostics(sys: SusySystem) -> dict:
-    """The diagnostics of `SusySystem.diagnostics`, from Q's Fock blocks
-    (c I, xs, -xs, c I) and H's.
-
-    Q^2 lives in the (|0>, |sd>) block alone, as c (-xs) + xs c; [H, Q]
-    lives in Q's four blocks, h_a Q_ab - Q_ab h_b for each.
-    """
-    xs, c = sys.relative_ops["xs"], sys.cm_coeff[:, None, None]
-    hb = sys.h_blocks
-    h0, h1, h2, h3 = (hb[s, s] for s in range(4))
-    commutator = (h0 * c - c * h1, h0 @ xs - xs @ h2, xs @ h3 - h1 @ xs, h2 * c - c * h3)
-    scale = max(1.0, _absmax(hb.values())) * max(1.0, _absmax((c, xs)))
-    return {"q_squared_fro": float(np.linalg.norm(c * -xs + xs * c)),
-            "hermiticity_defect": _absmax(
-                blk - hb[b, a].swapaxes(1, 2) if (b, a) in hb else blk
-                for (a, b), blk in hb.items()),
-            "offblock_leak": sys.offblock_leak(),
-            "h_q_commutator": _absmax(commutator) / scale}
-
-
 def _build_grid(model: NBodyModel, grid: GridSpec, variant: str,
                 stencil_order: int) -> SusySystem:
-    """Square-ladder assembly on an (ordered) N-body grid."""
-    import scipy.sparse as sp
+    """Square-ladder assembly on an (ordered) N-body grid, as Fock blocks.
 
+    Each ladder L_i = D_i + W_i is a dense matrix over the grid nodes.  The
+    operator paired with psi_i is L_i (s1) or L_i^T (s2), and Q's block
+    (s ^ bit i, s) is it times the string sign `_string_sign(s, i)`.  Every
+    sector must fit the dense cap, checked before any block is formed.
+    """
     if grid.dim != model.n:
         raise DomainError("grid dimension must match the particle count")
     if model.g != 0.0 and grid.sector != "ordered":
         raise DomainError("singular kinds need the ordered sector")
-    base = model if variant == "s1" else model.shifted(1.0)
     idx, nodes = _sector_nodes(grid)
     n_nodes = len(idx)
+    for f in range(model.n + 1):
+        _check_dense_cap(f, math.comb(model.n, f) * n_nodes)
+    base = model if variant == "s1" else model.shifted(1.0)
     w_all = base.prepotential(nodes)
-    ladders = [(d + sp.diags(w_all[:, axis])).tocsr() for axis, d in
+    ladders = [d.toarray() + np.diag(w_all[:, axis]) for axis, d in
                enumerate(_axis_operators(grid, idx, _deriv_coeffs, stencil_order))]
-
+    lowering = ladders if variant == "s1" else [op.T for op in ladders]
     fock = make_fock_basis(model.n)
-    total = n_nodes * fock.dim
-    if total > SPARSE_CAP:
-        raise DimensionCapError(f"total dimension {total} exceeds cap {SPARSE_CAP}")
-    q = sp.csr_matrix((total, total))
-    for i in range(model.n):
-        lowering = ladders[i] if variant == "s1" else sp.csr_matrix(ladders[i].T)
-        q = q + sp.kron(lowering, fock.annihilators[i], format="csr")
-    fermion_of = np.tile([fock.fermion_number(f) for f in range(fock.dim)], n_nodes)
-    system = SusySystem(model=model, grid=grid, variant=variant, fock=fock,
-                        cm_momenta=None, blocks=[], fermion_of=fermion_of,
-                        a_space=ladders, space_nodes=nodes, Q=q, Qdag=sp.csr_matrix(q.T))
-    _ = system.H   # grid systems assemble H at build
-    return system
+    q_blocks = {(s ^ 1 << i, s): _string_sign(s, i) * lowering[i]
+                for s in range(fock.dim) for i in range(model.n) if s >> i & 1}
+    # H = Q+Q + QQ+: for a <= b, H_ab sums Q_ca^T Q_cb and Q_ac Q_bc^T.  A
+    # diagonal block sums products of a block with its own transpose, which
+    # numpy forms as symmetric ones, so it is exactly symmetric.
+    h_blocks = {}
+    for (a1, b1), q1 in q_blocks.items():
+        for (a2, b2), q2 in q_blocks.items():
+            if a1 == a2 and b1 <= b2:      # Q+Q through their common target
+                h_blocks[b1, b2] = h_blocks.get((b1, b2), 0.0) + q1.T @ q2
+            if b1 == b2 and a1 <= a2:      # QQ+ through their common source
+                h_blocks[a1, a2] = h_blocks.get((a1, a2), 0.0) + q1 @ q2.T
+    h_blocks.update({(b, a): blk.T for (a, b), blk in h_blocks.items() if a != b})
+    # H couples the Fock states of a sector, so each sector is one part
+    sectors = [tuple(fock.sector_indices(f).tolist()) for f in range(model.n + 1)]
+    dual = sectors[model.n - 1]
+    return SusySystem(model=model, grid=grid, variant=variant, fock=fock,
+                      cm_momenta=None,
+                      blocks=[(0, s, s * n_nodes, n_nodes) for s in range(fock.dim)],
+                      fermion_of=np.repeat([fock.fermion_number(s) for s in range(fock.dim)],
+                                           n_nodes),
+                      q_blocks={key: blk[None] for key, blk in q_blocks.items()},
+                      h_blocks={key: blk[None] for key, blk in h_blocks.items()},
+                      cm_coeff=np.zeros(1),
+                      sum_weights=({1 << i: 1.0 for i in range(model.n)},
+                                   {s: _string_sign(s, _empty_mode(fock, s)) for s in dual}),
+                      parts={states: states for states in sectors},
+                      relative_ops={"nodes": nodes})
 
 
 def build_susy(model: NBodyModel, grid: GridSpec, variant: str = "s1",
                cm_momenta=DEFAULT_CM_MOMENTA, stencil_order: int = 4) -> SusySystem:
-    """Assemble Q, Q+ and H = Q+Q + QQ+ on (space) x (Fock).
+    """Declare Q and H = Q+Q + QQ+ on (space) x (Fock) as Fock blocks.
 
     variant 's1' uses A_i(alpha) with psi_i; 's2' uses A+_i(alpha+1) with
     psi_i.  N = 2 with a 1-D grid selects the staggered relative
     representation (exactly nilpotent Q); matching N-dimensional grids
     select the square-ladder representation with its reported defects.
+    Both check every sector against the dense cap before forming a block,
+    else DimensionCapError.
     """
     if variant not in VARIANTS:
         raise DomainError(f"variant must be one of {VARIANTS}")
@@ -450,24 +424,27 @@ class _SectorEigen:
     """Eigenvalues of one sector, with the eigenvectors of its parts.
 
     The sector's blocks are those of its parts (`_sector_parts`), one per
-    momentum and Fock state; part b holds its blocks' rows within the
-    sector, rows[b], and one eigenvector matrix part_vecs[b] that all its
-    momenta share.  The block eigenpairs, concatenated momentum-major and
-    then part by part, are indexed by `order`: vals[p] is the eigenvalue of
-    concatenated eigenpair order[p].  No sector-wide eigenvector matrix is
-    formed.
+    momentum and group of coupled Fock states; part b holds its Fock
+    states, states[b], its blocks' rows within the sector, rows[b], and one
+    eigenvector matrix part_vecs[b] that all its momenta share.  The block
+    eigenpairs, concatenated momentum-major and then part by part, are
+    indexed by `order`: vals[p] is the eigenvalue of concatenated eigenpair
+    order[p].  No sector-wide eigenvector matrix is formed.
     """
     vals: np.ndarray      # ascending
     ix: np.ndarray        # the sector's indices into the system
     order: np.ndarray
+    states: list          # the Fock states of each part, ascending
     rows: list            # (n_k, size) per part
     part_vecs: list       # (size, size) per part
 
 
 class _SectorPart(NamedTuple):
-    """One Fock state's blocks of a sector, stacked over the momenta:
-    blocks[i] = relative + shifts[i] I, up to roundoff, on the sector rows
-    rows[i].  Parts with one key share their relative matrix."""
+    """The blocks of a group of coupled Fock states of a sector, stacked
+    over the momenta: blocks[i] = relative + shifts[i] I, up to roundoff,
+    on the sector rows rows[i].  Parts with one key share their relative
+    matrix."""
+    states: tuple
     rows: np.ndarray        # (n_k, size)
     blocks: np.ndarray      # (n_k, size, size), H's blocks as declared
     key: object
@@ -481,28 +458,44 @@ def _check_dense_cap(f: int, size: int):
             f"sector {f} dimension {size} exceeds dense cap {DENSE_SECTOR_CAP}")
 
 
+def _state_rows(sys: SusySystem, f: int) -> dict:
+    """Each Fock state's rows within sector f, (n_k, size).  Every momentum
+    holds the sector's states in one order and size, so a state's rows move
+    by the sector's size per momentum from one momentum to the next."""
+    sizes = {state: size for ik, state, _, size in sys.sector_blocks(f) if ik == 0}
+    per_k = np.arange(len(sys.cm_coeff))[:, None] * sum(sizes.values())
+    firsts = itertools.accumulate(sizes.values(), initial=0)
+    return {s: per_k + first + np.arange(size)
+            for (s, size), first in zip(sizes.items(), firsts)}
+
+
 def _sector_parts(sys: SusySystem, f: int) -> list:
     """The blocks of sector f as its builder declares them, one
-    `_SectorPart` per Fock state in ascending state order.
+    `_SectorPart` per declared part (`SusySystem.parts`) of the sector.
 
-    Two-body systems declare one block per center-of-mass momentum and
-    Fock state (`SusySystem.blocks`), read from `h_blocks`: H couples no
-    two of them.  Each is its Fock state's relative matrix G or G2
-    (`h_relative`) plus c_k^2 I.  An N >= 3 grid sector is one block, its
-    own relative matrix with shift 0.
+    A part's blocks, one per center-of-mass momentum, place H's declared
+    blocks between its states.  H couples no two Fock states of a two-body
+    system, so each of its parts is one state, whose blocks are its
+    relative matrix G or G2 (`h_relative`) plus c_k^2 I.  A grid couples
+    the states of a sector, so each grid sector is one part, at its one
+    momentum with c = 0: its block is its own relative matrix.
     """
-    if sys.h_blocks is None:
-        block = sys.sector_matrix(f).toarray()
-        return [_SectorPart(np.arange(len(block))[None], block[None], f, block,
-                            np.zeros(1))]
-    rows, first = {}, 0
-    for _, state, _, size in sys.sector_blocks(f):
-        rows.setdefault(state, []).append(np.arange(first, first + size))
-        first += size
-    c2 = sys.cm_coeff * sys.cm_coeff
-    return [_SectorPart(np.stack(state_rows), sys.h_blocks[state, state], _RELATIVE_OF[state],
-                        sys.h_relative[_RELATIVE_OF[state]], c2)
-            for state, state_rows in rows.items()]
+    n_k, c2 = len(sys.cm_coeff), sys.cm_coeff * sys.cm_coeff
+    state_rows = _state_rows(sys, f)
+    size = {s: rows.shape[1] for s, rows in state_rows.items()}
+    parts = []
+    for states, key in sys.parts.items():
+        if states[0] not in state_rows:     # a part of another sector
+            continue
+        # one state's blocks are read as held; a group's are placed side by side
+        blocks = (sys.h_blocks[states[0], states[0]] if len(states) == 1 else
+                  np.block([[sys.h_blocks[a, b] if (a, b) in sys.h_blocks
+                             else np.zeros((n_k, size[a], size[b])) for b in states]
+                            for a in states]))
+        rows = np.concatenate([state_rows[s] for s in states], axis=1)
+        parts.append(_SectorPart(states, rows, blocks, key,
+                                 sys.h_relative.get(key, blocks[0]), c2))
+    return parts
 
 
 def _sector_solve(sys: SusySystem, f: int) -> _SectorEigen:
@@ -510,17 +503,15 @@ def _sector_solve(sys: SusySystem, f: int) -> _SectorEigen:
 
     The blocks are those the builder declares (`_sector_parts`), not
     searched for.  Each relative matrix is solved once per system by a
-    dense real eigh (two-body: G for |0> and |s>, G2 for |d> and |sd>),
-    and each block's eigenvalues are its relative eigenvalues plus its
-    shift c_k^2; all momenta share the eigenvectors.  A residual gate holds
-    the eigenpairs to the declared blocks, batched over the momenta:
-    ||H_k v - lambda v|| <= RESIDUAL_CONTRACT ||H_k||_inf for every pair,
-    else ConvergenceError carries the residuals.  The eigenvalues are
-    merged by a stable sort.
+    dense real eigh (two-body: G for |0> and |s>, G2 for |d> and |sd>; a
+    grid: the sector), and each block's eigenvalues are its relative
+    eigenvalues plus its shift c_k^2; all momenta share the eigenvectors.
+    A residual gate holds the eigenpairs to the declared blocks, batched
+    over the momenta: ||H_k v - lambda v|| <= RESIDUAL_CONTRACT ||H_k||_inf
+    for every pair, else ConvergenceError carries the residuals.  The
+    eigenvalues are merged by a stable sort.
     """
     if f not in sys._sector_eig:
-        ix = sys.sector_indices(f)
-        _check_dense_cap(f, len(ix))
         parts = _sector_parts(sys, f)
         block_vals, part_vecs = [], []
         for part in parts:
@@ -540,7 +531,8 @@ def _sector_solve(sys: SusySystem, f: int) -> _SectorEigen:
             part_vecs.append(vecs)
         all_vals = np.concatenate(block_vals, axis=1).ravel()
         order = np.argsort(all_vals, kind="stable")
-        sys._sector_eig[f] = _SectorEigen(all_vals[order], ix, order,
+        sys._sector_eig[f] = _SectorEigen(all_vals[order], sys.sector_indices(f), order,
+                                          [part.states for part in parts],
                                           [part.rows for part in parts], part_vecs)
     return sys._sector_eig[f]
 
@@ -569,37 +561,34 @@ def _cluster_starts(vals: np.ndarray, rel: float = 1e-8) -> np.ndarray:
 
 def _charge_products(sys: SusySystem, f: int, eig: _SectorEigen) -> tuple:
     """(Q v, Q+ v) for the sector-f block eigenvectors, one momentum at a
-    time: arrays (n_k, rows, cols) whose rows are those each operator
-    reaches from one momentum's rows of the sector, in ascending order, and
-    whose cols are that momentum's block eigenvectors in concatenated block
-    order.  Q and Q+ keep the momentum, so no other entry is nonzero.  An
-    N >= 3 grid sector is one block, and n_k = 1.
+    time: arrays (n_k, rows, cols) whose rows are those of the Fock states
+    each operator reaches from the sector, in ascending state order, and
+    whose cols are one momentum's block eigenvectors in concatenated block
+    order.  Q and Q+ keep the momentum, so no other entry is nonzero.
 
-    Two-body products come from Q's Fock blocks.  The sector's rows are
-    (|0>), (|s>, |d>) or (|sd>) per momentum, and the 1-fermion
-    eigenvectors live on |s> or on |d> alone.  All momenta share a Fock
-    state's eigenvectors (`_sector_solve`), so a product with xs is formed
-    once per Fock state and broadcast over them.
+    The products come from Q's Fock blocks: a part's eigenvectors, split
+    by its Fock states, times Q_as for Q and Q_sa^T for Q+.  All momenta
+    share a part's eigenvectors (`_sector_solve`).
     """
-    if sys.h_blocks is None:
-        [vecs] = eig.part_vecs
-        return tuple((ops[ops.getnnz(axis=1) > 0] @ vecs)[None]
-                     for ops in (sys.Q[:, eig.ix], sys.Qdag[:, eig.ix]))
-    xs, c = sys.relative_ops["xs"], sys.cm_coeff[:, None, None]
+    q, n_k = sys.q_blocks, len(sys.cm_coeff)
+    size_of = {state: size for _, state, _, size in sys.blocks}
+    pieces = []     # each part's eigenvector rows on each of its Fock states
+    for states, vecs in zip(eig.states, eig.part_vecs):
+        ends = itertools.accumulate(size_of[s] for s in states)
+        pieces.append([(s, vecs[end - size_of[s]:end]) for s, end in zip(states, ends)])
 
-    def per_k(a):
-        return np.broadcast_to(a, (len(c), *a.shape))
+    def products(target, block_of):
+        rows = [np.zeros((n_k, 0, sum(len(vecs) for vecs in eig.part_vecs)))]
+        for a in sys.fock.sector_indices(target).tolist():
+            # every part reaches every Fock state of the neighbouring sectors
+            cols = [reduce(np.add, [blk @ v for s, v in part
+                                    if (blk := block_of(a, s)) is not None])
+                    for part in pieces]
+            rows.append(np.concatenate(cols, axis=2))
+        return np.concatenate(rows, axis=1)
 
-    if f == 1:      # Q reaches |0> (c, xs), Q+ reaches |sd> (-xs^T, c)
-        vs, vd = eig.part_vecs
-        return (np.concatenate((c * vs, per_k(xs @ vd)), axis=2),
-                np.concatenate((per_k(-xs.T @ vs), c * vd), axis=2))
-    [v] = eig.part_vecs
-    empty = np.zeros((len(c), 0, v.shape[1]))
-    if f == 0:      # Q+ reaches |s> (c) and |d> (xs^T)
-        return empty, np.concatenate((c * v, per_k(xs.T @ v)), axis=1)
-    # Q reaches |s> (-xs) and |d> (c)
-    return np.concatenate((per_k(-xs @ v), c * v), axis=1), empty
+    return (products(f - 1, lambda a, s: q.get((a, s))),
+            products(f + 1, lambda a, s: q[s, a].swapaxes(1, 2) if (s, a) in q else None))
 
 
 def _sector_charges(sys: SusySystem, f: int):
@@ -741,43 +730,42 @@ def sector_sum_check(sys: SusySystem, k: int = 6, tol: float = 1e-6,
     components in general) does the same against the N-fermion block.
     Each inspected state is classified; for N = 3 the cross relation
     phi_i ~ sum_jk eps_ijk A_j chi_k is evaluated and its alignment
-    residual reported.  Only the sums depend on the builder
-    (`_component_sums`), and a two-body check runs on numpy alone.
+    residual reported.  The sums weigh each Fock state as its builder
+    declares (`SusySystem.sum_weights`), and a two-body check runs on
+    numpy alone.
     """
     n = sys.model.n
     classify = kernel_classify(sys, zero_tol=zero_tol, split_tol=split_tol)
-    particle, dual = _component_sums(sys)
+    particle, dual = sys.sum_weights
     return {"one_fermion": _sum_check(sys, classify, 1, "ker_q", 0, particle,
                                       k, tol, zero_tol),
             "n_minus_one": _sum_check(sys, classify, n - 1, "ker_qdag", n, dual,
                                       k, tol, zero_tol),
-            "epsilon_relation": (_epsilon_relation(sys, k, zero_tol)
-                                 if n == 3 and sys.a_space is not None else None)}
+            "epsilon_relation": _epsilon_relation(sys, k, zero_tol) if n == 3 else None}
 
 
-def _component_sums(sys: SusySystem) -> tuple:
-    """(particle, dual): the maps of a sector eigenvector to its particle-
-    mode component sum (sector 1 -> sector 0) and its dual sum (sector
-    N-1 -> sector N).
+def _component_sum(sys: SusySystem, f: int, weights: dict, vec: np.ndarray) -> np.ndarray:
+    """Per momentum, the sum over Fock states s of weights[s] times the
+    part of the sector-f vector on s.  A two-body system weighs |s> or |d>
+    alone (phi_1 + phi_2 and chi_1 + chi_2 are sqrt(2) times these parts);
+    a grid weighs each state by 1, or by the string sign of its empty mode
+    in the dual sum."""
+    rows = _state_rows(sys, f)
+    return sum(w * vec[rows[s]] for s, w in weights.items()).ravel()
 
-    A two-body 1-fermion vector holds, per momentum, its |s> part then its
-    |d> part.  The sums phi_1 + phi_2 and chi_1 + chi_2 are sqrt(2) times
-    these parts, which are taken as they are, in block order.  A grid
-    vector holds each node's Fock components in ascending Fock state; the
-    dual sum signs each by the string sign of its empty mode.
-    """
-    if sys.h_blocks is not None:
-        u, n_k = sys.relative_ops["xs"].shape[0], len(sys.cm_coeff)
-        return (lambda v: v.reshape(n_k, -1)[:, :u].ravel(),
-                lambda v: v.reshape(n_k, -1)[:, u:].ravel())
-    n = sys.model.n
-    signs = np.array([sign for _, sign in _holes(sys.fock)])
-    return (lambda v: v.reshape(-1, n).sum(axis=1),
-            lambda v: (v.reshape(-1, n) * signs).sum(axis=1))
+
+def _apply_sector(parts: list, vec: np.ndarray) -> np.ndarray:
+    """A sector's block of H applied to a sector vector through the blocks
+    of its parts (`_sector_parts`)."""
+    out = np.empty_like(vec)
+    for part in parts:
+        for rows, block in zip(part.rows, part.blocks):
+            out[rows] = block @ vec[rows]
+    return out
 
 
 def _sum_check(sys: SusySystem, classify: dict, f: int, tag: str, target: int,
-               summed, k: int, tol: float, zero_tol: float) -> list:
+               weights: dict, k: int, tol: float, zero_tol: float) -> list:
     """Classify the component sums of the first k sector-f states that
     carry `tag` and lie above zero_tol: a sum either vanishes or solves the
     sector-`target` block of H at the state's eigenvalue ("degenerate"),
@@ -787,20 +775,17 @@ def _sum_check(sys: SusySystem, classify: dict, f: int, tag: str, target: int,
     vals = _sector_solve(sys, f).vals.tolist()
     picked = [t for t, state_tag in enumerate(classify["sectors"][f]["tags"])
               if state_tag == tag and vals[t] > zero_tol][:k]
-    blocks = [(rows, block) for part in _sector_parts(sys, target)
-              for rows, block in zip(part.rows, part.blocks)]
+    parts = _sector_parts(sys, target)
     cases = []
     for t, state in zip(picked, _rotated_states(sys, f, picked).T):
         lam = vals[t]
-        phi = summed(state)
+        phi = _component_sum(sys, f, weights, state)
         norm = float(np.linalg.norm(phi))
         if norm < tol:
             cases.append({"lambda": lam, "class": "vanishing", "residual": norm})
             continue
-        h_phi = np.empty_like(phi)
-        for rows, block in blocks:
-            h_phi[rows] = block @ phi[rows]
-        resid = float(np.linalg.norm(h_phi - lam * phi) / (norm * max(1.0, abs(lam))))
+        resid = float(np.linalg.norm(_apply_sector(parts, phi) - lam * phi)
+                      / (norm * max(1.0, abs(lam))))
         cases.append({"lambda": lam, "class": "degenerate" if resid < tol else "unexplained",
                       "residual": resid})
     return cases
@@ -809,7 +794,8 @@ def _sum_check(sys: SusySystem, classify: dict, f: int, tag: str, target: int,
 def _epsilon_relation(sys: SusySystem, k: int, zero_tol: float) -> dict:
     """N = 3 cross relation between 2-fermion states and their 1-fermion
     partners: phi_i ~ sum_jk eps_ijk A_j chi_k, the three cyclic terms
-    A_j chi_k - A_k chi_j.
+    A_j chi_k - A_k chi_j, with A_j the operator Q pairs with psi_j: its
+    block from the state holding mode j alone to the empty state.
 
     The relation is the component form of applying the supercharge, so its
     alignment with Q v validates the index structure exactly; how
@@ -817,33 +803,33 @@ def _epsilon_relation(sys: SusySystem, k: int, zero_tol: float) -> dict:
     block) measures the grid-limited degeneracy claim, reported separately.
     """
     eig2 = _sector_solve(sys, 2)
-    vals2, ix2 = eig2.vals, eig2.ix
-    vecs2 = eig2.part_vecs[0][:, eig2.order]   # a grid sector is one block
-    q21 = sys.Q[sys.sector_indices(1)][:, ix2]
-    h1 = sys.sector_matrix(1)
-    holes = _holes(sys.fock)
-    a = sys.a_space
+    [vecs2] = eig2.part_vecs   # a grid's 2-fermion sector is one part
+    [states2] = eig2.states
+    parts1 = _sector_parts(sys, 1)
+    q = {key: blk[0] for key, blk in sys.q_blocks.items()}
+    a = [q[0, 1 << j] for j in range(3)]
     results = []
-    for t2 in range(len(vals2)):
-        lam = float(vals2[t2])
+    for lam, col in zip(eig2.vals.tolist(), eig2.order):
         if lam <= zero_tol:
             continue
-        u = q21 @ vecs2[:, t2]
+        comps = vecs2[:, col].reshape(3, -1)   # the 2-fermion states' node vectors
+        u = np.concatenate([sum(q[b, s] @ v for s, v in zip(states2, comps) if (b, s) in q)
+                            for b in sys.fock.sector_indices(1).tolist()])   # Q v
         u_norm = np.linalg.norm(u)
         if u_norm ** 2 < 0.5 * lam:
             continue  # dominantly annihilated by Q: the relation is 0 = 0
-        comps = vecs2[:, t2].reshape(-1, 3)   # each node's 2-fermion components
-        chi = [None] * 3
-        for pos, (mode, sign) in enumerate(holes):
-            chi[mode] = sign * comps[:, pos]
-        # phi_i per node, space-major, matching the sector layout
-        pred = np.stack([a[j] @ chi[kk] - a[kk] @ chi[j]
-                         for j, kk in ((1, 2), (2, 0), (0, 1))], axis=1).reshape(-1)
+        chi = [None] * 3   # by empty mode, signed as in the dual sum
+        for pos, (state, sign) in enumerate(sys.sum_weights[1].items()):
+            chi[_empty_mode(sys.fock, state)] = sign * comps[pos]
+        # phi_i on the state holding mode i alone, in ascending state order
+        pred = np.concatenate([a[j] @ chi[kk] - a[kk] @ chi[j]
+                               for j, kk in ((1, 2), (2, 0), (0, 1))])
         nrm = np.linalg.norm(pred)
         if nrm == 0.0:
             continue
         overlap = abs(np.vdot(u, pred)) / (u_norm * nrm)
-        eig_res = float(np.linalg.norm(h1 @ u - lam * u) / (u_norm * max(1.0, lam)))
+        eig_res = float(np.linalg.norm(_apply_sector(parts1, u) - lam * u)
+                        / (u_norm * max(1.0, lam)))
         results.append({"lambda": lam,
                         "alignment_residual": float(1.0 - overlap),
                         "partner_eigen_residual": eig_res})

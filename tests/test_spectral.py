@@ -170,11 +170,15 @@ def test_susy_ladders_match_restricted_stencil(n, order, variant):
     grid = GridSpec.box(0.0, math.pi, 10, n, sector="ordered")
     system = susy.build_susy(model, grid, variant, stencil_order=order)
     ops, nodes = _restricted_axis_operators(grid, FIRST[order], 1)
-    assert np.array_equal(system.space_nodes, nodes)
+    assert np.array_equal(system.relative_ops["nodes"], nodes)
     base = model if variant == "s1" else model.shifted(1.0)
     w = np.array([base.prepotential(p) for p in nodes])
     for i in range(n):
-        _assert_entrywise(system.a_space[i] - sp.diags(w[:, i]), ops[i])
+        # Q pairs psi_i with the ladder D_i + W_i (s1) or its transpose (s2);
+        # its block from the state holding mode i alone to |0> carries sign +1
+        lowering = system.q_blocks[0, 1 << i][0]
+        ladder = lowering if variant == "s1" else lowering.T
+        _assert_entrywise(sp.csr_matrix(ladder - np.diag(w[:, i])), ops[i])
 
 
 # ---------------------------------------------------------------------------

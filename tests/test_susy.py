@@ -12,7 +12,7 @@ from scipy.sparse.csgraph import connected_components
 from shapeinv import susy
 from shapeinv.errors import ConvergenceError, DimensionCapError, DomainError
 from shapeinv.models import make_nbody_model
-from shapeinv.spectral import GridSpec
+from shapeinv.spectral import GridSpec, _axis_operators, _deriv_coeffs, _sector_nodes
 
 
 @pytest.fixture(scope="module")
@@ -39,24 +39,45 @@ def _sector_eigh(sys_, f):
 # Fock space
 # ---------------------------------------------------------------------------
 
-def _anticommutator_defect(basis):
+def _spmax(mat) -> float:
+    mat = mat.tocsr()
+    return float(np.max(np.abs(mat.data))) if mat.nnz else 0.0
+
+
+def _fock_annihilators(n_modes):
+    """psi_i as sparse 2^N x 2^N matrices: bit i of the basis index is mode
+    i, and psi_i carries the sign (-1)^(number of occupied modes below i)."""
+    dim, ops = 1 << n_modes, []
+    for i in range(n_modes):
+        bit = 1 << i
+        states = [s for s in range(dim) if s & bit]
+        signs = [-1.0 if bin(s & (bit - 1)).count("1") % 2 else 1.0 for s in states]
+        ops.append(sp.csr_matrix((signs, ([s ^ bit for s in states], states)),
+                                 shape=(dim, dim)))
+    return ops
+
+
+def _anticommutator_defect(n_modes):
     """max |{psi_i, psi_j+} - delta_ij| + |{psi_i, psi_j}| over pairs."""
     worst = 0.0
-    eye = sp.identity(basis.dim, format="csr")
-    for i in range(basis.n_modes):
-        ai = basis.annihilators[i]
-        for j in range(basis.n_modes):
-            aj, cj = basis.annihilators[j], basis.creators[j]
+    ops = _fock_annihilators(n_modes)
+    eye = sp.identity(1 << n_modes, format="csr")
+    for i, ai in enumerate(ops):
+        for j, aj in enumerate(ops):
+            cj = sp.csr_matrix(aj.T)
             anti = ai @ cj + cj @ ai - (eye if i == j else 0 * eye)
-            worst = max(worst, susy._spmax(anti))
-            worst = max(worst, susy._spmax(ai @ aj + aj @ ai))
+            worst = max(worst, _spmax(anti))
+            worst = max(worst, _spmax(ai @ aj + aj @ ai))
     return worst
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_anticommutators_exact(n):
-    basis = susy.make_fock_basis(n)
-    assert _anticommutator_defect(basis) == 0.0
+    assert _anticommutator_defect(n) == 0.0
+    # the builders' string signs are those of the reference psi_i
+    for i, op in enumerate(_fock_annihilators(n)):
+        coo = op.tocoo()
+        assert [susy._string_sign(s, i) for s in coo.col] == coo.data.tolist()
 
 
 def test_fock_sector_sizes():
@@ -65,13 +86,16 @@ def test_fock_sector_sizes():
 
 
 def test_jordan_wigner_signs():
-    basis = susy.make_fock_basis(3)
+    a0, a1, _ = (op.toarray() for op in _fock_annihilators(3))
     # psi_1 acting on |bits 0,1> = |3>: one occupied mode below -> sign -1
-    a1 = basis.annihilators[1].toarray()
     assert a1[1, 3] == -1.0
     # psi_0 on |3>: nothing below mode 0 -> +1
-    a0 = basis.annihilators[0].toarray()
     assert a0[2, 3] == 1.0
+    # ... and a grid system's Q blocks from |3> carry the same signs
+    model = make_nbody_model("calogero_sutherland", 3, 1.0)
+    sys_ = susy.build_susy(model, GridSpec.box(0.0, math.pi, 8, 3, sector="ordered"))
+    q = sys_.q_blocks
+    assert np.array_equal(q[1, 3], -q[0, 2]) and np.array_equal(q[2, 3], q[0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -162,21 +186,23 @@ def test_zero_mode_is_jastrow(cs_system):
 
 def _expected_sums(sys_, f, target, states):
     """Component sums of the sector-f columns of `states`, written out apart
-    from `susy._component_sums`: the |s> (target 0) or |d> pieces of a
+    from `susy._component_sum`: the |s> (target 0) or |d> pieces of a
     two-body vector in block order, and <target| sum_i psi_i (or psi_i+)
-    per node on a grid, from the Fock operators."""
-    if sys_.h_blocks is not None:
+    per node on a grid, from the reference Fock operators."""
+    if sys_.cm_momenta is not None:
         want, pieces, first = (1 if target == 0 else 2), [], 0
         for _, state, _, size in sys_.sector_blocks(f):
             if state == want:
                 pieces.append(states[first:first + size])
             first += size
         return np.concatenate(pieces)
-    fock = sys_.fock
-    ops = fock.annihilators if target < f else fock.creators
+    ops = _fock_annihilators(sys_.model.n)
+    if target > f:
+        ops = [op.T for op in ops]
     full = np.zeros((sys_.dim, states.shape[1]))
     full[sys_.sector_indices(f)] = states
-    summed = sp.kron(sp.identity(len(sys_.space_nodes)), sum(ops)) @ full
+    # the grid layout is Fock state-major: psi_i acts as psi_i (x) 1
+    summed = sp.kron(sum(ops), sp.identity(len(sys_.relative_ops["nodes"]))) @ full
     return summed[sys_.sector_indices(target)]
 
 
@@ -337,6 +363,15 @@ def test_epsilon_relation_reported(cs3_system):
         assert math.isfinite(case["partner_eigen_residual"])
 
 
+def test_epsilon_relation_aligns_for_s2():
+    # s2 pairs psi_j with the transposed ladder, and so does its relation
+    model = make_nbody_model("calogero_sutherland", 3, 1.0)
+    sys_ = susy.build_susy(model, GridSpec.box(0.0, math.pi, 10, 3, sector="ordered"), "s2")
+    eps = susy.sector_sum_check(sys_, k=3, split_tol=0.45)["epsilon_relation"]
+    assert eps["checked"] > 0
+    assert max(case["alignment_residual"] for case in eps["cases"]) < 1e-10
+
+
 # ---------------------------------------------------------------------------
 # block-wise sector solve
 # ---------------------------------------------------------------------------
@@ -484,11 +519,10 @@ def test_susy_systems_are_real(builder, variant):
         model = make_nbody_model("calogero_sutherland", 3, 1.0)
         sys_ = susy.build_susy(model, GridSpec.box(0.0, math.pi, 8, 3, sector="ordered"),
                                variant)
+    held = [sys_.cm_coeff, sys_.H, *sys_.q_blocks.values(), *sys_.h_blocks.values(),
+            *sys_.h_relative.values()]
     if builder == "two_body":
-        held = [sys_.cm_coeff, sys_.relative_ops["xs"], sys_.H, *sys_.h_blocks.values(),
-                *sys_.h_relative.values()]
-    else:
-        held = [sys_.Q, sys_.Qdag, sys_.H]
+        held.append(sys_.relative_ops["xs"])
     for mat in held:
         assert mat.dtype == np.float64
     susy.kernel_classify(sys_)
@@ -574,12 +608,25 @@ def test_offblock_leak_reports_a_cross_sector_entry():
     assert sys_.offblock_leak() == 3.5e-9
 
 
+def test_grid_cap_is_checked_at_build():
+    # the 1-fermion sector of CS N = 3 at m = 24 holds 3 * 1771 = 5313 states,
+    # above the dense cap, so no block is formed
+    model = make_nbody_model("calogero_sutherland", 3, 1.0)
+    with pytest.raises(DimensionCapError, match="sector 1 dimension 5313"):
+        susy.build_susy(model, GridSpec.box(0.0, math.pi, 24, 3, sector="ordered"))
+
+
 def test_offblock_leak_reports_a_cross_sector_entry_on_a_grid():
     model = make_nbody_model("calogero_sutherland", 3, 1.0)
     sys_ = susy.build_susy(model, GridSpec.box(0.0, math.pi, 8, 3, sector="ordered"))
-    i, j = sys_.sector_indices(0)[3], sys_.sector_indices(1)[5]
-    leak = sp.csr_matrix(([2.5e-9, -3.5e-9], ([i, j], [j, i])), shape=sys_.H.shape)
-    sys_.H = sys_.H + leak
+    assert sys_.offblock_leak() == 0.0
+    # the analysis reads H's Fock blocks: entries (3, 5) and (5, 3) of the
+    # (|0>, |1>) and (|1>, |0>) blocks, which join node 3 of sector 0 and
+    # node 5 of the state holding mode 0 alone
+    n_nodes = sys_.blocks[0][3]
+    to_1, to_0 = np.zeros((1, n_nodes, n_nodes)), np.zeros((1, n_nodes, n_nodes))
+    to_1[0, 3, 5], to_0[0, 5, 3] = 2.5e-9, -3.5e-9
+    sys_.h_blocks[0, 1], sys_.h_blocks[1, 0] = to_1, to_0
     assert sys_.offblock_leak() == 3.5e-9
 
 
@@ -620,12 +667,28 @@ def _kron_two_body_q(sys_):
          (np.r_[cm_part.row, x_part.row], np.r_[cm_part.col, x_part.col])), shape=(dim, dim)))
 
 
+def _kron_grid_q(sys_, stencil_order=4):
+    """The sparse grid Q, the reference for every grid test that reads one:
+    the square ladders D_i + W_i as sparse restricted stencils, and
+    Q = sum_i psi_i (x) A_i with A_i the ladder (s1) or its transpose (s2),
+    in the Fock state-major layout the builder declares."""
+    model, grid = sys_.model, sys_.grid
+    base = model if sys_.variant == "s1" else model.shifted(1.0)
+    idx, nodes = _sector_nodes(grid)
+    w_all = base.prepotential(nodes)
+    ladders = [(d + sp.diags(w_all[:, axis])).tocsr() for axis, d in
+               enumerate(_axis_operators(grid, idx, _deriv_coeffs, stencil_order))]
+    q = sp.csr_matrix((sys_.dim, sys_.dim))
+    for ladder, psi in zip(ladders, _fock_annihilators(model.n)):
+        lowering = ladder if sys_.variant == "s1" else sp.csr_matrix(ladder.T)
+        q = q + sp.kron(psi, lowering, format="csr")
+    return q
+
+
 def _reference_ops(sys_):
-    """(Q, Q+, H), sparse: those of the kron reference for a two-body
-    system, with H = Q+Q + QQ+, and a grid system's own."""
-    if sys_.h_blocks is None:
-        return sys_.Q, sys_.Qdag, sys_.H
-    q = _kron_two_body_q(sys_)
+    """(Q, Q+, H), sparse: those of the kron reference of the system's
+    builder, with H = Q+Q + QQ+."""
+    q = _kron_two_body_q(sys_) if sys_.cm_momenta is not None else _kron_grid_q(sys_)
     qdag = sp.csr_matrix(q.T)
     return q, qdag, (qdag @ q + q @ qdag).tocsr()
 
@@ -647,6 +710,27 @@ def _assert_h_is_the_reference_anticommutator(sys_):
 
 
 _HARMONIC2 = ("harmonic_calogero", 1.0, 8.0)
+
+
+@pytest.mark.parametrize("variant", susy.VARIANTS)
+@pytest.mark.parametrize("n,m", [(2, 10), (3, 8), (3, 12)], ids=lambda v: str(v))
+def test_grid_blocks_match_kron_assembly(n, m, variant):
+    # Q's declared blocks placed at their offsets are the kron reference Q
+    # exactly, H is its Q+Q + QQ+ to 4 ulp, and the sector spectra are the
+    # reference's to 1e-12 relative
+    model = make_nbody_model("calogero_sutherland", n, 1.0)
+    sys_ = susy.build_susy(model, GridSpec.box(0.0, math.pi, m, n, sector="ordered"), variant)
+    ref = _kron_grid_q(sys_).toarray()
+    q = np.zeros((sys_.dim, sys_.dim))
+    offset = {state: (off, size) for _, state, off, size in sys_.blocks}
+    for (a, b), blk in sys_.q_blocks.items():
+        (ra, na), (rb, nb) = offset[a], offset[b]
+        q[ra:ra + na, rb:rb + nb] = blk[0]
+    assert np.array_equal(q, ref)
+    _assert_h_is_the_reference_anticommutator(sys_)
+    for f, vals in susy.sector_spectra(sys_).items():
+        dense = np.linalg.eigvalsh(_reference_sector(sys_, f).toarray())
+        assert np.max(np.abs(vals - dense) / np.maximum(1.0, np.abs(dense))) <= 1e-12
 
 
 def _two_body(kind, alpha, hi, variant, cm, m=32):
@@ -783,23 +867,25 @@ def _reference_diagnostics(sys_):
     coo = ham.tocoo()
     cross = coo.data[sys_.fermion_of[coo.row] != sys_.fermion_of[coo.col]]
     out = {"q_squared_fro": float(np.sqrt(np.sum(np.abs(q2.data) ** 2)) if q2.nnz else 0.0),
-           "hermiticity_defect": susy._spmax(ham - ham.T),
+           "hermiticity_defect": _spmax(ham - ham.T),
            "offblock_leak": float(np.max(np.abs(cross))) if cross.size else 0.0}
     hq = ham @ q - q @ ham
-    scale = max(1.0, susy._spmax(ham)) * max(1.0, susy._spmax(q))
-    out["h_q_commutator"] = susy._spmax(hq) / scale
+    scale = max(1.0, _spmax(ham)) * max(1.0, _spmax(q))
+    out["h_q_commutator"] = _spmax(hq) / scale
     return out
 
 
 def _assert_diagnostics_match_reference(sys_):
-    """A grid system's diagnostics equal the formulas exactly; a two-body
-    system's, from its blocks, equal them up to 1e-15 in [H, Q]."""
+    """The diagnostics, from the declared blocks, equal the formulas on the
+    reference: exactly in the hermiticity defect and the off-block leak, up
+    to 1e-15 in [H, Q], and up to 1e-12 relative in ||Q^2|| (exactly 0 on
+    a two-body system)."""
     got, want = sys_.diagnostics, _reference_diagnostics(sys_)
     assert list(got) == list(want)
-    for key in ("q_squared_fro", "hermiticity_defect", "offblock_leak"):
+    for key in ("hermiticity_defect", "offblock_leak"):
         assert got[key] == want[key]
-    tol = 0.0 if sys_.h_blocks is None else 1e-15
-    assert abs(got["h_q_commutator"] - want["h_q_commutator"]) <= tol
+    assert abs(got["q_squared_fro"] - want["q_squared_fro"]) <= 1e-12 * want["q_squared_fro"]
+    assert abs(got["h_q_commutator"] - want["h_q_commutator"]) <= 1e-15
 
 
 def test_variant_comparison_reads_eigenvalues_only(monkeypatch):
@@ -846,6 +932,8 @@ def test_diagnostics_on_first_read_equal_eager(monkeypatch, builder):
     _assert_diagnostics_match_reference(sys_)
     susy.sector_sum_check(sys_, k=2)
     assert rotations
+    # the analysis and the diagnostics read the declared blocks, never H
+    assert "H" not in vars(sys_)
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,21 @@ def test_tolerance_override():
     assert not all(r.to_dict()["pass"] for r in reports.values())
 
 
+def test_run_all_passes_tolerance_only_when_given(monkeypatch):
+    # each identity keeps the default of its own signature unless a
+    # tolerance is given, and run_all calls what the module holds by name
+    m = make_nbody_model("calogero_sutherland", 3, 1.0)
+    seen = []
+    for _, function in verify.IDENTITIES:
+        original = getattr(verify, function)
+        monkeypatch.setattr(verify, function, lambda *a, _f=original, _n=function, **kw:
+                            seen.append((_n, kw)) or _f(*a, **kw))
+    verify.run_all(m, 5, seed=1)
+    verify.run_all(m, 5, seed=1, tolerance=1e-3)
+    functions = [function for _, function in verify.IDENTITIES]
+    assert seen == [(f, {}) for f in functions] + [(f, {"tolerance": 1e-3}) for f in functions]
+
+
 def test_sampling_respects_sector():
     m = make_nbody_model("calogero_sutherland", 6, 1.0)
     rng = np.random.default_rng(0)
