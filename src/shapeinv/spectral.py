@@ -13,6 +13,8 @@ module costs numpy alone.
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,9 +33,20 @@ DENSE_CAP = 8000
 RESIDUAL_CONTRACT = 1e-8
 
 
+def _whole(x, what: str) -> int:
+    """x as an int if it is a whole number, else DomainError."""
+    try:
+        if x == int(x) and not isinstance(x, bool):
+            return int(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(f"{what} must be a whole number, got {x!r}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
-    """Structured grid: per-axis (min, max, m) with m grid cells.
+    """Structured grid: one or more axes (min, max, m), each with an
+    integer m >= 8 of grid cells.  `line` and `box` take any whole number m.
 
     Dirichlet axes carry m - 1 interior nodes (walls excluded from the
     matrix); periodic axes carry m nodes.  sector='ordered' restricts a
@@ -50,7 +63,11 @@ class GridSpec:
             raise DomainError(f"unknown boundary condition {self.bc!r}")
         if self.sector not in ("full", "ordered"):
             raise DomainError(f"unknown sector {self.sector!r}")
+        if not self.axes:
+            raise DomainError("a grid needs at least one axis")
         for lo, hi, m in self.axes:
+            if not isinstance(m, numbers.Integral) or isinstance(m, bool):
+                raise DomainError(f"cell count must be an integer, got {m!r}")
             if m < 8:
                 raise DomainError("grids need at least 8 cells per axis")
             if not (np.isfinite(lo) and np.isfinite(hi)):
@@ -65,13 +82,13 @@ class GridSpec:
 
     @staticmethod
     def line(lo: float, hi: float, m: int, bc: str = "dirichlet") -> "GridSpec":
-        return GridSpec(((float(lo), float(hi), int(m)),), bc)
+        return GridSpec(((float(lo), float(hi), _whole(m, "cell count")),), bc)
 
     @staticmethod
     def box(lo: float, hi: float, m: int, dim: int, bc: str = "dirichlet",
             sector: str = "full") -> "GridSpec":
-        return GridSpec(tuple((float(lo), float(hi), int(m)) for _ in range(dim)),
-                        bc, sector)
+        axis = (float(lo), float(hi), _whole(m, "cell count"))
+        return GridSpec((axis,) * _whole(dim, "dimension"), bc, sector)
 
     @property
     def dim(self) -> int:
@@ -165,43 +182,88 @@ def _sector_nodes(grid: GridSpec):
     return idx, nodes
 
 
-def _axis_operators(grid: GridSpec, idx: np.ndarray, coeffs, order: int) -> list:
-    """One sparse matrix per axis: the 1-D stencil `coeffs(order, h)` along
-    that axis, restricted to the sector nodes `idx`.
+def _stencil_table(grid: GridSpec, idx: np.ndarray, coeffs, order: int):
+    """Every node's stencil neighbours under the 1-D stencil `coeffs(order,
+    h)` along each axis, restricted to the sector nodes `idx`: (rows, vals),
+    both (dim, n_offsets, n_nodes), with the offsets ascending.
 
-    This is P L P^T, with P selecting the sector from the full grid and L
-    the stencil acting on one axis.  Periodic axes wrap; Dirichlet axes
-    zero-extend beyond domain and coincidence walls, except that a 1-D grid
-    maps the ghost two cells beyond a wall onto the first interior node by
-    odd reflection through the wall (the neighbour on the wall is 0).
+    rows[k, j, p] is the row of node p moved by the j-th offset along axis
+    k, or -1 where the stencil zero-extends beyond a domain or coincidence
+    wall; vals holds its coefficient.  Periodic axes wrap.  A 1-D grid maps
+    the ghost two cells beyond a wall onto the first interior node by odd
+    reflection through the wall (the neighbour on the wall is 0).
+
+    Rows come by arithmetic.  A full grid's row is the row-major code.  On
+    the ordered sector it is the lexicographic rank of the sorted tuple c:
+    moving c_k to c' (allowed for c_{k-1} < c' < c_{k+1}) changes it by
+    S_k[c'] - S_k[c_k], with S_k[x] = G_k[x] - G_{k+1}[x + 1], G_j[x] =
+    sum_{v < x} C(s - 1 - v, dim - 1 - j) and G_dim = 0.
     """
+    n_nodes, dim = idx.shape
+    sizes = np.array([len(grid.axis_nodes(k)) for k in range(dim)])
+    stencils = [sorted(coeffs(order, grid.axis_h(k))) for k in range(dim)]
+    offsets = np.array([off for off, _ in stencils[0]])[:, None]
+    coefs = np.array([[coef for _, coef in st] for st in stencils])
+    c = np.ascontiguousarray(idx.T)[:, None, :]
+    t = c + offsets
+    vals = np.broadcast_to(coefs[:, :, None], t.shape)
+    here = np.arange(n_nodes)
+    if grid.sector == "ordered" and dim > 1:
+        s = sizes[0]
+        gains = np.zeros((dim + 1, s + 1), dtype=np.intp)
+        for j in range(dim):
+            gains[j, 1:] = np.cumsum([math.comb(s - 1 - v, dim - 1 - j) for v in range(s)])
+        step = (gains[:-1, :-1] - gains[1:, 1:])[:, :, None]
+        walls = np.vstack([np.full(n_nodes, -1), c[:, 0], np.full(n_nodes, s)])[:, None]
+        inside = (walls[:-2] < t) & (t < walls[2:])
+        rows = here + (np.take_along_axis(step, np.where(inside, t, c), axis=1)
+                       - np.take_along_axis(step, c, axis=1))
+    else:
+        size = sizes[:, None, None]
+        if grid.bc == "periodic":
+            t %= size
+        elif dim == 1:
+            beyond = (t < -1) | (t > size)
+            vals = np.where(beyond, -vals, vals)
+            t = np.where(t < -1, -2 - t, np.where(beyond, 2 * size - t, t))
+        inside = (t >= 0) & (t < size)
+        strides = np.cumprod([1, *sizes[:0:-1]])[::-1, None, None]
+        rows = here + (t - c) * strides
+    return np.where(inside, rows, -1), vals
+
+
+def _assemble(rows: np.ndarray, vals: np.ndarray, scale: float, v: np.ndarray,
+              wraps: bool):
+    """CSR of scale * (the stencil table's operator) + diag(v), exact zeros
+    dropped, for a stencil with offsets -r..r.
+
+    Each diagonal entry sums its terms axis by axis, is scaled, then gets v,
+    as adding per-axis matrices and diag(v) would.  A node's other entries
+    ascend as the negative offsets axis by axis, then the positive ones from
+    the last axis back; only a grid whose axes wrap needs a sort."""
     import scipy.sparse as sp
 
-    sizes = np.array([len(grid.axis_nodes(k)) for k in range(grid.dim)])
-    strides = np.cumprod(np.r_[1, sizes[:0:-1]])[::-1]
-    codes = idx @ strides  # row-major flat codes: sorted by construction
-    n_nodes = len(idx)
-    ops = []
-    for k in range(grid.dim):
-        rows, cols, vals = [], [], []
-        for off, coef in coeffs(order, grid.axis_h(k)):
-            tk = idx[:, k] + off
-            if grid.bc == "periodic":
-                tk %= sizes[k]
-            sign = np.where((tk < -1) | (tk > sizes[k]), -1.0, 1.0)
-            if grid.dim == 1:
-                tk = np.where(tk < -1, -2 - tk, np.where(tk > sizes[k], 2 * sizes[k] - tk, tk))
-            row = np.flatnonzero((tk >= 0) & (tk < sizes[k]))
-            nb = codes[row] + (tk[row] - idx[row, k]) * strides[k]
-            pos = np.minimum(np.searchsorted(codes, nb), n_nodes - 1)
-            found = codes[pos] == nb
-            rows.append(row[found])
-            cols.append(pos[found])
-            vals.append(coef * sign[row[found]])
-        ops.append(sp.csr_matrix((np.concatenate(vals),
-                                  (np.concatenate(rows), np.concatenate(cols))),
-                                 shape=(n_nodes, n_nodes)))
-    return ops
+    dim, n_off, n_nodes = rows.shape
+    here = np.arange(n_nodes)
+    on_diag = rows == here
+    # at most two terms of an axis land on the diagonal, so their sum is
+    # exact in any order; cumsum then adds the axes in order
+    diag = np.where(on_diag, vals, 0.0).sum(axis=1).cumsum(axis=0)[-1]
+    r = n_off // 2
+
+    def ascending(table, middle):
+        return np.concatenate([table[:, :r].reshape(-1, n_nodes), middle[None],
+                               table[::-1, -r:].reshape(-1, n_nodes)])
+
+    cols = ascending(np.where(on_diag | (rows < 0), n_nodes, rows), here)
+    data = ascending(scale * vals, scale * diag + v)
+    if wraps:
+        order = np.argsort(cols, axis=0, kind="stable")
+        cols, data = (np.take_along_axis(a, order, axis=0) for a in (cols, data))
+    keep = (cols < n_nodes) & (data != 0)
+    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(keep, axis=0))])
+    keep = keep.T
+    return sp.csr_matrix((data.T[keep], cols.T[keep], indptr), shape=(n_nodes, n_nodes))
 
 
 def discretize(operator, grid: GridSpec, stencil_order: int = 4,
@@ -212,15 +274,18 @@ def discretize(operator, grid: GridSpec, stencil_order: int = 4,
     singular kinds require the ordered sector), a Prepotential1D (1-D grid),
     or a bare potential callable.  A callable gets the node vector (M,) on a
     1-D grid and the node array (M, dim) otherwise, and returns one value
-    per node.  Construction fails if any node sits on a singularity of V.
+    per node.  Construction fails if any node sits on a singularity of V,
+    or if kinetic_scale is not a finite positive number.
 
     A prepotential whose W jumps at the origin (the sign family) has
     W' = w_prime_delta * delta(x) there.  Its grid needs an interior node at
     x = 0; that node sits on the jump, so its W^2 - W' is the mean of its two
     neighbours', and the spike adds -w_prime_delta / h to it.
     """
-    import scipy.sparse as sp
-
+    if not (isinstance(kinetic_scale, numbers.Real) and math.isfinite(kinetic_scale)
+            and kinetic_scale > 0):
+        raise DomainError(f"kinetic_scale must be a finite positive number, "
+                          f"got {kinetic_scale!r}")
     info = {}
     delta = 0.0
     if isinstance(operator, NBodyModel):
@@ -263,10 +328,10 @@ def discretize(operator, grid: GridSpec, stencil_order: int = 4,
         v[j] = 0.5 * (v[j - 1] + v[j + 1]) - delta / h
 
     info["potential_floor"] = float(v.min())
-    kin = sum(_axis_operators(grid, idx, _lap_coeffs, stencil_order))
-    mat = kinetic_scale * kin + sp.diags(v)
-    ham = SparseHamiltonian(sp.csr_matrix(mat), nodes, grid, stencil_order, info)
-    if ham.symmetry_defect() > 1e-12:
+    rows, vals = _stencil_table(grid, idx, _lap_coeffs, stencil_order)
+    mat = _assemble(rows, vals, kinetic_scale, v, wraps=grid.bc == "periodic")
+    ham = SparseHamiltonian(mat, nodes, grid, stencil_order, info)
+    if not ham.symmetry_defect() <= 1e-12:   # NaN fails too
         raise DomainError("assembled operator is not symmetric")
     return ham
 

@@ -40,8 +40,8 @@ import numpy as np
 
 from .errors import ConvergenceError, DimensionCapError, DomainError
 from .models import NBodyModel, remainder_shift
-from .spectral import (RESIDUAL_CONTRACT, GridSpec, _axis_operators, _deriv_coeffs,
-                       _sector_nodes)
+from .spectral import (RESIDUAL_CONTRACT, GridSpec, _deriv_coeffs, _sector_nodes,
+                       _stencil_table)
 
 DENSE_SECTOR_CAP = 5000
 VARIANTS = ("s1", "s2")
@@ -348,7 +348,8 @@ def _build_grid(model: NBodyModel, grid: GridSpec, variant: str,
                 stencil_order: int) -> SusySystem:
     """Square-ladder assembly on an (ordered) N-body grid, as Fock blocks.
 
-    Each ladder L_i = D_i + W_i is a dense matrix over the grid nodes.  The
+    Each ladder L_i = D_i + W_i is a dense matrix over the grid nodes,
+    filled from the grid's stencil table (`spectral._stencil_table`).  The
     operator paired with psi_i is L_i (s1) or L_i^T (s2), and Q's block
     (s ^ bit i, s) is it times the string sign `_string_sign(s, i)`.  Every
     sector must fit the dense cap, checked before any block is formed.
@@ -363,9 +364,12 @@ def _build_grid(model: NBodyModel, grid: GridSpec, variant: str,
         _check_dense_cap(f, math.comb(model.n, f) * n_nodes)
     base = model if variant == "s1" else model.shifted(1.0)
     w_all = base.prepotential(nodes)
-    ladders = [d.toarray() + np.diag(w_all[:, axis]) for axis, d in
-               enumerate(_axis_operators(grid, idx, _deriv_coeffs, stencil_order))]
-    lowering = ladders if variant == "s1" else [op.T for op in ladders]
+    rows, vals = _stencil_table(grid, idx, _deriv_coeffs, stencil_order)
+    axis, term, node = np.nonzero(rows >= 0)
+    ladders = np.zeros((model.n, n_nodes, n_nodes))
+    ladders[axis, node, rows[axis, term, node]] = vals[axis, term, node]
+    ladders.reshape(model.n, -1)[:, ::n_nodes + 1] += w_all.T
+    lowering = ladders if variant == "s1" else ladders.transpose(0, 2, 1)
     fock = make_fock_basis(model.n)
     q_blocks = {(s ^ 1 << i, s): _string_sign(s, i) * lowering[i]
                 for s in range(fock.dim) for i in range(model.n) if s >> i & 1}

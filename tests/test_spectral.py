@@ -29,6 +29,30 @@ def test_gridspec_validation():
     for lo, hi in ((0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan)):
         with pytest.raises(DomainError, match="finite"):
             GridSpec.box(lo, hi, 16, 2)
+    # fractional cell counts (8.5 would place 8 nodes at h = 1 / 8.5) and
+    # boxes without axes
+    for make in (lambda: GridSpec(((0.0, 1.0, 8.5),)), lambda: GridSpec.line(0.0, 1.0, 16.5),
+                 lambda: GridSpec.box(0.0, 1.0, 16.5, 2), lambda: GridSpec.box(0.0, 1.0, 16, 0),
+                 lambda: GridSpec.box(0.0, 1.0, 16, 2.5)):
+        with pytest.raises(DomainError, match="whole number|integer|axis"):
+            make()
+    # the helpers still take whole numbers of any type
+    assert GridSpec.line(0.0, 1.0, 16.0) == GridSpec.line(0.0, 1.0, 16)
+    assert GridSpec.box(0.0, 1.0, np.int64(16), np.int64(2)).axes == ((0.0, 1.0, 16),) * 2
+
+
+@pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_discretize_rejects_a_bad_kinetic_scale(scale):
+    with pytest.raises(DomainError, match="kinetic_scale"):
+        spectral.discretize(_rm(), GridSpec.line(0.0, math.pi, 64), 4, kinetic_scale=scale)
+
+
+def test_symmetry_guard_rejects_nan():
+    # a finite kinetic_scale so large that the entries overflow to +-inf:
+    # H - H^T is NaN there, and the guard must not read that as symmetric
+    with np.errstate(over="ignore"), pytest.raises(DomainError, match="not symmetric"):
+        spectral.discretize(lambda x: 0.0 * x, GridSpec.line(0.0, math.pi, 64), 4,
+                            kinetic_scale=1e308)
 
 
 def test_discretize_symmetric_and_metadata():
@@ -144,11 +168,13 @@ AXES = ((-1.0, 2.0, 12), (-0.5, 1.5, 11), (0.0, 2.5, 10))
     (1, "full", "dirichlet"), (1, "full", "periodic"),
     (2, "ordered", "dirichlet"), (2, "full", "dirichlet"), (2, "full", "periodic"),
     (3, "ordered", "dirichlet"), (3, "full", "dirichlet"), (3, "full", "periodic"),
+    (4, "ordered", "dirichlet"),
 ])
 def test_discretize_matches_restricted_kronecker_sum(dim, sector, bc, order):
     if sector == "ordered":
+        # m = 8 keeps the dense 4-D reference at 7^4 full-grid nodes
         model = make_nbody_model("calogero_sutherland", dim, 2.0)
-        grid = GridSpec.box(0.0, math.pi, 10 if dim == 3 else 12, dim, sector=sector)
+        grid = GridSpec.box(0.0, math.pi, {2: 12, 3: 10, 4: 8}[dim], dim, sector=sector)
         ham = spectral.discretize(model, grid, order)
     else:
         grid = GridSpec(AXES[:dim] if dim > 1 else ((0.0, 2 * math.pi, 12),), bc)
@@ -164,10 +190,10 @@ def test_discretize_matches_restricted_kronecker_sum(dim, sector, bc, order):
 
 @pytest.mark.parametrize("variant", ["s1", "s2"])
 @pytest.mark.parametrize("order", [2, 4])
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_susy_ladders_match_restricted_stencil(n, order, variant):
     model = make_nbody_model("calogero_sutherland", n, 2.0)
-    grid = GridSpec.box(0.0, math.pi, 10, n, sector="ordered")
+    grid = GridSpec.box(0.0, math.pi, 8 if n == 4 else 10, n, sector="ordered")
     system = susy.build_susy(model, grid, variant, stencil_order=order)
     ops, nodes = _restricted_axis_operators(grid, FIRST[order], 1)
     assert np.array_equal(system.relative_ops["nodes"], nodes)

@@ -12,7 +12,8 @@ from scipy.sparse.csgraph import connected_components
 from shapeinv import susy
 from shapeinv.errors import ConvergenceError, DimensionCapError, DomainError
 from shapeinv.models import make_nbody_model
-from shapeinv.spectral import GridSpec, _axis_operators, _deriv_coeffs, _sector_nodes
+from shapeinv.spectral import GridSpec
+from test_spectral import FIRST, _restricted_axis_operators
 
 
 @pytest.fixture(scope="module")
@@ -247,19 +248,23 @@ def test_sector_sum_classification(case):
             assert {c["class"] for c in cases} <= {"vanishing", "degenerate"}
 
 
-def test_two_body_sum_check_runs_on_numpy_alone():
-    # a fresh interpreter: the two-body check applies H's declared blocks,
-    # never the sparse H
+def test_sum_checks_run_on_numpy_alone():
+    # a fresh interpreter: the checks apply H's declared blocks, never the
+    # sparse H, and an N = 3 grid fills its ladders from the stencil table
     script = """
 import math, sys
 from shapeinv import susy
 from shapeinv.models import make_nbody_model
 from shapeinv.spectral import GridSpec
 
-sys_ = susy.build_susy(make_nbody_model("calogero_sutherland", 2, 1.0),
-                       GridSpec.line(0.0, math.pi, 32), "s1", susy.cm_momenta(3))
-rep = susy.sector_sum_check(sys_, k=3)
+two_body = susy.build_susy(make_nbody_model("calogero_sutherland", 2, 1.0),
+                           GridSpec.line(0.0, math.pi, 32), "s1", susy.cm_momenta(3))
+grid = susy.build_susy(make_nbody_model("calogero_sutherland", 3, 1.0),
+                       GridSpec.box(0.0, math.pi, 10, 3, sector="ordered"), "s1")
+rep = susy.sector_sum_check(two_body, k=3)
 assert rep["one_fermion"] and rep["n_minus_one"]
+rep = susy.sector_sum_check(grid, k=3, split_tol=0.45)
+assert rep["epsilon_relation"]["checked"] > 0
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, loaded
 """
@@ -669,15 +674,15 @@ def _kron_two_body_q(sys_):
 
 def _kron_grid_q(sys_, stencil_order=4):
     """The sparse grid Q, the reference for every grid test that reads one:
-    the square ladders D_i + W_i as sparse restricted stencils, and
-    Q = sum_i psi_i (x) A_i with A_i the ladder (s1) or its transpose (s2),
-    in the Fock state-major layout the builder declares."""
+    the square ladders D_i + W_i from the dense Kronecker stencils that
+    test_spectral restricts to the sector, and Q = sum_i psi_i (x) A_i with
+    A_i the ladder (s1) or its transpose (s2), in the Fock state-major
+    layout the builder declares."""
     model, grid = sys_.model, sys_.grid
     base = model if sys_.variant == "s1" else model.shifted(1.0)
-    idx, nodes = _sector_nodes(grid)
+    ops, nodes = _restricted_axis_operators(grid, FIRST[stencil_order], 1)
     w_all = base.prepotential(nodes)
-    ladders = [(d + sp.diags(w_all[:, axis])).tocsr() for axis, d in
-               enumerate(_axis_operators(grid, idx, _deriv_coeffs, stencil_order))]
+    ladders = [sp.csr_matrix(d + np.diag(w_all[:, axis])) for axis, d in enumerate(ops)]
     q = sp.csr_matrix((sys_.dim, sys_.dim))
     for ladder, psi in zip(ladders, _fock_annihilators(model.n)):
         lowering = ladder if sys_.variant == "s1" else sp.csr_matrix(ladder.T)
