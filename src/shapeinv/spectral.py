@@ -33,20 +33,10 @@ DENSE_CAP = 8000
 RESIDUAL_CONTRACT = 1e-8
 
 
-def _whole(x, what: str) -> int:
-    """x as an int if it is a whole number, else DomainError."""
-    try:
-        if x == int(x) and not isinstance(x, bool):
-            return int(x)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise DomainError(f"{what} must be a whole number, got {x!r}")
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Structured grid: one or more axes (min, max, m), each with an
-    integer m >= 8 of grid cells.  `line` and `box` take any whole number m.
+    integer m >= 8 of grid cells.
 
     Dirichlet axes carry m - 1 interior nodes (walls excluded from the
     matrix); periodic axes carry m nodes.  sector='ordered' restricts a
@@ -82,13 +72,14 @@ class GridSpec:
 
     @staticmethod
     def line(lo: float, hi: float, m: int, bc: str = "dirichlet") -> "GridSpec":
-        return GridSpec(((float(lo), float(hi), _whole(m, "cell count")),), bc)
+        return GridSpec(((float(lo), float(hi), m),), bc)
 
     @staticmethod
     def box(lo: float, hi: float, m: int, dim: int, bc: str = "dirichlet",
             sector: str = "full") -> "GridSpec":
-        axis = (float(lo), float(hi), _whole(m, "cell count"))
-        return GridSpec((axis,) * _whole(dim, "dimension"), bc, sector)
+        if not isinstance(dim, numbers.Integral) or isinstance(dim, bool):
+            raise DomainError(f"dimension must be an integer, got {dim!r}")
+        return GridSpec(((float(lo), float(hi), m),) * dim, bc, sector)
 
     @property
     def dim(self) -> int:
@@ -193,11 +184,9 @@ def _stencil_table(grid: GridSpec, idx: np.ndarray, coeffs, order: int):
     the ghost two cells beyond a wall onto the first interior node by odd
     reflection through the wall (the neighbour on the wall is 0).
 
-    Rows come by arithmetic.  A full grid's row is the row-major code.  On
-    the ordered sector it is the lexicographic rank of the sorted tuple c:
-    moving c_k to c' (allowed for c_{k-1} < c' < c_{k+1}) changes it by
-    S_k[c'] - S_k[c_k], with S_k[x] = G_k[x] - G_{k+1}[x + 1], G_j[x] =
-    sum_{v < x} C(s - 1 - v, dim - 1 - j) and G_dim = 0.
+    Rows come by one gather from a full-box table that maps each row-major
+    code to its sector row, -1 off the sector, so the coincidence walls
+    need no test of their own.
     """
     n_nodes, dim = idx.shape
     sizes = np.array([len(grid.axis_nodes(k)) for k in range(dim)])
@@ -207,28 +196,19 @@ def _stencil_table(grid: GridSpec, idx: np.ndarray, coeffs, order: int):
     c = np.ascontiguousarray(idx.T)[:, None, :]
     t = c + offsets
     vals = np.broadcast_to(coefs[:, :, None], t.shape)
-    here = np.arange(n_nodes)
-    if grid.sector == "ordered" and dim > 1:
-        s = sizes[0]
-        gains = np.zeros((dim + 1, s + 1), dtype=np.intp)
-        for j in range(dim):
-            gains[j, 1:] = np.cumsum([math.comb(s - 1 - v, dim - 1 - j) for v in range(s)])
-        step = (gains[:-1, :-1] - gains[1:, 1:])[:, :, None]
-        walls = np.vstack([np.full(n_nodes, -1), c[:, 0], np.full(n_nodes, s)])[:, None]
-        inside = (walls[:-2] < t) & (t < walls[2:])
-        rows = here + (np.take_along_axis(step, np.where(inside, t, c), axis=1)
-                       - np.take_along_axis(step, c, axis=1))
-    else:
-        size = sizes[:, None, None]
-        if grid.bc == "periodic":
-            t %= size
-        elif dim == 1:
-            beyond = (t < -1) | (t > size)
-            vals = np.where(beyond, -vals, vals)
-            t = np.where(t < -1, -2 - t, np.where(beyond, 2 * size - t, t))
-        inside = (t >= 0) & (t < size)
-        strides = np.cumprod([1, *sizes[:0:-1]])[::-1, None, None]
-        rows = here + (t - c) * strides
+    size = sizes[:, None, None]
+    if grid.bc == "periodic":
+        t %= size
+    elif dim == 1:
+        beyond = (t < -1) | (t > size)
+        vals = np.where(beyond, -vals, vals)
+        t = np.where(t < -1, -2 - t, np.where(beyond, 2 * size - t, t))
+    inside = (t >= 0) & (t < size)
+    strides = np.cumprod([1, *sizes[:0:-1]])[::-1]
+    code = idx @ strides
+    box = np.full(int(np.prod(sizes)), -1)
+    box[code] = np.arange(n_nodes)
+    rows = box[np.where(inside, code + (t - c) * strides[:, None, None], 0)]
     return np.where(inside, rows, -1), vals
 
 
