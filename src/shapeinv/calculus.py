@@ -244,14 +244,16 @@ def constant(c, n: int) -> TestFunction:
     return TestFunction(n, fn)
 
 
+SIGMA_RANGE = (0.8, 2.0)   # the Gaussian envelope's width is drawn from it
+
 # Each test-function family is a parameter draw and a tree build.  The draw
 # consumes one trial's rng; the build takes one trial's parameters, or every
 # trial's stacked along a leading axis (scalars to (T,), vectors to (T, ...)),
 # and then its jet is evaluated at the stacked configurations (T, n).
 
-def _gaussian_parameters(n: int, rng: np.random.Generator, sigma_range=(0.8, 2.0)):
+def _gaussian_parameters(n: int, rng: np.random.Generator):
     mu = rng.uniform(-1.0, 1.0, size=n)
-    sigma = rng.uniform(*sigma_range)
+    sigma = rng.uniform(*SIGMA_RANGE)
     c0 = rng.uniform(0.5, 1.5)
     c1 = rng.uniform(-1.0, 1.0, size=n)
     c2 = rng.uniform(-0.5, 0.5, size=n)
@@ -288,10 +290,9 @@ def _periodic_tree(n: int, a, b, phi) -> TestFunction:
     return f
 
 
-def gaussian_polynomial(n: int, rng: np.random.Generator,
-                        sigma_range=(0.8, 2.0)) -> TestFunction:
+def gaussian_polynomial(n: int, rng: np.random.Generator) -> TestFunction:
     """Random degree-<=3 polynomial times a Gaussian envelope."""
-    return _gaussian_tree(n, *_gaussian_parameters(n, rng, sigma_range))
+    return _gaussian_tree(n, *_gaussian_parameters(n, rng))
 
 
 def periodic_product(n: int, rng: np.random.Generator) -> TestFunction:

@@ -8,15 +8,12 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DomainError
 from .models import Prepotential1D
-
-if TYPE_CHECKING:  # spectral imports this module
-    from .spectral import GridSpec
+from .spectral import GridSpec
 
 MAX_CHAIN = 6
 MIN_CHAIN_CELLS = 511  # 512 samples with both walls

@@ -12,7 +12,6 @@ module costs numpy alone.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -22,7 +21,6 @@ import numpy as np
 from .errors import ConvergenceError, DimensionCapError, DomainError
 from .models import (NBodyModel, Prepotential1D, make_prepotential_1d,
                      remainder_shift)
-from . import shape1d
 
 # 'auto' solves N-D operators densely up to DENSE_CUTOFF nodes.  On N = 3
 # grids (2-CPU host) dense eigh and Lanczos tie near 364 nodes; Lanczos wins
@@ -31,6 +29,8 @@ from . import shape1d
 DENSE_CUTOFF = 400
 DENSE_CAP = 8000
 RESIDUAL_CONTRACT = 1e-8
+# residual checks skip nodes within this fraction of an axis span of a wall
+INTERIOR_MARGIN_FRAC = 0.05
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ class GridSpec:
 @dataclass
 class SparseHamiltonian:
     """Discretized -laplacian (times kinetic_scale) + V on grid nodes."""
-    matrix: sp.csr_matrix
+    matrix: object               # scipy.sparse CSR matrix
     nodes: np.ndarray            # (n_nodes, dim)
     grid: GridSpec
     stencil_order: int
@@ -164,9 +164,15 @@ def _sector_nodes(grid: GridSpec):
     computational nodes, in row-major order (axis 0 slowest)."""
     sizes = [len(grid.axis_nodes(k)) for k in range(grid.dim)]
     if grid.sector == "ordered":
-        flat = itertools.chain.from_iterable(
-            itertools.combinations(range(sizes[0]), grid.dim))
-        idx = np.fromiter(flat, dtype=np.intp).reshape(-1, grid.dim)
+        # one axis at a time, each row repeated over its larger successors:
+        # the lexicographic order of itertools.combinations
+        idx = np.arange(sizes[0])[:, None]
+        for _ in range(1, grid.dim):
+            last = idx[:, -1]
+            count = sizes[0] - 1 - last
+            first = np.cumsum(count) - count
+            idx = np.column_stack([np.repeat(idx, count, axis=0),
+                                   np.arange(count.sum()) + np.repeat(last + 1 - first, count)])
     else:
         idx = np.indices(sizes).reshape(grid.dim, -1).T
     nodes = np.column_stack([grid.axis_nodes(k)[idx[:, k]] for k in range(grid.dim)])
@@ -470,7 +476,7 @@ class GridFunctionND:
     meta: dict = field(default_factory=dict)
 
 
-def _interior_mask(ham: SparseHamiltonian, margin_frac: float = 0.05) -> np.ndarray:
+def _interior_mask(ham: SparseHamiltonian) -> np.ndarray:
     """Nodes at a fixed physical distance from walls and coincidence planes.
 
     The margin must be physical (a fraction of the span), not a cell count:
@@ -480,13 +486,13 @@ def _interior_mask(ham: SparseHamiltonian, margin_frac: float = 0.05) -> np.ndar
     mask = np.ones(ham.dim, dtype=bool)
     for k in range(grid.dim):
         lo, hi, m = grid.axes[k]
-        margin = max(margin_frac * (hi - lo), 3 * grid.axis_h(k))
+        margin = max(INTERIOR_MARGIN_FRAC * (hi - lo), 3 * grid.axis_h(k))
         xk = ham.nodes[:, k]
         if grid.bc == "dirichlet":
             mask &= (xk - lo >= margin) & (hi - xk >= margin)
     if grid.dim > 1 and grid.sector == "ordered":
         lo, hi, m = grid.axes[0]
-        margin = max(margin_frac * (hi - lo), 3 * grid.axis_h(0))
+        margin = max(INTERIOR_MARGIN_FRAC * (hi - lo), 3 * grid.axis_h(0))
         for a in range(grid.dim - 1):
             mask &= (ham.nodes[:, a + 1] - ham.nodes[:, a]) >= margin
     return mask
@@ -590,6 +596,8 @@ class TwoBodyReduction:
         return self.kinetic_factor * self.prep.partner_potential(r)
 
     def algebraic_energies(self, n_max: int) -> np.ndarray:
+        from . import shape1d   # shape1d imports this module's GridSpec
+
         chain = shape1d.algebraic_spectrum(self.prep, n_max)
         return self.kinetic_factor * np.asarray(chain.energies)
 

@@ -3,9 +3,11 @@ supercharges Q = sum_i A_i psi_i, the Hamiltonian H = Q+Q + QQ+, the
 fermion-number sector structure with its exact pairing, and the two
 inequivalent extensions sharing a bosonic sector.
 
-Every system declares Q and H as Fock blocks stacked over the center-of-
-mass momenta (a grid has one momentum).  The whole sector analysis, the
-diagnostics included, reads only these blocks, with plain numpy products.
+Every system declares one block size per Fock state and Q and H as Fock
+blocks stacked over the center-of-mass momenta (a grid has one momentum).
+The layout follows from the sizes, and every product of Fock blocks is
+formed by `_block_products`.  The whole sector analysis, the diagnostics
+included, reads only these blocks, with plain numpy products.
 
 Two-body systems are built on a staggered relative grid.  The point of the
 staggering is spectral honesty: a square discrete ladder matrix X forces
@@ -33,7 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -45,6 +47,8 @@ from .spectral import (RESIDUAL_CONTRACT, GridSpec, _deriv_coeffs, _sector_nodes
 
 DENSE_SECTOR_CAP = 5000
 VARIANTS = ("s1", "s2")
+ZERO_TOL = 1e-2   # a cluster of mean eigenvalue below it is a zero mode
+SUM_TOL = 1e-6    # a component sum vanishes, or solves its block, within it
 
 
 def cm_momenta(count: int) -> tuple:
@@ -61,26 +65,14 @@ DEFAULT_CM_MOMENTA = cm_momenta(8)
 # fermionic Fock space
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FockBasis:
-    """2^N occupation states; mode i is bit i of the basis index.
+# The 2^N occupation states of N modes are the integers below 2^N, mode i
+# being bit i, and a state's fermion number is its bit count.  psi_i carries
+# the ordered-string parity sign (`_string_sign`), which realizes the
+# canonical anticommutators exactly.
 
-    psi_i carries the ordered-string parity sign (-1)^(number of occupied
-    modes below i) (`_string_sign`), which realizes the canonical
-    anticommutators exactly.
-    """
-    n_modes: int
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.n_modes
-
-    def fermion_number(self, index: int) -> int:
-        return int(index).bit_count()
-
-    def sector_indices(self, f: int) -> np.ndarray:
-        return np.array([s for s in range(self.dim)
-                         if self.fermion_number(s) == f], dtype=int)
+def _sector_states(n: int, f: int) -> list:
+    """The Fock states of n modes holding f fermions, ascending."""
+    return [s for s in range(1 << n) if s.bit_count() == f]
 
 
 def _string_sign(state: int, mode: int) -> float:
@@ -89,9 +81,9 @@ def _string_sign(state: int, mode: int) -> float:
     return -1.0 if (int(state) & ((1 << mode) - 1)).bit_count() % 2 else 1.0
 
 
-def _empty_mode(fock: FockBasis, state: int) -> int:
-    """The empty mode of an (N-1)-fermion Fock state."""
-    return (fock.dim - 1 ^ state).bit_length() - 1
+def _empty_mode(n: int, state: int) -> int:
+    """The empty mode of an (n-1)-fermion Fock state of n modes."""
+    return ((1 << n) - 1 ^ state).bit_length() - 1
 
 
 def _absmax(arrays) -> float:
@@ -99,10 +91,26 @@ def _absmax(arrays) -> float:
     return max((float(np.max(np.abs(a))) for a in arrays if a.size), default=0.0)
 
 
-def make_fock_basis(n_modes: int) -> FockBasis:
-    if n_modes < 1:
-        raise DomainError("need at least one fermionic mode")
-    return FockBasis(n_modes)
+def _block_products(left: dict, right: dict, upper: bool = False) -> dict:
+    """{(a, b): sum over c of left[a, c] @ right[c, b]}, the terms added in
+    the order of `left`; with upper, only the blocks with a <= b, the rest of
+    a symmetric product being their mirrors.  Keys are (row, column) pairs
+    of any labels: a Fock state, or an inner or column key such as a group
+    of vectors."""
+    by_row = {}
+    for (c, b), rblk in right.items():
+        by_row.setdefault(c, []).append((b, rblk))
+    out = {}
+    for (a, c), lblk in left.items():
+        for b, rblk in by_row.get(c, ()):
+            if not (upper and a > b):
+                out[a, b] = out[a, b] + lblk @ rblk if (a, b) in out else lblk @ rblk
+    return out
+
+
+def _adjoint(blocks: dict) -> dict:
+    """The blocks transposed, stacked over the momenta: (b, a) holds (a, b)^T."""
+    return {(b, a): blk.swapaxes(1, 2) for (a, b), blk in blocks.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +162,12 @@ class SusySystem:
     classified.
 
     The degrees of freedom run momentum by momentum, then Fock state by
-    Fock state (`blocks`).  `q_blocks[a, b]` is Q's block from Fock state b
-    to a, which is b with one fermion removed; `h_blocks` holds H's nonzero
-    blocks, each off-diagonal one formed once and its mirror held as its
-    transpose.  Both are stacked over the momenta; a grid has one, with
+    Fock state, and sizes[s] is the number of rows of state s at every
+    momentum; the dimension, the fermion numbers, the sectors and each
+    state's rows follow from it.  `q_blocks[a, b]` is Q's block from Fock
+    state b to a, which is b with one fermion removed; `h_blocks` holds H's
+    nonzero blocks, each off-diagonal one formed once and its mirror held as
+    its transpose.  Both are stacked over the momenta; a grid has one, with
     c_k = 0.  `parts` groups the Fock states that H couples, each group
     with the key of its k-independent relative matrix in `h_relative`: a
     two-body system's diagonal blocks are c_k^2 I away from G = xs xs^T or
@@ -168,16 +178,13 @@ class SusySystem:
     model: NBodyModel
     grid: GridSpec
     variant: str
-    fock: FockBasis
     cm_momenta: tuple | None
-    blocks: list                  # (cm_index, fock_state, offset, size)
-    fermion_of: np.ndarray        # fermion number per degree of freedom
+    sizes: tuple                  # rows per Fock state, at every momentum
     q_blocks: dict = field(repr=False)   # {(a, b): (n_k, size_a, size_b)}
     h_blocks: dict = field(repr=False)   # {(a, b): (n_k, size_a, size_b)}
     cm_coeff: np.ndarray = field(repr=False)
     sum_weights: tuple = field(repr=False)  # ({state: w} of sector 1, of sector N-1)
     parts: dict = field(repr=False)         # {(Fock state, ...): relative key}
-    relative_ops: dict = field(default_factory=dict)
     h_relative: dict = field(default_factory=dict, repr=False)  # {key: matrix}
     _relative_eig: dict = field(default_factory=dict, repr=False)
     _sector_eig: dict = field(default_factory=dict, repr=False)
@@ -185,7 +192,13 @@ class SusySystem:
 
     @property
     def dim(self) -> int:
-        return len(self.fermion_of)
+        return len(self.cm_coeff) * sum(self.sizes)
+
+    @cached_property
+    def fermion_of(self) -> np.ndarray:
+        """The fermion number of each degree of freedom."""
+        numbers = [s.bit_count() for s in range(len(self.sizes))]
+        return np.tile(np.repeat(numbers, self.sizes), len(self.cm_coeff))
 
     @cached_property
     def H(self):
@@ -193,12 +206,12 @@ class SusySystem:
         eliminated, assembled on first read."""
         import scipy.sparse as sp
 
-        offset = {(ik, s): off for ik, s, off, _ in self.blocks}
+        starts = np.cumsum((0, *self.sizes))
         entries = []
         for (a, b), stack in self.h_blocks.items():
             k, r, c = np.nonzero(stack)
-            starts = np.array([(offset[ik, a], offset[ik, b]) for ik in range(len(stack))])
-            entries.append((stack[k, r, c], r + starts[k, 0], c + starts[k, 1]))
+            first = k * starts[-1]
+            entries.append((stack[k, r, c], r + first + starts[a], c + first + starts[b]))
         vals, rows, cols = (np.concatenate(x) for x in zip(*entries))
         return sp.csr_matrix((vals, (rows, cols)), shape=(self.dim, self.dim))
 
@@ -209,19 +222,11 @@ class SusySystem:
         (Q^2)_ab sums Q_ac Q_cb, and [H, Q]_ab sums H_ac Q_cb - Q_ac H_cb.
         A block whose mirror H lacks counts whole in max |H - H^T|."""
         q, h = self.q_blocks, self.h_blocks
-        q2 = {}
-        for (a, c), q_ac in q.items():
-            for (c2, b), q_cb in q.items():
-                if c2 == c:
-                    q2[a, b] = q2.get((a, b), 0.0) + q_ac @ q_cb
-        every = range(self.fock.dim)
-        commutator = []
-        for a, b in q:
-            left = [h[a, c] @ q[c, b] for c in every if (a, c) in h and (c, b) in q]
-            right = [q[a, c] @ h[c, b] for c in every if (a, c) in q and (c, b) in h]
-            commutator.append(reduce(np.add, left) - reduce(np.add, right))
+        q2_fro = math.hypot(*(np.linalg.norm(blk) for blk in _block_products(q, q).values()))
+        hq, qh = _block_products(h, q), _block_products(q, h)
+        commutator = (hq.get(key, 0.0) - qh.get(key, 0.0) for key in {**hq, **qh})
         scale = max(1.0, _absmax(h.values())) * max(1.0, _absmax(q.values()))
-        return {"q_squared_fro": math.hypot(*(np.linalg.norm(blk) for blk in q2.values())),
+        return {"q_squared_fro": q2_fro,
                 "hermiticity_defect": _absmax(
                     blk - h[b, a].swapaxes(1, 2) if (b, a) in h else blk
                     for (a, b), blk in h.items()),
@@ -233,14 +238,8 @@ class SusySystem:
 
     def offblock_leak(self) -> float:
         """Largest |H| entry connecting different fermion numbers (exact 0)."""
-        number = self.fock.fermion_number
         return _absmax(blk for (a, b), blk in self.h_blocks.items()
-                       if number(a) != number(b))
-
-    def sector_blocks(self, f: int):
-        """(cm_index, fock_state, offset, size) entries of sector f."""
-        return [b for b in self.blocks
-                if self.fock.fermion_number(b[1]) == f]
+                       if a.bit_count() != b.bit_count())
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +265,9 @@ def _build_two_body(model: NBodyModel, grid: GridSpec, variant: str,
     on the diagonals of (|0>, |s>) and (|d>, |sd>), psi_diff puts
     xs = sqrt(2) X in (|0>, |d>) and -xs in (|s>, |sd>).  The builder
     declares these, H's Fock blocks and their k-independent parts G and G2
-    (`_two_body_h_blocks`), and one block per momentum and Fock state.  The
-    momenta must be a nonempty 1-D sequence of distinct finite numbers,
-    else DomainError.
+    (`_two_body_h_blocks`), and the sizes u, u, m, m of |0>, |s>, |d>, |sd>
+    (u = m - 1 nodes, m midpoints).  The momenta must be a nonempty 1-D
+    sequence of distinct finite numbers, else DomainError.
     """
     if grid.dim != 1:
         raise DomainError("two-body systems take a 1-D relative grid")
@@ -288,9 +287,8 @@ def _build_two_body(model: NBodyModel, grid: GridSpec, variant: str,
         raise DomainError("center-of-mass momenta must be a nonempty 1-D sequence of "
                           f"distinct finite numbers, got {cm_momenta!r}")
     n_k = len(kvals)
-    # the Fock blocks are dense, so every sector must fit the dense cap
-    for f, size in enumerate((u, u + m_cells, m_cells)):
-        _check_dense_cap(f, n_k * size)
+    sizes = (u, u, m_cells, m_cells)
+    _check_dense_cap(sizes, n_k)
     if variant == "s1":
         x_op = _staggered_ladder(m_cells, length, model.pair_w, +1, to_nodes=True)
         c_over_k = -0.5
@@ -299,12 +297,6 @@ def _build_two_body(model: NBodyModel, grid: GridSpec, variant: str,
         node_to_mid = _staggered_ladder(m_cells, length, up.pair_w, +1, to_nodes=False)
         x_op = np.ascontiguousarray(node_to_mid.T)   # wide, ~ (-d/dr + w(alpha+1))
         c_over_k = 0.5
-    fock = make_fock_basis(2)
-    sizes = (u, u, m_cells, m_cells)
-    starts = np.cumsum((0, *sizes))
-    blocks = [(ik, f, ik * starts[4] + starts[f], sizes[f])
-              for ik in range(n_k) for f in range(4)]
-    fermion_of = np.tile(np.repeat([fock.fermion_number(f) for f in range(4)], sizes), n_k)
     root2 = math.sqrt(2.0)
     xs = root2 * x_op
     c = c_over_k * kvals * root2
@@ -312,12 +304,9 @@ def _build_two_body(model: NBodyModel, grid: GridSpec, variant: str,
                 (1, 3): np.broadcast_to(-xs, (n_k, u, m_cells)),
                 (2, 3): _scaled_identity(c, m_cells)}
     h_blocks, h_relative = _two_body_h_blocks(xs, c)
-    return SusySystem(model=model, grid=grid, variant=variant, fock=fock,
-                      cm_momenta=tuple(cm_momenta), blocks=blocks,
-                      fermion_of=fermion_of, q_blocks=q_blocks, h_blocks=h_blocks,
-                      cm_coeff=c, sum_weights=({1: 1.0}, {2: 1.0}),
-                      relative_ops={"x": x_op, "xs": xs,
-                                    "mids": length / m_cells * (np.arange(m_cells) + 0.5)},
+    return SusySystem(model=model, grid=grid, variant=variant,
+                      cm_momenta=tuple(cm_momenta), sizes=sizes, q_blocks=q_blocks,
+                      h_blocks=h_blocks, cm_coeff=c, sum_weights=({1: 1.0}, {2: 1.0}),
                       parts={(0,): "G", (1,): "G", (2,): "G2", (3,): "G2"},
                       h_relative=h_relative)
 
@@ -352,16 +341,17 @@ def _build_grid(model: NBodyModel, grid: GridSpec, variant: str,
     filled from the grid's stencil table (`spectral._stencil_table`).  The
     operator paired with psi_i is L_i (s1) or L_i^T (s2), and Q's block
     (s ^ bit i, s) is it times the string sign `_string_sign(s, i)`.  Every
-    sector must fit the dense cap, checked before any block is formed.
+    Fock state holds one block of all the nodes, and every sector must fit
+    the dense cap, checked before any block is formed.
     """
     if grid.dim != model.n:
         raise DomainError("grid dimension must match the particle count")
     if model.g != 0.0 and grid.sector != "ordered":
         raise DomainError("singular kinds need the ordered sector")
     idx, nodes = _sector_nodes(grid)
-    n_nodes = len(idx)
-    for f in range(model.n + 1):
-        _check_dense_cap(f, math.comb(model.n, f) * n_nodes)
+    n_nodes, n_states = len(idx), 1 << model.n
+    sizes = (n_nodes,) * n_states
+    _check_dense_cap(sizes, 1)
     base = model if variant == "s1" else model.shifted(1.0)
     w_all = base.prepotential(nodes)
     rows, vals = _stencil_table(grid, idx, _deriv_coeffs, stencil_order)
@@ -370,35 +360,30 @@ def _build_grid(model: NBodyModel, grid: GridSpec, variant: str,
     ladders[axis, node, rows[axis, term, node]] = vals[axis, term, node]
     ladders.reshape(model.n, -1)[:, ::n_nodes + 1] += w_all.T
     lowering = ladders if variant == "s1" else ladders.transpose(0, 2, 1)
-    fock = make_fock_basis(model.n)
-    q_blocks = {(s ^ 1 << i, s): _string_sign(s, i) * lowering[i]
-                for s in range(fock.dim) for i in range(model.n) if s >> i & 1}
-    # H = Q+Q + QQ+: for a <= b, H_ab sums Q_ca^T Q_cb and Q_ac Q_bc^T.  A
-    # diagonal block sums products of a block with its own transpose, which
-    # numpy forms as symmetric ones, so it is exactly symmetric.
-    h_blocks = {}
-    for (a1, b1), q1 in q_blocks.items():
-        for (a2, b2), q2 in q_blocks.items():
-            if a1 == a2 and b1 <= b2:      # Q+Q through their common target
-                h_blocks[b1, b2] = h_blocks.get((b1, b2), 0.0) + q1.T @ q2
-            if b1 == b2 and a1 <= a2:      # QQ+ through their common source
-                h_blocks[a1, a2] = h_blocks.get((a1, a2), 0.0) + q1 @ q2.T
-    h_blocks.update({(b, a): blk.T for (a, b), blk in h_blocks.items() if a != b})
+    q_blocks = {(s ^ 1 << i, s): _string_sign(s, i) * lowering[i:i + 1]
+                for s in range(n_states) for i in range(model.n) if s >> i & 1}
+    # H = Q+Q + QQ+ is one product, (Q+ beside Q) times (Q above Q+), whose
+    # inner key is the intermediate Fock state and the charge the right
+    # factor took to reach it (0: Q, 1: Q+).  Only blocks with a <= b are
+    # formed; a diagonal block sums products of a block with its own
+    # transpose, which numpy forms as symmetric ones, so it is exactly
+    # symmetric.
+    q_dag = _adjoint(q_blocks)
+    left = {(a, (c, op)): blk for op, blocks in enumerate((q_dag, q_blocks))
+            for (a, c), blk in blocks.items()}
+    right = {((c, op), b): blk for op, blocks in enumerate((q_blocks, q_dag))
+             for (c, b), blk in blocks.items()}
+    h_blocks = _block_products(left, right, upper=True)
+    h_blocks.update({(b, a): blk.swapaxes(1, 2) for (a, b), blk in h_blocks.items() if a != b})
     # H couples the Fock states of a sector, so each sector is one part
-    sectors = [tuple(fock.sector_indices(f).tolist()) for f in range(model.n + 1)]
-    dual = sectors[model.n - 1]
-    return SusySystem(model=model, grid=grid, variant=variant, fock=fock,
-                      cm_momenta=None,
-                      blocks=[(0, s, s * n_nodes, n_nodes) for s in range(fock.dim)],
-                      fermion_of=np.repeat([fock.fermion_number(s) for s in range(fock.dim)],
-                                           n_nodes),
-                      q_blocks={key: blk[None] for key, blk in q_blocks.items()},
-                      h_blocks={key: blk[None] for key, blk in h_blocks.items()},
+    sectors = [tuple(_sector_states(model.n, f)) for f in range(model.n + 1)]
+    return SusySystem(model=model, grid=grid, variant=variant, cm_momenta=None,
+                      sizes=sizes, q_blocks=q_blocks, h_blocks=dict(sorted(h_blocks.items())),
                       cm_coeff=np.zeros(1),
                       sum_weights=({1 << i: 1.0 for i in range(model.n)},
-                                   {s: _string_sign(s, _empty_mode(fock, s)) for s in dual}),
-                      parts={states: states for states in sectors},
-                      relative_ops={"nodes": nodes})
+                                   {s: _string_sign(s, _empty_mode(model.n, s))
+                                    for s in sectors[model.n - 1]}),
+                      parts={states: states for states in sectors})
 
 
 def build_susy(model: NBodyModel, grid: GridSpec, variant: str = "s1",
@@ -427,10 +412,9 @@ def build_susy(model: NBodyModel, grid: GridSpec, variant: str = "s1",
 class _SectorEigen:
     """Eigenvalues of one sector, with the eigenvectors of its parts.
 
-    The sector's blocks are those of its parts (`_sector_parts`), one per
-    momentum and group of coupled Fock states; part b holds its Fock
-    states, states[b], its blocks' rows within the sector, rows[b], and one
-    eigenvector matrix part_vecs[b] that all its momenta share.  The block
+    The sector's blocks are those of the parts it solved (`_sector_parts`),
+    one per momentum and group of coupled Fock states, and all momenta of
+    part b share one eigenvector matrix part_vecs[b].  The block
     eigenpairs, concatenated momentum-major and then part by part, are
     indexed by `order`: vals[p] is the eigenvalue of concatenated eigenpair
     order[p].  No sector-wide eigenvector matrix is formed.
@@ -438,16 +422,15 @@ class _SectorEigen:
     vals: np.ndarray      # ascending
     ix: np.ndarray        # the sector's indices into the system
     order: np.ndarray
-    states: list          # the Fock states of each part, ascending
-    rows: list            # (n_k, size) per part
+    parts: list           # the `_SectorPart`s, as solved
     part_vecs: list       # (size, size) per part
 
 
 class _SectorPart(NamedTuple):
     """The blocks of a group of coupled Fock states of a sector, stacked
     over the momenta: blocks[i] = relative + shifts[i] I, up to roundoff,
-    on the sector rows rows[i].  Parts with one key share their relative
-    matrix."""
+    on the sector rows rows[i], which hold the states one after another in
+    ascending order.  Parts with one key share their relative matrix."""
     states: tuple
     rows: np.ndarray        # (n_k, size)
     blocks: np.ndarray      # (n_k, size, size), H's blocks as declared
@@ -456,21 +439,15 @@ class _SectorPart(NamedTuple):
     shifts: np.ndarray      # (n_k,)
 
 
-def _check_dense_cap(f: int, size: int):
-    if size > DENSE_SECTOR_CAP:
-        raise DimensionCapError(
-            f"sector {f} dimension {size} exceeds dense cap {DENSE_SECTOR_CAP}")
-
-
-def _state_rows(sys: SusySystem, f: int) -> dict:
-    """Each Fock state's rows within sector f, (n_k, size).  Every momentum
-    holds the sector's states in one order and size, so a state's rows move
-    by the sector's size per momentum from one momentum to the next."""
-    sizes = {state: size for ik, state, _, size in sys.sector_blocks(f) if ik == 0}
-    per_k = np.arange(len(sys.cm_coeff))[:, None] * sum(sizes.values())
-    firsts = itertools.accumulate(sizes.values(), initial=0)
-    return {s: per_k + first + np.arange(size)
-            for (s, size), first in zip(sizes.items(), firsts)}
+def _check_dense_cap(sizes: tuple, n_k: int):
+    """Every sector of these Fock state sizes and n_k momenta fits the dense
+    cap, else DimensionCapError; the Fock blocks are dense."""
+    n = len(sizes).bit_length() - 1
+    for f in range(n + 1):
+        size = n_k * sum(sizes[s] for s in _sector_states(n, f))
+        if size > DENSE_SECTOR_CAP:
+            raise DimensionCapError(
+                f"sector {f} dimension {size} exceeds dense cap {DENSE_SECTOR_CAP}")
 
 
 def _sector_parts(sys: SusySystem, f: int) -> list:
@@ -484,22 +461,31 @@ def _sector_parts(sys: SusySystem, f: int) -> list:
     the states of a sector, so each grid sector is one part, at its one
     momentum with c = 0: its block is its own relative matrix.
     """
-    n_k, c2 = len(sys.cm_coeff), sys.cm_coeff * sys.cm_coeff
-    state_rows = _state_rows(sys, f)
-    size = {s: rows.shape[1] for s, rows in state_rows.items()}
+    n_k, c2, size = len(sys.cm_coeff), sys.cm_coeff * sys.cm_coeff, sys.sizes
+    # every momentum holds the sector's states in ascending order
+    in_sector = _sector_states(sys.model.n, f)
+    first = dict(zip(in_sector, itertools.accumulate((size[s] for s in in_sector), initial=0)))
+    per_k = np.arange(n_k)[:, None] * sum(size[s] for s in in_sector)
     parts = []
     for states, key in sys.parts.items():
-        if states[0] not in state_rows:     # a part of another sector
+        if states[0] not in first:     # a part of another sector
             continue
         # one state's blocks are read as held; a group's are placed side by side
         blocks = (sys.h_blocks[states[0], states[0]] if len(states) == 1 else
                   np.block([[sys.h_blocks[a, b] if (a, b) in sys.h_blocks
                              else np.zeros((n_k, size[a], size[b])) for b in states]
                             for a in states]))
-        rows = np.concatenate([state_rows[s] for s in states], axis=1)
+        rows = per_k + np.concatenate([first[s] + np.arange(size[s]) for s in states])
         parts.append(_SectorPart(states, rows, blocks, key,
                                  sys.h_relative.get(key, blocks[0]), c2))
     return parts
+
+
+def _by_state(sys: SusySystem, part: _SectorPart, arr: np.ndarray) -> dict:
+    """{Fock state: its rows of arr}, for an array whose rows run over the
+    part's states one after another, as the part's rows do."""
+    ends = itertools.accumulate(sys.sizes[s] for s in part.states)
+    return {s: arr[end - sys.sizes[s]:end] for s, end in zip(part.states, ends)}
 
 
 def _sector_solve(sys: SusySystem, f: int) -> _SectorEigen:
@@ -536,18 +522,13 @@ def _sector_solve(sys: SusySystem, f: int) -> _SectorEigen:
         all_vals = np.concatenate(block_vals, axis=1).ravel()
         order = np.argsort(all_vals, kind="stable")
         sys._sector_eig[f] = _SectorEigen(all_vals[order], sys.sector_indices(f), order,
-                                          [part.states for part in parts],
-                                          [part.rows for part in parts], part_vecs)
+                                          parts, part_vecs)
     return sys._sector_eig[f]
 
 
 def sector_spectra(sys: SusySystem, k: int | None = None) -> dict:
     """Eigenvalues per fermion-number sector (all of them when k is None)."""
-    out = {}
-    for f in range(sys.model.n + 1):
-        vals = _sector_solve(sys, f).vals
-        out[f] = vals if k is None else vals[:k]
-    return out
+    return {f: _sector_solve(sys, f).vals[:k] for f in range(sys.model.n + 1)}
 
 
 def _cluster_starts(vals: np.ndarray, rel: float = 1e-8) -> np.ndarray:
@@ -570,29 +551,26 @@ def _charge_products(sys: SusySystem, f: int, eig: _SectorEigen) -> tuple:
     whose cols are one momentum's block eigenvectors in concatenated block
     order.  Q and Q+ keep the momentum, so no other entry is nonzero.
 
-    The products come from Q's Fock blocks: a part's eigenvectors, split
-    by its Fock states, times Q_as for Q and Q_sa^T for Q+.  All momenta
-    share a part's eigenvectors (`_sector_solve`).
+    The products are those of Q's Fock blocks, and of their transposes for
+    Q+, with each part's eigenvectors split by its Fock states (column key
+    the part).  All momenta share a part's eigenvectors (`_sector_solve`).
     """
-    q, n_k = sys.q_blocks, len(sys.cm_coeff)
-    size_of = {state: size for _, state, _, size in sys.blocks}
-    pieces = []     # each part's eigenvector rows on each of its Fock states
-    for states, vecs in zip(eig.states, eig.part_vecs):
-        ends = itertools.accumulate(size_of[s] for s in states)
-        pieces.append([(s, vecs[end - size_of[s]:end]) for s, end in zip(states, ends)])
+    pieces = {}
+    for p, (part, vecs) in enumerate(zip(eig.parts, eig.part_vecs)):
+        pieces.update({(s, p): v for s, v in _by_state(sys, part, vecs).items()})
+    n_cols = sum(len(vecs) for vecs in eig.part_vecs)
 
-    def products(target, block_of):
-        rows = [np.zeros((n_k, 0, sum(len(vecs) for vecs in eig.part_vecs)))]
-        for a in sys.fock.sector_indices(target).tolist():
-            # every part reaches every Fock state of the neighbouring sectors
-            cols = [reduce(np.add, [blk @ v for s, v in part
-                                    if (blk := block_of(a, s)) is not None])
-                    for part in pieces]
-            rows.append(np.concatenate(cols, axis=2))
+    def stacked(products, target):
+        # every part reaches every Fock state of the neighbouring sectors
+        rows = [np.zeros((len(sys.cm_coeff), 0, n_cols))]
+        for a in _sector_states(sys.model.n, target):
+            rows.append(np.concatenate([products[a, p] for p in range(len(eig.parts))], axis=2))
         return np.concatenate(rows, axis=1)
 
-    return (products(f - 1, lambda a, s: q.get((a, s))),
-            products(f + 1, lambda a, s: q[s, a].swapaxes(1, 2) if (s, a) in q else None))
+    # Q+'s blocks sorted, so that its sums run over ascending Fock states, as Q's do
+    q_dag = dict(sorted(_adjoint(sys.q_blocks).items()))
+    return (stacked(_block_products(sys.q_blocks, pieces), f - 1),
+            stacked(_block_products(q_dag, pieces), f + 1))
 
 
 def _sector_charges(sys: SusySystem, f: int):
@@ -659,18 +637,17 @@ def _rotated_states(sys: SusySystem, f: int, positions) -> np.ndarray:
         for i, w in zip(basis[p], weights[p]):
             ik, j = divmod(i, firsts[-1])
             b = np.searchsorted(firsts, j, side="right") - 1
-            out[eig.rows[b][ik], col] += w * eig.part_vecs[b][:, j - firsts[b]]
+            out[eig.parts[b].rows[ik], col] += w * eig.part_vecs[b][:, j - firsts[b]]
     return out
 
 
-def kernel_classify(sys: SusySystem, zero_tol: float = 1e-2,
-                    split_tol: float = 1e-6) -> dict:
+def kernel_classify(sys: SusySystem, split_tol: float = 1e-6) -> dict:
     """Tag every sector eigenstate by the supercharge that annihilates it.
 
     Degenerate clusters are rotated to diagonalize Q+Q on the cluster; the
     superalgebra then puts each state in ker Q (all its energy from QQ+) or
     in ker Q+ (all of it from Q+Q).  States whose cluster has mean
-    lambda < zero_tol count as zero modes.  Returns per-sector counts, tags
+    lambda < ZERO_TOL count as zero modes.  Returns per-sector counts, tags
     and the charge norms of the rotated states, whose vectors
     `_rotated_states` builds.
     """
@@ -678,7 +655,7 @@ def kernel_classify(sys: SusySystem, zero_tol: float = 1e-2,
     for f in range(sys.model.n + 1):
         vals = _sector_solve(sys, f).vals
         lam, qn, qdn, _ = _sector_charges(sys, f)
-        zero = lam < zero_tol
+        zero = lam < ZERO_TOL
         bound = split_tol * np.sqrt(np.where(zero, 0.0, lam))
         in_ker_q, in_ker_qdag = qn <= bound, qdn <= bound
         tags = np.where(zero, "zero", np.where(
@@ -693,20 +670,19 @@ def kernel_classify(sys: SusySystem, zero_tol: float = 1e-2,
     return report
 
 
-def pairing_check(sys: SusySystem, tol: float = 1e-6,
-                  zero_tol: float = 1e-2) -> dict:
+def pairing_check(sys: SusySystem, tol: float = 1e-6) -> dict:
     """Nonzero eigenvalues of sector F in ker Q reappear in sector F+1 in
     ker Q+ (the partner state is Q+ applied to the original)."""
-    classify = kernel_classify(sys, zero_tol=zero_tol)
+    classify = kernel_classify(sys)
     worst = 0.0
     detail = {}
     for f in range(sys.model.n):
         lo = classify["sectors"][f]
         hi = classify["sectors"][f + 1]
         left = sorted(v for v, t in zip(lo["eigenvalues"], lo["tags"])
-                      if t == "ker_q" and v > zero_tol)
+                      if t == "ker_q" and v > ZERO_TOL)
         right = sorted(v for v, t in zip(hi["eigenvalues"], hi["tags"])
-                       if t == "ker_qdag" and v > zero_tol)
+                       if t == "ker_qdag" and v > ZERO_TOL)
         if len(left) != len(right):
             detail[f] = {"count_low": len(left), "count_high": len(right)}
             worst = math.inf
@@ -723,8 +699,7 @@ def pairing_check(sys: SusySystem, tol: float = 1e-6,
 # component-sum structure
 # ---------------------------------------------------------------------------
 
-def sector_sum_check(sys: SusySystem, k: int = 6, tol: float = 1e-6,
-                     zero_tol: float = 1e-2, split_tol: float = 1e-6) -> dict:
+def sector_sum_check(sys: SusySystem, k: int = 6, split_tol: float = 1e-6) -> dict:
     """Component sums of near-boundary sector states.
 
     1-fermion eigenstates in ker Q: the particle-mode component sum is
@@ -739,13 +714,11 @@ def sector_sum_check(sys: SusySystem, k: int = 6, tol: float = 1e-6,
     numpy alone.
     """
     n = sys.model.n
-    classify = kernel_classify(sys, zero_tol=zero_tol, split_tol=split_tol)
+    classify = kernel_classify(sys, split_tol=split_tol)
     particle, dual = sys.sum_weights
-    return {"one_fermion": _sum_check(sys, classify, 1, "ker_q", 0, particle,
-                                      k, tol, zero_tol),
-            "n_minus_one": _sum_check(sys, classify, n - 1, "ker_qdag", n, dual,
-                                      k, tol, zero_tol),
-            "epsilon_relation": _epsilon_relation(sys, k, zero_tol) if n == 3 else None}
+    return {"one_fermion": _sum_check(sys, classify, 1, "ker_q", 0, particle, k),
+            "n_minus_one": _sum_check(sys, classify, n - 1, "ker_qdag", n, dual, k),
+            "epsilon_relation": _epsilon_relation(sys, k) if n == 3 else None}
 
 
 def _component_sum(sys: SusySystem, f: int, weights: dict, vec: np.ndarray) -> np.ndarray:
@@ -754,13 +727,15 @@ def _component_sum(sys: SusySystem, f: int, weights: dict, vec: np.ndarray) -> n
     alone (phi_1 + phi_2 and chi_1 + chi_2 are sqrt(2) times these parts);
     a grid weighs each state by 1, or by the string sign of its empty mode
     in the dual sum."""
-    rows = _state_rows(sys, f)
-    return sum(w * vec[rows[s]] for s, w in weights.items()).ravel()
+    pieces = {}
+    for part in _sector_solve(sys, f).parts:
+        pieces.update(_by_state(sys, part, vec[part.rows].T))
+    return sum(w * pieces[s] for s, w in weights.items()).T.ravel()
 
 
 def _apply_sector(parts: list, vec: np.ndarray) -> np.ndarray:
     """A sector's block of H applied to a sector vector through the blocks
-    of its parts (`_sector_parts`)."""
+    of its parts (`_SectorEigen.parts`)."""
     out = np.empty_like(vec)
     for part in parts:
         for rows, block in zip(part.rows, part.blocks):
@@ -769,33 +744,33 @@ def _apply_sector(parts: list, vec: np.ndarray) -> np.ndarray:
 
 
 def _sum_check(sys: SusySystem, classify: dict, f: int, tag: str, target: int,
-               weights: dict, k: int, tol: float, zero_tol: float) -> list:
+               weights: dict, k: int) -> list:
     """Classify the component sums of the first k sector-f states that
-    carry `tag` and lie above zero_tol: a sum either vanishes or solves the
+    carry `tag` and lie above ZERO_TOL: a sum either vanishes or solves the
     sector-`target` block of H at the state's eigenvalue ("degenerate"),
-    else it is "unexplained".  Only these k states are built
-    (`_rotated_states`), and H_target is applied by the blocks its builder
-    declares (`_sector_parts`)."""
+    else it is "unexplained", each within SUM_TOL.  Only these k states are
+    built (`_rotated_states`), and H_target is applied by the parts its
+    eigensolve holds."""
     vals = _sector_solve(sys, f).vals.tolist()
     picked = [t for t, state_tag in enumerate(classify["sectors"][f]["tags"])
-              if state_tag == tag and vals[t] > zero_tol][:k]
-    parts = _sector_parts(sys, target)
+              if state_tag == tag and vals[t] > ZERO_TOL][:k]
+    parts = _sector_solve(sys, target).parts
     cases = []
     for t, state in zip(picked, _rotated_states(sys, f, picked).T):
         lam = vals[t]
         phi = _component_sum(sys, f, weights, state)
         norm = float(np.linalg.norm(phi))
-        if norm < tol:
+        if norm < SUM_TOL:
             cases.append({"lambda": lam, "class": "vanishing", "residual": norm})
             continue
         resid = float(np.linalg.norm(_apply_sector(parts, phi) - lam * phi)
                       / (norm * max(1.0, abs(lam))))
-        cases.append({"lambda": lam, "class": "degenerate" if resid < tol else "unexplained",
+        cases.append({"lambda": lam, "class": "degenerate" if resid < SUM_TOL else "unexplained",
                       "residual": resid})
     return cases
 
 
-def _epsilon_relation(sys: SusySystem, k: int, zero_tol: float) -> dict:
+def _epsilon_relation(sys: SusySystem, k: int) -> dict:
     """N = 3 cross relation between 2-fermion states and their 1-fermion
     partners: phi_i ~ sum_jk eps_ijk A_j chi_k, the three cyclic terms
     A_j chi_k - A_k chi_j, with A_j the operator Q pairs with psi_j: its
@@ -807,24 +782,23 @@ def _epsilon_relation(sys: SusySystem, k: int, zero_tol: float) -> dict:
     block) measures the grid-limited degeneracy claim, reported separately.
     """
     eig2 = _sector_solve(sys, 2)
-    [vecs2] = eig2.part_vecs   # a grid's 2-fermion sector is one part
-    [states2] = eig2.states
-    parts1 = _sector_parts(sys, 1)
+    [part2], [vecs2] = eig2.parts, eig2.part_vecs   # a grid sector is one part
+    parts1 = _sector_solve(sys, 1).parts
     q = {key: blk[0] for key, blk in sys.q_blocks.items()}
     a = [q[0, 1 << j] for j in range(3)]
     results = []
     for lam, col in zip(eig2.vals.tolist(), eig2.order):
-        if lam <= zero_tol:
+        if lam <= ZERO_TOL:
             continue
-        comps = vecs2[:, col].reshape(3, -1)   # the 2-fermion states' node vectors
-        u = np.concatenate([sum(q[b, s] @ v for s, v in zip(states2, comps) if (b, s) in q)
-                            for b in sys.fock.sector_indices(1).tolist()])   # Q v
+        comps = _by_state(sys, part2, vecs2[:, col])   # the states' node vectors
+        qv = _block_products(q, {(s, 0): v for s, v in comps.items()})
+        u = np.concatenate([qv[b, 0] for b in _sector_states(3, 1)])
         u_norm = np.linalg.norm(u)
         if u_norm ** 2 < 0.5 * lam:
             continue  # dominantly annihilated by Q: the relation is 0 = 0
         chi = [None] * 3   # by empty mode, signed as in the dual sum
-        for pos, (state, sign) in enumerate(sys.sum_weights[1].items()):
-            chi[_empty_mode(sys.fock, state)] = sign * comps[pos]
+        for state, sign in sys.sum_weights[1].items():
+            chi[_empty_mode(3, state)] = sign * comps[state]
         # phi_i on the state holding mode i alone, in ascending state order
         pred = np.concatenate([a[j] @ chi[kk] - a[kk] @ chi[j]
                                for j, kk in ((1, 2), (2, 0), (0, 1))])

@@ -92,29 +92,29 @@ def _child_rngs(seed: int, trials: int):
             for s in np.random.SeedSequence(seed).spawn(trials)]
 
 
-def draw_configuration(model: NBodyModel, rng: np.random.Generator,
-                       gap: float = DEFAULT_GAP) -> np.ndarray:
+def draw_configuration(model: NBodyModel, rng: np.random.Generator) -> np.ndarray:
     """One admissible configuration for the model's kind.
 
-    calogero / harmonic: uniform in a box of side 4, minimum pair gap `gap`.
-    calogero_sutherland: ordered draw in (0, pi) with consecutive gaps >= gap
-    and total span <= pi - gap, keeping every difference away from the
-    singular lattice (multiples of pi).
+    calogero / harmonic: uniform in a box of side 4, minimum pair gap
+    DEFAULT_GAP.  calogero_sutherland: ordered draw in (0, pi) with
+    consecutive gaps >= DEFAULT_GAP and total span <= pi - DEFAULT_GAP,
+    keeping every difference away from the singular lattice (multiples of
+    pi).
     """
     n = model.n
     period = model.kind_row.period
     for _ in range(10_000):
         if period:
             x = np.sort(rng.uniform(0.0, period, size=n))
-            if np.min(np.diff(x)) < gap or (x[-1] - x[0]) > period - gap:
+            if np.min(np.diff(x)) < DEFAULT_GAP or (x[-1] - x[0]) > period - DEFAULT_GAP:
                 continue
         else:
             x = rng.uniform(-BOX_HALF, BOX_HALF, size=n)
             d = np.abs(x[:, None] - x[None, :]) + np.eye(n)
-            if d.min() < gap:
+            if d.min() < DEFAULT_GAP:
                 continue
         return x
-    raise DomainError("failed to draw an admissible configuration; gap too large?")
+    raise DomainError("failed to draw an admissible configuration")
 
 
 def _report(identity, model, trials, seed, residuals, worsts, tolerance, extra=None):

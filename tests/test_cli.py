@@ -1,8 +1,12 @@
 import argparse
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
+import typing
 import warnings
 from pathlib import Path
 
@@ -571,3 +575,26 @@ assert "scipy.sparse.linalg" in sys.modules
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_annotation_resolves():
+    # typing.get_type_hints evaluates each annotation in its module, so a
+    # name bound only for type checkers, or never bound, raises NameError
+    import shapeinv
+
+    checked = 0
+    for info in pkgutil.iter_modules(shapeinv.__path__):
+        module = importlib.import_module(f"shapeinv.{info.name}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(obj):
+                members = [obj, *(m for m in vars(obj).values() if inspect.isfunction(m))]
+            elif inspect.isfunction(obj):
+                members = [obj]
+            else:
+                continue
+            for member in members:
+                typing.get_type_hints(member)
+                checked += 1
+    assert checked > 100

@@ -29,7 +29,8 @@ def _sector_eigh(sys_, f):
     matrix the analysis never forms, assembled here as the reference."""
     eig = susy._sector_solve(sys_, f)
     vecs, first = np.zeros((len(eig.ix), len(eig.ix))), 0
-    for block_rows in zip(*eig.rows):       # momentum-major, then part by part
+    # momentum-major, then part by part
+    for block_rows in zip(*(part.rows for part in eig.parts)):
         for rows, bvecs in zip(block_rows, eig.part_vecs):
             vecs[np.ix_(rows, np.arange(first, first + len(rows)))] = bvecs
             first += len(rows)
@@ -82,8 +83,7 @@ def test_anticommutators_exact(n):
 
 
 def test_fock_sector_sizes():
-    basis = susy.make_fock_basis(3)
-    assert [len(basis.sector_indices(f)) for f in range(4)] == [1, 3, 3, 1]
+    assert [len(susy._sector_states(3, f)) for f in range(4)] == [1, 3, 3, 1]
 
 
 def test_jordan_wigner_signs():
@@ -163,22 +163,18 @@ def test_no_zero_mode_in_bosonic_sector(cs_system):
 def test_zero_mode_is_jastrow(cs_system):
     # the exact kernel vector at k = 0 reproduces |sin r|^alpha on midpoints
     vals, vecs, ix = _sector_eigh(cs_system, 2)
-    mids = cs_system.relative_ops["mids"]
+    _, hi, m_cells = cs_system.grid.axes[0]
+    mids = hi / m_cells * (np.arange(m_cells) + 0.5)
     k0_zero = np.argmin(np.abs(vals))
     assert abs(vals[k0_zero]) < 1e-10
     vec = vecs[:, k0_zero]
-    blocks = cs_system.sector_blocks(2)
+    # sector 2 holds the one Fock state |sd> per momentum
+    size = cs_system.sizes[3]
     k_index = list(cs_system.cm_momenta).index(0)
-    pos = 0
-    chunk = None
-    for ik, f, off, size in blocks:
-        if ik == k_index:
-            chunk = vec[pos:pos + size]
-        pos += size
-    chunk = np.real(chunk)
+    chunk = np.real(vec[k_index * size:(k_index + 1) * size])
     chunk /= np.linalg.norm(chunk)
-    # exact kernel of the discrete ladder ...
-    assert np.linalg.norm(cs_system.relative_ops["x"] @ chunk) < 1e-10
+    # exact kernel of the discrete ladder (Q's |0>-|d> block, sqrt(2) X) ...
+    assert np.linalg.norm(cs_system.q_blocks[0, 2][k_index] @ chunk) < 1e-10
     # ... approximating the continuum pair state at stencil order
     ref = np.abs(np.sin(mids))
     ref /= np.linalg.norm(ref)
@@ -191,19 +187,17 @@ def _expected_sums(sys_, f, target, states):
     two-body vector in block order, and <target| sum_i psi_i (or psi_i+)
     per node on a grid, from the reference Fock operators."""
     if sys_.cm_momenta is not None:
-        want, pieces, first = (1 if target == 0 else 2), [], 0
-        for _, state, _, size in sys_.sector_blocks(f):
-            if state == want:
-                pieces.append(states[first:first + size])
-            first += size
-        return np.concatenate(pieces)
+        # per momentum, sector 1 holds |s> then |d>
+        u, _, m_cells, _ = sys_.sizes
+        per_k = states.reshape(len(sys_.cm_momenta), u + m_cells, -1)
+        return (per_k[:, :u] if target == 0 else per_k[:, u:]).reshape(-1, states.shape[1])
     ops = _fock_annihilators(sys_.model.n)
     if target > f:
         ops = [op.T for op in ops]
     full = np.zeros((sys_.dim, states.shape[1]))
     full[sys_.sector_indices(f)] = states
     # the grid layout is Fock state-major: psi_i acts as psi_i (x) 1
-    summed = sp.kron(sum(ops), sp.identity(len(sys_.relative_ops["nodes"]))) @ full
+    summed = sp.kron(sum(ops), sp.identity(sys_.sizes[0])) @ full
     return summed[sys_.sector_indices(target)]
 
 
@@ -526,8 +520,6 @@ def test_susy_systems_are_real(builder, variant):
                                variant)
     held = [sys_.cm_coeff, sys_.H, *sys_.q_blocks.values(), *sys_.h_blocks.values(),
             *sys_.h_relative.values()]
-    if builder == "two_body":
-        held.append(sys_.relative_ops["xs"])
     for mat in held:
         assert mat.dtype == np.float64
     susy.kernel_classify(sys_)
@@ -546,17 +538,18 @@ def test_real_gauge_matches_complex_reference(case):
     model = make_nbody_model(kind, 2, alpha)
     sys_ = susy.build_susy(model, GridSpec.line(0.0, hi, 32), variant, cm)
     # undo the gauge: U = diag(1, i, 1, i) over (|0>, |s>, |d>, |sd>) per momentum
-    fock_state = np.concatenate([np.full(size, f) for _, f, _, size in sys_.blocks])
+    fock_state = np.tile(np.repeat(np.arange(4), sys_.sizes), len(cm))
     u_gauge = sp.diags(np.where(np.isin(fock_state, (1, 3)), 1j, 1.0))
     q_c = (u_gauge @ _kron_two_body_q(sys_) @ u_gauge.conj().T).tocsr()
     qdag_c = q_c.conj().T.tocsr()
     h_c = (qdag_c @ q_c + q_c @ qdag_c).tocsr()
     # ... which restores the complex center-of-mass coefficient c = +-i k / 2
     c_sign = 1.0 if variant == "s1" else -1.0
-    for ik, f, off, size in sys_.blocks:
-        if f == 0:
-            coeff = q_c[off:off + size, off + size:off + 2 * size].diagonal()
-            assert np.array_equal(coeff, np.full(size, math.sqrt(2.0) * c_sign * 0.5j * cm[ik]))
+    size = sys_.sizes[0]
+    for ik in range(len(cm)):
+        off = ik * sum(sys_.sizes)
+        coeff = q_c[off:off + size, off + size:off + 2 * size].diagonal()
+        assert np.array_equal(coeff, np.full(size, math.sqrt(2.0) * c_sign * 0.5j * cm[ik]))
     spectra = susy.sector_spectra(sys_)
     report = susy.kernel_classify(sys_)
     sectors, unsplit = _reference_classify(sys_, ops=(q_c, qdag_c, h_c))
@@ -606,7 +599,7 @@ def test_offblock_leak_reports_a_cross_sector_entry():
     # the analysis reads H's Fock blocks: entries (3, 5) and (5, 3) of the
     # (|0>, |s>) and (|s>, |0>) blocks at the first momentum, which join
     # entry 3 of sector 0 and entry 5 of sector 1
-    u = sys_.blocks[0][3]
+    u = sys_.sizes[0]
     to_s, to_0 = np.zeros((2, u, u)), np.zeros((2, u, u))
     to_s[0, 3, 5], to_0[0, 5, 3] = 2.5e-9, -3.5e-9
     sys_.h_blocks[0, 1], sys_.h_blocks[1, 0] = to_s, to_0
@@ -628,7 +621,7 @@ def test_offblock_leak_reports_a_cross_sector_entry_on_a_grid():
     # the analysis reads H's Fock blocks: entries (3, 5) and (5, 3) of the
     # (|0>, |1>) and (|1>, |0>) blocks, which join node 3 of sector 0 and
     # node 5 of the state holding mode 0 alone
-    n_nodes = sys_.blocks[0][3]
+    n_nodes = sys_.sizes[0]
     to_1, to_0 = np.zeros((1, n_nodes, n_nodes)), np.zeros((1, n_nodes, n_nodes))
     to_1[0, 3, 5], to_0[0, 5, 3] = 2.5e-9, -3.5e-9
     sys_.h_blocks[0, 1], sys_.h_blocks[1, 0] = to_1, to_0
@@ -647,8 +640,8 @@ def _kron_two_body_q(sys_):
     fixed center-of-mass and relative Fock layouts, their Kronecker
     products with the momentum space, concatenated, not summed.  The k = 0
     entries of c are stored zeros."""
-    x_op = sys_.relative_ops["x"]
-    u, m_cells = x_op.shape
+    xs = sys_.q_blocks[0, 2][0]
+    u, m_cells = xs.shape
     kvals = np.asarray(sys_.cm_momenta, dtype=float)
     c_over_k = -0.5 if sys_.variant == "s1" else 0.5
     sizes = (u, u, m_cells, m_cells)
@@ -663,7 +656,7 @@ def _kron_two_body_q(sys_):
     root2 = math.sqrt(2.0)
     cm_block = fock_layout({(0, 1): root2 * sp.identity(u),
                             (2, 3): root2 * sp.identity(m_cells)})
-    x_block = fock_layout({(0, 2): root2 * x_op, (1, 3): -root2 * x_op})
+    x_block = fock_layout({(0, 2): xs, (1, 3): -xs})
     k_ix = np.arange(len(kvals))
     cm_part = sp.kron(sp.coo_matrix((c_over_k * kvals, (k_ix, k_ix))), cm_block, format="coo")
     x_part = sp.kron(sp.identity(len(kvals)), x_block, format="coo")
@@ -727,10 +720,9 @@ def test_grid_blocks_match_kron_assembly(n, m, variant):
     sys_ = susy.build_susy(model, GridSpec.box(0.0, math.pi, m, n, sector="ordered"), variant)
     ref = _kron_grid_q(sys_).toarray()
     q = np.zeros((sys_.dim, sys_.dim))
-    offset = {state: (off, size) for _, state, off, size in sys_.blocks}
+    starts = np.cumsum((0, *sys_.sizes))
     for (a, b), blk in sys_.q_blocks.items():
-        (ra, na), (rb, nb) = offset[a], offset[b]
-        q[ra:ra + na, rb:rb + nb] = blk[0]
+        q[starts[a]:starts[a + 1], starts[b]:starts[b + 1]] = blk[0]
     assert np.array_equal(q, ref)
     _assert_h_is_the_reference_anticommutator(sys_)
     for f, vals in susy.sector_spectra(sys_).items():
@@ -801,7 +793,7 @@ def test_sector_eigh_solves_each_distinct_block_once(monkeypatch, variant):
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
     for cm in ((0,), (0, 1, -1), susy.DEFAULT_CM_MOMENTA, (2, -3)):
         sys_ = _two_body(*_CS2, variant, cm)
-        u, m_cells = sys_.relative_ops["xs"].shape
+        u, _, m_cells, _ = sys_.sizes
         # every block is G + c_k^2 I or G2 + c_k^2 I: one eigh of each
         # serves all three sectors and every momentum
         calls.clear()
@@ -850,7 +842,7 @@ def test_charge_products_once_equal_the_stacked_products(kind, variant, cm):
         eig = susy._sector_solve(sys_, f)
         got = susy._charge_products(sys_, f, eig)
         for ik in range(len(cm)):
-            rows = np.concatenate([part_rows[ik] for part_rows in eig.rows])
+            rows = np.concatenate([part.rows[ik] for part in eig.parts])
             vecs = np.zeros((len(rows), len(rows)))
             first = 0
             for bvecs in eig.part_vecs:
@@ -1007,6 +999,6 @@ def test_two_body_analysis_forms_no_sector_wide_matrix():
         # nothing cached holds more than one momentum's share of a
         # sector-wide matrix
         lam, qn, qdn, (basis, weights) = sys_._charges[f]
-        held = [eig.vals, eig.order, lam, qn, qdn, basis, weights, *eig.rows,
-                *eig.part_vecs]
+        held = [eig.vals, eig.order, lam, qn, qdn, basis, weights,
+                *(part.rows for part in eig.parts), *eig.part_vecs]
         assert max(a.size for a in held) <= len(eig.ix) ** 2 // n_k
