@@ -6,10 +6,10 @@ A Jet2 carries (value, gradient, hessian) at a single configuration; jets
 propagate through arithmetic, exp, sin/cos and |u|^p exactly, so operator
 identities can be checked to roundoff without any differencing error.
 
-A Jet2 may also carry a leading batch axis: one test-function tree, built
-from every trial's parameters stacked into arrays, evaluated once at the
-stacked configurations (T, n).  Each row equals the jet of that trial's own
-tree bit for bit.  That holds because every operation is elementwise and
+A Jet2 may also carry a leading batch axis: one test function, built from
+every trial's parameters stacked into arrays, evaluated once at the stacked
+configurations (T, n).  Each row equals the jet of that trial's own test
+function bit for bit.  That holds because every operation is elementwise and
 every power goes through np.float_power: on arrays `**` may differ from
 Python's float ** int in the last bit, while exp, sin and cos match.
 
@@ -28,13 +28,13 @@ from .errors import DomainError, JetOrderError
 from .models import NBodyModel
 
 __all__ = [
-    "Jet1", "Jet2", "TestFunction", "coordinate", "constant",
-    "gaussian_polynomial", "periodic_product", "draw_test_parameters",
-    "build_test_function", "random_test_function",
-    "jastrow_function", "apply_annihilator", "apply_creator", "apply_to_jet1",
-    "apply_product", "commutator_value", "apply_hamiltonian_direct",
+    "Jet1", "Jet2", "TestFunction", "constant", "draw_test_parameters",
+    "build_test_function", "random_test_function", "jastrow_function",
+    "apply_annihilator", "apply_creator", "apply_to_jet1", "apply_product",
+    "commutator_value", "apply_hamiltonian_direct",
     "apply_hamiltonian_factorized", "apply_partner", "total_momentum",
-    "jacobi_matrix", "jacobi_action", "residual_scale",
+    "jacobi_matrix", "jacobi_action", "jacobi_creator", "jacobi_to_jet1",
+    "residual_scale",
 ]
 
 
@@ -62,6 +62,7 @@ class Jet2:
     """
 
     __slots__ = ("v", "g", "h")
+    __array_ufunc__ = None  # ndarray * jet defers to __rmul__
 
     def __init__(self, v, g, h):
         self.v = v if np.ndim(v) else float(v)
@@ -151,14 +152,11 @@ class Jet1:
 class TestFunction:
     """A point-evaluable scalar field returning exact 2-jets.
 
-    Built compositionally from coordinates, constants, arithmetic, exp,
-    sin/cos and |.|^p envelopes; carries its maximal derivative order (2).
-    `jet` takes one configuration (n,) or a stack of T configurations
-    (T, n); constants in the tree may then be per-trial arrays (T,).
+    `fn` maps the coordinate jets x_1 ... x_n to the field's Jet2 by plain
+    Jet2 arithmetic.  `jet` takes one configuration (n,) or a stack of T
+    configurations (T, n); constants in `fn` may then be per-trial arrays
+    (T,).
     """
-
-    max_order = 2
-    __array_ufunc__ = None  # ndarray * test function defers to __rmul__
 
     def __init__(self, n: int, fn):
         self.n = n
@@ -172,81 +170,39 @@ class TestFunction:
                               f"or a stack of shape (T, {self.n})")
         key = (x.shape, x.tobytes())
         if self._last is None or self._last[0] != key:
-            self._last = (key, self._fn(x))
+            self._last = (key, self._fn(_coordinates(x)))
         return self._last[1]
 
     def __call__(self, x) -> float:
         return self.jet(x).v
 
-    def _check(self, other):
-        if isinstance(other, TestFunction) and other.n != self.n:
-            raise DomainError("mixing test functions of different arity")
 
-    def __add__(self, other):
-        self._check(other)
-        if isinstance(other, TestFunction):
-            return TestFunction(self.n, lambda x: self._fn(x) + other._fn(x))
-        return TestFunction(self.n, lambda x: self._fn(x) + other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return TestFunction(self.n, lambda x: -self._fn(x))
-
-    def __mul__(self, other):
-        self._check(other)
-        if isinstance(other, TestFunction):
-            return TestFunction(self.n, lambda x: self._fn(x) * other._fn(x))
-        return TestFunction(self.n, lambda x: self._fn(x) * other)
-
-    __rmul__ = __mul__
-
-    def exp(self):
-        return TestFunction(self.n, lambda x: self._fn(x).exp())
-
-    def sin(self):
-        return TestFunction(self.n, lambda x: self._fn(x).sin())
-
-    def cos(self):
-        return TestFunction(self.n, lambda x: self._fn(x).cos())
-
-    def pow_int(self, k: int):
-        return TestFunction(self.n, lambda x: self._fn(x).pow_int(k))
-
-    def abs_pow(self, p: float):
-        return TestFunction(self.n, lambda x: self._fn(x).abs_pow(p))
-
-
-def coordinate(i: int, n: int) -> TestFunction:
-    if not 0 <= i < n:
-        raise DomainError(f"coordinate index {i} out of range for n={n}")
-
-    def fn(x, i=i, n=n):
+def _coordinates(x) -> list:
+    """The jets of the coordinates at x (n,) or (T, n).  They share one
+    zero hessian: no Jet2 operation writes into its operands."""
+    zero = np.zeros(x.shape + x.shape[-1:])
+    coords = []
+    for i in range(x.shape[-1]):
         g = np.zeros(x.shape)
         g[..., i] = 1.0
-        return Jet2(x[..., i], g, np.zeros(x.shape + (n,)))
+        coords.append(Jet2(x[..., i], g, zero))
+    return coords
 
-    return TestFunction(n, fn)
+
+def _constant(c, x) -> Jet2:
+    """The constant c, shaped like the coordinate jets x."""
+    return Jet2(np.broadcast_to(c, np.shape(x[0].v)), np.zeros(x[0].g.shape),
+                np.zeros(x[0].h.shape))
 
 
 def constant(c, n: int) -> TestFunction:
     """The constant c: a scalar, or one value per trial (T,)."""
-    def fn(x, c=c, n=n):
-        return Jet2(np.broadcast_to(c, x.shape[:-1]), np.zeros(x.shape),
-                    np.zeros(x.shape + (n,)))
-
-    return TestFunction(n, fn)
+    return TestFunction(n, lambda x: _constant(c, x))
 
 
 SIGMA_RANGE = (0.8, 2.0)   # the Gaussian envelope's width is drawn from it
 
-# Each test-function family is a parameter draw and a tree build.  The draw
+# Each test-function family is a parameter draw and a build.  The draw
 # consumes one trial's rng; the build takes one trial's parameters, or every
 # trial's stacked along a leading axis (scalars to (T,), vectors to (T, ...)),
 # and then its jet is evaluated at the stacked configurations (T, n).
@@ -261,16 +217,20 @@ def _gaussian_parameters(n: int, rng: np.random.Generator):
     return mu, sigma, c0, c1, c2, c3
 
 
-def _gaussian_tree(n: int, mu, sigma, c0, c1, c2, c3) -> TestFunction:
-    coords = [coordinate(i, n) for i in range(n)]
-    poly = constant(c0, n)
-    quad = constant(0.0, n)
-    for i in range(n):
-        u = coords[i] - mu[..., i]
-        poly = (poly + c1[..., i] * u + c2[..., i] * u.pow_int(2)
-                + c3[..., i] * u.pow_int(3))
-        quad = quad + u.pow_int(2)
-    return poly * (quad * (-0.5 / np.float_power(sigma, 2))).exp()
+def _gaussian(n: int, mu, sigma, c0, c1, c2, c3) -> TestFunction:
+    """A degree-<=3 polynomial in x - mu times a Gaussian envelope."""
+    def fn(x):
+        poly = _constant(c0, x)
+        quad = _constant(0.0, x)
+        for i in range(n):
+            u = x[i] - mu[..., i]
+            u2 = u.pow_int(2)
+            poly = (poly + c1[..., i] * u + c2[..., i] * u2
+                    + c3[..., i] * u.pow_int(3))
+            quad = quad + u2
+        return poly * (quad * (-0.5 / np.float_power(sigma, 2))).exp()
+
+    return TestFunction(n, fn)
 
 
 def _periodic_parameters(n: int, rng: np.random.Generator):
@@ -280,31 +240,25 @@ def _periodic_parameters(n: int, rng: np.random.Generator):
     return tuple(np.array(p) for p in zip(*factors))
 
 
-def _periodic_tree(n: int, a, b, phi) -> TestFunction:
-    f = constant(1.0, n)
-    for k in range(2):
-        term = constant(a[..., k], n)
-        for i in range(n):
-            term = term + b[..., k, i] * (coordinate(i, n) + phi[..., k, i]).sin()
-        f = f * term
-    return f
+def _periodic(n: int, a, b, phi) -> TestFunction:
+    """A product of two bounded trigonometric combinations."""
+    def fn(x):
+        f = _constant(1.0, x)
+        for k in range(2):
+            term = _constant(a[..., k], x)
+            for i in range(n):
+                term = term + b[..., k, i] * (x[i] + phi[..., k, i]).sin()
+            f = f * term
+        return f
 
-
-def gaussian_polynomial(n: int, rng: np.random.Generator) -> TestFunction:
-    """Random degree-<=3 polynomial times a Gaussian envelope."""
-    return _gaussian_tree(n, *_gaussian_parameters(n, rng))
-
-
-def periodic_product(n: int, rng: np.random.Generator) -> TestFunction:
-    """Random product of two bounded trigonometric combinations."""
-    return _periodic_tree(n, *_periodic_parameters(n, rng))
+    return TestFunction(n, fn)
 
 
 def _family(model: NBodyModel):
-    """(parameter draw, tree build) of the model's test-function family."""
+    """(parameter draw, build) of the model's test-function family."""
     if model.kind_row.period:
-        return _periodic_parameters, _periodic_tree
-    return _gaussian_parameters, _gaussian_tree
+        return _periodic_parameters, _periodic
+    return _gaussian_parameters, _gaussian
 
 
 def draw_test_parameters(model: NBodyModel, rng: np.random.Generator) -> tuple:
@@ -322,23 +276,22 @@ def random_test_function(model: NBodyModel, rng: np.random.Generator) -> TestFun
     return build_test_function(model, draw_test_parameters(model, rng))
 
 
-def jastrow_function(model: NBodyModel, dalpha: float = 0.0) -> TestFunction:
-    """Product ground state Phi0 as a TestFunction (coupling alpha + dalpha).
-
-    calogero:             prod |x_i - x_j|^alpha
-    calogero_sutherland:  prod |sin(x_i - x_j)|^alpha
-    harmonic_calogero:    prod |x_i - x_j|^alpha exp(-beta (x_i - x_j)^2 / 2)
+def jastrow_function(model: NBodyModel) -> TestFunction:
+    """Product ground state Phi0 = prod_{i<j} |s(x_i - x_j)|^alpha as a
+    TestFunction, where s is sin for a periodic model and the identity
+    otherwise; a confined model adds exp(-beta (x_i - x_j)^2 / 2) per pair.
     """
-    n = model.n
-    alpha = model.alpha + dalpha
-    f = constant(1.0, n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            diff = coordinate(i, n) - coordinate(j, n)
-            f = f * (diff.sin() if model.kind_row.period else diff).abs_pow(alpha)
-            if model.kind_row.confined:
-                f = f * (diff.pow_int(2) * (-0.5 * model.beta)).exp()
-    return f
+    def fn(x):
+        f = _constant(1.0, x)
+        for i, xi in enumerate(x):
+            for xj in x[i + 1:]:
+                diff = xi - xj
+                f = f * (diff.sin() if model.kind_row.period else diff).abs_pow(model.alpha)
+                if model.kind_row.confined:
+                    f = f * (diff.pow_int(2) * (-0.5 * model.beta)).exp()
+        return f
+
+    return TestFunction(model.n, fn)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -471,6 +472,7 @@ def make_nbody_model(kind: str, n: int, alpha: float, omega: float | None = None
                      beta: float | None = None, eps_sing: float = 1e-6) -> NBodyModel:
     """Construct a validated N-body model.
 
+    n must be an integer (a bool or a float is rejected, not truncated).
     omega is required by the confined kind (harmonic_calogero) and rejected
     by the others, and so is an explicit beta; beta defaults to
     omega / (2 sqrt N) and may be overridden.  Every parameter given must
@@ -478,6 +480,8 @@ def make_nbody_model(kind: str, n: int, alpha: float, omega: float | None = None
     """
     if kind not in NBODY_KINDS:
         raise DomainError(f"unknown kind {kind!r}; expected one of {NBODY_KINDS}")
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool):
+        raise DomainError(f"particle count must be an integer, got {n!r}")
     n = int(n)
     if n < 2:
         raise DomainError(f"need at least 2 particles, got n={n}")

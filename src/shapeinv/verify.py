@@ -8,7 +8,7 @@ order-independent and trials could run in parallel without changing a bit.
 
 The four jet identities run on a `TrialSet`, every trial's configuration
 and test-function 2-jet stacked into arrays.  Each trial draws only its
-configuration and its test function's parameters; one test-function tree
+configuration and its test function's parameters; one test function
 over the stacked parameters gives all T jets in one evaluation.  The
 identities are array contractions over all trials at once: one batched
 W, J evaluation, the first applications of every A_j and A+_j as arrays
@@ -93,13 +93,13 @@ def _child_rngs(seed: int, trials: int):
 
 
 def draw_configuration(model: NBodyModel, rng: np.random.Generator) -> np.ndarray:
-    """One admissible configuration for the model's kind.
+    """One admissible configuration for the model.
 
-    calogero / harmonic: uniform in a box of side 4, minimum pair gap
-    DEFAULT_GAP.  calogero_sutherland: ordered draw in (0, pi) with
-    consecutive gaps >= DEFAULT_GAP and total span <= pi - DEFAULT_GAP,
+    Without a period: uniform in a box of side 2 BOX_HALF, minimum pair gap
+    DEFAULT_GAP.  With a period: ordered draw in (0, period) with
+    consecutive gaps >= DEFAULT_GAP and total span <= period - DEFAULT_GAP,
     keeping every difference away from the singular lattice (multiples of
-    pi).
+    the period).
     """
     n = model.n
     period = model.kind_row.period
@@ -258,9 +258,7 @@ def _mixed_commutator(model: NBodyModel, x) -> np.ndarray:
     """Closed form of [A+_i, A_j] / f as an (..., N, N) matrix: the pair
     formula off the diagonal, minus the sum of the row's off-diagonal
     entries on it."""
-    x = np.asarray(x, dtype=float)
-    d = x[..., :, None] - x[..., None, :]
-    _set_diagonal(d, 1.0)  # dummy, overwritten by the restricted sum
+    d = model._diff(np.asarray(x, dtype=float))  # dummy diagonal, overwritten below
     c = model.alpha / (np.sin(d) if model.kind_row.period else d) ** 2
     if model.kind_row.confined:
         c = c + model.beta
@@ -320,8 +318,8 @@ def momentum_commutation(model: NBodyModel, trials: int, seed: int,
 def jastrow_residual(model: NBodyModel, trials: int, seed: int) -> float:
     """Largest |sum A+_i A_i Phi0| / (max(1, |V|) max(|Phi0|, 1e-300)) over
     seeded configurations: the product ground state Phi0 is annihilated by
-    every A_i, so this is roundoff.  One Jastrow tree gives every trial's
-    jet at once."""
+    every A_i, so this is roundoff.  One Jastrow function gives every
+    trial's jet at once."""
     if trials < 1:
         raise DomainError("trials must be >= 1")
     x = np.array([draw_configuration(model, rng) for rng in _child_rngs(seed, trials)])

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -22,9 +23,7 @@ def _cal(n=2, alpha=1.0):
 
 def test_jet_arithmetic_against_closed_form():
     # f = (x0 + 2 x1)^2 * exp(x0): value/grad/hess at a point
-    n = 2
-    f = (calc.coordinate(0, n) + 2.0 * calc.coordinate(1, n)).pow_int(2) \
-        * calc.coordinate(0, n).exp()
+    f = calc.TestFunction(2, lambda c: (c[0] + 2.0 * c[1]).pow_int(2) * c[0].exp())
     x = np.array([0.3, -0.2])
     jet = f.jet(x)
     u = x[0] + 2 * x[1]
@@ -36,12 +35,13 @@ def test_jet_arithmetic_against_closed_form():
     assert jet.h[1, 1] == pytest.approx(8 * e)
 
 
-@pytest.mark.parametrize("maker", [calc.gaussian_polynomial, calc.periodic_product])
-def test_gradient_consistency_order(maker):
+@pytest.mark.parametrize("kind", ["calogero", "calogero_sutherland"],
+                         ids=["gaussian_polynomial", "periodic_product"])
+def test_gradient_consistency_order(kind):
     # |f(x + h e_i) - f(x) - h d_i f| must shrink at measured order >= 1.9
     rng = np.random.default_rng(3)
     n = 3
-    f = maker(n, rng)
+    f = calc.random_test_function(make_nbody_model(kind, n, 1.0), rng)
     x = rng.uniform(0.2, 1.2, n)
     jet = f.jet(x)
     for i in range(n):
@@ -56,7 +56,7 @@ def test_gradient_consistency_order(maker):
 
 def test_hessian_consistency():
     rng = np.random.default_rng(4)
-    f = calc.gaussian_polynomial(2, rng)
+    f = calc.random_test_function(_cal(2), rng)
     x = np.array([0.1, -0.4])
     jet = f.jet(x)
     h = 1e-4
@@ -67,7 +67,7 @@ def test_hessian_consistency():
 
 
 def test_abs_pow_jet():
-    f = calc.coordinate(0, 1).abs_pow(1.5)
+    f = calc.TestFunction(1, lambda c: c[0].abs_pow(1.5))
     jet = f.jet(np.array([-0.7]))
     assert jet.v == pytest.approx(0.7 ** 1.5)
     assert jet.g[0] == pytest.approx(-1.5 * 0.7 ** 0.5)
@@ -80,7 +80,7 @@ def test_stacked_pow_int_matches_python_pow():
     # the array cube is one ulp above Python's.  pow_int goes through
     # np.float_power, so each row of a stacked jet equals its own scalar jet.
     u = np.array([0.9027556576068978, -1.3, 2.652678663038987])
-    f = calc.coordinate(0, 1).pow_int(3)
+    f = calc.TestFunction(1, lambda c: c[0].pow_int(3))
     stacked = f.jet(u[:, None])
     assert stacked.v.shape == (3,) and stacked.h.shape == (3, 1, 1)
     for t, ut in enumerate(u):
@@ -91,19 +91,31 @@ def test_stacked_pow_int_matches_python_pow():
 
 
 def test_stacked_jet_shapes_and_cache():
-    f = calc.coordinate(0, 2) * calc.constant(np.array([2.0, 3.0]), 2)
+    f = calc.TestFunction(2, lambda c: c[0] * np.array([2.0, 3.0]))
     x = np.array([[0.5, 1.0], [0.25, 1.0]])
     jet = f.jet(x)
     assert np.array_equal(jet.v, [1.0, 0.75])
     assert np.array_equal(jet.g, [[2.0, 0.0], [3.0, 0.0]])
     assert jet.h.shape == (2, 2, 2) and jet.n == 2
-    g = calc.coordinate(1, 2).exp()
+    g = calc.TestFunction(2, lambda c: c[1].exp())
     assert isinstance(g.jet(x[0]).v, float)
     assert g.jet(x[:1]).v.shape == (1,)  # same bytes, new shape: no stale cache
     with pytest.raises(DomainError):
         g.jet(x[None])
     with pytest.raises(DomainError):
-        calc.coordinate(0, 2).abs_pow(1.5).jet(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        calc.TestFunction(2, lambda c: c[0].abs_pow(1.5)).jet(
+            np.array([[1.0, 0.0], [0.0, 1.0]]))
+
+
+def test_array_times_stacked_jet_is_the_jet_times_the_array():
+    # the families multiply stacked jets by per-trial constants from the left
+    x = np.array([[0.5, 1.0], [0.25, -1.0], [1.5, 0.3]])
+    jet = calc.TestFunction(2, lambda c: (c[0] * c[1]).sin()).jet(x)
+    c = np.array([2.0, -3.0, 0.7])
+    left, right = c * jet, jet * c
+    assert isinstance(left, calc.Jet2)
+    for a, b in ((left.v, right.v), (left.g, right.g), (left.h, right.h)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +163,7 @@ def test_annihilator_direct_substitution_cs():
     # prepotential term is -alpha cot(x_i - x_j) f; cross-checked with a
     # finite difference of the full expression below
     model = _cs(2, 1.0)
-    f = calc.coordinate(0, 2) + calc.coordinate(1, 2)
+    f = calc.TestFunction(2, lambda c: c[0] + c[1])
     x = np.array([0.2, 1.0])
     got = calc.apply_annihilator(model, 0, f, x).value
     assert got == pytest.approx(1.0 + 1.2 / math.tan(0.8), rel=1e-12)
@@ -195,7 +207,7 @@ def test_free_cs_plane_wave():
     # 2k^2 + c with c = -2
     model = _cs(2, 1.0)
     k = 0.7
-    f = (k * (calc.coordinate(0, 2) + calc.coordinate(1, 2))).cos()
+    f = calc.TestFunction(2, lambda c: (k * (c[0] + c[1])).cos())
     x = np.array([0.4, 1.5])
     expected = (2 * k * k + model.c) * f(x)
     assert calc.apply_hamiltonian_direct(model, f, x) == pytest.approx(expected)
@@ -234,7 +246,7 @@ def test_partner_shift_cs():
     model = _cs(2, 1.0)
     rng = np.random.default_rng(12)
     shifted = model.shifted(1.0)
-    f = calc.periodic_product(2, rng)
+    f = calc.random_test_function(model, rng)
     x = np.array([0.3, 1.4])
     lhs = calc.apply_partner(model, f, x)
     rhs = calc.apply_hamiltonian_factorized(shifted, f, x) + 6.0 * f(x)
@@ -244,7 +256,7 @@ def test_partner_shift_cs():
 def test_partner_equals_direct_at_raised_coupling_calogero():
     model = _cal(3, 2.0)
     rng = np.random.default_rng(13)
-    f = calc.gaussian_polynomial(3, rng)
+    f = calc.random_test_function(model, rng)
     x = np.array([-1.1, 0.1, 1.3])
     lhs = calc.apply_partner(model, f, x)
     rhs = calc.apply_hamiltonian_direct(model.shifted(1.0), f, x)
@@ -253,7 +265,7 @@ def test_partner_equals_direct_at_raised_coupling_calogero():
 
 def test_partner_on_shifted_jastrow():
     model = _cs(2, 1.0)
-    phi = calc.jastrow_function(model, dalpha=1.0)
+    phi = calc.jastrow_function(model.shifted(1.0))
     x = np.array([0.5, 1.6])
     assert calc.apply_partner(model, phi, x) == pytest.approx(6.0 * phi(x), rel=1e-10)
 
@@ -264,7 +276,7 @@ def test_partner_on_shifted_jastrow():
 
 def test_total_momentum_linear():
     model = _cal(3, 1.0)
-    f = sum((calc.coordinate(i, 3) for i in range(3)), calc.constant(0.0, 3))
+    f = calc.TestFunction(3, lambda c: c[0] + c[1] + c[2])
     assert calc.total_momentum(model, f, [-1.0, 0.0, 1.2]) == pytest.approx(3.0)
 
 
@@ -276,7 +288,7 @@ def test_total_momentum_constant():
 
 def test_total_momentum_sine():
     model = _cs(2, 1.0)
-    f = (calc.coordinate(0, 2) + calc.coordinate(1, 2)).sin()
+    f = calc.TestFunction(2, lambda c: (c[0] + c[1]).sin())
     assert calc.total_momentum(model, f, [0.3, 0.5]) == pytest.approx(
         2 * math.cos(0.8))
 
@@ -290,7 +302,7 @@ def test_jacobi_matrix_orthogonal():
 def test_jacobi_two_body_forms():
     model = _cs(2, 1.5)
     rng = np.random.default_rng(14)
-    f = calc.periodic_product(2, rng)
+    f = calc.random_test_function(model, rng)
     x = np.array([0.4, 1.3])
     b0 = calc.jacobi_action(model, 0, f, x)
     a0 = calc.apply_annihilator(model, 0, f, x)
@@ -324,7 +336,7 @@ def test_jacobi_last_mode_on_constant():
 def test_jacobi_last_mode_commutes():
     model = _cs(3, 1.5)
     rng = np.random.default_rng(16)
-    f = calc.periodic_product(3, rng)
+    f = calc.random_test_function(model, rng)
     x = np.array([0.3, 1.2, 2.1])
     scale = calc.residual_scale(model, f, x)
     n = model.n
@@ -339,7 +351,7 @@ def test_jacobi_last_mode_commutes():
 def test_commutator_structure():
     model = _cs(3, 1.2)
     rng = np.random.default_rng(17)
-    f = calc.periodic_product(3, rng)
+    f = calc.random_test_function(model, rng)
     x = np.array([0.5, 1.3, 2.4])
     # like-operator commutators vanish identically
     assert calc.commutator_value(model, ("a", 0), ("a", 1), f, x) == 0.0
@@ -348,3 +360,10 @@ def test_commutator_structure():
     got = calc.commutator_value(model, ("adag", 0), ("a", 1), f, x)
     expected = 2 * model.alpha / math.sin(x[0] - x[1]) ** 2 * f(x)
     assert got == pytest.approx(expected, rel=1e-12)
+
+
+def test_all_lists_exactly_the_public_names():
+    defined = [name for name, obj in vars(calc).items()
+               if not name.startswith("_") and getattr(obj, "__module__", None) == calc.__name__
+               and (inspect.isfunction(obj) or inspect.isclass(obj))]
+    assert sorted(calc.__all__) == sorted(defined)

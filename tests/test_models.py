@@ -127,6 +127,14 @@ def test_model_validation():
         make_nbody_model("calogero", 2, 1.0, omega=1.0)
 
 
+@pytest.mark.parametrize("n", [3.9, np.float64(4.5), 3.0, True])
+def test_particle_count_must_be_an_integer(n):
+    # int(n) would truncate a float count silently; a bool is not a count
+    with pytest.raises(DomainError, match="particle count must be an integer"):
+        make_nbody_model("calogero", n, 1.0)
+    assert make_nbody_model("calogero", np.int64(3), 1.0).n == 3
+
+
 def test_harmonic_beta_default_and_override():
     m = make_nbody_model("harmonic_calogero", 4, 1.0, omega=2.0)
     assert m.beta == pytest.approx(2.0 / (2 * math.sqrt(4)))
