@@ -11,9 +11,6 @@ from .models import (
     make_nbody_model,
     make_pair_prepotential,
     make_prepotential_1d,
-    model_from_config,
-    model_to_config,
-    remainder_1d,
     remainder_shift,
 )
 
@@ -22,7 +19,6 @@ __version__ = "0.1.0"
 __all__ = [
     "NBodyModel", "PairPrepotential", "Prepotential1D",
     "check_pair_condition", "make_nbody_model",
-    "make_pair_prepotential", "make_prepotential_1d", "model_from_config",
-    "model_to_config", "remainder_1d", "remainder_shift",
+    "make_pair_prepotential", "make_prepotential_1d", "remainder_shift",
     "__version__",
 ]

@@ -1,7 +1,8 @@
 """Command-line driver.
 
 Subcommands: verify, spectrum, susy, groundstate, chain.  Options may come
-from a flat ``key = value`` config file (--config); command-line flags win.
+from a flat ``key = value`` config file (--config), which this module alone
+reads; command-line flags win.
 Exit codes: 0 all checks passed, 1 a scientific check failed, 2 usage or
 configuration error.  Outputs are byte-for-byte deterministic for a given
 config and seed; every report embeds the resolved config and its sha256.
@@ -28,13 +29,13 @@ from pathlib import Path
 
 from . import models, shape1d, spectral, susy, verify
 from .errors import DomainError, ShapeInvError
-from .models import make_nbody_model, make_prepotential_1d, parse_key_values
+from .models import make_nbody_model, make_prepotential_1d
 from .spectral import GridSpec
 
 _CONFIG_KEYS = {
-    **models._CONFIG_KEYS,
-    "family": str, "b": float, "a": float, "nmax": int, "levels": int,
-    "grid_m": int, "domain_min": float, "domain_max": float,
+    "kind": str, "n": int, "alpha": float, "omega": float, "beta_override": float,
+    "epsilon_sing": float, "family": str, "b": float, "a": float, "nmax": int,
+    "levels": int, "grid_m": int, "domain_min": float, "domain_max": float,
     "stencil_order": int, "trials": int, "seed": int, "tol": float,
     "variant": str, "cm_modes": int, "reduce": bool, "dump": bool, "outdir": str,
 }
@@ -70,12 +71,40 @@ _CHOICES = {"stencil_order": (2, 4), "variant": ("s1", "s2", "both")}
 _HELP = {"cm_modes": "center-of-mass momenta 0, 1, -1, 2, -2, ... to keep"}
 
 
+def parse_key_values(text: str, types: dict, source: str = "config") -> dict:
+    """Parse flat ``key = value`` lines ('#' starts a comment) into values
+    of the types given per key; unknown keys and bad values are rejected
+    with their line number."""
+    values = {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DomainError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
+        key, _, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if key not in types:
+            raise DomainError(f"{source}:{lineno}: unknown key {key!r}")
+        caster = types[key]
+        if caster is bool:
+            if val.lower() not in ("true", "false", "0", "1"):
+                raise DomainError(f"{source}:{lineno}: boolean key {key!r} got {val!r}")
+            values[key] = val.lower() in ("true", "1")
+        else:
+            try:
+                values[key] = caster(val)
+            except ValueError as exc:
+                raise DomainError(f"{source}:{lineno}: bad value for {key!r}: {exc}") from exc
+    return values
+
+
 def _merge(args: argparse.Namespace, defaults: dict) -> dict:
     """Defaults, then the config file, then every flag given on the command
     line (argparse leaves flags that were not given at None), each for the
     keys of defaults alone; kind and family aliases then resolve to their
-    names in the model tables, and keys with a fixed set of values are
-    checked against it."""
+    names in the model tables, keys with a fixed set of values are checked
+    against it, and tol must be None or finite and nonnegative."""
     cfg = dict(defaults)
     if getattr(args, "config", None):
         given = parse_key_values(Path(args.config).read_text(), _CONFIG_KEYS, args.config)
@@ -92,6 +121,8 @@ def _merge(args: argparse.Namespace, defaults: dict) -> dict:
     for key, allowed in _CHOICES.items():
         if key in cfg and cfg[key] not in allowed:
             raise DomainError(f"{key} must be one of {allowed}, got {cfg[key]!r}")
+    if cfg.get("tol") is not None and not 0 <= cfg["tol"] < math.inf:
+        raise DomainError(f"tol must be finite and nonnegative, got {cfg['tol']}")
     return cfg
 
 
@@ -223,9 +254,8 @@ def cmd_spectrum(args) -> int:
         elif cfg["domain_max"] is not None:
             raise DomainError(f"the relative grid ends at the wall r = {hi!r}, "
                               "so domain_max does not apply to this kind")
-        ham = spectral.discretize(red.operator_potential,
-                                  GridSpec.line(lo, hi, cfg["grid_m"]),
-                                  cfg["stencil_order"], kinetic_scale=red.kinetic_factor)
+        ham = spectral.reduced_hamiltonian(model, GridSpec.line(lo, hi, cfg["grid_m"]),
+                                           cfg["stencil_order"])
         label = "reduced spectrum"
     res = spectral.eigen(ham, cfg["nmax"] + 1, cfg["seed"])
     out = _outdir(cfg)
@@ -303,7 +333,7 @@ def cmd_groundstate(args) -> int:
     model = _model_from_cfg(cfg)
     out = _outdir(cfg)
     worst = verify.jastrow_residual(model, cfg["trials"], cfg["seed"])
-    energy = spectral.partner_ground_state(model).energy
+    energy = models.remainder_shift(model)
     state_info = {"jet_residual": worst, "partner_energy": energy,
                   "normalizable": model.kind_row.normalizable(model),
                   "boundary_ambiguous": spectral.boundary_ambiguous(model)}

@@ -54,7 +54,6 @@ class Family:
     domain: Callable         # natural cell on which W and V are smooth
     normalizable: Callable   # exp(-int W) square-integrable on that cell
     nonnegative: tuple = ()  # parameters that must be >= 0
-    degenerate_at_zero: str | None = None  # f produces no shift when it is 0
     x_scale: str | None = None  # W depends on x only through x_scale * x
     aliases: tuple = ()
     w_prime_delta: Callable | None = None  # weight of delta(x) in W', where W jumps at 0
@@ -73,7 +72,7 @@ FAMILIES = {
         # to b/a > -1/2, but below 1/2 the partner solution is also
         # normalizable and the ground state is not selected uniquely
         normalizable=lambda b, a: b / a > 0.5,
-        nonnegative=("a", "b"), degenerate_at_zero="a", x_scale="a",
+        nonnegative=("a", "b"), x_scale="a",
         aliases=("rosen-morse", "rosen_morse")),
     "rational_harmonic": Family(
         ("a", "b"),
@@ -84,7 +83,7 @@ FAMILIES = {
         remainder_next=lambda a, b: 4.0 * a,
         domain=lambda a, b: (0.0, math.inf),
         normalizable=lambda a, b: a > 0 and b < 0.5,
-        nonnegative=("a",), degenerate_at_zero="a", aliases=("rational",)),
+        nonnegative=("a",), aliases=("rational",)),
     "sign": Family(
         ("a",),
         w=lambda x, a: a * np.sign(x),
@@ -96,7 +95,7 @@ FAMILIES = {
         remainder_next=lambda a: 0.0,
         domain=lambda a: (-math.inf, math.inf),  # minus the origin
         normalizable=lambda a: a > 0,
-        degenerate_at_zero="a", w_prime_delta=lambda a: 2.0 * a),
+        w_prime_delta=lambda a: 2.0 * a),
     "coth_hyperbolic": Family(
         ("a",),
         w=lambda x, a: a / np.tanh(x),
@@ -210,13 +209,10 @@ class Prepotential1D:
     params      in the order ``FAMILIES[family].params`` names them: (b, a)
                 for rosen_morse_trig, (a, b) for rational_harmonic, (a,) for
                 sign and coth_hyperbolic
-    degenerate  True when the parameter map produces no energy shift
-                (e.g. rosen_morse_trig with a = 0)
     """
 
     family: str
     params: tuple
-    degenerate: bool = False
 
     def _evaluable(self) -> Family:
         """The family's table row; DomainError when W cannot be evaluated."""
@@ -274,9 +270,8 @@ class Prepotential1D:
 def make_prepotential_1d(family: str, params) -> Prepotential1D:
     """Construct a validated 1-D prepotential.
 
-    Raises DomainError for parameters outside the admissible set (for
-    rosen_morse_trig: a < 0 is rejected, a = 0 is allowed but flagged
-    degenerate since the parameter map produces no shift).
+    Raises DomainError for a parameter that is not finite, or negative
+    where the family requires it nonnegative.
     """
     if family not in FAMILIES:
         raise DomainError(f"unknown 1-D family {family!r}; expected one of {FAMILIES_1D}")
@@ -285,22 +280,13 @@ def make_prepotential_1d(family: str, params) -> Prepotential1D:
     if len(params) != len(row.params):
         raise DomainError(f"{family} takes {len(row.params)} parameter(s), got {params}")
     named = dict(zip(row.params, params))
+    for name, value in named.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
     for name in row.nonnegative:
         if named[name] < 0:
             raise DomainError(f"{family} requires {name} >= 0, got {name}={named[name]}")
-    degenerate = row.degenerate_at_zero is not None and named[row.degenerate_at_zero] == 0.0
-    return Prepotential1D(family, params, degenerate)
-
-
-def remainder_1d(prep: Prepotential1D, params_next) -> float:
-    """Energy shift R(params_next) with params_next = f(params) enforced."""
-    params_next = tuple(float(p) for p in np.atleast_1d(params_next))
-    expected = prep.next_params()
-    if len(params_next) != len(expected) or not np.allclose(
-            params_next, expected, rtol=1e-12, atol=1e-12):
-        raise DomainError(
-            f"params_next {params_next} is not the parameter map image {expected}")
-    return prep.remainder_next()
+    return Prepotential1D(family, params)
 
 
 # ---------------------------------------------------------------------------
@@ -626,59 +612,3 @@ def check_pair_condition(pair: PairPrepotential, samples: int, seed: int,
     return PairConditionStats(pair.family, pair.params, samples, seed,
                               float(residuals.max()), float(residuals.mean()))
 
-
-# ---------------------------------------------------------------------------
-# Plain-text model configs
-# ---------------------------------------------------------------------------
-
-_CONFIG_KEYS = {"kind": str, "n": int, "alpha": float, "omega": float,
-                "beta_override": float, "epsilon_sing": float}
-
-
-def parse_key_values(text: str, types: dict, source: str = "config") -> dict:
-    """Parse flat ``key = value`` lines ('#' starts a comment) into values
-    of the types given per key; unknown keys and bad values are rejected
-    with their line number."""
-    values = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise DomainError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key not in types:
-            raise DomainError(f"{source}:{lineno}: unknown key {key!r}")
-        caster = types[key]
-        if caster is bool:
-            if val.lower() not in ("true", "false", "0", "1"):
-                raise DomainError(f"{source}:{lineno}: boolean key {key!r} got {val!r}")
-            values[key] = val.lower() in ("true", "1")
-        else:
-            try:
-                values[key] = caster(val)
-            except ValueError as exc:
-                raise DomainError(f"{source}:{lineno}: bad value for {key!r}: {exc}") from exc
-    return values
-
-
-def model_to_config(model: NBodyModel) -> str:
-    """Serialize to the flat key = value format consumed by the CLI."""
-    lines = [f"kind = {model.kind}", f"n = {model.n}", f"alpha = {model.alpha!r}"]
-    if model.omega is not None:
-        lines.append(f"omega = {model.omega!r}")
-        lines.append(f"beta_override = {model.beta!r}")
-    lines.append(f"epsilon_sing = {model.eps_sing!r}")
-    return "\n".join(lines) + "\n"
-
-
-def model_from_config(text: str) -> NBodyModel:
-    """Parse the flat key = value format; unknown keys are rejected."""
-    values = parse_key_values(text, _CONFIG_KEYS)
-    if "kind" not in values or "n" not in values or "alpha" not in values:
-        raise DomainError("config must set kind, n and alpha")
-    kind = KIND_NAMES.get(values["kind"], values["kind"])
-    return make_nbody_model(kind, values["n"], values["alpha"],
-                            omega=values.get("omega"), beta=values.get("beta_override"),
-                            eps_sing=values.get("epsilon_sing", 1e-6))

@@ -498,8 +498,10 @@ def _interior_mask(ham: SparseHamiltonian) -> np.ndarray:
     return mask
 
 
-def _reduced_hamiltonian(model: NBodyModel, grid: GridSpec,
-                         stencil_order: int, partner: bool = False) -> SparseHamiltonian:
+def reduced_hamiltonian(model: NBodyModel, grid: GridSpec,
+                        stencil_order: int, partner: bool = False) -> SparseHamiltonian:
+    """The relative operator of an N = 2 model on a 1-D grid: (B+ B)/2 of
+    ``TwoBodyReduction``, or its partner (B B+)/2 when partner is True."""
     red = two_body_reduction(model)
     pot = red.partner_operator_potential if partner else red.operator_potential
     return discretize(pot, grid, stencil_order, kinetic_scale=red.kinetic_factor)
@@ -516,7 +518,7 @@ def jastrow_ground_state(model: NBodyModel, grid: GridSpec,
     flagged in meta, not rejected.
     """
     if grid.dim == 1 and model.n == 2:
-        ham = _reduced_hamiltonian(model, grid, stencil_order)
+        ham = reduced_hamiltonian(model, grid, stencil_order)
         r = ham.nodes[:, 0]
         logv = model.pair_log_jastrow(r)
     elif grid.dim == model.n:
@@ -551,26 +553,6 @@ def boundary_ambiguous(model: NBodyModel) -> bool:
     are square-integrable and the grid walls do not select one; spectral
     targets exclude this regime."""
     return 0.0 < model.alpha < 1.0
-
-
-@dataclass
-class PartnerGroundState:
-    energy: float
-    shifted_model: NBodyModel
-    state: GridFunctionND | None
-    normalizable: bool
-
-
-def partner_ground_state(model: NBodyModel, grid: GridSpec | None = None,
-                         stencil_order: int = 4) -> PartnerGroundState:
-    """Ground state of the partner sum A A+: the product state at shifted
-    coupling, with energy equal to the remainder shift."""
-    shifted = model.shifted(1.0)
-    energy = remainder_shift(model)
-    state = None
-    if grid is not None:
-        state, _ = jastrow_ground_state(shifted, grid, stencil_order)
-    return PartnerGroundState(energy, shifted, state, shifted.kind_row.normalizable(shifted))
 
 
 # ---------------------------------------------------------------------------
@@ -658,8 +640,8 @@ def isospectrality_check(operator, grid: GridSpec, k: int,
         model = operator
         if model.n != 2:
             raise DomainError("isospectrality check supports 1-D and N = 2 inputs")
-        left = _reduced_hamiltonian(model, grid, stencil_order, partner=True)
-        right = _reduced_hamiltonian(model.shifted(1.0), grid, stencil_order)
+        left = reduced_hamiltonian(model, grid, stencil_order, partner=True)
+        right = reduced_hamiltonian(model.shifted(1.0), grid, stencil_order)
         shift = remainder_shift(model)
     else:
         raise DomainError("need a Prepotential1D or an N = 2 NBodyModel")

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from shapeinv import cli, models
+from shapeinv import cli
 
 
 def run(args):
@@ -388,6 +388,7 @@ def test_groundstate_rerun_without_dump_removes_its_dump(tmp_path):
 @pytest.mark.parametrize("flags,message", [
     (["--a", "0"], "grid endpoints must be finite"),
     (["--family", "nope"], "unknown family 'nope'"),
+    (["--b", "nan"], "b must be finite, got nan"),
 ])
 def test_chain_rejects_bad_input_cleanly(tmp_path, capsys, flags, message):
     with warnings.catch_warnings():
@@ -434,11 +435,6 @@ def test_config_file_resolves_kind_alias(tmp_path):
     assert sorted(p.name for p in by_file.iterdir()) == names and len(names) == 6
     for name in names:
         assert (by_file / name).read_bytes() == (by_flags / name).read_bytes()
-
-
-def test_config_keys_share_model_types():
-    shared = {key: cli._CONFIG_KEYS[key] for key in models._CONFIG_KEYS}
-    assert shared == models._CONFIG_KEYS
 
 
 _MODEL_FLAGS = ["--alpha", "--beta-override", "--epsilon-sing", "--kind", "--n", "--omega"]
@@ -494,6 +490,16 @@ def test_config_keys_a_command_does_not_list_are_ignored(tmp_path):
     (["spectrum", "--family", "rosen-morse", "--stencil-order", "3"],
      "stencil_order must be one of (2, 4), got 3"),
     (["susy", "--variant", "s9"], "variant must be one of ('s1', 's2', 'both'), got 's9'"),
+    # a NaN or negative tol fails every check and an infinite one passes
+    # every check, whatever the residuals
+    (["verify", "--kind", "cs", "--n", "3", "--trials", "5", "--tol", "nan"],
+     "tol must be finite and nonnegative, got nan"),
+    (["verify", "--kind", "cs", "--n", "3", "--trials", "5", "--tol", "inf"],
+     "tol must be finite and nonnegative, got inf"),
+    (["spectrum", "--family", "rosen-morse", "--nmax", "1", "--grid-m", "200", "--tol", "-1"],
+     "tol must be finite and nonnegative, got -1.0"),
+    (["groundstate", "--kind", "cs", "--n", "3", "--trials", "5", "--tol=-1e-9"],
+     "tol must be finite and nonnegative, got -1e-09"),
 ])
 def test_flag_value_outside_its_choices(tmp_path, capsys, argv, message):
     assert run([*argv, "--outdir", str(tmp_path)]) == 2
@@ -505,6 +511,24 @@ def test_config_file_unknown_key(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("kind = calogero\nwhatever = 2\n")
     assert run(["verify", "--config", str(cfg), "--outdir", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("text,message", [
+    ("kind = calogero\nn = 3\nalpha = 1.5\nbeta_override = 0.3\n",
+     "calogero does not take beta"),
+    ("kind = cs\nn = 3\nalpha = 1.5\nbeta_override = 0.3\n",
+     "calogero_sutherland does not take beta"),
+    ("kind = nope\nn = 3\nalpha = 1.5\n", "unknown kind 'nope'"),
+    ("kind = cs\nn = 3\ntol = nan\n", "tol must be finite and nonnegative, got nan"),
+    ("kind = cs\nn = 3\ntol = -1\n", "tol must be finite and nonnegative, got -1.0"),
+])
+def test_config_file_value_rejected(tmp_path, capsys, text, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert run(["verify", "--config", str(cfg), "--trials", "4", "--outdir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_outputs_byte_for_byte_deterministic(tmp_path):

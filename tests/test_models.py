@@ -5,15 +5,13 @@ import pytest
 
 from shapeinv.errors import DomainError, SingularConfigurationError
 from shapeinv.models import (
+    FAMILIES,
     FAMILIES_1D,
     NBODY_KINDS,
     check_pair_condition,
     make_nbody_model,
     make_pair_prepotential,
     make_prepotential_1d,
-    model_from_config,
-    model_to_config,
-    remainder_1d,
     remainder_shift,
 )
 from shapeinv.spectral import two_body_reduction
@@ -41,15 +39,15 @@ def test_rational_harmonic_value():
 
 def test_remainder_values():
     prep = make_prepotential_1d("rosen_morse_trig", (2.0, 1.0))
-    assert remainder_1d(prep, (3.0, 1.0)) == pytest.approx(5.0)
+    assert prep.remainder_next() == pytest.approx(5.0)
     box = make_prepotential_1d("rosen_morse_trig", (1.0, 1.0))
-    assert remainder_1d(box, (2.0, 1.0)) == pytest.approx(3.0)
+    assert box.remainder_next() == pytest.approx(3.0)
 
 
 def test_remainder_degenerate_map():
     prep = make_prepotential_1d("rosen_morse_trig", (0.5, 0.0))
-    assert prep.degenerate
-    assert remainder_1d(prep, (0.5, 0.0)) == 0.0
+    assert prep.next_params() == (0.5, 0.0)
+    assert prep.remainder_next() == 0.0
     with pytest.raises(DomainError):
         prep.w(0.3)  # no evaluable W in the degenerate limit
 
@@ -59,14 +57,22 @@ def test_rejects_bad_params():
         make_prepotential_1d("rosen_morse_trig", (2.0, -1.0))
     with pytest.raises(DomainError):
         make_prepotential_1d("nope", (1.0,))
-    with pytest.raises(DomainError):
-        remainder_1d(make_prepotential_1d("rosen_morse_trig", (2.0, 1.0)), (4.0, 1.0))
 
 
 # one admissible parameter set per row of the family table, in table order
 SAMPLE_PARAMS = {"rosen_morse_trig": (2.0, 1.0), "rational_harmonic": (1.3, 0.7),
                  "sign": (0.8,), "coth_hyperbolic": (1.1,)}
 FAMILY_SAMPLES = [(family, SAMPLE_PARAMS[family]) for family in FAMILIES_1D]
+
+
+@pytest.mark.parametrize("family,params", FAMILY_SAMPLES)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_family_parameters_rejected(family, params, value):
+    # nan < 0 is False, so the sign check alone lets NaN through
+    for index, name in enumerate(FAMILIES[family].params):
+        bad = params[:index] + (value,) + params[index + 1:]
+        with pytest.raises(DomainError, match=f"{name} must be finite, got {value}"):
+            make_prepotential_1d(family, bad)
 
 
 @pytest.mark.parametrize("family,params", FAMILY_SAMPLES)
@@ -86,8 +92,8 @@ def test_w_prime_matches_finite_difference(family, params):
 
 
 def test_degenerate_trig_has_no_normalizability():
-    # the constructor accepts a = 0 as degenerate; every evaluation of the
-    # ground state then reports the missing W instead of dividing by a
+    # the constructor accepts a = 0; every evaluation of the ground state
+    # then reports the missing W instead of dividing by a
     prep = make_prepotential_1d("rosen_morse_trig", (0.5, 0.0))
     for evaluate in (prep.ground_state_normalizable, lambda: prep.w(0.3),
                      lambda: prep.log_ground_state(0.3)):
@@ -147,8 +153,6 @@ def test_beta_rejected_by_kinds_without_omega(kind):
     # without omega there is no beta; a report config must not record one
     with pytest.raises(DomainError, match="does not take beta"):
         make_nbody_model(kind, 3, 1.5, beta=0.3)
-    with pytest.raises(DomainError, match="does not take beta"):
-        model_from_config(f"kind = {kind}\nn = 3\nalpha = 1.5\nbeta_override = 0.3\n")
 
 
 @pytest.mark.parametrize("param", ["alpha", "omega", "beta", "eps_sing"])
@@ -384,31 +388,3 @@ def test_sign_row_delta_note():
     assert pair.v0_delta_note is not None
     assert "delta" in pair.v0_delta_note
 
-
-# ---------------------------------------------------------------------------
-# config round trip
-# ---------------------------------------------------------------------------
-
-def test_config_round_trip():
-    m = make_nbody_model("harmonic_calogero", 3, 1.5, omega=2.0, beta=0.4,
-                         eps_sing=1e-5)
-    m2 = model_from_config(model_to_config(m))
-    assert m2 == m
-
-
-def test_config_rejects_unknown_key():
-    with pytest.raises(DomainError):
-        model_from_config("kind = calogero\nn = 2\nalpha = 1\nwhat = 3\n")
-
-
-def test_config_requires_core_keys():
-    with pytest.raises(DomainError):
-        model_from_config("kind = calogero\n")
-
-
-def test_config_resolves_kind_alias():
-    # the library reader accepts the aliases the CLI config reader accepts
-    m = model_from_config("kind = cs\nn = 3\nalpha = 1.5\n")
-    assert m == make_nbody_model("calogero_sutherland", 3, 1.5)
-    with pytest.raises(DomainError, match="unknown kind"):
-        model_from_config("kind = nope\nn = 3\nalpha = 1.5\n")

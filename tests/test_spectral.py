@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 
 from shapeinv import spectral, susy
 from shapeinv.errors import ConvergenceError, DomainError
-from shapeinv.models import make_nbody_model, make_prepotential_1d
+from shapeinv.models import make_nbody_model, make_prepotential_1d, remainder_shift
 from shapeinv.spectral import GridSpec
 
 
@@ -279,7 +279,7 @@ HARMONIC2 = make_nbody_model("harmonic_calogero", 2, 2.0, omega=1.0)
     (lambda: spectral.discretize(lambda x: 0.0 * x, GridSpec.line(
         0.0, 2 * math.pi, 800, bc="periodic"), 4), 5),
     # reduced relative operator, kinetic_scale = 2
-    (lambda: spectral._reduced_hamiltonian(HARMONIC2, GridSpec.line(0.0, 12.0, 600), 4), 4),
+    (lambda: spectral.reduced_hamiltonian(HARMONIC2, GridSpec.line(0.0, 12.0, 600), 4), 4),
     (lambda: spectral.discretize(_rm(), GridSpec.line(0.0, math.pi, 8), 4), 6),
 ], ids=["rosen_morse_o2", "rosen_morse_o4", "periodic_ring", "reduced_harmonic", "m8_k6"])
 def test_auto_shift_invert_matches_dense(make, k):
@@ -425,11 +425,10 @@ def test_jastrow_full_grid_calogero_n3():
 
 def test_partner_ground_state_energy():
     m = make_nbody_model("calogero_sutherland", 2, 1.0)
-    pg = spectral.partner_ground_state(m)
-    assert pg.energy == pytest.approx(6.0)
-    assert pg.shifted_model.alpha == 2.0
+    assert remainder_shift(m) == pytest.approx(6.0)
+    assert m.shifted(1.0).alpha == 2.0
     m3 = make_nbody_model("calogero_sutherland", 3, 1.0)
-    assert spectral.partner_ground_state(m3).energy == pytest.approx(24.0)
+    assert remainder_shift(m3) == pytest.approx(24.0)
 
 
 def test_partner_energy_confirmed_by_grid():
@@ -444,9 +443,9 @@ def test_partner_energy_confirmed_by_grid():
 
 def test_partner_calogero_zero_shift():
     m = make_nbody_model("calogero", 3, 1.5)
-    pg = spectral.partner_ground_state(m)
-    assert pg.energy == 0.0
-    assert pg.normalizable is False
+    shifted = m.shifted(1.0)
+    assert remainder_shift(m) == 0.0
+    assert shifted.kind_row.normalizable(shifted) is False
 
 
 # ---------------------------------------------------------------------------
