@@ -104,7 +104,8 @@ def _merge(args: argparse.Namespace, defaults: dict) -> dict:
     line (argparse leaves flags that were not given at None), each for the
     keys of defaults alone; kind and family aliases then resolve to their
     names in the model tables, keys with a fixed set of values are checked
-    against it, and tol must be None or finite and nonnegative."""
+    against it, tol must be None or finite and nonnegative, and a seed,
+    given or merged, must be nonnegative."""
     cfg = dict(defaults)
     if getattr(args, "config", None):
         given = parse_key_values(Path(args.config).read_text(), _CONFIG_KEYS, args.config)
@@ -123,6 +124,9 @@ def _merge(args: argparse.Namespace, defaults: dict) -> dict:
             raise DomainError(f"{key} must be one of {allowed}, got {cfg[key]!r}")
     if cfg.get("tol") is not None and not 0 <= cfg["tol"] < math.inf:
         raise DomainError(f"tol must be finite and nonnegative, got {cfg['tol']}")
+    seed = cfg.get("seed", getattr(args, "seed", None))
+    if seed is not None and seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
     return cfg
 
 

@@ -25,7 +25,8 @@ from .models import (NBodyModel, Prepotential1D, make_prepotential_1d,
 # 'auto' solves N-D operators densely up to DENSE_CUTOFF nodes.  On N = 3
 # grids (2-CPU host) dense eigh and Lanczos tie near 364 nodes; Lanczos wins
 # from 455 nodes up, 7 against 13 ms there and 18 against 60 ms at 969.
-# DENSE_CAP bounds the forced dense path.
+# DENSE_CAP bounds the forced dense path, and DENSE_CAP^2 the entries of the
+# shift-invert band.
 DENSE_CUTOFF = 400
 DENSE_CAP = 8000
 RESIDUAL_CONTRACT = 1e-8
@@ -352,13 +353,16 @@ def _shift_invert(ham: SparseHamiltonian, k: int, v0: np.ndarray, maxiter: int,
     """Lanczos on (H - sigma)^-1 with sigma one below the potential floor.
 
     The kinetic term is positive semi-definite, so sigma lies below the
-    spectrum.  The one LU factorization of H - sigma, in natural order
-    without pivoting, serves as the inverse and proves that: by Sylvester's
-    law of inertia every pivot is positive exactly when sigma is below every
-    eigenvalue.  A 1-D band factorizes without fill; the wrap-around
-    entries of a periodic ring fill only the last rows and columns.
-    Returns the eigenpairs, sigma and the number of LU solves."""
-    import scipy.sparse as sp
+    spectrum.  The one banded Cholesky factorization of P (H - sigma) P^T
+    (LAPACK pbtrf) serves as the inverse and proves that: it exists exactly
+    when H - sigma is positive definite, that is when sigma lies below every
+    eigenvalue.  The bandwidth b is read from the matrix.  P is the identity
+    except on a periodic 1-D ring, where the zig-zag order 0, n-1, 1, n-2,
+    ... turns the wrap-around entries of a stencil of reach r into a band of
+    width 2r.  The band storage, (b + 1) n entries, is capped at
+    DENSE_CAP^2, as a dense matrix is.
+    Returns the eigenpairs, sigma and the number of band solves."""
+    import scipy.linalg.lapack as lapack
     import scipy.sparse.linalg as spla
 
     n = ham.dim
@@ -366,20 +370,38 @@ def _shift_invert(ham: SparseHamiltonian, k: int, v0: np.ndarray, maxiter: int,
         raise DomainError("shift-invert needs info['potential_floor'], as "
                           "discretize records it")
     sigma = ham.info["potential_floor"] - 1.0
-    try:
-        lu = spla.splu(sp.csc_matrix(ham.matrix - sigma * sp.identity(n)),
-                       permc_spec="NATURAL", diag_pivot_thresh=0)
-    except RuntimeError as exc:  # exactly singular: sigma is an eigenvalue
-        raise ConvergenceError(f"shift {sigma:.6g} is an eigenvalue") from exc
-    pivots = lu.U.diagonal()
-    if np.any(lu.perm_r != np.arange(n)) or not np.all(pivots > 0):
+    order = np.arange(n)
+    if ham.grid.dim == 1 and ham.grid.bc == "periodic":
+        order = np.stack([order, order[::-1]], axis=1).ravel()[:n]
+    rank = np.argsort(order)
+    mat = ham.matrix
+    col = rank[mat.indices]
+    step = np.repeat(rank, np.diff(mat.indptr)) - col
+    b = int(step.max())
+    if (b + 1) * n > DENSE_CAP ** 2:
+        raise DimensionCapError(f"band storage {b + 1} x {n} exceeds the dense "
+                                f"cap of {DENSE_CAP}^2 entries")
+    # LAPACK's lower band storage: entry (i, j), i >= j, at [i - j, j]
+    lower = step >= 0
+    band = np.zeros((b + 1) * n)
+    band[(step * n + col)[lower]] = mat.data[lower]
+    band = band.reshape(b + 1, n)
+    band[0] -= sigma
+    chol, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
+    if info:
         raise ConvergenceError(f"shift {sigma:.6g} is not below the spectrum: "
-                               "H - shift has a non-positive or exchanged pivot")
-    opinv, solves = _counted(n, lu.solve)
+                               "H - shift is not positive definite")
+
+    def solve(x):
+        out = np.empty(n)
+        out[order] = lapack.dpbtrs(chol, x[order], lower=1)[0]
+        return out
+
+    opinv, solves = _counted(n, solve)
     # ARPACK accepts (H - sigma)^-1 v = theta v + r at ||r|| <= tol |theta|;
     # times H - sigma that is ||Hv - lambda v|| <= (||H|| + |sigma|) tol
     tol = RESIDUAL_CONTRACT * norm_est / (norm_est + abs(sigma))
-    w, v = spla.eigsh(ham.matrix, k=k, sigma=sigma, which="LM", v0=v0,
+    w, v = spla.eigsh(mat, k=k, sigma=sigma, which="LM", v0=v0,
                       OPinv=opinv, maxiter=maxiter, tol=tol)
     return w, v, sigma, solves[0]
 
@@ -393,9 +415,10 @@ def eigen(ham: SparseHamiltonian, k: int, seed: int = 0,
     on the smallest algebraic eigenvalues above; 'shift_invert', 'dense' and
     'iterative' force a path.  Both Lanczos paths start from a vector seeded
     by `seed`.  Shift-invert puts its shift one below the potential floor
-    that `discretize` records in `ham.info` and fails loudly if the shift is
-    not below the spectrum.  Every returned eigenpair is held to
-    ||Hv - lambda v|| <= 1e-8 ||H||_est (RESIDUAL_CONTRACT).
+    that `discretize` records in `ham.info` and applies (H - shift)^-1 by a
+    banded Cholesky factorization, which exists only when the shift is below
+    the spectrum; otherwise it fails loudly.  Every returned eigenpair is
+    held to ||Hv - lambda v|| <= 1e-8 ||H||_est (RESIDUAL_CONTRACT).
 
     Both Lanczos paths stop at that contract, not at machine precision.
     ARPACK accepts a Ritz pair (theta, v) of its operator at ||r|| <= tol
@@ -408,7 +431,7 @@ def eigen(ham: SparseHamiltonian, k: int, seed: int = 0,
 
     The result records the path, the nnz of H, the shift (None off the
     shift-invert path) and the number of Lanczos operator applications:
-    products with H on 'SA', LU solves on shift-invert, None when dense.
+    products with H on 'SA', band solves on shift-invert, None when dense.
     """
     n = ham.dim
     if not 1 <= k < n:

@@ -500,6 +500,15 @@ def test_config_keys_a_command_does_not_list_are_ignored(tmp_path):
      "tol must be finite and nonnegative, got -1.0"),
     (["groundstate", "--kind", "cs", "--n", "3", "--trials", "5", "--tol=-1e-9"],
      "tol must be finite and nonnegative, got -1e-09"),
+    # numpy's generators take no negative seed; every command accepts --seed
+    (["verify", "--kind", "cs", "--n", "3", "--trials", "5", "--seed", "-1"],
+     "seed must be nonnegative, got -1"),
+    (["spectrum", "--family", "rosen-morse", "--nmax", "1", "--grid-m", "200", "--seed", "-1"],
+     "seed must be nonnegative, got -1"),
+    (["groundstate", "--kind", "cs", "--n", "3", "--trials", "5", "--seed", "-7"],
+     "seed must be nonnegative, got -7"),
+    (["chain", "--levels", "1", "--grid-m", "256", "--seed", "-1"],
+     "seed must be nonnegative, got -1"),
 ])
 def test_flag_value_outside_its_choices(tmp_path, capsys, argv, message):
     assert run([*argv, "--outdir", str(tmp_path)]) == 2
@@ -521,6 +530,7 @@ def test_config_file_unknown_key(tmp_path):
     ("kind = nope\nn = 3\nalpha = 1.5\n", "unknown kind 'nope'"),
     ("kind = cs\nn = 3\ntol = nan\n", "tol must be finite and nonnegative, got nan"),
     ("kind = cs\nn = 3\ntol = -1\n", "tol must be finite and nonnegative, got -1.0"),
+    ("kind = cs\nn = 3\nseed = -2\n", "seed must be nonnegative, got -2"),
 ])
 def test_config_file_value_rejected(tmp_path, capsys, text, message):
     cfg = tmp_path / "run.cfg"

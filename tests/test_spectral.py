@@ -6,7 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from shapeinv import spectral, susy
-from shapeinv.errors import ConvergenceError, DomainError
+from shapeinv.errors import ConvergenceError, DimensionCapError, DomainError
 from shapeinv.models import make_nbody_model, make_prepotential_1d, remainder_shift
 from shapeinv.spectral import GridSpec
 
@@ -332,6 +332,60 @@ def test_shift_invert_rejects_shift_inside_spectrum():
     bare = spectral.SparseHamiltonian(ham.matrix, ham.nodes, ham.grid, 4)
     with pytest.raises(DomainError, match="potential_floor"):
         spectral.eigen(bare, 3)
+
+
+def _ring(m, order):
+    return spectral.discretize(lambda x: np.cos(x) + 0.3 * np.sin(2 * x),
+                               GridSpec.line(0.0, 2 * math.pi, m, bc="periodic"), order)
+
+
+@pytest.mark.parametrize("m", [200, 201])
+@pytest.mark.parametrize("order", [2, 4])
+def test_periodic_ring_band_matches_dense(m, order):
+    # the zig-zag order 0, n-1, 1, n-2, ... ends on a different node for
+    # odd and even rings
+    ham = _ring(m, order)
+    auto = spectral.eigen(ham, 6, seed=2)
+    dense = spectral.eigen(ham, 6, method="dense")
+    assert auto.solver == "shift_invert"
+    assert np.max(np.abs(auto.eigenvalues - dense.eigenvalues)) < 1e-9
+
+
+@pytest.mark.parametrize("make", [
+    lambda: spectral.discretize(make_nbody_model("calogero_sutherland", 3, 1.0),
+                                GridSpec.box(0.0, math.pi, 12, 3, sector="ordered"), 4),
+    lambda: spectral.discretize(lambda x: np.cos(x[:, 0]) + np.cos(x[:, 0] - x[:, 1]),
+                                GridSpec.box(0.0, 2 * math.pi, 12, 2, bc="periodic"), 4),
+], ids=["cs3_ordered_m12", "periodic_box_2d"])
+def test_forced_shift_invert_on_nd_operators_matches_dense(make):
+    ham = make()
+    forced = spectral.eigen(ham, 5, seed=1, method="shift_invert")
+    dense = spectral.eigen(ham, 5, method="dense")
+    assert forced.solver == "shift_invert"
+    assert forced.shift == ham.info["potential_floor"] - 1.0
+    assert np.max(np.abs(forced.eigenvalues - dense.eigenvalues)) < 1e-9
+
+
+def test_auto_1d_path_needs_no_sparse_lu(monkeypatch):
+    def no_lu(*args, **kwargs):
+        raise AssertionError("splu called")
+
+    monkeypatch.setattr(spla, "splu", no_lu)
+    ham = spectral.discretize(_rm(), GridSpec.line(0.0, math.pi, 300), 4)
+    assert spectral.eigen(ham, 4).solver == "shift_invert"
+    assert spectral.eigen(_ring(300, 4), 4).solver == "shift_invert"
+
+
+def test_band_storage_is_capped(monkeypatch):
+    # a 100^2 cap admits the 800-node ring, whose zig-zag band has width 4,
+    # but not the 144-node periodic box, whose wrap-around spans its order
+    monkeypatch.setattr(spectral, "DENSE_CAP", 100)
+    assert spectral.eigen(_ring(800, 4), 3).solver == "shift_invert"
+    box = spectral.discretize(lambda x: np.cos(x[:, 0]),
+                              GridSpec.box(0.0, 2 * math.pi, 12, 2, bc="periodic"), 4)
+    assert box.dim == 144
+    with pytest.raises(DimensionCapError, match="band storage"):
+        spectral.eigen(box, 3, method="shift_invert")
 
 
 @pytest.mark.parametrize("method", ["iterative", "shift_invert"])
