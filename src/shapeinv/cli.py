@@ -130,11 +130,6 @@ def _merge(args: argparse.Namespace, defaults: dict) -> dict:
     return cfg
 
 
-def _config_hash(cfg: dict) -> str:
-    canon = "\n".join(f"{k} = {cfg[k]!r}" for k in sorted(cfg))
-    return hashlib.sha256(canon.encode()).hexdigest()
-
-
 def _write_text(path: Path, text: str, newline: str | None = None):
     """Write text to path, overwriting an existing file in place and cutting
     it to the new length.  Opening with truncation to zero would make ext4
@@ -147,14 +142,18 @@ def _write_text(path: Path, text: str, newline: str | None = None):
         fh.truncate()
 
 
-def _write_json(path: Path, payload: dict, cfg: dict):
+def _stamp(cfg: dict) -> dict:
+    """The resolved config and its sha256, as every report of a command
+    embeds them."""
     # outdir is not a scientific input: reports are byte-identical wherever
     # they are written
     cfg = {k: v for k, v in sorted(cfg.items()) if k != "outdir"}
-    payload = dict(payload)
-    payload["config"] = cfg
-    payload["config_sha256"] = _config_hash(cfg)
-    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    canon = "\n".join(f"{k} = {v!r}" for k, v in cfg.items())
+    return {"config": cfg, "config_sha256": hashlib.sha256(canon.encode()).hexdigest()}
+
+
+def _write_json(path: Path, payload: dict, stamp: dict):
+    _write_text(path, json.dumps({**payload, **stamp}, sort_keys=True, indent=2) + "\n")
 
 
 def _write_csv(path: Path, header, rows):
@@ -203,10 +202,11 @@ def cmd_verify(args) -> int:
     model = _model_from_cfg(cfg)
     reports = verify.run_all(model, cfg["trials"], cfg["seed"], cfg["tol"])
     out = _outdir(cfg)
+    stamp = _stamp(cfg)
     all_pass = True
     for name, rep in reports.items():
         d = rep.to_dict()
-        _write_json(out / f"{name}.json", d, cfg)
+        _write_json(out / f"{name}.json", d, stamp)
         all_pass &= d["pass"]
         residual = d.get("max_residual", d.get("residual_std", math.nan))
         print(f"{'PASS' if d['pass'] else 'FAIL'}  {name}: "
@@ -294,7 +294,7 @@ def cmd_susy(args) -> int:
     out = _outdir(cfg)
     if cfg["variant"] == "both":
         cmp = susy.variant_comparison(model, grid, cm, levels=cfg["levels"])
-        _write_json(out / "variant_comparison.json", cmp, cfg)
+        _write_json(out / "variant_comparison.json", cmp, _stamp(cfg))
         bosonic, fermionic = (cmp["sectors"][f]["relative_deviation_after_shift"]
                               for f in (0, 1))
         # the 1-fermion spectra can differ after the shift only where R != 0
@@ -322,7 +322,7 @@ def cmd_susy(args) -> int:
                           for f in classify["sectors"]},
         "sector_minima": {str(f): float(spectra[f][0]) for f in spectra},
     }
-    _write_json(out / "susy_report.json", payload, cfg)
+    _write_json(out / "susy_report.json", payload, _stamp(cfg))
     ok = (sys_.diagnostics["q_squared_fro"] < 1e-12
           and sys_.diagnostics["offblock_leak"] == 0.0
           and pairing["passed"])
@@ -350,7 +350,7 @@ def cmd_groundstate(args) -> int:
         if cfg["dump"]:
             dumps["groundstate_state.txt"] = spectral.dump_grid_function(gf)
     _write_dumps(out, r"groundstate_state\.txt", dumps)
-    _write_json(out / "groundstate.json", state_info, cfg)
+    _write_json(out / "groundstate.json", state_info, _stamp(cfg))
     if not state_info["normalizable"]:
         print(f"WARN  ground state not normalizable for {model.kind} "
               f"alpha={model.alpha}")

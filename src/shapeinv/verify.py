@@ -16,15 +16,20 @@ u (T, N) and G (T, N, N), and every depth-2 product as
 P[t, i, j] = s G[t, i, j] + W[t, i] u[t, j].  Each commutator is the
 difference of its two products.  The contractions keep the scalar
 operation order of the pointwise `calculus` functions, which stay the
-reference: every residual equals theirs bit for bit.  `run_all` draws each
-trial set once and shares it with the identities; the memo is cleared when
-the call returns, so nothing is cached across calls.
+reference: every residual equals theirs bit for bit.  The three-body
+cancellation is one array expression over all sampled triples.
+
+`run_all` does each piece of work once per call and shares it with the
+checks: it spawns the child seeds once (every check still gets fresh
+generators from them), draws each trial set once, and evaluates W, J at
+alpha and at alpha + 1 and V once per model and trial set.  The memo is
+cleared when the call returns, so nothing is cached across calls.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -41,7 +46,7 @@ class _Serialized:
     as "pass"."""
 
     def to_dict(self) -> dict:
-        d = asdict(self)
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
         d["pass"] = d.pop("passed")
         return d
 
@@ -87,9 +92,27 @@ class ConstantFit(_Serialized):
 # sampling
 # ---------------------------------------------------------------------------
 
+# Work shared by the checks of the current `run_all` call, keyed by what it
+# depends on: the spawned child seeds, each trial set and the model values
+# on it.  None outside the call, so nothing outlives it.
+_drawn: dict | None = None
+
+
+def _memo(key, compute):
+    """compute(), or during a `run_all` call the value first computed under
+    key in that call."""
+    if _drawn is None:
+        return compute()
+    if key not in _drawn:
+        _drawn[key] = compute()
+    return _drawn[key]
+
+
 def _child_rngs(seed: int, trials: int):
-    return [np.random.default_rng(s)
-            for s in np.random.SeedSequence(seed).spawn(trials)]
+    """A fresh generator per trial, from the child seeds spawned by seed."""
+    children = _memo(("seeds", seed, trials),
+                     lambda: np.random.SeedSequence(seed).spawn(trials))
+    return [np.random.default_rng(s) for s in children]
 
 
 def draw_configuration(model: NBodyModel, rng: np.random.Generator) -> np.ndarray:
@@ -106,12 +129,14 @@ def draw_configuration(model: NBodyModel, rng: np.random.Generator) -> np.ndarra
     for _ in range(10_000):
         if period:
             x = np.sort(rng.uniform(0.0, period, size=n))
-            if np.min(np.diff(x)) < DEFAULT_GAP or (x[-1] - x[0]) > period - DEFAULT_GAP:
+            if (x[1:] - x[:-1]).min() < DEFAULT_GAP or (x[-1] - x[0]) > period - DEFAULT_GAP:
                 continue
         else:
             x = rng.uniform(-BOX_HALF, BOX_HALF, size=n)
-            d = np.abs(x[:, None] - x[None, :]) + np.eye(n)
-            if d.min() < DEFAULT_GAP:
+            # rounding is monotone, so the smallest gap of the sorted
+            # coordinates is the smallest |x_i - x_j| over all pairs
+            ordered = np.sort(x)
+            if (ordered[1:] - ordered[:-1]).min() < DEFAULT_GAP:
                 continue
         return x
     raise DomainError("failed to draw an admissible configuration")
@@ -136,16 +161,15 @@ def _report(identity, model, trials, seed, residuals, worsts, tolerance, extra=N
 @dataclass(frozen=True)
 class TrialSet:
     """T seeded trials, stacked: configurations x (T, N) and the exact 2-jet
-    of each trial's test function there, v (T,), g (T, N), h (T, N, N)."""
+    of each trial's test function there, v (T,), g (T, N), h (T, N, N).
+    `key` names the draw, (kind, n, trials, seed), under which model values
+    at x are shared during a `run_all` call; a set without a key shares
+    none."""
     x: np.ndarray
     v: np.ndarray
     g: np.ndarray
     h: np.ndarray
-
-
-# Trial sets drawn during the current `run_all` call, keyed by
-# (kind, n, trials, seed); None outside it, so no draw outlives the call.
-_drawn: dict | None = None
+    key: tuple | None = None
 
 
 def _trial_set(model: NBodyModel, trials: int, seed: int) -> TrialSet:
@@ -155,18 +179,25 @@ def _trial_set(model: NBodyModel, trials: int, seed: int) -> TrialSet:
     if trials < 1:
         raise DomainError("trials must be >= 1")
     key = (model.kind, model.n, trials, seed)
-    if _drawn is not None and key in _drawn:
-        return _drawn[key]
-    xs, params = [], []
-    for rng in _child_rngs(seed, trials):
-        xs.append(draw_configuration(model, rng))
-        params.append(calc.draw_test_parameters(model, rng))
-    x = np.array(xs)
-    jet = calc.build_test_function(model, [np.array(p) for p in zip(*params)]).jet(x)
-    drawn = TrialSet(x, jet.v, jet.g, jet.h)
-    if _drawn is not None:
-        _drawn[key] = drawn
-    return drawn
+
+    def draw():
+        xs, params = [], []
+        for rng in _child_rngs(seed, trials):
+            xs.append(draw_configuration(model, rng))
+            params.append(calc.draw_test_parameters(model, rng))
+        x = np.array(xs)
+        jet = calc.build_test_function(model, [np.array(p) for p in zip(*params)]).jet(x)
+        return TrialSet(x, jet.v, jet.g, jet.h, key)
+
+    return _memo(key, draw)
+
+
+def _model_value(method: str, model: NBodyModel, s: TrialSet):
+    """model.<method>(s.x), evaluated once per model and trial set during a
+    `run_all` call."""
+    if s.key is None:
+        return getattr(model, method)(s.x)
+    return _memo((method, model, s.key), lambda: getattr(model, method)(s.x))
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +228,7 @@ def _products(sign: float, W, u, G):
 def _ladder_sums(model: NBodyModel, sign: float, s: TrialSet):
     """sum_i L-_i L_i f per trial, L_i = sign d_i + W_i and L-_i its
     adjoint: sum A+_i A_i at sign = +1, the partner sum A_i A+_i at -1."""
-    W, J = model.prepotential_and_jacobian(s.x)
+    W, J = _model_value("prepotential_and_jacobian", model, s)
     products = _products(-sign, W, *_first(sign, W, J, s))
     return np.einsum("tii->ti", products).sum(axis=-1)
 
@@ -209,7 +240,7 @@ def _scale(s: TrialSet, V):
 
 
 def _factorization(model: NBodyModel, s: TrialSet):
-    V = model.potential(s.x)
+    V = _model_value("potential", model, s)
     lhs = -np.trace(s.h, axis1=1, axis2=2) + V * s.v
     return np.abs(lhs - _ladder_sums(model, 1.0, s)) / _scale(s, V)
 
@@ -217,14 +248,14 @@ def _factorization(model: NBodyModel, s: TrialSet):
 def _shape_invariance(model: NBodyModel, s: TrialSet, r_used: float):
     lhs = _ladder_sums(model, -1.0, s)
     rhs = _ladder_sums(model.shifted(1.0), 1.0, s) + r_used * s.v
-    return np.abs(lhs - rhs) / _scale(s, model.potential(s.x))
+    return np.abs(lhs - rhs) / _scale(s, _model_value("potential", model, s))
 
 
 def _commutators(model: NBodyModel, s: TrialSet):
     """Largest |[A_i, A_j] f|, |[A+_i, A+_j] f| (i < j) and
     |[A+_i, A_j] f - closed form| per trial, each commutator the difference
     of its two depth-2 products."""
-    W, J = model.prepotential_and_jacobian(s.x)
+    W, J = _model_value("prepotential_and_jacobian", model, s)
     ua, Ga = _first(1.0, W, J, s)
     ud, Gd = _first(-1.0, W, J, s)
     aa = _products(1.0, W, ua, Ga)      # A_i A_j f
@@ -237,12 +268,12 @@ def _commutators(model: NBodyModel, s: TrialSet):
     mixed = np.abs(da - ad.swapaxes(1, 2)
                    - _mixed_commutator(model, s.x) * s.v[:, None, None])
     worst = np.maximum(pure.max(axis=1, initial=0.0), mixed.max(axis=(1, 2)))
-    return worst / _scale(s, model.potential(s.x))
+    return worst / _scale(s, _model_value("potential", model, s))
 
 
 def _momentum(model: NBodyModel, s: TrialSet):
     """Largest |P_tot (Op_i f) - Op_i (P_tot f)| over Op = A, A+ per trial."""
-    W, J = model.prepotential_and_jacobian(s.x)
+    W, J = _model_value("prepotential_and_jacobian", model, s)
     p_value = s.g.sum(axis=1)       # P_tot f and its gradient
     p_grad = s.h.sum(axis=2)
     worst = np.zeros_like(s.v)
@@ -251,7 +282,7 @@ def _momentum(model: NBodyModel, s: TrialSet):
         p_after = np.ascontiguousarray(G.swapaxes(1, 2)).sum(axis=-1)  # P_tot L_i f
         gap = np.abs(p_after - (sign * p_grad + W * p_value[:, None]))
         worst = np.maximum(worst, gap.max(axis=1))
-    return worst / _scale(s, model.potential(s.x))
+    return worst / _scale(s, _model_value("potential", model, s))
 
 
 def _mixed_commutator(model: NBodyModel, x) -> np.ndarray:
@@ -334,6 +365,28 @@ def jastrow_residual(model: NBodyModel, trials: int, seed: int) -> float:
 # structural identities
 # ---------------------------------------------------------------------------
 
+def _three_body_residuals(kind: str, triples) -> np.ndarray:
+    """Relative residuals of the three-body cancellation at triples (T, 3),
+    one array expression over all rows; see `three_body_cancellation`."""
+    u, v, w = np.asarray(triples, dtype=float).T
+    if np.any((u == v) | (v == w) | (w == u)):
+        raise DomainError("triple must have distinct coordinates")
+    if kind == "rational":
+        terms = [1.0 / ((u - v) * (u - w)),
+                 1.0 / ((v - u) * (v - w)),
+                 1.0 / ((w - u) * (w - v))]
+        target = 0.0
+    elif kind == "trig":
+        ta, tb, tc = np.tan(u - v), np.tan(v - w), np.tan(w - u)
+        terms = [1.0 / (ta * tb), 1.0 / (tb * tc), 1.0 / (tc * ta)]
+        target = 1.0
+    else:
+        raise DomainError(f"kind must be 'rational' or 'trig', got {kind!r}")
+    # rows of a C-contiguous (T, 3) array sum in the order of a 3-vector
+    terms = np.stack(terms, axis=-1)
+    return np.abs(terms.sum(axis=-1) - target) / np.maximum(1.0, np.abs(terms).max(axis=-1))
+
+
 def three_body_cancellation(kind: str, x_triple) -> float:
     """Relative residual of the three-body cancellation at one triple.
 
@@ -343,40 +396,21 @@ def three_body_cancellation(kind: str, x_triple) -> float:
     Residuals are relative to the largest term so the conditioning of
     near-coincident triples is visible, not hidden.
     """
-    u, v, w = (float(t) for t in x_triple)
-    if len({u, v, w}) < 3:
-        raise DomainError("triple must have distinct coordinates")
-    if kind == "rational":
-        terms = np.array([1.0 / ((u - v) * (u - w)),
-                          1.0 / ((v - u) * (v - w)),
-                          1.0 / ((w - u) * (w - v))])
-        target = 0.0
-    elif kind == "trig":
-        a, b, c = u - v, v - w, w - u
-        terms = np.array([1.0 / (np.tan(a) * np.tan(b)),
-                          1.0 / (np.tan(b) * np.tan(c)),
-                          1.0 / (np.tan(c) * np.tan(a))])
-        target = 1.0
-    else:
-        raise DomainError(f"kind must be 'rational' or 'trig', got {kind!r}")
-    return float(abs(terms.sum() - target) / max(1.0, np.max(np.abs(terms))))
+    return float(_three_body_residuals(kind, [x_triple])[0])
 
 
 def three_body_report(model: NBodyModel, trials: int, seed: int,
                       tolerance: float = 1e-12) -> ResidualReport:
-    """Sampled three-body cancellation for the model's flavor."""
+    """Sampled three-body cancellation for the model's flavor, at one
+    configuration of three particles per trial."""
     if trials < 1:
         raise DomainError("trials must be >= 1")
     kind = "trig" if model.kind_row.period else "rational"
     probe = NBodyModel(model.kind, 3, model.alpha, model.omega, model.beta,
                        model.eps_sing)
-    residuals, xs = [], []
-    for rng in _child_rngs(seed, trials):
-        x = draw_configuration(probe, rng)
-        residuals.append(three_body_cancellation(kind, x))
-        xs.append(x)
+    xs = np.array([draw_configuration(probe, rng) for rng in _child_rngs(seed, trials)])
     return _report("three_body_cancellation", model, trials, seed,
-                   residuals, xs, tolerance)
+                   _three_body_residuals(kind, xs), xs, tolerance)
 
 
 def prepotential_structure_report(model: NBodyModel, trials: int, seed: int,
@@ -413,6 +447,11 @@ def prepotential_structure_report(model: NBodyModel, trials: int, seed: int,
 # constant-fit diagnostic
 # ---------------------------------------------------------------------------
 
+def _check_fit_trials(trials: int):
+    if trials < 2:
+        raise DomainError("trials must be >= 2 for a fit")
+
+
 def constant_fit_diagnostic(model: NBodyModel, trials: int, seed: int,
                             tolerance: float = 1e-8) -> ConstantFit:
     """Fit D(x) = sum W_i^2 - sum d_i W_i - V_pair(x) as a constant.
@@ -421,8 +460,7 @@ def constant_fit_diagnostic(model: NBodyModel, trials: int, seed: int,
     shape and the fitted constant equals the closed form `model.c`, both to
     `tolerance` relative.
     """
-    if trials < 2:
-        raise DomainError("trials must be >= 2 for a fit")
+    _check_fit_trials(trials)
     x = _trial_set(model, trials, seed).x
     d_vals = model.ladder_potential(x) - model.pair_potential(x)
     design = np.ones((d_vals.size, 1))
@@ -459,7 +497,9 @@ def run_all(model: NBodyModel, trials: int, seed: int,
     """All six identity reports for one model, keyed by identity name.
 
     `tolerance` overrides every identity's default (used by the CLI --tol).
+    The constant fit needs two trials, so fewer are rejected before any draw.
     """
+    _check_fit_trials(trials)
     given = {} if tolerance is None else {"tolerance": tolerance}
     global _drawn
     _drawn = {}

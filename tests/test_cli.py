@@ -509,6 +509,9 @@ def test_config_keys_a_command_does_not_list_are_ignored(tmp_path):
      "seed must be nonnegative, got -7"),
     (["chain", "--levels", "1", "--grid-m", "256", "--seed", "-1"],
      "seed must be nonnegative, got -1"),
+    # the constant fit needs two trials; verify rejects one before drawing
+    (["verify", "--kind", "cs", "--n", "3", "--trials", "1"],
+     "trials must be >= 2 for a fit"),
 ])
 def test_flag_value_outside_its_choices(tmp_path, capsys, argv, message):
     assert run([*argv, "--outdir", str(tmp_path)]) == 2

@@ -62,6 +62,22 @@ def test_discretize_symmetric_and_metadata():
     assert ham.info["family"] == "rosen_morse_trig"
 
 
+def test_norm_est_equals_the_sparse_abs_row_sums():
+    hams = [spectral.discretize(_rm(), GridSpec.line(0.0, math.pi, 1000), 4),
+            spectral.discretize(make_nbody_model("calogero_sutherland", 3, 1.0),
+                                GridSpec.box(0.0, math.pi, 31, 3, sector="ordered"), 4),
+            _ring(800, 4)]
+    # empty first, middle and last rows, which reduceat would misread
+    dense = np.array([[0, 0, 0, 0, 0], [0, -3.0, 1.5, 0, 0], [0, 0, 0, 0, 0],
+                      [0, 2.0, 0, -0.25, 7.5], [0, 0, 0, 0, 0]])
+    for matrix in (dense, dense[1:4], dense[:, [0, 2, 1, 3, 4]], np.zeros((3, 3))):
+        hams.append(spectral.SparseHamiltonian(sp.csr_matrix(matrix), hams[0].nodes,
+                                               hams[0].grid, 4))
+    for ham in hams:
+        assert ham.norm_est() == float(np.max(np.abs(ham.matrix).sum(axis=1)))
+    assert [ham.norm_est() for ham in hams[3:]] == [9.75, 9.75, 9.75, 0.0]
+
+
 def test_discretize_sign_puts_delta_on_origin_node():
     # W = a sign(x): W' = 2a delta(x), so V = a^2 - 2a delta(x); the node at
     # x = 0 sits on the jump of W and carries a^2 - 2a / h

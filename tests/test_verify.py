@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from shapeinv import calculus as calc
 from shapeinv import verify
 from shapeinv.errors import DomainError
-from shapeinv.models import FAMILIES, NBODY_KINDS, make_nbody_model
+from shapeinv.models import FAMILIES, NBODY_KINDS, NBodyModel, make_nbody_model
 
 
 def test_factorization_calogero():
@@ -115,8 +115,13 @@ def test_three_body_near_coincident_conditioning():
 
 
 def test_three_body_rejects_coincident():
-    with pytest.raises(DomainError):
-        verify.three_body_cancellation("rational", (0.3, 0.3, 1.0))
+    # every coincident pair, alone and as one row of a batch
+    for kind in ("rational", "trig"):
+        for triple in ((0.3, 0.3, 1.0), (0.3, 1.0, 1.0), (1.0, 0.3, 1.0)):
+            with pytest.raises(DomainError, match="distinct"):
+                verify.three_body_cancellation(kind, triple)
+            with pytest.raises(DomainError, match="distinct"):
+                verify._three_body_residuals(kind, [(0.1, 0.5, 0.9), triple])
 
 
 def test_three_body_sampled_both_flavors():
@@ -372,6 +377,101 @@ def test_run_all_draws_each_trial_once(monkeypatch):
     verify.factorization_residual(m, 25, seed=4)
     verify.commutator_check(m, 25, seed=4)
     assert len(drawn) == 100  # outside run_all every identity draws its own
+
+
+def _models_of_every_kind():
+    yield from (make_nbody_model(kind, 3, 1.5, omega=1.0 if kind == "harmonic_calogero" else None)
+                for kind in NBODY_KINDS)
+    yield make_nbody_model("harmonic_calogero", 3, 1.5, omega=1.0, beta=0.4)
+
+
+@pytest.mark.parametrize("trials", [2, 20, 200])
+def test_run_all_reports_equal_the_identities_called_alone(trials):
+    for m in _models_of_every_kind():
+        shared = verify.run_all(m, trials, seed=13)
+        assert verify._drawn is None
+        alone = {name: getattr(verify, function)(m, trials, 13)
+                 for name, function in verify.IDENTITIES}
+        assert {k: r.to_json() for k, r in shared.items()} \
+            == {k: r.to_json() for k, r in alone.items()}
+
+
+def test_run_all_clears_its_memo_when_an_identity_raises(monkeypatch):
+    def failing(model, trials, seed, **kw):
+        raise DomainError("injected")
+
+    monkeypatch.setattr(verify, "commutator_check", failing)
+    with pytest.raises(DomainError, match="injected"):
+        verify.run_all(make_nbody_model("calogero", 3, 1.5), 10, seed=2)
+    assert verify._drawn is None
+
+
+def _count_work(monkeypatch):
+    """Count model evaluations (by alpha) and seed spawns from here on."""
+    calls = {"spawn": 0, "W, J": [], "V": []}
+    for method, name in (("prepotential_and_jacobian", "W, J"), ("potential", "V")):
+        original = getattr(NBodyModel, method)
+        monkeypatch.setattr(NBodyModel, method, lambda self, x, _f=original, _n=name:
+                            calls[_n].append(self.alpha) or _f(self, x))
+
+    class CountingSeedSequence(np.random.SeedSequence):
+        def spawn(self, n):
+            calls["spawn"] += 1
+            return super().spawn(n)
+
+    monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+    return calls
+
+
+def test_run_all_does_each_piece_of_work_once(monkeypatch):
+    m = make_nbody_model("calogero_sutherland", 4, 1.5)
+    calls = _count_work(monkeypatch)
+    verify.run_all(m, 30, seed=8)
+    assert calls == {"spawn": 1, "W, J": [1.5, 2.5], "V": [1.5]}
+    for _, function in verify.IDENTITIES:
+        getattr(verify, function)(m, 30, 8)
+    # outside run_all every identity draws and evaluates its own
+    assert calls == {"spawn": 1 + 6, "W, J": [1.5, 2.5] + [1.5, 1.5, 2.5, 1.5, 1.5],
+                     "V": [1.5] + [1.5] * 4}
+
+
+def test_run_all_rejects_too_few_trials_before_any_draw(monkeypatch):
+    calls = _count_work(monkeypatch)
+    drawn = []
+    monkeypatch.setattr(verify, "draw_configuration", lambda *a: drawn.append(a))
+    for trials in (1, 0):
+        with pytest.raises(DomainError, match="trials must be >= 2 for a fit"):
+            verify.run_all(make_nbody_model("calogero_sutherland", 3, 1.0), trials, seed=1)
+    assert drawn == [] and calls == {"spawn": 0, "W, J": [], "V": []}
+
+
+def _three_body_reference(kind, triple):
+    """The cancellation at one triple in Python floats, term by term."""
+    u, v, w = map(float, triple)
+    if kind == "rational":
+        terms = np.array([1.0 / ((u - v) * (u - w)), 1.0 / ((v - u) * (v - w)),
+                          1.0 / ((w - u) * (w - v))])
+        target = 0.0
+    else:
+        a, b, c = u - v, v - w, w - u
+        terms = np.array([1.0 / (np.tan(a) * np.tan(b)), 1.0 / (np.tan(b) * np.tan(c)),
+                          1.0 / (np.tan(c) * np.tan(a))])
+        target = 1.0
+    return float(abs(terms.sum() - target) / max(1.0, np.max(np.abs(terms))))
+
+
+@pytest.mark.parametrize("kind", ["rational", "trig"])
+def test_batched_three_body_equals_each_triple(kind):
+    rng = np.random.default_rng(5)
+    triples = rng.uniform(0.0, 3.0, size=(400, 3))
+    near = triples[:100].copy()
+    near[:, 1] = near[:, 0] + 10.0 ** rng.uniform(-13, -4, size=100)
+    near[:, 2] = near[:, 0] - 10.0 ** rng.uniform(-13, -4, size=100)
+    triples = np.concatenate([triples, near])
+    batched = verify._three_body_residuals(kind, triples)
+    reference = [_three_body_reference(kind, t) for t in triples]
+    assert batched.tolist() == reference
+    assert [verify.three_body_cancellation(kind, t) for t in triples] == reference
 
 
 # ---------------------------------------------------------------------------
