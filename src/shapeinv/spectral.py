@@ -23,8 +23,9 @@ from .models import (NBodyModel, Prepotential1D, make_prepotential_1d,
                      remainder_shift)
 
 # 'auto' solves N-D operators densely up to DENSE_CUTOFF nodes.  On N = 3
-# grids (2-CPU host) dense eigh and Lanczos tie near 364 nodes; Lanczos wins
-# from 455 nodes up, 7 against 13 ms there and 18 against 60 ms at 969.
+# grids (CS and calogero, k = 4 and 10, one BLAS thread) dense eigh and
+# Lanczos tie near 286 nodes; Lanczos wins from 364 nodes up, 3.7 against
+# 9.2 ms at 455 and 7 against 71 ms at 969 (CS, k = 4).
 # DENSE_CAP bounds the forced dense path, and DENSE_CAP^2 the entries of the
 # shift-invert band.
 DENSE_CUTOFF = 400
@@ -409,6 +410,22 @@ def _shift_invert(ham: SparseHamiltonian, k: int, v0: np.ndarray, maxiter: int,
     return w, v, sigma, solves[0]
 
 
+def sa_ncv(n: int, k: int) -> int:
+    """Lanczos basis size of the 'SA' path on an N-D operator: ARPACK's
+    default min(n, max(2k + 1, 20)), capped at 3k and never below 14.
+
+    Step j of a restart reorthogonalizes against j basis vectors, about 4j
+    flops per row, while a product with an order-4 N = 3 grid operator
+    costs about 22 (11 stored entries per row).  For k <= 6 the default's
+    floor of 20 costs more in reorthogonalization than the few products it
+    saves; a floor of 12 took 25-37 % more products at k = 1 and 2 on
+    9139 nodes and up to 16 % more time.  From k = 7 on the rule is the
+    default.  1-D operators keep the default on both Lanczos paths: below
+    it, shift-invert solve counts move both ways, and the forced 'SA' solve
+    on the m = 2000 Rosen-Morse operator stops converging at k = 5."""
+    return min(n, max(2 * k + 1, 20), max(14, 3 * k))
+
+
 def eigen(ham: SparseHamiltonian, k: int, seed: int = 0,
           method: str = "auto") -> SpectrumResult:
     """k lowest eigenpairs.
@@ -432,11 +449,16 @@ def eigen(ham: SparseHamiltonian, k: int, seed: int = 0,
     priori; the check after the solve still gates it.  The eigenvalue error
     is second order in the residual (||r||^2 / gap for a symmetric H).
 
+    On an N-D operator the 'SA' path runs on sa_ncv(n, k) basis vectors,
+    fewer than ARPACK's default for k <= 6 (see sa_ncv for why).
+
     The result records the path, the nnz of H, the shift (None off the
     shift-invert path) and the number of Lanczos operator applications:
     products with H on 'SA', band solves on shift-invert, None when dense.
     """
     n = ham.dim
+    if not isinstance(k, numbers.Integral) or isinstance(k, bool):
+        raise DomainError(f"k must be an integer, got {k!r}")
     if not 1 <= k < n:
         raise DomainError(f"need 1 <= k < dim, got k={k}, dim={n}")
     mat = ham.matrix
@@ -465,8 +487,9 @@ def eigen(ham: SparseHamiltonian, k: int, seed: int = 0,
         try:
             if solver == "iterative":
                 op, products = _counted(n, mat.dot)
+                ncv = sa_ncv(n, k) if ham.grid.dim > 1 else None
                 w, v = spla.eigsh(op, k=k, which="SA", v0=v0, maxiter=maxiter,
-                                  tol=RESIDUAL_CONTRACT)
+                                  tol=RESIDUAL_CONTRACT, ncv=ncv)
                 matvecs = products[0]
             else:
                 w, v, shift, matvecs = _shift_invert(ham, k, v0, maxiter, norm_est)

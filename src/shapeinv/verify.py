@@ -22,7 +22,8 @@ cancellation is one array expression over all sampled triples.
 `run_all` does each piece of work once per call and shares it with the
 checks: it spawns the child seeds once (every check still gets fresh
 generators from them), draws each trial set once, and evaluates W, J at
-alpha and at alpha + 1 and V once per model and trial set.  The memo is
+alpha and at alpha + 1 and V once per model and trial set.  For N = 3 the
+three-body check reads its configurations from the trial set.  The memo is
 cleared when the call returns, so nothing is cached across calls.
 """
 
@@ -406,9 +407,15 @@ def three_body_report(model: NBodyModel, trials: int, seed: int,
     if trials < 1:
         raise DomainError("trials must be >= 1")
     kind = "trig" if model.kind_row.period else "rational"
-    probe = NBodyModel(model.kind, 3, model.alpha, model.omega, model.beta,
-                       model.eps_sing)
-    xs = np.array([draw_configuration(probe, rng) for rng in _child_rngs(seed, trials)])
+    if model.n == 3 and _drawn is not None:
+        # the trial set's configurations are these draws: the same child
+        # seeds, each drawing its configuration first
+        xs = _trial_set(model, trials, seed).x
+    else:
+        probe = NBodyModel(model.kind, 3, model.alpha, model.omega, model.beta,
+                           model.eps_sing)
+        xs = np.array([draw_configuration(probe, rng)
+                       for rng in _child_rngs(seed, trials)])
     return _report("three_body_cancellation", model, trials, seed,
                    _three_body_residuals(kind, xs), xs, tolerance)
 

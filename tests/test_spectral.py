@@ -307,7 +307,9 @@ def test_auto_shift_invert_matches_dense(make, k):
 
 
 @pytest.mark.parametrize("kind,alpha,lo,hi,m,k", [
-    ("calogero_sutherland", 1.0, 0.0, math.pi, 18, 4),    # 680 nodes
+    ("calogero_sutherland", 1.0, 0.0, math.pi, 18, 1),    # 680 nodes
+    ("calogero_sutherland", 1.0, 0.0, math.pi, 18, 4),
+    ("calogero_sutherland", 1.0, 0.0, math.pi, 18, 6),
     ("calogero", 2.0, -3.0, 3.0, 20, 10),                 # 969 nodes
 ])
 def test_auto_takes_lanczos_above_the_dense_cutoff(kind, alpha, lo, hi, m, k):
@@ -323,17 +325,69 @@ def test_auto_takes_lanczos_above_the_dense_cutoff(kind, alpha, lo, hi, m, k):
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_lanczos_keeps_exact_degeneracies_of_the_free_box(seed):
     # the free 2-D box has the levels p^2 + q^2 of its 1-D stencil, each
-    # p != q twice (5.064, 10.123, 13.16, 17.192 among the lowest ten); SA
-    # Lanczos stops at the residual contract and must still keep both copies
+    # p != q twice (5.064, 10.123, 13.16, 17.192 among the lowest ten).
+    # Single-vector SA Lanczos keeps both copies at these k, with the
+    # default basis and with the smaller N-D one alike; at k = 3, 4 and 5 it
+    # drops a copy of 5.064 for every seed (a known defect, ROADMAP aim 3)
     ham = spectral.discretize(lambda x: np.zeros(len(x)), GridSpec.box(
         0.0, math.pi, 24, 2), 4)
     assert ham.dim == 529 > spectral.DENSE_CUTOFF
-    auto = spectral.eigen(ham, 10, seed=seed)
-    dense = spectral.eigen(ham, 10, method="dense")
-    assert (auto.solver, dense.solver) == ("iterative", "dense")
-    levels = dense.eigenvalues
-    assert np.sum(np.abs(np.diff(levels)) < 1e-9) == 4
-    assert np.max(np.abs(auto.eigenvalues - levels)) < 1e-9
+    for k, pairs in ((6, 2), (8, 3), (10, 4)):
+        auto = spectral.eigen(ham, k, seed=seed)
+        dense = spectral.eigen(ham, k, method="dense")
+        assert (auto.solver, dense.solver) == ("iterative", "dense")
+        levels = dense.eigenvalues
+        assert np.sum(np.abs(np.diff(levels)) < 1e-9) == pairs
+        assert np.max(np.abs(auto.eigenvalues - levels)) < 1e-9
+
+
+_CS3 = make_nbody_model("calogero_sutherland", 3, 1.0)
+
+
+@pytest.mark.parametrize("make,solver", [
+    (lambda: spectral.discretize(_rm(), GridSpec.line(0.0, math.pi, 200), 4),
+     "shift_invert"),
+    (lambda: spectral.discretize(_CS3, GridSpec.box(0.0, math.pi, 12, 3,
+                                                    sector="ordered"), 4), "dense"),
+    (lambda: spectral.discretize(_CS3, GridSpec.box(0.0, math.pi, 16, 3,
+                                                    sector="ordered"), 4), "iterative"),
+], ids=["1d_shift_invert", "nd_dense", "nd_lanczos"])
+def test_eigen_takes_an_integer_k_only(make, solver):
+    ham = make()
+    for k in (4.0, 4.5, True, np.float64(4.0)):
+        with pytest.raises(DomainError, match="k must be an integer"):
+            spectral.eigen(ham, k)
+    res = spectral.eigen(ham, np.int64(4))
+    assert res.solver == solver and len(res.eigenvalues) == 4
+
+
+def test_sa_lanczos_basis_is_set_on_nd_operators_only(monkeypatch):
+    calls = []
+    eigsh = spla.eigsh
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs.get("ncv"))
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", recording)
+    ham = spectral.discretize(_CS3, GridSpec.box(0.0, math.pi, 16, 3, sector="ordered"), 4)
+    assert ham.dim == 455 > spectral.DENSE_CUTOFF
+    # max(14, 3k) below ARPACK's default min(n, max(2k + 1, 20)), the
+    # default itself from k = 7 on
+    for k, ncv in ((1, 14), (4, 14), (6, 18), (7, 20), (10, 21)):
+        assert spectral.eigen(ham, k).solver == "iterative"
+        assert calls[-1] == ncv
+    small = spectral.discretize(_CS3, GridSpec.box(0.0, math.pi, 8, 3, sector="ordered"), 4)
+    assert small.dim == 35
+    res = spectral.eigen(small, 20, method="iterative")
+    assert calls[-1] == 35
+    dense = spectral.eigen(small, 20, method="dense")
+    assert np.max(np.abs(res.eigenvalues - dense.eigenvalues)) < 1e-9
+    line = spectral.discretize(_rm(), GridSpec.line(0.0, math.pi, 200), 4)
+    for method in ("iterative", "shift_invert"):
+        assert spectral.eigen(line, 4, method=method).solver == method
+        assert calls[-1] is None
+    assert len(calls) == 8
 
 
 def test_shift_invert_rejects_shift_inside_spectrum():

@@ -433,6 +433,13 @@ def test_run_all_does_each_piece_of_work_once(monkeypatch):
     # outside run_all every identity draws and evaluates its own
     assert calls == {"spawn": 1 + 6, "W, J": [1.5, 2.5] + [1.5, 1.5, 2.5, 1.5, 1.5],
                      "V": [1.5] + [1.5] * 4}
+    # at N = 3 the three-body check reads the trial set's configurations
+    drawn = []
+    draw = verify.draw_configuration
+    monkeypatch.setattr(verify, "draw_configuration",
+                        lambda model, rng: drawn.append(model.n) or draw(model, rng))
+    verify.run_all(make_nbody_model("calogero_sutherland", 3, 1.0), 20, seed=8)
+    assert drawn == [3] * 20
 
 
 def test_run_all_rejects_too_few_trials_before_any_draw(monkeypatch):
