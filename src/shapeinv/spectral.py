@@ -184,6 +184,16 @@ def _sector_nodes(grid: GridSpec):
     return idx, nodes
 
 
+def _code_rows(sizes: np.ndarray, idx: np.ndarray) -> tuple:
+    """(strides, box): the row-major strides of a full box of these axis
+    sizes, and a table mapping each box code to its row among the nodes
+    idx, -1 off them."""
+    strides = np.cumprod([1, *sizes[:0:-1]])[::-1]
+    box = np.full(int(np.prod(sizes)), -1)
+    box[idx @ strides] = np.arange(len(idx))
+    return strides, box
+
+
 def _stencil_table(grid: GridSpec, idx: np.ndarray, coeffs, order: int):
     """Every node's stencil neighbours under the 1-D stencil `coeffs(order,
     h)` along each axis, restricted to the sector nodes `idx`: (rows, vals),
@@ -215,10 +225,8 @@ def _stencil_table(grid: GridSpec, idx: np.ndarray, coeffs, order: int):
         vals = np.where(beyond, -vals, vals)
         t = np.where(t < -1, -2 - t, np.where(beyond, 2 * size - t, t))
     inside = (t >= 0) & (t < size)
-    strides = np.cumprod([1, *sizes[:0:-1]])[::-1]
+    strides, box = _code_rows(sizes, idx)
     code = idx @ strides
-    box = np.full(int(np.prod(sizes)), -1)
-    box[code] = np.arange(n_nodes)
     rows = box[np.where(inside, code + (t - c) * strides[:, None, None], 0)]
     return np.where(inside, rows, -1), vals
 

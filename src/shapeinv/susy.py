@@ -28,6 +28,23 @@ measurement.
 Full N-body grids (N >= 3) use dense square ladders D_i + W_i with skew
 D_i; there the commutators [A_i, A_j] survive at stencil order, so
 ||Q^2|| is reported as a diagnostic rather than guaranteed to vanish.
+
+A grid of identical Dirichlet axes is symmetric under its mirror: x_i ->
+lo + hi - x_(N-1-i), the reflection of the box with the particle order
+reversed.  Every kind's W_i is a sum of pair terms w(x_i - x_j) with w odd,
+so the mirror takes L_i to -L_(N-1-i).  With each Fock state's modes
+bit-reversed it takes Q to itself up to a sign fixed by the sector Q acts
+on, and so commutes with H on every sector: node idx -> (sizes - 1) -
+idx[::-1], state s -> its bit reversal.  The builder declares this row
+permutation for each sector (`SusySystem.mirrors`), and each relative
+matrix is solved as its even and odd parity blocks (`_parity_eigh`), two
+eigh of about half its size; the residual gate holds the result to the
+declared blocks, so a wrong mirror raises ConvergenceError.  Two-body
+systems, periodic grids and unequal axes declare the identity, whose even
+block is the whole matrix.  A kind with a one-body term must state its own
+parity before the builder declares a mirror for it: the BC_N kind of the
+roadmap (item 1a), whose one-body W is -kappa cot x + lambda tan x, is
+even only at kappa = lambda.
 """
 
 from __future__ import annotations
@@ -42,8 +59,8 @@ import numpy as np
 
 from .errors import ConvergenceError, DimensionCapError, DomainError
 from .models import NBodyModel, remainder_shift
-from .spectral import (RESIDUAL_CONTRACT, GridSpec, _deriv_coeffs, _sector_nodes,
-                       _stencil_table)
+from .spectral import (RESIDUAL_CONTRACT, GridSpec, _code_rows, _deriv_coeffs,
+                       _sector_nodes, _stencil_table)
 
 DENSE_SECTOR_CAP = 5000
 VARIANTS = ("s1", "s2")
@@ -172,8 +189,11 @@ class SusySystem:
     with the key of its k-independent relative matrix in `h_relative`: a
     two-body system's diagonal blocks are c_k^2 I away from G = xs xs^T or
     G2 = xs^T xs, and a group whose key `h_relative` lacks is its own
-    relative matrix.  The sparse H is assembled from the blocks on first
-    read; the analysis never reads it.
+    relative matrix.  `mirrors[key]` is a row permutation, an involution,
+    that commutes with the relative matrix `key` (the identity where the
+    builder knows no symmetry), by which its eigensolve splits into parity
+    blocks.  The sparse H is assembled from the blocks on first read; the
+    analysis never reads it.
     """
     model: NBodyModel
     grid: GridSpec
@@ -185,6 +205,7 @@ class SusySystem:
     cm_coeff: np.ndarray = field(repr=False)
     sum_weights: tuple = field(repr=False)  # ({state: w} of sector 1, of sector N-1)
     parts: dict = field(repr=False)         # {(Fock state, ...): relative key}
+    mirrors: dict = field(repr=False)       # {relative key: row permutation}
     h_relative: dict = field(default_factory=dict, repr=False)  # {key: matrix}
     _relative_eig: dict = field(default_factory=dict, repr=False)
     _sector_eig: dict = field(default_factory=dict, repr=False)
@@ -308,6 +329,7 @@ def _build_two_body(model: NBodyModel, grid: GridSpec, variant: str,
                       cm_momenta=tuple(cm_momenta), sizes=sizes, q_blocks=q_blocks,
                       h_blocks=h_blocks, cm_coeff=c, sum_weights=({1: 1.0}, {2: 1.0}),
                       parts={(0,): "G", (1,): "G", (2,): "G2", (3,): "G2"},
+                      mirrors={"G": np.arange(u), "G2": np.arange(m_cells)},
                       h_relative=h_relative)
 
 
@@ -383,7 +405,36 @@ def _build_grid(model: NBodyModel, grid: GridSpec, variant: str,
                       sum_weights=({1 << i: 1.0 for i in range(model.n)},
                                    {s: _string_sign(s, _empty_mode(model.n, s))
                                     for s in sectors[model.n - 1]}),
-                      parts={states: states for states in sectors})
+                      parts={states: states for states in sectors},
+                      mirrors=_grid_mirrors(grid, idx, sectors))
+
+
+def _bit_reversal(n: int, state: int) -> int:
+    """The Fock state of n modes with mode i moved to mode n - 1 - i."""
+    return sum(1 << n - 1 - i for i in range(n) if state >> i & 1)
+
+
+def _grid_mirrors(grid: GridSpec, idx: np.ndarray, sectors: list) -> dict:
+    """{sector states: the sector's mirror}, as a permutation of its rows.
+
+    On a grid of identical Dirichlet axes the mirror is x_i -> lo + hi -
+    x_(N-1-i) (module docstring): row (state s, node p) goes to (the bit
+    reversal of s, the node of (sizes - 1) - idx[p][::-1]), whose row comes
+    from the row-major code table of the stencils (`spectral._code_rows`).
+    A periodic grid or one of unequal axes declares the identity.
+    """
+    n_nodes = len(idx)
+    if grid.bc != "dirichlet" or len(set(grid.axes)) != 1:
+        return {states: np.arange(len(states) * n_nodes) for states in sectors}
+    sizes = np.full(grid.dim, len(grid.axis_nodes(0)))
+    strides, box = _code_rows(sizes, idx)
+    node_mirror = box[(sizes - 1 - idx[:, ::-1]) @ strides]
+    mirrors = {}
+    for states in sectors:
+        at = {s: j * n_nodes for j, s in enumerate(states)}
+        mirrors[states] = np.concatenate([at[_bit_reversal(grid.dim, s)] + node_mirror
+                                          for s in states])
+    return mirrors
 
 
 def build_susy(model: NBodyModel, grid: GridSpec, variant: str = "s1",
@@ -427,15 +478,14 @@ class _SectorEigen:
 
 
 class _SectorPart(NamedTuple):
-    """The blocks of a group of coupled Fock states of a sector, stacked
-    over the momenta: blocks[i] = relative + shifts[i] I, up to roundoff,
-    on the sector rows rows[i], which hold the states one after another in
-    ascending order.  Parts with one key share their relative matrix."""
+    """A group of coupled Fock states of a sector, whose blocks, stacked
+    over the momenta, are relative + shifts[i] I, up to roundoff, on the
+    sector rows rows[i], which hold the states one after another in
+    ascending order.  Parts with one key share their relative matrix.  The
+    blocks are read from H's declared ones when needed (`_part_blocks`)."""
     states: tuple
     rows: np.ndarray        # (n_k, size)
-    blocks: np.ndarray      # (n_k, size, size), H's blocks as declared
     key: object
-    relative: np.ndarray    # (size, size)
     shifts: np.ndarray      # (n_k,)
 
 
@@ -451,15 +501,14 @@ def _check_dense_cap(sizes: tuple, n_k: int):
 
 
 def _sector_parts(sys: SusySystem, f: int) -> list:
-    """The blocks of sector f as its builder declares them, one
+    """The parts of sector f as its builder declares them, one
     `_SectorPart` per declared part (`SusySystem.parts`) of the sector.
 
-    A part's blocks, one per center-of-mass momentum, place H's declared
-    blocks between its states.  H couples no two Fock states of a two-body
-    system, so each of its parts is one state, whose blocks are its
-    relative matrix G or G2 (`h_relative`) plus c_k^2 I.  A grid couples
-    the states of a sector, so each grid sector is one part, at its one
-    momentum with c = 0: its block is its own relative matrix.
+    H couples no two Fock states of a two-body system, so each of its parts
+    is one state, whose blocks are its relative matrix G or G2
+    (`h_relative`) plus c_k^2 I.  A grid couples the states of a sector, so
+    each grid sector is one part, at its one momentum with c = 0: its block
+    is its own relative matrix.
     """
     n_k, c2, size = len(sys.cm_coeff), sys.cm_coeff * sys.cm_coeff, sys.sizes
     # every momentum holds the sector's states in ascending order
@@ -470,15 +519,63 @@ def _sector_parts(sys: SusySystem, f: int) -> list:
     for states, key in sys.parts.items():
         if states[0] not in first:     # a part of another sector
             continue
-        # one state's blocks are read as held; a group's are placed side by side
-        blocks = (sys.h_blocks[states[0], states[0]] if len(states) == 1 else
-                  np.block([[sys.h_blocks[a, b] if (a, b) in sys.h_blocks
-                             else np.zeros((n_k, size[a], size[b])) for b in states]
-                            for a in states]))
         rows = per_k + np.concatenate([first[s] + np.arange(size[s]) for s in states])
-        parts.append(_SectorPart(states, rows, blocks, key,
-                                 sys.h_relative.get(key, blocks[0]), c2))
+        parts.append(_SectorPart(states, rows, key, c2))
     return parts
+
+
+def _part_blocks(sys: SusySystem, part: _SectorPart) -> tuple:
+    """(blocks, relative): H's declared blocks between the part's states,
+    (n_k, size, size), and its relative matrix.  One state's blocks are
+    read as held; a group's are placed side by side, a copy that lives only
+    as long as its caller holds it.  A part whose key `h_relative` lacks is
+    its own relative matrix."""
+    h, n_k, first = sys.h_blocks, len(sys.cm_coeff), part.states[0]
+    blocks = (h[first, first] if len(part.states) == 1 else
+              np.block([[h[a, b] if (a, b) in h else np.zeros((n_k, sys.sizes[a], sys.sizes[b]))
+                         for b in part.states] for a in part.states]))
+    return blocks, sys.h_relative.get(part.key, blocks[0])
+
+
+def _parity_eigh(mat: np.ndarray, mirror: np.ndarray) -> tuple:
+    """np.linalg.eigh of a symmetric matrix that commutes with the row
+    permutation `mirror`, an involution R, solved as its parity blocks.
+
+    The even block is spanned by the fixed rows e_p and by (e_p + e_Rp) /
+    sqrt(2) over the pairs p < Rp, the odd block by (e_p - e_Rp) / sqrt(2).
+    With M = mat[P, P] + mat[RP, RP] and X = mat[P, RP] + mat[RP, P] over
+    the pairs P, their pair entries are (M + X) / 2 and (M - X) / 2, both
+    exactly symmetric.  Each block gets one eigh, and the
+    eigenvectors are scattered back onto mat's rows, even ones first, the
+    eigenvalues left unsorted across the blocks.  Under the identity, the
+    mirror of every two-body relative matrix, the even block is mat itself,
+    and mat goes to eigh as it is: at two-body sizes (31 and 32 rows at
+    m = 32) the gathers and scatters would add about 40 % to eigh's time.
+    """
+    n = len(mirror)
+    rows = np.arange(n)
+    fixed, low = rows[mirror == rows], rows[mirror > rows]
+    if not low.size:    # the identity: the even block is mat itself
+        return np.linalg.eigh(mat)
+    high, half, n_fixed = mirror[low], math.sqrt(0.5), len(fixed)
+    at_fixed, at_low, at_high = mat[fixed], mat[low], mat[high]   # rows first: gathers faster
+    same = at_low[:, low] + at_high[:, high]
+    swap = at_low[:, high] + at_high[:, low]
+    even = np.empty((n_fixed + len(low),) * 2)
+    even[:n_fixed, :n_fixed] = at_fixed[:, fixed]
+    even[:n_fixed, n_fixed:] = half * (at_fixed[:, low] + at_fixed[:, high])
+    even[n_fixed:, :n_fixed] = even[:n_fixed, n_fixed:].T
+    even[n_fixed:, n_fixed:] = 0.5 * (same + swap)
+    (even_vals, even_vecs), (odd_vals, odd_vecs) = (np.linalg.eigh(b)
+                                                    for b in (even, 0.5 * (same - swap)))
+    n_even = len(even)
+    vecs = np.zeros((n, n))
+    vecs[fixed, :n_even] = even_vecs[:n_fixed]
+    vecs[low, :n_even] = half * even_vecs[n_fixed:]
+    vecs[high, :n_even] = vecs[low, :n_even]
+    vecs[low, n_even:] = half * odd_vecs
+    vecs[high, n_even:] = -vecs[low, n_even:]
+    return np.concatenate((even_vals, odd_vals)), vecs
 
 
 def _by_state(sys: SusySystem, part: _SectorPart, arr: np.ndarray) -> dict:
@@ -492,27 +589,29 @@ def _sector_solve(sys: SusySystem, f: int) -> _SectorEigen:
     """The block-wise eigensolve of sector f, cached on the system.
 
     The blocks are those the builder declares (`_sector_parts`), not
-    searched for.  Each relative matrix is solved once per system by a
-    dense real eigh (two-body: G for |0> and |s>, G2 for |d> and |sd>; a
-    grid: the sector), and each block's eigenvalues are its relative
-    eigenvalues plus its shift c_k^2; all momenta share the eigenvectors.
-    A residual gate holds the eigenpairs to the declared blocks, batched
-    over the momenta: ||H_k v - lambda v|| <= RESIDUAL_CONTRACT ||H_k||_inf
-    for every pair, else ConvergenceError carries the residuals.  The
-    eigenvalues are merged by a stable sort.
+    searched for.  Each relative matrix is solved once per system by dense
+    real eigh of its parity blocks under its declared mirror
+    (`_parity_eigh`; two-body: G for |0> and |s>, G2 for |d> and |sd>,
+    each whole; a grid: the sector, split in two), and each block's
+    eigenvalues are its relative eigenvalues plus its shift c_k^2; all
+    momenta share the eigenvectors.  A residual gate holds the eigenpairs
+    to the declared blocks, batched over the momenta: ||H_k v - lambda v||
+    <= RESIDUAL_CONTRACT ||H_k||_inf for every pair, else ConvergenceError
+    carries the residuals.  The eigenvalues are merged by a stable sort.
     """
     if f not in sys._sector_eig:
         parts = _sector_parts(sys, f)
         block_vals, part_vecs = [], []
         for part in parts:
+            blocks, relative = _part_blocks(sys, part)
             if part.key not in sys._relative_eig:
-                sys._relative_eig[part.key] = np.linalg.eigh(part.relative)
+                sys._relative_eig[part.key] = _parity_eigh(relative, sys.mirrors[part.key])
             rel_vals, vecs = sys._relative_eig[part.key]
             vals = rel_vals + part.shifts[:, None]
-            resid = np.matmul(part.blocks, vecs)
+            resid = np.matmul(blocks, vecs)
             resid -= vecs * vals[:, None, :]
             resid = np.linalg.norm(resid, axis=1)
-            bound = RESIDUAL_CONTRACT * np.abs(part.blocks).sum(axis=2).max(axis=1)
+            bound = RESIDUAL_CONTRACT * np.abs(blocks).sum(axis=2).max(axis=1)
             if np.any(resid > bound[:, None]):
                 raise ConvergenceError(
                     f"sector {f} eigenpairs miss their blocks: residual {np.max(resid):.2e}"
@@ -733,13 +832,16 @@ def _component_sum(sys: SusySystem, f: int, weights: dict, vec: np.ndarray) -> n
     return sum(w * pieces[s] for s, w in weights.items()).T.ravel()
 
 
-def _apply_sector(parts: list, vec: np.ndarray) -> np.ndarray:
-    """A sector's block of H applied to a sector vector through the blocks
-    of its parts (`_SectorEigen.parts`)."""
-    out = np.empty_like(vec)
+def _apply_sector(sys: SusySystem, parts: list, vec: np.ndarray) -> np.ndarray:
+    """A sector's block of H applied to a sector vector through H's
+    declared Fock blocks between the states of each of its parts
+    (`_SectorEigen.parts`), one momentum at a time."""
+    out = np.zeros_like(vec)
     for part in parts:
-        for rows, block in zip(part.rows, part.blocks):
-            out[rows] = block @ vec[rows]
+        rows = _by_state(sys, part, part.rows.T)    # {state: (size, n_k)}
+        for a, b in itertools.product(part.states, repeat=2):
+            for rows_a, rows_b, block in zip(rows[a].T, rows[b].T, sys.h_blocks.get((a, b), ())):
+                out[rows_a] += block @ vec[rows_b]
     return out
 
 
@@ -763,7 +865,7 @@ def _sum_check(sys: SusySystem, classify: dict, f: int, tag: str, target: int,
         if norm < SUM_TOL:
             cases.append({"lambda": lam, "class": "vanishing", "residual": norm})
             continue
-        resid = float(np.linalg.norm(_apply_sector(parts, phi) - lam * phi)
+        resid = float(np.linalg.norm(_apply_sector(sys, parts, phi) - lam * phi)
                       / (norm * max(1.0, abs(lam))))
         cases.append({"lambda": lam, "class": "degenerate" if resid < SUM_TOL else "unexplained",
                       "residual": resid})
@@ -806,7 +908,7 @@ def _epsilon_relation(sys: SusySystem, k: int) -> dict:
         if nrm == 0.0:
             continue
         overlap = abs(np.vdot(u, pred)) / (u_norm * nrm)
-        eig_res = float(np.linalg.norm(_apply_sector(parts1, u) - lam * u)
+        eig_res = float(np.linalg.norm(_apply_sector(sys, parts1, u) - lam * u)
                         / (u_norm * max(1.0, lam)))
         results.append({"lambda": lam,
                         "alignment_residual": float(1.0 - overlap),

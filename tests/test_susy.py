@@ -768,8 +768,9 @@ def test_declared_blocks_are_the_connected_components(case):
     for f in range(sys_.model.n + 1):
         mat = _reference_sector(sys_, f)
         n_blocks, labels = connected_components(mat != 0, directed=False)
-        blocks = sorted(((rows, block) for part in susy._sector_parts(sys_, f)
-                         for rows, block in zip(part.rows, part.blocks)),
+        parts = [(part, *susy._part_blocks(sys_, part)) for part in susy._sector_parts(sys_, f)]
+        blocks = sorted(((rows, block) for part, part_blocks, _ in parts
+                         for rows, block in zip(part.rows, part_blocks)),
                         key=lambda entry: entry[0][0])
         assert len(blocks) == n_blocks
         dense = mat.toarray()
@@ -779,10 +780,10 @@ def test_declared_blocks_are_the_connected_components(case):
             gap = np.max(np.abs(block - dense[np.ix_(rows, rows)]))
             assert gap <= 4 * EPS * np.max(np.abs(block))
         # each block is its part's relative matrix plus its shift, to roundoff
-        for part in susy._sector_parts(sys_, f):
-            eye = np.eye(len(part.relative))
-            for block, shift in zip(part.blocks, part.shifts):
-                gap = np.max(np.abs(block - (part.relative + shift * eye)))
+        for part, part_blocks, relative in parts:
+            eye = np.eye(len(relative))
+            for block, shift in zip(part_blocks, part.shifts):
+                gap = np.max(np.abs(block - (relative + shift * eye)))
                 assert gap <= 4 * EPS * np.max(np.abs(block))
 
 
@@ -826,6 +827,125 @@ def test_sector_solve_checks_the_declared_blocks():
     assert resid.shape == (3, bumped.shape[1])
     assert np.max(resid[1]) > susy.RESIDUAL_CONTRACT * norms[1]
     assert np.max(resid[[0, 2]]) <= 1e-12 * np.max(norms)
+
+
+# ---------------------------------------------------------------------------
+# mirror-parity sector solve
+# ---------------------------------------------------------------------------
+
+# ((kind, alpha, box), N, m) of the ordered grids the mirror tests run; at
+# even m each axis has a middle node (m - 1 interior nodes)
+_MIRROR_GRIDS = [((kind, alpha, box), n, m)
+                 for kind, alpha, box, n in (("calogero_sutherland", 1.0, (0.0, math.pi), 3),
+                                             ("calogero", 2.0, (-3.0, 3.0), 3),
+                                             ("harmonic_calogero", 2.0, (-3.0, 3.0), 3),
+                                             ("calogero_sutherland", 1.0, (0.0, math.pi), 4))
+                 for m in (8, 9)]
+
+
+def _mirror_grid(case, variant):
+    (kind, alpha, (lo, hi)), n, m = case
+    omega = 1.0 if kind == "harmonic_calogero" else None
+    model = make_nbody_model(kind, n, alpha, omega=omega)
+    return susy.build_susy(model, GridSpec.box(lo, hi, m, n, sector="ordered"), variant)
+
+
+def _mirror_id(case):
+    return f"{case[0][0]}-n{case[1]}-m{case[2]}"
+
+
+@pytest.mark.parametrize("variant", susy.VARIANTS)
+@pytest.mark.parametrize("case", _MIRROR_GRIDS, ids=_mirror_id)
+def test_mirror_split_matches_whole_sector_eigh(case, variant):
+    # the parity blocks give the whole sector's eigenvalues, and the
+    # classification of solving every sector whole
+    sys_ = _mirror_grid(case, variant)
+    spectra = susy.sector_spectra(sys_)
+    for f, vals in spectra.items():
+        [part] = susy._sector_parts(sys_, f)
+        whole = np.linalg.eigvalsh(susy._part_blocks(sys_, part)[1])
+        assert np.max(np.abs(vals - whole) / np.maximum(1.0, np.abs(whole))) <= 1e-12
+    report = susy.kernel_classify(sys_)
+    sectors, unsplit = _reference_classify(sys_, ops=_reference_ops(sys_))
+    assert report["unsplit"] == unsplit
+    for f, (tags, counts, vals, qn, qdn) in sectors.items():
+        assert report["sectors"][f]["tags"] == tags
+        assert report["sectors"][f]["counts"] == counts
+        nonzero = ~np.isnan(qn)
+        scale = np.sqrt(np.maximum(1.0, vals[nonzero]))
+        for norms, ref in (("q_norms", qn), ("qdag_norms", qdn)):
+            got = np.array(report["sectors"][f][norms])[nonzero]
+            assert np.max(np.abs(got - ref[nonzero]) / scale, initial=0.0) <= 1e-10
+
+
+@pytest.mark.parametrize("variant", susy.VARIANTS)
+@pytest.mark.parametrize("case", _MIRROR_GRIDS, ids=_mirror_id)
+def test_declared_mirror_is_a_symmetry_of_every_grid_sector(case, variant):
+    sys_ = _mirror_grid(case, variant)
+    for f in range(sys_.model.n + 1):
+        [part] = susy._sector_parts(sys_, f)
+        mirror, (blocks, _) = sys_.mirrors[part.key], susy._part_blocks(sys_, part)
+        assert np.array_equal(mirror[mirror], np.arange(len(mirror)))
+        for block in blocks:
+            gap = np.max(np.abs(block[mirror][:, mirror] - block))
+            assert gap <= 1e-14 * np.max(np.abs(block))
+    if sys_.model.n == 3:
+        # sector 0 holds the empty state alone, so its mirror is the nodes';
+        # the middle particle is fixed only on a middle node
+        node_mirror = sys_.mirrors[susy._sector_parts(sys_, 0)[0].key]
+        assert (node_mirror == np.arange(len(node_mirror))).any() == (case[2] % 2 == 0)
+    # a wrong mirror, still an involution, fails the residual gate: it
+    # pairs rows the symmetry pairs with others
+    key = susy._sector_parts(sys_, 1)[0].key
+    wrong = sys_.mirrors[key].copy()
+    a, b = np.flatnonzero(wrong > np.arange(len(wrong)))[:2]
+    wrong[[a, b, wrong[a], wrong[b]]] = [b, a, wrong[b], wrong[a]]
+    assert np.array_equal(wrong[wrong], np.arange(len(wrong)))
+    sys_.mirrors[key] = wrong
+    with pytest.raises(ConvergenceError):
+        susy._sector_solve(sys_, 1)
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
+def test_grids_of_unequal_axes_declare_the_identity(bc):
+    # alpha = 1 (g = 0) takes the full box, and disjoint axes keep every
+    # node off the coincidence walls
+    model = make_nbody_model("calogero", 2, 1.0)
+    sys_ = susy.build_susy(model, GridSpec(((0.0, 1.0, 8), (2.0, 3.0, 9)), bc), "s1")
+    for f in range(3):
+        [part] = susy._sector_parts(sys_, f)
+        assert np.array_equal(sys_.mirrors[part.key], np.arange(len(part.rows[0])))
+        vals = susy._sector_solve(sys_, f).vals
+        whole = np.linalg.eigvalsh(susy._part_blocks(sys_, part)[1])
+        assert np.max(np.abs(vals - whole) / np.maximum(1.0, np.abs(whole))) <= 1e-12
+
+
+@pytest.mark.parametrize("variant", susy.VARIANTS)
+@pytest.mark.parametrize("kind", [_CS2, ("calogero", 1.5, 8.0), _HARMONIC2],
+                         ids=lambda kind: kind[0])
+def test_two_body_relative_eig_is_eigh_bit_for_bit(kind, variant):
+    # a two-body system declares the identity, whose even block is the
+    # whole relative matrix
+    sys_ = _two_body(*kind, variant, susy.DEFAULT_CM_MOMENTA)
+    susy.sector_spectra(sys_)
+    assert sorted(sys_._relative_eig) == ["G", "G2"]
+    for key, (vals, vecs) in sys_._relative_eig.items():
+        ref_vals, ref_vecs = np.linalg.eigh(sys_.h_relative[key])
+        assert np.array_equal(vals, ref_vals)
+        assert np.array_equal(vecs, ref_vecs)
+
+
+def test_grid_analysis_keeps_no_copy_of_the_blocks():
+    model = make_nbody_model("calogero_sutherland", 3, 1.0)
+    sys_ = susy.build_susy(model, GridSpec.box(0.0, math.pi, 10, 3, sector="ordered"), "s1")
+    susy.kernel_classify(sys_)
+    susy.sector_sum_check(sys_, k=3, split_tol=0.45)
+    assert sorted(sys_._sector_eig) == [0, 1, 2, 3]
+    for eig in sys_._sector_eig.values():
+        # beside the eigenvectors, nothing it keeps is sector-wide squared
+        held = [eig.vals, eig.order, eig.ix,
+                *(field for part in eig.parts for field in part if isinstance(field, np.ndarray))]
+        assert max(a.size for a in held) == len(eig.ix)
 
 
 @pytest.mark.parametrize("cm", [(0,), (0, 1, -1), susy.DEFAULT_CM_MOMENTA],
