@@ -7,7 +7,6 @@ from .models import (
     NBodyModel,
     PairPrepotential,
     Prepotential1D,
-    check_pair_condition,
     make_nbody_model,
     make_pair_prepotential,
     make_prepotential_1d,
@@ -18,7 +17,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "NBodyModel", "PairPrepotential", "Prepotential1D",
-    "check_pair_condition", "make_nbody_model",
-    "make_pair_prepotential", "make_prepotential_1d", "remainder_shift",
+    "make_nbody_model", "make_pair_prepotential", "make_prepotential_1d",
+    "remainder_shift",
     "__version__",
 ]

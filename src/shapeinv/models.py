@@ -9,14 +9,17 @@ Conventions used across the whole package (units hbar = 1, 2m = 1):
 
 Ground states therefore satisfy psi0 ~ exp(-int W).  All prepotentials here
 are odd, W(-x) = -W(x), which is what makes the N-body cross terms reducible
-to pair terms (see ``PairPrepotential.condition_residual``).
+to pair terms (see ``balance_gap``).
 
 Each family formula is written once, in ``FAMILIES``; the N-body models and
 the pair rows read it through ``KINDS`` and ``PAIR_ROWS``.  Everything the
 rest of the package knows about an N-body kind is its ``Kind`` row in
-``KINDS``: the family of its pair prepotential and the closed forms that the
-identity checks compare against, written out apart from ``FAMILIES``.  No
-other module names a kind, so a new kind is one row.
+``KINDS``: the pair row of its pair prepotential, with that row's
+parameters, and the closed forms that the identity checks compare against,
+written out apart from ``FAMILIES``.  The pair row is the kind's one
+statement of the cross-term balance condition, which `verify` checks as the
+three-body cancellation.  No other module names a kind or a pair row, so a
+new kind is one row.
 """
 
 from __future__ import annotations
@@ -112,14 +115,14 @@ FAMILIES_1D = tuple(FAMILIES)
 
 @dataclass(frozen=True)
 class Kind:
-    """One N-body kind: the 1-D family of its pair prepotential w(x_i - x_j)
+    """One N-body kind: the pair row of its pair prepotential w(x_i - x_j)
     and the closed forms that the identity checks compare against, written
     out here and never read from ``FAMILIES``, so that no check compares the
     family table with itself.  Every callable takes the model.
     """
 
-    family: str               # 1-D family of w
-    params: Callable          # that family's parameters
+    pair: str                 # PAIR_ROWS row of w
+    pair_params: Callable     # that row's parameters
     period: float | None      # singular period: pair terms in sin(x_i - x_j), not x_i - x_j
     confined: bool            # takes omega and beta: (N beta^2/2) (x_i - x_j)^2 pair term
     c: Callable               # additive constant of the standard potential
@@ -142,7 +145,7 @@ KINDS = {
         # pair Gaussians confine the relative coordinates, not the center of mass
         normalizable=lambda m: m.beta > 0 and m.alpha > -0.5),
     "calogero_sutherland": Kind(
-        "rosen_morse_trig", lambda m: (m.alpha, 1.0), period=math.pi, confined=False,
+        "cot", lambda m: (-m.alpha,), period=math.pi, confined=False,
         c=lambda m: -m.alpha ** 2 * m.n * (m.n ** 2 - 1) / 3.0,
         remainder=lambda m: ((m.alpha + 1.0) ** 2 - m.alpha ** 2) * m.n * (m.n ** 2 - 1) / 3.0,
         normalizable=lambda m: m.alpha > -0.5, aliases=("cs",)),
@@ -167,8 +170,6 @@ class PairRow:
     names: tuple              # the row's parameter names, in order
     v0: Callable              # W^2 - W', valid for x != 0
     vtilde0: Callable         # the companion that balances the cross-pair products
-    period: float | None = None  # spacing of the singular points of W (None: the origin only)
-    half_width: float = 2.0   # check_pair_condition draws A, B from (-half_width, half_width)
     v0_delta_note: str | None = None  # distributional piece never evaluated numerically
 
 
@@ -187,8 +188,7 @@ PAIR_ROWS = {
     "cot": PairRow(
         "rosen_morse_trig", lambda a: (-a, 1.0), ("a",),
         v0=lambda x, a: a * (a + 1) / np.sin(x) ** 2 - a ** 2,
-        vtilde0=lambda x, a: np.full_like(x, -a ** 2 / 3.0),
-        period=math.pi, half_width=1.4),
+        vtilde0=lambda x, a: np.full_like(x, -a ** 2 / 3.0)),
     "coth": PairRow(
         "coth_hyperbolic", lambda a: (a,), ("a",),
         v0=lambda x, a: a * (a + 1) / np.sinh(x) ** 2 + a ** 2,
@@ -333,10 +333,16 @@ class NBodyModel:
 
     # -- pair functions ----------------------------------------------------
     @functools.cached_property
+    def pair(self) -> "PairPrepotential":
+        """The kind's pair row at this model's parameters."""
+        return PairPrepotential(self.kind_row.pair, self.kind_row.pair_params(self))
+
+    @functools.cached_property
     def pair_family(self) -> tuple:
-        """(family, params): the 1-D family whose W is the pair prepotential
-        (computed once per model; the jet harness reads it on every call)."""
-        return self.kind_row.family, self.kind_row.params(self)
+        """(family, params): the 1-D family whose W is the pair prepotential,
+        read through the pair row (computed once per model; the jet harness
+        reads it on every call)."""
+        return self.pair.pair_family
 
     def pair_w(self, r):
         family, params = self.pair_family
@@ -501,16 +507,27 @@ def remainder_shift(model: NBodyModel) -> float:
 # Pair rows of the cross-term balance condition
 # ---------------------------------------------------------------------------
 
+def balance_gap(w, vtilde, A, B, C):
+    """The cross-term balance condition at A + B + C = 0,
+
+        -[w(A)w(B) + w(B)w(C) + w(C)w(A)] = vtilde(A) + vtilde(B) + vtilde(C),
+
+    as (lhs - rhs, the pair products w(A)w(B), w(B)w(C), w(C)w(A) stacked on
+    a last axis of 3).  It holds for every pair row, and then sum_i W_i^2 of
+    W_i = sum_j' w(x_i - x_j) has no three-body term."""
+    wa, wb, wc = w(A), w(B), w(C)
+    # rows of a C-contiguous (..., 3) array sum in the order of a 3-vector
+    products = np.stack([wa * wb, wb * wc, wc * wa], axis=-1)
+    return -products.sum(axis=-1) - (vtilde(A) + vtilde(B) + vtilde(C)), products
+
+
 @dataclass(frozen=True)
 class PairPrepotential:
     """A 2-body prepotential row with companions v0, vtilde0, psi0.
 
-    v0 = W^2 - W' pointwise; vtilde0 balances the cross-pair products:
-    for any A + B + C = 0,
-
-        -W(A)W(C) - W(A)W(B) - W(C)W(B) = vtilde0(A) + vtilde0(B) + vtilde0(C).
-
-    psi0 = exp(-int W) is the pair factor of the product ground state.
+    v0 = W^2 - W' pointwise; vtilde0 balances the cross-pair products
+    (``balance_gap``).  psi0 = exp(-int W) is the pair factor of the product
+    ground state.
     """
 
     family: str
@@ -521,21 +538,21 @@ class PairPrepotential:
         return PAIR_ROWS[self.family]
 
     @property
-    def _family(self) -> tuple:
-        """(Family, params): the 1-D table row whose formulas this row uses."""
-        return FAMILIES[self.row.family], self.row.params(*self.params)
+    def pair_family(self) -> tuple:
+        """(family, params): the 1-D family whose formulas this row uses."""
+        return self.row.family, self.row.params(*self.params)
 
     @property
     def v0_delta_note(self) -> str | None:
         return self.row.v0_delta_note
 
     def w(self, x):
-        row, params = self._family
-        return row.w(np.asarray(x, dtype=float), *params)
+        family, params = self.pair_family
+        return FAMILIES[family].w(np.asarray(x, dtype=float), *params)
 
     def w_prime(self, x):
-        row, params = self._family
-        return row.w_prime(np.asarray(x, dtype=float), *params)
+        family, params = self.pair_family
+        return FAMILIES[family].w_prime(np.asarray(x, dtype=float), *params)
 
     def v0(self, x):
         """Closed-form W^2 - W' (valid for x != 0; see v0_delta_note),
@@ -547,68 +564,26 @@ class PairPrepotential:
         return self.row.vtilde0(np.asarray(x, dtype=float), *self.params)
 
     def log_psi0(self, x):
-        row, params = self._family
-        return row.log_psi0(np.asarray(x, dtype=float), *params)
+        family, params = self.pair_family
+        return FAMILIES[family].log_psi0(np.asarray(x, dtype=float), *params)
 
-    def condition_residual(self, A, B, vtilde_override=None):
-        """|lhs - rhs| of the balance condition at C = -A - B.
-
-        vtilde_override replaces vtilde0 (used to demonstrate that a wrong
-        companion is detected, e.g. vtilde_override=lambda x: 0*x).
-        """
+    def condition_residual(self, A, B):
+        """|lhs - rhs| of the balance condition at C = -A - B."""
         A = np.asarray(A, dtype=float)
         B = np.asarray(B, dtype=float)
-        C = -A - B
-        vt = vtilde_override if vtilde_override is not None else self.vtilde0
-        lhs = -(self.w(A) * self.w(C) + self.w(A) * self.w(B) + self.w(C) * self.w(B))
-        rhs = vt(A) + vt(B) + vt(C)
-        return np.abs(lhs - rhs)
+        return np.abs(balance_gap(self.w, self.vtilde0, A, B, -A - B)[0])
 
 
 def make_pair_prepotential(family: str, *params) -> PairPrepotential:
+    """Construct a pair row.  Raises DomainError for a parameter that is
+    not finite."""
     if family not in PAIR_FAMILIES:
         raise DomainError(f"unknown pair family {family!r}; expected one of {PAIR_FAMILIES}")
+    row = PAIR_ROWS[family]
     params = tuple(float(p) for p in params)
-    expected_len = len(PAIR_ROWS[family].names)
-    if len(params) != expected_len:
-        raise DomainError(f"{family} takes {expected_len} parameter(s), got {params}")
+    if len(params) != len(row.names):
+        raise DomainError(f"{family} takes {len(row.names)} parameter(s), got {params}")
+    for name, value in zip(row.names, params):
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
     return PairPrepotential(family, params)
-
-
-@dataclass(frozen=True)
-class PairConditionStats:
-    family: str
-    params: tuple
-    samples: int
-    seed: int
-    max_residual: float
-    mean_residual: float
-
-
-def check_pair_condition(pair: PairPrepotential, samples: int, seed: int,
-                         eps_sing: float = 1e-3) -> PairConditionStats:
-    """Sample the balance condition at random (A, B) with C = -A - B.
-
-    Draws avoid singular arguments by resampling; a row with a singular
-    period additionally keeps |A + B| below it.
-    """
-    if samples < 1:
-        raise DomainError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    half, period = pair.row.half_width, pair.row.period
-    residuals = np.empty(samples)
-    filled = 0
-    while filled < samples:
-        a = rng.uniform(-half, half, size=samples - filled)
-        b = rng.uniform(-half, half, size=samples - filled)
-        c = -a - b
-        ok = (np.abs(a) > eps_sing) & (np.abs(b) > eps_sing) & (np.abs(c) > eps_sing)
-        if period is not None:
-            ok &= np.abs(c) < period - eps_sing
-        a, b = a[ok], b[ok]
-        if a.size:
-            residuals[filled:filled + a.size] = pair.condition_residual(a, b)
-            filled += a.size
-    return PairConditionStats(pair.family, pair.params, samples, seed,
-                              float(residuals.max()), float(residuals.mean()))
-

@@ -17,7 +17,8 @@ P[t, i, j] = s G[t, i, j] + W[t, i] u[t, j].  Each commutator is the
 difference of its two products.  The contractions keep the scalar
 operation order of the pointwise `calculus` functions, which stay the
 reference: every residual equals theirs bit for bit.  The three-body
-cancellation is one array expression over all sampled triples.
+cancellation is the balance condition of the model's pair row, one array
+expression over all sampled triples.
 
 `run_all` does each piece of work once per call and shares it with the
 checks: it spawns the child seeds once (every check still gets fresh
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import calculus as calc
 from .errors import DomainError
-from .models import NBodyModel, _set_diagonal, remainder_shift
+from .models import NBodyModel, _set_diagonal, balance_gap, remainder_shift
 
 DEFAULT_GAP = 0.05
 BOX_HALF = 2.0  # configurations drawn from a box of side 4
@@ -366,47 +367,28 @@ def jastrow_residual(model: NBodyModel, trials: int, seed: int) -> float:
 # structural identities
 # ---------------------------------------------------------------------------
 
-def _three_body_residuals(kind: str, triples) -> np.ndarray:
-    """Relative residuals of the three-body cancellation at triples (T, 3),
-    one array expression over all rows; see `three_body_cancellation`."""
+def _three_body_residuals(model: NBodyModel, triples) -> np.ndarray:
+    """Relative residuals of the model's cross-term balance condition at
+    triples (u, v, w) of shape (T, 3), with A = u - v, B = v - w and
+    C = w - u: |lhs - rhs| over the largest |pair product| (at least 1), so
+    the conditioning of near-coincident triples is visible, not hidden.
+    w is the model's pair prepotential, from the family table, and vtilde0
+    its pair row's closed form; one array expression covers all rows."""
     u, v, w = np.asarray(triples, dtype=float).T
     if np.any((u == v) | (v == w) | (w == u)):
         raise DomainError("triple must have distinct coordinates")
-    if kind == "rational":
-        terms = [1.0 / ((u - v) * (u - w)),
-                 1.0 / ((v - u) * (v - w)),
-                 1.0 / ((w - u) * (w - v))]
-        target = 0.0
-    elif kind == "trig":
-        ta, tb, tc = np.tan(u - v), np.tan(v - w), np.tan(w - u)
-        terms = [1.0 / (ta * tb), 1.0 / (tb * tc), 1.0 / (tc * ta)]
-        target = 1.0
-    else:
-        raise DomainError(f"kind must be 'rational' or 'trig', got {kind!r}")
-    # rows of a C-contiguous (T, 3) array sum in the order of a 3-vector
-    terms = np.stack(terms, axis=-1)
-    return np.abs(terms.sum(axis=-1) - target) / np.maximum(1.0, np.abs(terms).max(axis=-1))
-
-
-def three_body_cancellation(kind: str, x_triple) -> float:
-    """Relative residual of the three-body cancellation at one triple.
-
-    kind 'rational': 1/((xi-xj)(xi-xk)) + cyclic permutations -> 0.
-    kind 'trig':     cot a cot b + cot b cot c + cot c cot a -> 1 for
-                     a + b + c = 0 built from the pairwise differences.
-    Residuals are relative to the largest term so the conditioning of
-    near-coincident triples is visible, not hidden.
-    """
-    return float(_three_body_residuals(kind, [x_triple])[0])
+    gap, products = balance_gap(model.pair_w, model.pair.vtilde0, u - v, v - w, w - u)
+    return np.abs(gap) / np.maximum(1.0, np.abs(products).max(axis=-1))
 
 
 def three_body_report(model: NBodyModel, trials: int, seed: int,
                       tolerance: float = 1e-12) -> ResidualReport:
-    """Sampled three-body cancellation for the model's flavor, at one
-    configuration of three particles per trial."""
+    """Sampled three-body cancellation: the balance condition of the
+    model's pair row (``models.balance_gap``) at one configuration of three
+    particles per trial, which leaves sum_i W_i^2 without a three-body
+    term."""
     if trials < 1:
         raise DomainError("trials must be >= 1")
-    kind = "trig" if model.kind_row.period else "rational"
     if model.n == 3 and _drawn is not None:
         # the trial set's configurations are these draws: the same child
         # seeds, each drawing its configuration first
@@ -417,7 +399,7 @@ def three_body_report(model: NBodyModel, trials: int, seed: int,
         xs = np.array([draw_configuration(probe, rng)
                        for rng in _child_rngs(seed, trials)])
     return _report("three_body_cancellation", model, trials, seed,
-                   _three_body_residuals(kind, xs), xs, tolerance)
+                   _three_body_residuals(model, xs), xs, tolerance)
 
 
 def prepotential_structure_report(model: NBodyModel, trials: int, seed: int,

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import importlib
 import inspect
 import json
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from shapeinv import cli
+from shapeinv import cli, models
 
 
 def run(args):
@@ -47,6 +48,22 @@ def test_verify_unreachable_tolerance(tmp_path):
     assert code == 1
     payload = json.loads((tmp_path / "three_body_cancellation.json").read_text())
     assert payload["max_residual"] > 0.0  # actual residuals still recorded
+
+
+def test_verify_harmonic_reads_its_pair_row(tmp_path, monkeypatch):
+    # without the alpha beta term of vtilde0 the beta cross products of
+    # sum W_i^2 no longer balance, and the three-body check must say so
+    flags = ["verify", "--kind", "harmonic_calogero", "--n", "4", "--alpha", "1.5",
+             "--omega", "1"]
+    assert run([*flags, "--outdir", str(tmp_path / "row")]) == 0
+    row = models.PAIR_ROWS["rational_harmonic"]
+    monkeypatch.setitem(models.PAIR_ROWS, "rational_harmonic", dataclasses.replace(
+        row, vtilde0=lambda x, a, b: 0.5 * a ** 2 * x ** 2))
+    assert run([*flags, "--outdir", str(tmp_path / "mutated")]) == 1
+    for name in ("row", "mutated"):
+        reports = {p.name: json.loads(p.read_text()) for p in (tmp_path / name).glob("*.json")}
+        failed = sorted(k for k, v in reports.items() if not v["pass"])
+        assert failed == ([] if name == "row" else ["three_body_cancellation.json"])
 
 
 @pytest.mark.parametrize("flags, message", [

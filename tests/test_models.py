@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from shapeinv.models import (
     FAMILIES,
     FAMILIES_1D,
     NBODY_KINDS,
-    check_pair_condition,
+    PAIR_ROWS,
     make_nbody_model,
     make_pair_prepotential,
     make_prepotential_1d,
@@ -338,6 +339,31 @@ ROWS = [
     ("cot", (0.9,)),
     ("coth", (1.2,)),
 ]
+# (half-width of the draws of A and B, singular period of W or None)
+DRAW_WINDOWS = {"cot": (1.4, math.pi)}
+
+
+def sample_pair_condition(pair, samples, seed, eps_sing=1e-3):
+    """The balance condition's residual at `samples` random (A, B), C = -A - B,
+    each from (-half, half) of the row's draw window.  Draws near a singular
+    argument are drawn again; a row with a singular period also keeps |C|
+    below it.  Returns (max, mean)."""
+    rng = np.random.default_rng(seed)
+    half, period = DRAW_WINDOWS.get(pair.family, (2.0, None))
+    residuals = np.empty(samples)
+    filled = 0
+    while filled < samples:
+        a = rng.uniform(-half, half, size=samples - filled)
+        b = rng.uniform(-half, half, size=samples - filled)
+        c = -a - b
+        ok = (np.abs(a) > eps_sing) & (np.abs(b) > eps_sing) & (np.abs(c) > eps_sing)
+        if period is not None:
+            ok &= np.abs(c) < period - eps_sing
+        a, b = a[ok], b[ok]
+        if a.size:
+            residuals[filled:filled + a.size] = pair.condition_residual(a, b)
+            filled += a.size
+    return float(residuals.max()), float(residuals.mean())
 
 
 @pytest.mark.parametrize("family,params", ROWS)
@@ -368,19 +394,30 @@ def test_pair_condition_rational_example():
     assert pair.condition_residual(0.3, -1.1) < 1e-10
 
 
-def test_pair_condition_detects_violation():
+def test_pair_condition_detects_violation(monkeypatch):
     # replacing the companion with zero leaves a constant a^2 mismatch
+    row = PAIR_ROWS["cot"]
+    monkeypatch.setitem(PAIR_ROWS, "cot", dataclasses.replace(
+        row, vtilde0=lambda x, a: 0.0 * x))
     pair = make_pair_prepotential("cot", 0.9)
-    res = pair.condition_residual(0.4, 0.7, vtilde_override=lambda x: 0.0 * x)
-    assert res == pytest.approx(0.81, rel=1e-10)
+    assert pair.condition_residual(0.4, 0.7) == pytest.approx(0.81, rel=1e-10)
 
 
 @pytest.mark.parametrize("family,params", ROWS)
 def test_pair_condition_sampled(family, params):
     pair = make_pair_prepotential(family, *params)
-    stats = check_pair_condition(pair, samples=500, seed=5)
-    assert stats.max_residual < 1e-10
-    assert stats.mean_residual <= stats.max_residual
+    worst, mean = sample_pair_condition(pair, samples=500, seed=5)
+    assert worst < 1e-10
+    assert mean <= worst
+
+
+@pytest.mark.parametrize("family,params", ROWS)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_pair_parameters_rejected(family, params, value):
+    for index, name in enumerate(PAIR_ROWS[family].names):
+        bad = params[:index] + (value,) + params[index + 1:]
+        with pytest.raises(DomainError, match=f"{name} must be finite, got {value}"):
+            make_pair_prepotential(family, *bad)
 
 
 def test_sign_row_delta_note():

@@ -103,30 +103,35 @@ def test_momentum_commutation_all_kinds():
         assert rep.passed and rep.max_residual < 1e-10
 
 
+def _three_body(kind, triple, alpha=1.5):
+    return float(verify._three_body_residuals(_guard_model(kind, alpha), [triple])[0])
+
+
 def test_three_body_values():
-    assert verify.three_body_cancellation("rational", (0.3, 1.1, 2.7)) < 1e-12
-    # a = 0.4, b = 0.7, c = -1.1 realized as differences of (x, x-a, x-a-b)
-    assert verify.three_body_cancellation("trig", (1.5, 1.1, 0.4)) < 1e-12
+    assert _three_body("calogero", (0.3, 1.1, 2.7)) < 1e-12
+    assert _three_body("harmonic_calogero", (0.3, 1.1, 2.7)) < 1e-12
+    # A = 0.4, B = 0.7, C = -1.1 as the differences of (1.5, 1.1, 0.4)
+    assert _three_body("calogero_sutherland", (1.5, 1.1, 0.4)) < 1e-12
 
 
 def test_three_body_near_coincident_conditioning():
-    res = verify.three_body_cancellation("rational", (0.3, 0.3 + 1e-5, 2.7))
-    assert res < 1e-7  # relative to the largest term
+    res = _three_body("calogero", (0.3, 0.3 + 1e-5, 2.7))
+    assert res < 1e-7  # relative to the largest pair product
 
 
 def test_three_body_rejects_coincident():
     # every coincident pair, alone and as one row of a batch
-    for kind in ("rational", "trig"):
+    for kind in NBODY_KINDS:
+        model = _guard_model(kind)
         for triple in ((0.3, 0.3, 1.0), (0.3, 1.0, 1.0), (1.0, 0.3, 1.0)):
-            with pytest.raises(DomainError, match="distinct"):
-                verify.three_body_cancellation(kind, triple)
-            with pytest.raises(DomainError, match="distinct"):
-                verify._three_body_residuals(kind, [(0.1, 0.5, 0.9), triple])
+            for triples in ([triple], [(0.1, 0.5, 0.9), triple]):
+                with pytest.raises(DomainError, match="distinct"):
+                    verify._three_body_residuals(model, triples)
 
 
 def test_three_body_sampled_both_flavors():
-    for kind in ("calogero", "calogero_sutherland"):
-        m = make_nbody_model(kind, 3, 1.0)
+    for kind in NBODY_KINDS:
+        m = _guard_model(kind, alpha=1.0)
         rep = verify.three_body_report(m, 500, seed=9)
         assert rep.passed and rep.max_residual < 1e-12
 
@@ -452,42 +457,38 @@ def test_run_all_rejects_too_few_trials_before_any_draw(monkeypatch):
     assert drawn == [] and calls == {"spawn": 0, "W, J": [], "V": []}
 
 
-def _three_body_reference(kind, triple):
-    """The cancellation at one triple in Python floats, term by term."""
+def _three_body_reference(model, triple):
+    """The balance condition of the model's pair row at one triple, in
+    Python floats, term by term."""
     u, v, w = map(float, triple)
-    if kind == "rational":
-        terms = np.array([1.0 / ((u - v) * (u - w)), 1.0 / ((v - u) * (v - w)),
-                          1.0 / ((w - u) * (w - v))])
-        target = 0.0
-    else:
-        a, b, c = u - v, v - w, w - u
-        terms = np.array([1.0 / (np.tan(a) * np.tan(b)), 1.0 / (np.tan(b) * np.tan(c)),
-                          1.0 / (np.tan(c) * np.tan(a))])
-        target = 1.0
-    return float(abs(terms.sum() - target) / max(1.0, np.max(np.abs(terms))))
+    args = (u - v, v - w, w - u)
+    wa, wb, wc = (float(model.pair.w(r)) for r in args)
+    va, vb, vc = (float(model.pair.vtilde0(r)) for r in args)
+    products = (wa * wb, wb * wc, wc * wa)
+    gap = -(products[0] + products[1] + products[2]) - (va + vb + vc)
+    return abs(gap) / max(1.0, max(abs(p) for p in products))
 
 
-@pytest.mark.parametrize("kind", ["rational", "trig"])
+@pytest.mark.parametrize("kind", NBODY_KINDS)
 def test_batched_three_body_equals_each_triple(kind):
+    model = _guard_model(kind)
     rng = np.random.default_rng(5)
     triples = rng.uniform(0.0, 3.0, size=(400, 3))
     near = triples[:100].copy()
     near[:, 1] = near[:, 0] + 10.0 ** rng.uniform(-13, -4, size=100)
     near[:, 2] = near[:, 0] - 10.0 ** rng.uniform(-13, -4, size=100)
     triples = np.concatenate([triples, near])
-    batched = verify._three_body_residuals(kind, triples)
-    reference = [_three_body_reference(kind, t) for t in triples]
-    assert batched.tolist() == reference
-    assert [verify.three_body_cancellation(kind, t) for t in triples] == reference
+    batched = verify._three_body_residuals(model, triples)
+    assert batched.tolist() == [_three_body_reference(model, t) for t in triples]
 
 
 # ---------------------------------------------------------------------------
 # the references the checks compare against are independent of FAMILIES
 # ---------------------------------------------------------------------------
 
-def _guard_model(kind):
+def _guard_model(kind, alpha=1.5):
     omega = 1.0 if kind == "harmonic_calogero" else None
-    return make_nbody_model(kind, 3, 1.5, omega=omega)
+    return make_nbody_model(kind, 3, alpha, omega=omega)
 
 
 def _scale_family_formula(monkeypatch, model, name):
@@ -500,12 +501,17 @@ def _scale_family_formula(monkeypatch, model, name):
         row, **{name: lambda x, *params: (1 + 1e-6) * formula(x, *params)}))
 
 
-@pytest.mark.parametrize("kind", NBODY_KINDS)
-def test_perturbed_family_w_is_detected(monkeypatch, kind):
+# calogero's balance condition, sum 1/(AB) = 0, is homogeneous in w, so a
+# scaled w keeps it and only the factorization sees the scale
+@pytest.mark.parametrize("check,kind", [
+    *(pytest.param("factorization_residual", kind, id=kind) for kind in NBODY_KINDS),
+    *(pytest.param("three_body_report", kind, id=f"three_body-{kind}")
+      for kind in ("harmonic_calogero", "calogero_sutherland"))])
+def test_perturbed_family_w_is_detected(monkeypatch, check, kind):
     m = _guard_model(kind)
-    assert verify.factorization_residual(m, 20, seed=5).passed
+    assert getattr(verify, check)(m, 20, seed=5).passed
     _scale_family_formula(monkeypatch, m, "w")
-    assert not verify.factorization_residual(m, 20, seed=5).passed
+    assert not getattr(verify, check)(m, 20, seed=5).passed
 
 
 @pytest.mark.parametrize("kind", NBODY_KINDS)
