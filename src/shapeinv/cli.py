@@ -246,10 +246,9 @@ def cmd_spectrum(args) -> int:
         if not cfg["reduce"]:
             raise DomainError("N-body spectra are supported through --reduce "
                               "(two-body relative problem)")
-        red = spectral.two_body_reduction(model)
-        levels = [red.kinetic_factor * e
-                  for e in _bound_levels(red.prep, cfg["nmax"])]
-        lo, hi = red.domain
+        prep = spectral.relative_prepotential(model)
+        levels = [spectral.RELATIVE_KINETIC * e for e in _bound_levels(prep, cfg["nmax"])]
+        lo, hi = prep.domain()
         if cfg["domain_min"] is not None:
             raise DomainError(f"the relative grid starts at the wall r = {lo!r}, "
                               "so domain_min does not apply under reduce")

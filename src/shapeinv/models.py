@@ -11,15 +11,17 @@ Ground states therefore satisfy psi0 ~ exp(-int W).  All prepotentials here
 are odd, W(-x) = -W(x), which is what makes the N-body cross terms reducible
 to pair terms (see ``balance_gap``).
 
-Each family formula is written once, in ``FAMILIES``; the N-body models and
-the pair rows read it through ``KINDS`` and ``PAIR_ROWS``.  Everything the
-rest of the package knows about an N-body kind is its ``Kind`` row in
-``KINDS``: the pair row of its pair prepotential, with that row's
-parameters, and the closed forms that the identity checks compare against,
-written out apart from ``FAMILIES``.  The pair row is the kind's one
-statement of the cross-term balance condition, which `verify` checks as the
-three-body cancellation.  No other module names a kind or a pair row, so a
-new kind is one row.
+Each family formula is written once, in ``FAMILIES``, and only
+``Prepotential1D`` evaluates it: every 1-D W is one ``Prepotential1D``,
+whether it is a family of its own or the W of a pair row
+(``PairPrepotential.prep``), which the N-body pair term w(x_i - x_j) and the
+N = 2 relative problem share.  Everything the rest of the package knows
+about an N-body kind is its ``Kind`` row in ``KINDS``: the pair row of its
+pair prepotential, with that row's parameters, and the closed forms that the
+identity checks compare against, written out apart from ``FAMILIES``.  The
+pair row is the kind's one statement of the cross-term balance condition,
+which `verify` checks as the three-body cancellation.  No other module names
+a kind or a pair row, so a new kind is one row.
 """
 
 from __future__ import annotations
@@ -337,25 +339,15 @@ class NBodyModel:
         """The kind's pair row at this model's parameters."""
         return PairPrepotential(self.kind_row.pair, self.kind_row.pair_params(self))
 
-    @functools.cached_property
-    def pair_family(self) -> tuple:
-        """(family, params): the 1-D family whose W is the pair prepotential,
-        read through the pair row (computed once per model; the jet harness
-        reads it on every call)."""
-        return self.pair.pair_family
-
     def pair_w(self, r):
-        family, params = self.pair_family
-        return FAMILIES[family].w(np.asarray(r, dtype=float), *params)
+        return self.pair.prep.w(r)
 
     def pair_w_prime(self, r):
-        family, params = self.pair_family
-        return FAMILIES[family].w_prime(np.asarray(r, dtype=float), *params)
+        return self.pair.prep.w_prime(r)
 
     def pair_log_jastrow(self, r):
         """log of the pair factor of the product ground state."""
-        family, params = self.pair_family
-        return FAMILIES[family].log_psi0(np.asarray(r, dtype=float), *params)
+        return self.pair.prep.log_ground_state(r)
 
     # -- configuration-level evaluation -------------------------------------
     # Each method takes one configuration (N,) or a batch (M, N) of them;
@@ -523,11 +515,12 @@ def balance_gap(w, vtilde, A, B, C):
 
 @dataclass(frozen=True)
 class PairPrepotential:
-    """A 2-body prepotential row with companions v0, vtilde0, psi0.
+    """A 2-body prepotential row: its W as the 1-D prepotential `prep`, with
+    companions v0 and vtilde0.
 
     v0 = W^2 - W' pointwise; vtilde0 balances the cross-pair products
-    (``balance_gap``).  psi0 = exp(-int W) is the pair factor of the product
-    ground state.
+    (``balance_gap``).  prep's ground state exp(-int W) is the pair factor
+    of the product ground state.
     """
 
     family: str
@@ -537,25 +530,15 @@ class PairPrepotential:
     def row(self) -> PairRow:
         return PAIR_ROWS[self.family]
 
-    @property
-    def pair_family(self) -> tuple:
-        """(family, params): the 1-D family whose formulas this row uses."""
-        return self.row.family, self.row.params(*self.params)
-
-    @property
-    def v0_delta_note(self) -> str | None:
-        return self.row.v0_delta_note
-
-    def w(self, x):
-        family, params = self.pair_family
-        return FAMILIES[family].w(np.asarray(x, dtype=float), *params)
-
-    def w_prime(self, x):
-        family, params = self.pair_family
-        return FAMILIES[family].w_prime(np.asarray(x, dtype=float), *params)
+    @functools.cached_property
+    def prep(self) -> Prepotential1D:
+        """The row's W as a 1-D prepotential of its family.  Not validated:
+        the N-body pair term takes parameters (CS at -1/2 < alpha < 0) that
+        the 1-D problem rejects."""
+        return Prepotential1D(self.row.family, self.row.params(*self.params))
 
     def v0(self, x):
-        """Closed-form W^2 - W' (valid for x != 0; see v0_delta_note),
+        """Closed-form W^2 - W' (valid for x != 0; see the row's v0_delta_note),
         from the pair row rather than the family table, so that it checks
         the table's W and W'."""
         return self.row.v0(np.asarray(x, dtype=float), *self.params)
@@ -563,15 +546,11 @@ class PairPrepotential:
     def vtilde0(self, x):
         return self.row.vtilde0(np.asarray(x, dtype=float), *self.params)
 
-    def log_psi0(self, x):
-        family, params = self.pair_family
-        return FAMILIES[family].log_psi0(np.asarray(x, dtype=float), *params)
-
     def condition_residual(self, A, B):
         """|lhs - rhs| of the balance condition at C = -A - B."""
         A = np.asarray(A, dtype=float)
         B = np.asarray(B, dtype=float)
-        return np.abs(balance_gap(self.w, self.vtilde0, A, B, -A - B)[0])
+        return np.abs(balance_gap(self.prep.w, self.vtilde0, A, B, -A - B)[0])
 
 
 def make_pair_prepotential(family: str, *params) -> PairPrepotential:

@@ -106,7 +106,7 @@ class SparseHamiltonian:
     nodes: np.ndarray            # (n_nodes, dim)
     grid: GridSpec
     stencil_order: int
-    info: dict = field(default_factory=dict)
+    potential_floor: float       # min of V over the nodes; shift-invert's shift sits 1 below
 
     @property
     def dim(self) -> int:
@@ -285,7 +285,6 @@ def discretize(operator, grid: GridSpec, stencil_order: int = 4,
             and kinetic_scale > 0):
         raise DomainError(f"kinetic_scale must be a finite positive number, "
                           f"got {kinetic_scale!r}")
-    info = {}
     delta = 0.0
     if isinstance(operator, NBodyModel):
         model = operator
@@ -294,14 +293,11 @@ def discretize(operator, grid: GridSpec, stencil_order: int = 4,
         if model.g != 0.0 and grid.sector != "ordered":
             raise DomainError("singular pair potentials need the ordered sector")
         vfun = model.potential
-        info["model"] = model.descriptor()
     elif isinstance(operator, Prepotential1D):
         if grid.dim != 1:
             raise DomainError("a 1-D prepotential needs a 1-D grid")
         vfun = operator.potential
         delta = operator.w_prime_delta()
-        info["family"] = operator.family
-        info["params"] = operator.params
     elif callable(operator):
         vfun = operator
     else:
@@ -321,15 +317,14 @@ def discretize(operator, grid: GridSpec, stencil_order: int = 4,
         h = grid.axis_h(0)
         j = int(np.argmin(np.abs(nodes[:, 0])))
         if abs(nodes[j, 0]) > 1e-9 * h or not 0 < j < len(v) - 1:
-            raise DomainError(f"{info['family']} puts a delta spike at x = 0: the grid "
+            raise DomainError(f"{operator.family} puts a delta spike at x = 0: the grid "
                               "needs an interior node there, as an even m on a "
                               "symmetric domain gives")
         v[j] = 0.5 * (v[j - 1] + v[j + 1]) - delta / h
 
-    info["potential_floor"] = float(v.min())
     rows, vals = _stencil_table(grid, idx, _lap_coeffs, stencil_order)
     mat = _assemble(rows, vals, kinetic_scale, v, wraps=grid.bc == "periodic")
-    ham = SparseHamiltonian(mat, nodes, grid, stencil_order, info)
+    ham = SparseHamiltonian(mat, nodes, grid, stencil_order, float(v.min()))
     if not ham.symmetry_defect() <= 1e-12:   # NaN fails too
         raise DomainError("assembled operator is not symmetric")
     return ham
@@ -378,10 +373,7 @@ def _shift_invert(ham: SparseHamiltonian, k: int, v0: np.ndarray, maxiter: int,
     import scipy.sparse.linalg as spla
 
     n = ham.dim
-    if "potential_floor" not in ham.info:
-        raise DomainError("shift-invert needs info['potential_floor'], as "
-                          "discretize records it")
-    sigma = ham.info["potential_floor"] - 1.0
+    sigma = ham.potential_floor - 1.0
     order = np.arange(n)
     if ham.grid.dim == 1 and ham.grid.bc == "periodic":
         order = np.stack([order, order[::-1]], axis=1).ravel()[:n]
@@ -443,9 +435,9 @@ def eigen(ham: SparseHamiltonian, k: int, seed: int = 0,
     on the smallest algebraic eigenvalues above; 'shift_invert', 'dense' and
     'iterative' force a path.  Both Lanczos paths start from a vector seeded
     by `seed`.  Shift-invert puts its shift one below the potential floor
-    that `discretize` records in `ham.info` and applies (H - shift)^-1 by a
-    banded Cholesky factorization, which exists only when the shift is below
-    the spectrum; otherwise it fails loudly.  Every returned eigenpair is
+    that `discretize` records in `ham.potential_floor` and applies
+    (H - shift)^-1 by a banded Cholesky factorization, which exists only
+    when the shift is below the spectrum; otherwise it fails loudly.  Every returned eigenpair is
     held to ||Hv - lambda v|| <= 1e-8 ||H||_est (RESIDUAL_CONTRACT).
 
     Both Lanczos paths stop at that contract, not at machine precision.
@@ -557,11 +549,12 @@ def _interior_mask(ham: SparseHamiltonian) -> np.ndarray:
 
 def reduced_hamiltonian(model: NBodyModel, grid: GridSpec,
                         stencil_order: int, partner: bool = False) -> SparseHamiltonian:
-    """The relative operator of an N = 2 model on a 1-D grid: (B+ B)/2 of
-    ``TwoBodyReduction``, or its partner (B B+)/2 when partner is True."""
-    red = two_body_reduction(model)
-    pot = red.partner_operator_potential if partner else red.operator_potential
-    return discretize(pot, grid, stencil_order, kinetic_scale=red.kinetic_factor)
+    """The relative operator (B+ B)/2 of an N = 2 model on a 1-D grid (see
+    RELATIVE_KINETIC), or its partner (B B+)/2 when partner is True."""
+    prep = relative_prepotential(model)
+    pot = prep.partner_potential if partner else prep.potential
+    return discretize(lambda r: RELATIVE_KINETIC * pot(r), grid, stencil_order,
+                      kinetic_scale=RELATIVE_KINETIC)
 
 
 def jastrow_ground_state(model: NBodyModel, grid: GridSpec,
@@ -616,37 +609,19 @@ def boundary_ambiguous(model: NBodyModel) -> bool:
 # two-body reduction
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TwoBodyReduction:
-    """The N = 2 Hamiltonian split into center of mass and relative parts.
-
-    With r = x2 - x1 the Hamiltonian is P_tot^2 / 2 + (B+ B)/2 where
-    B = A2 - A1; the relative factor (B+ B)/2 equals
-    kinetic_factor * (-d2/dr2 + W^2 - W') for the 1-D prepotential below.
-    """
-    prep: Prepotential1D
-    kinetic_factor: float
-    domain: tuple
-
-    def operator_potential(self, r):
-        return self.kinetic_factor * self.prep.potential(r)
-
-    def partner_operator_potential(self, r):
-        return self.kinetic_factor * self.prep.partner_potential(r)
-
-    def algebraic_energies(self, n_max: int) -> np.ndarray:
-        from . import shape1d   # shape1d imports this module's GridSpec
-
-        chain = shape1d.algebraic_spectrum(self.prep, n_max)
-        return self.kinetic_factor * np.asarray(chain.energies)
+# With r = x2 - x1 the N = 2 Hamiltonian is P_tot^2 / 2 + (B+ B)/2, where
+# B = A2 - A1 and (B+ B)/2 = RELATIVE_KINETIC * (-d2/dr2 + W^2 - W') for the
+# pair's W as a 1-D prepotential.
+RELATIVE_KINETIC = 2.0
 
 
-def two_body_reduction(model: NBodyModel) -> TwoBodyReduction:
-    """Map an N = 2 model onto its relative 1-D shape-invariant problem."""
+def relative_prepotential(model: NBodyModel) -> Prepotential1D:
+    """The relative 1-D shape-invariant problem of an N = 2 model: its pair
+    W, validated as a 1-D prepotential of the pair row's family."""
     if model.n != 2:
         raise DomainError("reduction applies to two-body models only")
-    prep = make_prepotential_1d(*model.pair_family)
-    return TwoBodyReduction(prep, 2.0, prep.domain())
+    prep = model.pair.prep
+    return make_prepotential_1d(prep.family, prep.params)
 
 
 # ---------------------------------------------------------------------------

@@ -134,9 +134,8 @@ def _adjoint(blocks: dict) -> dict:
 # staggered relative ladders (two-body systems)
 # ---------------------------------------------------------------------------
 
-def _staggered_ladder(m_cells: int, length: float, w_fun, derivative_sign: int,
-                      to_nodes: bool) -> np.ndarray:
-    """4th-order discretization of (sign * d/dr + w) between staggered grids,
+def _staggered_ladder(m_cells: int, length: float, w_fun, to_nodes: bool) -> np.ndarray:
+    """4th-order discretization of (d/dr + w) between staggered grids,
     as a dense banded matrix.
 
     to_nodes: midpoint values -> node values, shape (m-1, m); otherwise node
@@ -162,7 +161,7 @@ def _staggered_ladder(m_cells: int, length: float, w_fun, derivative_sign: int,
     ladder = np.zeros(shape)
     for off, cd, ca in offsets:
         row = np.arange(max(0, -off), min(shape[0], shape[1] - off))
-        ladder[row, row + off] = derivative_sign * cd / (24.0 * h) + w[row] * ca / 16.0
+        ladder[row, row + off] = cd / (24.0 * h) + w[row] * ca / 16.0
     return ladder
 
 
@@ -311,11 +310,11 @@ def _build_two_body(model: NBodyModel, grid: GridSpec, variant: str,
     sizes = (u, u, m_cells, m_cells)
     _check_dense_cap(sizes, n_k)
     if variant == "s1":
-        x_op = _staggered_ladder(m_cells, length, model.pair_w, +1, to_nodes=True)
+        x_op = _staggered_ladder(m_cells, length, model.pair_w, to_nodes=True)
         c_over_k = -0.5
     else:
         up = model.shifted(1.0)
-        node_to_mid = _staggered_ladder(m_cells, length, up.pair_w, +1, to_nodes=False)
+        node_to_mid = _staggered_ladder(m_cells, length, up.pair_w, to_nodes=False)
         x_op = np.ascontiguousarray(node_to_mid.T)   # wide, ~ (-d/dr + w(alpha+1))
         c_over_k = 0.5
     root2 = math.sqrt(2.0)

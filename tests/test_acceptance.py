@@ -157,10 +157,7 @@ def test_criterion_07_ground_states():
     jet_ok = worst <= 1e-8
     m = make_nbody_model("calogero_sutherland", 2, 1.0)
     energy = remainder_shift(m)
-    red = spectral.two_body_reduction(m)
-    ham = spectral.discretize(red.partner_operator_potential,
-                              GridSpec.line(0.0, math.pi, 1000), 4,
-                              kinetic_scale=red.kinetic_factor)
+    ham = spectral.reduced_hamiltonian(m, GridSpec.line(0.0, math.pi, 1000), 4, partner=True)
     lam0 = spectral.eigen(ham, 1).eigenvalues[0]
     grid_ok = (energy == 6.0) and abs(lam0 - energy) / energy <= 1e-3
     elapsed = time.perf_counter() - t0
@@ -172,11 +169,9 @@ def test_criterion_07_ground_states():
 def test_criterion_08_two_body_reduction():
     t0 = time.perf_counter()
     m = make_nbody_model("calogero_sutherland", 2, 2.0)
-    red = spectral.two_body_reduction(m)
-    alg = red.algebraic_energies(3)
-    ham = spectral.discretize(red.operator_potential,
-                              GridSpec.line(0.0, math.pi, 2000), 4,
-                              kinetic_scale=red.kinetic_factor)
+    chain = shape1d.algebraic_spectrum(spectral.relative_prepotential(m), 3)
+    alg = spectral.RELATIVE_KINETIC * np.asarray(chain.energies)
+    ham = spectral.reduced_hamiltonian(m, GridSpec.line(0.0, math.pi, 2000), 4)
     got = spectral.eigen(ham, 4).eigenvalues
     rel = float(np.max(np.abs(got - alg) / np.maximum(1.0, np.abs(alg))))
     elapsed = time.perf_counter() - t0

@@ -185,7 +185,32 @@ def test_spectrum_reduced_rejects_domain_overrides(tmp_path, capsys, flags, mess
     assert not (tmp_path / "spectrum.csv").exists()
 
 
-SIGN_SPECTRUM = ["spectrum", "--family", "sign", "--a", "1", "--nmax", "0",
+CS_NEGATIVE = ["--kind", "cs", "--alpha", "-0.3"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", *CS_NEGATIVE, "--n", "2", "--reduce", "--nmax", "1", "--grid-m", "200"],
+    ["groundstate", *CS_NEGATIVE, "--n", "2", "--trials", "5"],
+], ids=["spectrum_reduce", "groundstate"])
+def test_negative_cs_relative_problem_is_rejected(tmp_path, capsys, argv):
+    # the N = 2 relative problem is a validated 1-D prepotential: the
+    # rosen_morse_trig family takes b = alpha >= 0 only
+    out = tmp_path / "out"
+    assert run([*argv, "--outdir", str(out)]) == 2
+    assert "rosen_morse_trig requires b >= 0" in capsys.readouterr().err
+    assert [p for p in out.rglob("*") if p.is_file()] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", *CS_NEGATIVE, "--n", "3", "--trials", "20"],
+    ["susy", *CS_NEGATIVE, "--n", "2", "--grid-m", "32", "--variant", "s1"],
+], ids=["verify_n3", "susy_n2"])
+def test_negative_cs_pair_term_is_not_validated(tmp_path, argv):
+    # the N-body pair term takes -1/2 < alpha < 0, which the 1-D family rejects
+    assert run([*argv, "--outdir", str(tmp_path)]) == 0
+
+
+SIGN_SPECTRUM =["spectrum", "--family", "sign", "--a", "1", "--nmax", "0",
                  "--domain-min", "-10", "--domain-max", "10"]
 
 

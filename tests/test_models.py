@@ -15,7 +15,7 @@ from shapeinv.models import (
     make_prepotential_1d,
     remainder_shift,
 )
-from shapeinv.spectral import two_body_reduction
+from shapeinv.spectral import relative_prepotential
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +259,7 @@ def test_pair_functions_are_the_reduced_family(kind):
     # problem of the two-body reduction evaluate the same 1-D family
     omega = 1.3 if kind == "harmonic_calogero" else None
     m = make_nbody_model(kind, 2, 1.7, omega=omega)
-    prep = two_body_reduction(m).prep
+    prep = relative_prepotential(m)
     r = np.array([-2.1, -0.9, -0.25, 0.3, 0.8, 1.9, 2.6])
     assert np.array_equal(m.pair_w(r), prep.w(r))
     assert np.array_equal(m.pair_w_prime(r), prep.w_prime(r))
@@ -370,7 +370,7 @@ def sample_pair_condition(pair, samples, seed, eps_sing=1e-3):
 def test_v0_is_w_squared_minus_w_prime(family, params):
     pair = make_pair_prepotential(family, *params)
     x = np.array([0.31, 0.57, 0.92, 1.27])
-    direct = pair.w(x) ** 2 - pair.w_prime(x)
+    direct = pair.prep.w(x) ** 2 - pair.prep.w_prime(x)
     assert np.max(np.abs(pair.v0(x) - direct)) < 1e-12 * max(1.0, np.max(np.abs(direct)))
 
 
@@ -380,8 +380,8 @@ def test_psi0_solves_first_order_equation(family, params):
     pair = make_pair_prepotential(family, *params)
     x = np.array([0.4, 0.8, 1.1])
     h = 1e-6
-    fd = (pair.log_psi0(x + h) - pair.log_psi0(x - h)) / (2 * h)
-    assert np.allclose(fd, -pair.w(x), rtol=1e-6, atol=1e-6)
+    fd = (pair.prep.log_ground_state(x + h) - pair.prep.log_ground_state(x - h)) / (2 * h)
+    assert np.allclose(fd, -pair.prep.w(x), rtol=1e-6, atol=1e-6)
 
 
 def test_pair_condition_cot_example():
@@ -422,6 +422,6 @@ def test_non_finite_pair_parameters_rejected(family, params, value):
 
 def test_sign_row_delta_note():
     pair = make_pair_prepotential("sign", 0.8)
-    assert pair.v0_delta_note is not None
-    assert "delta" in pair.v0_delta_note
+    assert pair.row.v0_delta_note is not None
+    assert "delta" in pair.row.v0_delta_note
 

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from shapeinv import spectral, susy
+from shapeinv import shape1d, spectral, susy
 from shapeinv.errors import ConvergenceError, DimensionCapError, DomainError
 from shapeinv.models import make_nbody_model, make_prepotential_1d, remainder_shift
 from shapeinv.spectral import GridSpec
@@ -59,7 +59,7 @@ def test_discretize_symmetric_and_metadata():
     assert ham.symmetry_defect() <= 1e-12
     assert ham.dim == 63
     assert ham.stencil_order == 4
-    assert ham.info["family"] == "rosen_morse_trig"
+    assert ham.potential_floor == float(np.min(_rm().potential(ham.nodes[:, 0])))
 
 
 def test_norm_est_equals_the_sparse_abs_row_sums():
@@ -72,7 +72,7 @@ def test_norm_est_equals_the_sparse_abs_row_sums():
                       [0, 2.0, 0, -0.25, 7.5], [0, 0, 0, 0, 0]])
     for matrix in (dense, dense[1:4], dense[:, [0, 2, 1, 3, 4]], np.zeros((3, 3))):
         hams.append(spectral.SparseHamiltonian(sp.csr_matrix(matrix), hams[0].nodes,
-                                               hams[0].grid, 4))
+                                               hams[0].grid, 4, 0.0))
     for ham in hams:
         assert ham.norm_est() == float(np.max(np.abs(ham.matrix).sum(axis=1)))
     assert [ham.norm_est() for ham in hams[3:]] == [9.75, 9.75, 9.75, 0.0]
@@ -89,7 +89,7 @@ def test_discretize_sign_puts_delta_on_origin_node():
     assert origin.tolist() == [31]
     assert diag[31] == pytest.approx(1.5 ** 2 - 2 * 1.5 / grid.axis_h(0), rel=1e-12)
     assert np.allclose(np.delete(diag, 31), 1.5 ** 2, rtol=0, atol=1e-9)
-    assert ham.info["potential_floor"] == pytest.approx(diag[31], rel=1e-12)
+    assert ham.potential_floor == pytest.approx(diag[31], rel=1e-12)
 
 
 @pytest.mark.parametrize("lo,hi,m", [(-4.0, 4.0, 63), (-4.0, 4.5, 64)],
@@ -276,7 +276,7 @@ def test_eigen_records_nnz_and_shift(method):
     assert res.solver == method
     assert res.nnz == ham.matrix.nnz == 199 + 2 * 198 + 2 * 197  # five diagonals
     if method == "shift_invert":
-        assert res.shift == ham.info["potential_floor"] - 1.0
+        assert res.shift == ham.potential_floor - 1.0
     else:
         assert res.shift is None
     if method == "dense":
@@ -395,13 +395,9 @@ def test_shift_invert_rejects_shift_inside_spectrum():
     # spectrum; the factorization's pivots must expose it
     ham = spectral.discretize(_rm(), GridSpec.line(0.0, math.pi, 200), 4)
     lowest = spectral.eigen(ham, 1).eigenvalues[0]
-    bad = spectral.SparseHamiltonian(ham.matrix, ham.nodes, ham.grid, 4,
-                                     {"potential_floor": lowest + 2.0})
+    bad = spectral.SparseHamiltonian(ham.matrix, ham.nodes, ham.grid, 4, lowest + 2.0)
     with pytest.raises(ConvergenceError, match="not below the spectrum"):
         spectral.eigen(bad, 3)
-    bare = spectral.SparseHamiltonian(ham.matrix, ham.nodes, ham.grid, 4)
-    with pytest.raises(DomainError, match="potential_floor"):
-        spectral.eigen(bare, 3)
 
 
 def _ring(m, order):
@@ -432,7 +428,7 @@ def test_forced_shift_invert_on_nd_operators_matches_dense(make):
     forced = spectral.eigen(ham, 5, seed=1, method="shift_invert")
     dense = spectral.eigen(ham, 5, method="dense")
     assert forced.solver == "shift_invert"
-    assert forced.shift == ham.info["potential_floor"] - 1.0
+    assert forced.shift == ham.potential_floor - 1.0
     assert np.max(np.abs(forced.eigenvalues - dense.eigenvalues)) < 1e-9
 
 
@@ -557,10 +553,7 @@ def test_partner_ground_state_energy():
 
 def test_partner_energy_confirmed_by_grid():
     m = make_nbody_model("calogero_sutherland", 2, 1.0)
-    red = spectral.two_body_reduction(m)
-    ham = spectral.discretize(red.partner_operator_potential,
-                              GridSpec.line(0.0, math.pi, 1000), 4,
-                              kinetic_scale=red.kinetic_factor)
+    ham = spectral.reduced_hamiltonian(m, GridSpec.line(0.0, math.pi, 1000), 4, partner=True)
     lam0 = spectral.eigen(ham, 1).eigenvalues[0]
     assert lam0 == pytest.approx(6.0, abs=1e-3)
 
@@ -578,35 +571,33 @@ def test_partner_calogero_zero_shift():
 
 def test_reduction_cs_mapping():
     m = make_nbody_model("calogero_sutherland", 2, 2.0)
-    red = spectral.two_body_reduction(m)
-    assert red.prep.family == "rosen_morse_trig"
-    assert red.prep.params == (2.0, 1.0)
-    assert red.kinetic_factor == 2.0
+    prep = spectral.relative_prepotential(m)
+    assert prep.family == "rosen_morse_trig"
+    assert prep.params == (2.0, 1.0)
+    assert spectral.RELATIVE_KINETIC == 2.0
     # reduced potential is 2 (alpha(alpha-1)/sin^2 r - alpha^2)
     r = 0.9
-    assert red.operator_potential(r) == pytest.approx(
+    assert spectral.RELATIVE_KINETIC * prep.potential(r) == pytest.approx(
         2 * (2.0 / math.sin(r) ** 2 - 4.0))
 
 
 def test_reduction_free_limit():
     m = make_nbody_model("calogero_sutherland", 2, 1.0)
-    red = spectral.two_body_reduction(m)
-    assert red.operator_potential(0.7) == pytest.approx(-2.0)  # constant
+    prep = spectral.relative_prepotential(m)
+    assert spectral.RELATIVE_KINETIC * prep.potential(0.7) == pytest.approx(-2.0)  # constant
 
 
 def test_reduction_requires_two_bodies():
     with pytest.raises(DomainError):
-        spectral.two_body_reduction(make_nbody_model("calogero", 3, 1.0))
+        spectral.relative_prepotential(make_nbody_model("calogero", 3, 1.0))
 
 
 def test_reduction_grid_vs_chain():
     m = make_nbody_model("calogero_sutherland", 2, 2.0)
-    red = spectral.two_body_reduction(m)
-    alg = red.algebraic_energies(3)
+    chain = shape1d.algebraic_spectrum(spectral.relative_prepotential(m), 3)
+    alg = spectral.RELATIVE_KINETIC * np.asarray(chain.energies)
     assert np.allclose(alg, [0.0, 10.0, 24.0, 42.0])
-    ham = spectral.discretize(red.operator_potential,
-                              GridSpec.line(0.0, math.pi, 2000), 4,
-                              kinetic_scale=red.kinetic_factor)
+    ham = spectral.reduced_hamiltonian(m, GridSpec.line(0.0, math.pi, 2000), 4)
     grid_levels = spectral.eigen(ham, 4).eigenvalues
     rel = np.abs(grid_levels - alg) / np.maximum(1.0, np.abs(alg))
     assert np.max(rel) < 1e-3
@@ -614,10 +605,7 @@ def test_reduction_grid_vs_chain():
 
 def test_reduced_ground_state_nodeless_and_even():
     m = make_nbody_model("calogero_sutherland", 2, 2.0)
-    red = spectral.two_body_reduction(m)
-    ham = spectral.discretize(red.operator_potential,
-                              GridSpec.line(0.0, math.pi, 801), 4,
-                              kinetic_scale=red.kinetic_factor)
+    ham = spectral.reduced_hamiltonian(m, GridSpec.line(0.0, math.pi, 801), 4)
     vec = spectral.eigen(ham, 1).eigenvectors[:, 0]
     vec = vec * np.sign(vec[np.argmax(np.abs(vec))])
     interior = vec[np.abs(vec) > 1e-9 * np.max(np.abs(vec))]
@@ -627,9 +615,9 @@ def test_reduced_ground_state_nodeless_and_even():
 
 def test_reduction_harmonic_family():
     m = make_nbody_model("harmonic_calogero", 2, 1.0, omega=1.0)
-    red = spectral.two_body_reduction(m)
-    assert red.prep.family == "rational_harmonic"
-    assert red.prep.params == (m.beta, -1.0)
+    prep = spectral.relative_prepotential(m)
+    assert prep.family == "rational_harmonic"
+    assert prep.params == (m.beta, -1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -462,7 +462,7 @@ def _three_body_reference(model, triple):
     Python floats, term by term."""
     u, v, w = map(float, triple)
     args = (u - v, v - w, w - u)
-    wa, wb, wc = (float(model.pair.w(r)) for r in args)
+    wa, wb, wc = (float(model.pair.prep.w(r)) for r in args)
     va, vb, vc = (float(model.pair.vtilde0(r)) for r in args)
     products = (wa * wb, wb * wc, wc * wa)
     gap = -(products[0] + products[1] + products[2]) - (va + vb + vc)
@@ -494,7 +494,7 @@ def _guard_model(kind, alpha=1.5):
 def _scale_family_formula(monkeypatch, model, name):
     """Replace one formula of the model's family row by a copy scaled by
     (1 + 1e-6), as a wrong table entry would be."""
-    family = model.pair_family[0]
+    family = model.pair.prep.family
     row = FAMILIES[family]
     formula = getattr(row, name)
     monkeypatch.setitem(FAMILIES, family, dataclasses.replace(
