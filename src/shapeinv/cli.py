@@ -130,14 +130,14 @@ def _merge(args: argparse.Namespace, defaults: dict) -> dict:
     return cfg
 
 
-def _write_text(path: Path, text: str, newline: str | None = None):
-    """Write text to path, overwriting an existing file in place and cutting
-    it to the new length.  Opening with truncation to zero would make ext4
-    (auto_da_alloc) start a disk write when the file closes, and the next
-    rewrite of the file would wait for it: a millisecond or more per report,
-    far more on a busy disk."""
+def _write_text(path: Path, text: str):
+    """Write text to path with "\\n" line ends, overwriting an existing file
+    in place and cutting it to the new length.  Opening with truncation to
+    zero would make ext4 (auto_da_alloc) start a disk write when the file
+    closes, and the next rewrite of the file would wait for it: a
+    millisecond or more per report, far more on a busy disk."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "w", newline=newline) as fh:
+    with open(fd, "w", newline="\n") as fh:
         fh.write(text)
         fh.truncate()
 
@@ -152,27 +152,37 @@ def _stamp(cfg: dict) -> dict:
     return {"config": cfg, "config_sha256": hashlib.sha256(canon.encode()).hexdigest()}
 
 
-def _write_json(path: Path, payload: dict, stamp: dict):
-    _write_text(path, json.dumps({**payload, **stamp}, sort_keys=True, indent=2) + "\n")
-
-
-def _write_csv(path: Path, header, rows):
+def _csv_text(header, rows) -> str:
     lines = [",".join(header)]
     lines += [",".join(repr(c) if isinstance(c, float) else str(c) for c in row)
               for row in rows]
-    _write_text(path, "\n".join(lines) + "\n", newline="\n")
+    return "\n".join(lines) + "\n"
 
 
-def _write_dumps(out: Path, pattern: str, dumps: dict):
-    """Write a command's dump files {name: text} into out, then delete the
-    files there whose names match `pattern` (a regex) that this run did not
-    write, so that a rerun into the same outdir leaves no dump of an
-    earlier run behind, also when it writes none."""
-    for name, text in dumps.items():
-        _write_text(out / name, text)
-    for path in out.iterdir():
-        if path.name not in dumps and re.fullmatch(pattern, path.name):
-            path.unlink()
+def _finish(cfg: dict, ok: bool, lines, files: dict,
+            dump_pattern: str | None = None, dumps: dict | None = None) -> int:
+    """Write a command's outputs, print its lines and return the exit code
+    of the verdict ok.  Every command calls this last, once its work is
+    done, so a run that fails writes nothing, not even its outdir.  files
+    and dumps map names to texts; a dict in files is a report, written as
+    sorted JSON with the command's stamp.  Files in the outdir that match
+    dump_pattern (a regex) and that this run did not write are deleted, so
+    a rerun leaves no dump of an earlier run behind, also without --dump."""
+    out = Path(cfg["outdir"])
+    out.mkdir(parents=True, exist_ok=True)
+    stamp = _stamp(cfg)
+    dumps = dumps or {}
+    for name, body in {**files, **dumps}.items():
+        if isinstance(body, dict):
+            body = json.dumps({**body, **stamp}, sort_keys=True, indent=2) + "\n"
+        _write_text(out / name, body)
+    if dump_pattern:
+        for path in out.iterdir():
+            if path.name not in dumps and re.fullmatch(dump_pattern, path.name):
+                path.unlink()
+    for line in lines:
+        print(line)
+    return 0 if ok else 1
 
 
 def _model_from_cfg(cfg: dict):
@@ -187,12 +197,6 @@ def _prepotential_from_cfg(cfg: dict):
     return make_prepotential_1d(family, [cfg[p] for p in models.FAMILIES[family].params])
 
 
-def _outdir(cfg: dict) -> Path:
-    out = Path(cfg.get("outdir") or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -201,17 +205,13 @@ def cmd_verify(args) -> int:
     cfg = _merge(args, COMMANDS["verify"][1])
     model = _model_from_cfg(cfg)
     reports = verify.run_all(model, cfg["trials"], cfg["seed"], cfg["tol"])
-    out = _outdir(cfg)
-    stamp = _stamp(cfg)
-    all_pass = True
+    files, lines = {}, []
     for name, rep in reports.items():
-        d = rep.to_dict()
-        _write_json(out / f"{name}.json", d, stamp)
-        all_pass &= d["pass"]
+        d = files[f"{name}.json"] = rep.to_dict()
         residual = d.get("max_residual", d.get("residual_std", math.nan))
-        print(f"{'PASS' if d['pass'] else 'FAIL'}  {name}: "
-              f"max residual {residual:.3e}")
-    return 0 if all_pass else 1
+        lines.append(f"{'PASS' if d['pass'] else 'FAIL'}  {name}: "
+                     f"max residual {residual:.3e}")
+    return _finish(cfg, all(d["pass"] for d in files.values()), lines, files)
 
 
 def _bound_levels(prep, n_max: int) -> tuple:
@@ -261,24 +261,23 @@ def cmd_spectrum(args) -> int:
                                            cfg["stencil_order"])
         label = "reduced spectrum"
     res = spectral.eigen(ham, cfg["nmax"] + 1, cfg["seed"])
-    out = _outdir(cfg)
     rows, worst = [], 0.0
     for k, (ea, eg) in enumerate(zip(levels, res.eigenvalues)):
         rel = abs(eg - ea) / max(1.0, abs(ea))
         worst = max(worst, rel)
         rows.append((k, float(ea), float(eg), float(rel)))
-    _write_csv(out / "spectrum.csv", ("level", "algebraic", "grid", "rel_error"), rows)
     dumps = {}
     if cfg["dump"]:
         for k in range(res.eigenvectors.shape[1]):
             lines = [f"{float(x)!r} {float(v)!r}"
                      for x, v in zip(ham.nodes[:, 0], res.eigenvectors[:, k])]
             dumps[f"state_{k}.txt"] = "\n".join(lines) + "\n"
-    _write_dumps(out, r"state_\d+\.txt", dumps)
     ok = worst <= cfg["tol"]
-    print(f"{'PASS' if ok else 'FAIL'}  {label}: max rel error {worst:.3e} "
-          f"(tol {cfg['tol']:.0e})")
-    return 0 if ok else 1
+    return _finish(cfg, ok, [f"{'PASS' if ok else 'FAIL'}  {label}: max rel error "
+                             f"{worst:.3e} (tol {cfg['tol']:.0e})"],
+                   {"spectrum.csv": _csv_text(("level", "algebraic", "grid", "rel_error"),
+                                              rows)},
+                   r"state_\d+\.txt", dumps)
 
 
 def cmd_susy(args) -> int:
@@ -290,19 +289,18 @@ def cmd_susy(args) -> int:
         raise DomainError("the CLI susy command builds two-body systems")
     grid = GridSpec.line(0.0, model.kind_row.period or 8.0, cfg["grid_m"])
     cm = susy.cm_momenta(cfg["cm_modes"])
-    out = _outdir(cfg)
     if cfg["variant"] == "both":
         cmp = susy.variant_comparison(model, grid, cm, levels=cfg["levels"])
-        _write_json(out / "variant_comparison.json", cmp, _stamp(cfg))
         bosonic, fermionic = (cmp["sectors"][f]["relative_deviation_after_shift"]
                               for f in (0, 1))
         # the 1-fermion spectra can differ after the shift only where R != 0
         compared = cmp["remainder"] != 0.0
         ok = bosonic <= 1e-4 and (fermionic > 0.1 or not compared)
-        print(f"{'PASS' if ok else 'FAIL'}  variants: bosonic deviation "
-              f"{bosonic:.2e}, 1-fermion deviation "
-              + (f"{fermionic:.3f}" if compared else "(R = 0: not compared)"))
-        return 0 if ok else 1
+        return _finish(cfg, ok, [f"{'PASS' if ok else 'FAIL'}  variants: bosonic "
+                                 f"deviation {bosonic:.2e}, 1-fermion deviation "
+                                 + (f"{fermionic:.3f}" if compared
+                                    else "(R = 0: not compared)")],
+                       {"variant_comparison.json": cmp})
     sys_ = susy.build_susy(model, grid, cfg["variant"], cm)
     spectra = susy.sector_spectra(sys_, cfg["levels"])
     classify = susy.kernel_classify(sys_)
@@ -312,7 +310,6 @@ def cmd_susy(args) -> int:
         tags = classify["sectors"][f]["tags"]
         for idx, lam in enumerate(vals):
             rows.append((f, idx, float(lam), tags[idx]))
-    _write_csv(out / "sector_spectra.csv", ("sector", "index", "lambda", "ker_tag"), rows)
     payload = {
         "cm_momenta": list(sys_.cm_momenta),
         "diagnostics": sys_.diagnostics,
@@ -321,45 +318,45 @@ def cmd_susy(args) -> int:
                           for f in classify["sectors"]},
         "sector_minima": {str(f): float(spectra[f][0]) for f in spectra},
     }
-    _write_json(out / "susy_report.json", payload, _stamp(cfg))
     ok = (sys_.diagnostics["q_squared_fro"] < 1e-12
           and sys_.diagnostics["offblock_leak"] == 0.0
           and pairing["passed"])
-    print(f"{'PASS' if ok else 'FAIL'}  susy {cfg['variant']}: |Q^2| = "
-          f"{sys_.diagnostics['q_squared_fro']:.1e}, pairing gap "
-          f"{pairing['max_relative_gap']:.2e}")
-    return 0 if ok else 1
+    return _finish(cfg, ok, [f"{'PASS' if ok else 'FAIL'}  susy {cfg['variant']}: "
+                             f"|Q^2| = {sys_.diagnostics['q_squared_fro']:.1e}, "
+                             f"pairing gap {pairing['max_relative_gap']:.2e}"],
+                   {"sector_spectra.csv": _csv_text(("sector", "index", "lambda",
+                                                     "ker_tag"), rows),
+                    "susy_report.json": payload})
 
 
 def cmd_groundstate(args) -> int:
     cfg = _merge(args, COMMANDS["groundstate"][1])
     model = _model_from_cfg(cfg)
-    out = _outdir(cfg)
-    worst = verify.jastrow_residual(model, cfg["trials"], cfg["seed"])
-    energy = models.remainder_shift(model)
-    state_info = {"jet_residual": worst, "partner_energy": energy,
-                  "normalizable": model.kind_row.normalizable(model),
-                  "boundary_ambiguous": spectral.boundary_ambiguous(model)}
-    dumps = {}
+    state_info, dumps = {}, {}
     if model.n == 2:
+        # the relative grid validates the pair's family before the jet draws
         grid = GridSpec.line(0.0, model.kind_row.period or 8.0, cfg["grid_m"])
-        gf, grid_resid = spectral.jastrow_ground_state(model, grid,
-                                                       cfg["stencil_order"])
-        state_info["grid_residual"] = grid_resid
+        gf, state_info["grid_residual"] = spectral.jastrow_ground_state(
+            model, grid, cfg["stencil_order"])
         if cfg["dump"]:
             dumps["groundstate_state.txt"] = spectral.dump_grid_function(gf)
-    _write_dumps(out, r"groundstate_state\.txt", dumps)
-    _write_json(out / "groundstate.json", state_info, _stamp(cfg))
+    worst = verify.jastrow_residual(model, cfg["trials"], cfg["seed"])
+    energy = models.remainder_shift(model)
+    state_info.update(jet_residual=worst, partner_energy=energy,
+                      normalizable=model.kind_row.normalizable(model),
+                      boundary_ambiguous=spectral.boundary_ambiguous(model))
+    lines = []
     if not state_info["normalizable"]:
-        print(f"WARN  ground state not normalizable for {model.kind} "
-              f"alpha={model.alpha}")
+        lines.append(f"WARN  ground state not normalizable for {model.kind} "
+                     f"alpha={model.alpha}")
     elif state_info["boundary_ambiguous"]:
-        print(f"WARN  alpha={model.alpha} is in the ambiguous coincidence-"
-              "boundary window (0, 1); grid spectra are not trusted there")
+        lines.append(f"WARN  alpha={model.alpha} is in the ambiguous coincidence-"
+                     "boundary window (0, 1); grid spectra are not trusted there")
     ok = worst <= cfg["tol"]
-    print(f"{'PASS' if ok else 'FAIL'}  groundstate: jet residual {worst:.3e}, "
-          f"partner energy {energy!r}")
-    return 0 if ok else 1
+    lines.append(f"{'PASS' if ok else 'FAIL'}  groundstate: jet residual {worst:.3e}, "
+                 f"partner energy {energy!r}")
+    return _finish(cfg, ok, lines, {"groundstate.json": state_info},
+                   r"groundstate_state\.txt", dumps)
 
 
 def cmd_chain(args) -> int:
@@ -370,7 +367,6 @@ def cmd_chain(args) -> int:
     lo, hi = prep.domain()
     grid = GridSpec.line(lo, hi, cfg["grid_m"])
     levels = _bound_levels(prep, cfg["levels"])
-    out = _outdir(cfg)
     rows, worst, dumps = [], 0.0, {}
     for nlev in range(cfg["levels"] + 1):
         gf = shape1d.wavefunction_chain(prep, nlev, grid)
@@ -382,12 +378,12 @@ def cmd_chain(args) -> int:
                      gf.sign_changes()))
         if cfg["dump"]:
             dumps[f"chain_state_{nlev}.txt"] = "\n".join(gf.to_text_rows()) + "\n"
-    _write_dumps(out, r"chain_state_\d+\.txt", dumps)
-    _write_csv(out / "chain.csv",
-               ("level", "algebraic", "rayleigh", "rel_error", "nodes"), rows)
     ok = worst <= cfg["tol"]
-    print(f"{'PASS' if ok else 'FAIL'}  chain: max Rayleigh deviation {worst:.3e}")
-    return 0 if ok else 1
+    return _finish(cfg, ok, [f"{'PASS' if ok else 'FAIL'}  chain: max Rayleigh "
+                             f"deviation {worst:.3e}"],
+                   {"chain.csv": _csv_text(("level", "algebraic", "rayleigh",
+                                            "rel_error", "nodes"), rows)},
+                   r"chain_state_\d+\.txt", dumps)
 
 
 # ---------------------------------------------------------------------------
@@ -420,10 +416,7 @@ def main(argv=None) -> int:
     try:
         # looked up at call time, so wrappers installed on cmd_* take effect
         return globals()[f"cmd_{args.command}"](args)
-    except ShapeInvError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ShapeInvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,6 +1,6 @@
 """1-D shape-invariance engine: algebraic spectra from remainder chains,
-ground states from the prepotential, creation-operator wavefunction chains
-on grids, and the tower of higher Hamiltonians.
+ground states from the prepotential, and creation-operator wavefunction
+chains on grids.
 """
 
 from __future__ import annotations

@@ -184,6 +184,15 @@ def _sector_nodes(grid: GridSpec):
     return idx, nodes
 
 
+def _check_model_grid(model: NBodyModel, grid: GridSpec):
+    """An N-body grid has one axis per particle, and a singular kind lives
+    on the ordered sector; DomainError otherwise."""
+    if grid.dim != model.n:
+        raise DomainError(f"grid dimension {grid.dim} != particle count {model.n}")
+    if model.g != 0.0 and grid.sector != "ordered":
+        raise DomainError("singular pair potentials need the ordered sector")
+
+
 def _code_rows(sizes: np.ndarray, idx: np.ndarray) -> tuple:
     """(strides, box): the row-major strides of a full box of these axis
     sizes, and a table mapping each box code to its row among the nodes
@@ -287,12 +296,8 @@ def discretize(operator, grid: GridSpec, stencil_order: int = 4,
                           f"got {kinetic_scale!r}")
     delta = 0.0
     if isinstance(operator, NBodyModel):
-        model = operator
-        if grid.dim != model.n:
-            raise DomainError(f"grid dimension {grid.dim} != particle count {model.n}")
-        if model.g != 0.0 and grid.sector != "ordered":
-            raise DomainError("singular pair potentials need the ordered sector")
-        vfun = model.potential
+        _check_model_grid(operator, grid)
+        vfun = operator.potential
     elif isinstance(operator, Prepotential1D):
         if grid.dim != 1:
             raise DomainError("a 1-D prepotential needs a 1-D grid")
@@ -561,27 +566,21 @@ def jastrow_ground_state(model: NBodyModel, grid: GridSpec,
                          stencil_order: int = 4):
     """Product ground state on the grid with its discrete residual.
 
-    For grid.dim == model.n the state is evaluated on the (ordered) N-body
-    grid; for N = 2 a 1-D grid means the relative problem at zero total
-    momentum.  The residual is max over interior nodes of |(H psi)/psi|,
-    which converges at the stencil order.  Non-normalizable regimes are
-    flagged in meta, not rejected.
+    For N = 2 a 1-D grid means the relative problem at zero total momentum;
+    any other grid is the N-body grid of `discretize`, which checks it.
+    The residual is max over interior nodes of |(H psi)/psi|, which
+    converges at the stencil order.  Non-normalizable regimes are flagged
+    in meta, not rejected.
     """
     if grid.dim == 1 and model.n == 2:
         ham = reduced_hamiltonian(model, grid, stencil_order)
-        r = ham.nodes[:, 0]
-        logv = model.pair_log_jastrow(r)
-    elif grid.dim == model.n:
-        if model.g != 0.0 and grid.sector != "ordered":
-            raise DomainError("singular kinds need the ordered sector")
+        logv = model.pair_log_jastrow(ham.nodes[:, 0])
+    else:
         ham = discretize(model, grid, stencil_order)
         logv = np.zeros(ham.dim)
         for i in range(model.n):
             for j in range(i + 1, model.n):
                 logv += model.pair_log_jastrow(ham.nodes[:, i] - ham.nodes[:, j])
-    else:
-        raise DomainError("grid dimension must equal the particle count "
-                          "(or 1 for the N = 2 relative problem)")
     logv -= logv.max()
     values = np.exp(logv)
     values /= np.linalg.norm(values)
@@ -669,12 +668,9 @@ def isospectrality_check(operator, grid: GridSpec, k: int,
         right = discretize(prep.step(), grid, stencil_order)
         shift = prep.remainder_next()
     elif isinstance(operator, NBodyModel):
-        model = operator
-        if model.n != 2:
-            raise DomainError("isospectrality check supports 1-D and N = 2 inputs")
-        left = reduced_hamiltonian(model, grid, stencil_order, partner=True)
-        right = reduced_hamiltonian(model.shifted(1.0), grid, stencil_order)
-        shift = remainder_shift(model)
+        left = reduced_hamiltonian(operator, grid, stencil_order, partner=True)
+        right = reduced_hamiltonian(operator.shifted(1.0), grid, stencil_order)
+        shift = remainder_shift(operator)
     else:
         raise DomainError("need a Prepotential1D or an N = 2 NBodyModel")
     lam_left = eigen(left, k, seed).eigenvalues

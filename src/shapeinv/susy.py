@@ -59,8 +59,8 @@ import numpy as np
 
 from .errors import ConvergenceError, DimensionCapError, DomainError
 from .models import NBodyModel, remainder_shift
-from .spectral import (RESIDUAL_CONTRACT, GridSpec, _code_rows, _deriv_coeffs,
-                       _sector_nodes, _stencil_table)
+from .spectral import (RESIDUAL_CONTRACT, GridSpec, _check_model_grid, _code_rows,
+                       _deriv_coeffs, _sector_nodes, _stencil_table)
 
 DENSE_SECTOR_CAP = 5000
 VARIANTS = ("s1", "s2")
@@ -289,8 +289,6 @@ def _build_two_body(model: NBodyModel, grid: GridSpec, variant: str,
     (u = m - 1 nodes, m midpoints).  The momenta must be a nonempty 1-D
     sequence of distinct finite numbers, else DomainError.
     """
-    if grid.dim != 1:
-        raise DomainError("two-body systems take a 1-D relative grid")
     if stencil_order != 4:
         raise DomainError("staggered ladders are built at stencil order 4")
     lo, hi, m_cells = grid.axes[0]
@@ -365,10 +363,7 @@ def _build_grid(model: NBodyModel, grid: GridSpec, variant: str,
     Fock state holds one block of all the nodes, and every sector must fit
     the dense cap, checked before any block is formed.
     """
-    if grid.dim != model.n:
-        raise DomainError("grid dimension must match the particle count")
-    if model.g != 0.0 and grid.sector != "ordered":
-        raise DomainError("singular kinds need the ordered sector")
+    _check_model_grid(model, grid)
     idx, nodes = _sector_nodes(grid)
     n_nodes, n_states = len(idx), 1 << model.n
     sizes = (n_nodes,) * n_states

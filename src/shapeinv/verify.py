@@ -111,7 +111,10 @@ def _memo(key, compute):
 
 
 def _child_rngs(seed: int, trials: int):
-    """A fresh generator per trial, from the child seeds spawned by seed."""
+    """A fresh generator per trial, from the child seeds spawned by seed;
+    every check draws its trials here."""
+    if trials < 1:
+        raise DomainError("trials must be >= 1")
     children = _memo(("seeds", seed, trials),
                      lambda: np.random.SeedSequence(seed).spawn(trials))
     return [np.random.default_rng(s) for s in children]
@@ -178,8 +181,6 @@ def _trial_set(model: NBodyModel, trials: int, seed: int) -> TrialSet:
     """Each child rng draws a configuration, then its test function's
     parameters; one test function over the stacked parameters gives every
     trial's jet at once."""
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
     key = (model.kind, model.n, trials, seed)
 
     def draw():
@@ -353,8 +354,6 @@ def jastrow_residual(model: NBodyModel, trials: int, seed: int) -> float:
     seeded configurations: the product ground state Phi0 is annihilated by
     every A_i, so this is roundoff.  One Jastrow function gives every
     trial's jet at once."""
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
     x = np.array([draw_configuration(model, rng) for rng in _child_rngs(seed, trials)])
     jet = calc.jastrow_function(model).jet(x)
     hval = _ladder_sums(model, 1.0, TrialSet(x, jet.v, jet.g, jet.h))
@@ -387,8 +386,6 @@ def three_body_report(model: NBodyModel, trials: int, seed: int,
     model's pair row (``models.balance_gap``) at one configuration of three
     particles per trial, which leaves sum_i W_i^2 without a three-body
     term."""
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
     if model.n == 3 and _drawn is not None:
         # the trial set's configurations are these draws: the same child
         # seeds, each drawing its configuration first
@@ -407,8 +404,6 @@ def prepotential_structure_report(model: NBodyModel, trials: int, seed: int,
     """sum_i W_i = 0 and the symmetry of d_i W_j, cross-checked against
     centered finite differences of W (step 1e-6, so the FD comparison is
     held to a looser 1e-4 scale recorded in extra)."""
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
     residuals, xs = [], []
     fd_worst = 0.0
     for t, rng in enumerate(_child_rngs(seed, trials)):

@@ -199,6 +199,30 @@ def test_negative_cs_relative_problem_is_rejected(tmp_path, capsys, argv):
     assert run([*argv, "--outdir", str(out)]) == 2
     assert "rosen_morse_trig requires b >= 0" in capsys.readouterr().err
     assert [p for p in out.rglob("*") if p.is_file()] == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["chain", "--levels", "1", "--grid-m", "256"], "chain grids need at least 511 cells"),
+    (["susy", "--kind", "cs", "--n", "2", "--grid-m", "700"],
+     "sector 0 dimension 5592 exceeds dense cap 5000"),
+], ids=["chain_grid_m_256", "susy_grid_m_700"])
+def test_exit_2_mid_command_creates_no_outdir(tmp_path, capsys, argv, message):
+    # these fail only inside the command's work, after its config resolved
+    out = tmp_path / "out"
+    assert run([*argv, "--outdir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_groundstate_validates_before_jet_draws(tmp_path, capsys, monkeypatch):
+    calls = []
+    jastrow_residual = cli.verify.jastrow_residual
+    monkeypatch.setattr(cli.verify, "jastrow_residual",
+                        lambda *a: calls.append(a) or jastrow_residual(*a))
+    assert run(["groundstate", *CS_NEGATIVE, "--n", "2", "--outdir", str(tmp_path)]) == 2
+    assert "rosen_morse_trig requires b >= 0" in capsys.readouterr().err
+    assert calls == []
 
 
 @pytest.mark.parametrize("argv", [

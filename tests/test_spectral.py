@@ -534,6 +534,20 @@ def test_jastrow_grid_residual_converges():
     assert order > 1.9
 
 
+@pytest.mark.parametrize("build", [
+    lambda m, g: spectral.discretize(m, g, 4),
+    lambda m, g: susy.build_susy(m, g, "s1"),
+    lambda m, g: spectral.jastrow_ground_state(m, g, 4),
+], ids=["discretize", "build_susy", "jastrow_ground_state"])
+@pytest.mark.parametrize("grid,message", [
+    (GridSpec.box(0.0, math.pi, 8, 2, sector="ordered"), "grid dimension 2 != particle count 3"),
+    (GridSpec.box(0.0, math.pi, 8, 3), "singular pair potentials need the ordered sector"),
+], ids=["two_axes", "full_sector"])
+def test_model_grid_contract_is_one_check(build, grid, message):
+    with pytest.raises(DomainError, match=message):
+        build(make_nbody_model("calogero_sutherland", 3, 2.0), grid)
+
+
 def test_jastrow_full_grid_calogero_n3():
     m = make_nbody_model("calogero", 3, 2.0)
     grid = GridSpec.box(-3.0, 3.0, 20, 3, sector="ordered")

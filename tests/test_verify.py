@@ -457,6 +457,18 @@ def test_run_all_rejects_too_few_trials_before_any_draw(monkeypatch):
     assert drawn == [] and calls == {"spawn": 0, "W, J": [], "V": []}
 
 
+@pytest.mark.parametrize("check,n", [
+    ("factorization_residual", 3), ("shape_invariance_residual", 3),
+    ("commutator_check", 3), ("momentum_commutation", 3), ("jastrow_residual", 3),
+    ("three_body_report", 3), ("three_body_report", 4),
+    ("prepotential_structure_report", 3),
+])
+def test_checks_reject_zero_trials(check, n):
+    model = make_nbody_model("calogero_sutherland", n, 1.0)
+    with pytest.raises(DomainError, match="trials must be >= 1"):
+        getattr(verify, check)(model, 0, seed=1)
+
+
 def _three_body_reference(model, triple):
     """The balance condition of the model's pair row at one triple, in
     Python floats, term by term."""
