@@ -104,8 +104,8 @@ def _merge(args: argparse.Namespace, defaults: dict) -> dict:
     line (argparse leaves flags that were not given at None), each for the
     keys of defaults alone; kind and family aliases then resolve to their
     names in the model tables, keys with a fixed set of values are checked
-    against it, tol must be None or finite and nonnegative, and a seed,
-    given or merged, must be nonnegative."""
+    against it, tol must be None or finite and nonnegative, a seed, given or
+    merged, must be nonnegative, and trials must be at least 1."""
     cfg = dict(defaults)
     if getattr(args, "config", None):
         given = parse_key_values(Path(args.config).read_text(), _CONFIG_KEYS, args.config)
@@ -127,6 +127,8 @@ def _merge(args: argparse.Namespace, defaults: dict) -> dict:
     seed = cfg.get("seed", getattr(args, "seed", None))
     if seed is not None and seed < 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")
+    if cfg.get("trials", 1) < 1:
+        raise DomainError(f"trials must be >= 1, got {cfg['trials']}")
     return cfg
 
 

@@ -425,7 +425,10 @@ def sa_ncv(n: int, k: int) -> int:
     floor of 20 costs more in reorthogonalization than the few products it
     saves; a floor of 12 took 25-37 % more products at k = 1 and 2 on
     9139 nodes and up to 16 % more time.  From k = 7 on the rule is the
-    default.  1-D operators keep the default on both Lanczos paths: below
+    default.  A larger basis from k = 7 on, 3k up to 2k + 10 (30 at
+    k = 10), took 3-27 % fewer products at k = 10 but up to 1.08 times the
+    time on 455 nodes, and 1.14 times at k = 16 on 9139 (tools/ncv_sweep.py,
+    README "Numerical notes"), so it was not kept.  1-D operators keep the default on both Lanczos paths: below
     it, shift-invert solve counts move both ways, and the forced 'SA' solve
     on the m = 2000 Rosen-Morse operator stops converging at k = 5."""
     return min(n, max(2 * k + 1, 20), max(14, 3 * k))
@@ -445,14 +448,24 @@ def eigen(ham: SparseHamiltonian, k: int, seed: int = 0,
     when the shift is below the spectrum; otherwise it fails loudly.  Every returned eigenpair is
     held to ||Hv - lambda v|| <= 1e-8 ||H||_est (RESIDUAL_CONTRACT).
 
-    Both Lanczos paths stop at that contract, not at machine precision.
-    ARPACK accepts a Ritz pair (theta, v) of its operator at ||r|| <= tol
-    |theta|.  On the 'SA' path tol = 1e-8, and |theta| <= ||H||_2 <=
-    ||H||_est.  On the shift-invert path tol = 1e-8 ||H||_est / (||H||_est +
-    |sigma|), and ||Hv - lambda v|| <= ||H - sigma|| ||r|| / |theta| <=
-    (||H||_est + |sigma|) tol.  So every accepted pair meets the contract a
-    priori; the check after the solve still gates it.  The eigenvalue error
-    is second order in the residual (||r||^2 / gap for a symmetric H).
+    The N-D 'SA' path and the shift-invert path stop at that contract, not
+    at machine precision.  ARPACK accepts a Ritz pair (theta, v) of its
+    operator at ||r|| <= tol |theta|.  On an N-D operator 'SA' runs on
+    H + sI with s = ||H||_est, and s is subtracted from the returned
+    values; the shift leaves r = Hv - lambda v as it is.  Every eigenvalue
+    of H lies in [-s, s] (||H||_2 <= ||H||_est), so theta lies in [0, 2s],
+    and tol = 1e-8 / 2 makes ARPACK's test the contract itself.  On the
+    shift-invert path tol = 1e-8 ||H||_est / (||H||_est + |sigma|), and
+    ||Hv - lambda v|| <= ||H - sigma|| ||r|| / |theta| <= (||H||_est +
+    |sigma|) tol.  So every accepted pair meets the contract a priori; the
+    check after the solve still gates it.  The eigenvalue error is second
+    order in the residual, at most ||r||^2 / gap for a symmetric H: on CS
+    N = 3 grids up to m = 31 the 'SA' levels were within 9.4e-12 of dense.
+
+    A forced 'SA' solve on a 1-D operator runs on H itself at tol = 1e-8,
+    so it stops at 1e-8 |lambda|, well inside the contract.  A 1-D
+    ||H||_est grows as 1/h^2 (5.9e5 at m = 1001) while the low levels stay
+    O(1), and a stop at the contract left them 1.1e-8 from dense there.
 
     On an N-D operator the 'SA' path runs on sa_ncv(n, k) basis vectors,
     fewer than ARPACK's default for k <= 6 (see sa_ncv for why).
@@ -489,21 +502,26 @@ def eigen(ham: SparseHamiltonian, k: int, seed: int = 0,
 
         v0 = np.random.default_rng(seed).standard_normal(n)
         maxiter = max(5000, 50 * k)
+        # N-D 'SA' runs on H + sI, s = ||H||_est, whose Ritz values lie in
+        # [0, 2s]: at tol = 1e-8 / 2 ARPACK stops at the contract (docstring)
+        nd_sa = solver == "iterative" and ham.grid.dim > 1
+        s = norm_est if nd_sa else 0.0
         try:
             if solver == "iterative":
-                op, products = _counted(n, mat.dot)
-                ncv = sa_ncv(n, k) if ham.grid.dim > 1 else None
+                op, products = _counted(n, (lambda x: mat @ x + s * x) if nd_sa else mat.dot)
                 w, v = spla.eigsh(op, k=k, which="SA", v0=v0, maxiter=maxiter,
-                                  tol=RESIDUAL_CONTRACT, ncv=ncv)
+                                  tol=RESIDUAL_CONTRACT / (2 if nd_sa else 1),
+                                  ncv=sa_ncv(n, k) if nd_sa else None)
                 matvecs = products[0]
             else:
                 w, v, shift, matvecs = _shift_invert(ham, k, v0, maxiter, norm_est)
         except spla.ArpackNoConvergence as exc:
             raise ConvergenceError(
                 f"{solver} Lanczos failed to converge",
-                residuals=_residual_norms(mat, exc.eigenvalues, exc.eigenvectors)) from exc
+                residuals=_residual_norms(mat, exc.eigenvalues - s,
+                                          exc.eigenvectors)) from exc
         order = np.argsort(w)
-        w, v = w[order], v[:, order]
+        w, v = w[order] - s, v[:, order]
     else:
         raise DomainError(f"unknown method {method!r}")
 

@@ -225,6 +225,18 @@ def test_groundstate_validates_before_jet_draws(tmp_path, capsys, monkeypatch):
     assert calls == []
 
 
+def test_groundstate_rejects_zero_trials_before_the_grid(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli.spectral, "jastrow_ground_state",
+                        lambda *a: calls.append(a))
+    out = tmp_path / "out"
+    assert run(["groundstate", "--kind", "cs", "--n", "2", "--trials", "0",
+                "--outdir", str(out)]) == 2
+    assert "trials must be >= 1, got 0" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", *CS_NEGATIVE, "--n", "3", "--trials", "20"],
     ["susy", *CS_NEGATIVE, "--n", "2", "--grid-m", "32", "--variant", "s1"],

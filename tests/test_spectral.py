@@ -306,15 +306,26 @@ def test_auto_shift_invert_matches_dense(make, k):
     assert np.max(np.abs(auto.eigenvalues - dense.eigenvalues)) < 1e-9
 
 
-@pytest.mark.parametrize("kind,alpha,lo,hi,m,k", [
+def _bc3_alcove(x):
+    # BC_3 Sutherland at a = kappa = lambda = 2 on 0 < x_1 < x_2 < x_3 < pi/2:
+    # 2a(a - 1) [csc^2(x_i - x_j) + csc^2(x_i + x_j)] per pair and
+    # kappa(kappa - 1) csc^2 x_i + lambda(lambda - 1) sec^2 x_i per particle
+    pairs = sum(4.0 / np.sin(x[:, i] - x[:, j]) ** 2 + 4.0 / np.sin(x[:, i] + x[:, j]) ** 2
+                for i, j in ((0, 1), (0, 2), (1, 2)))
+    return pairs + np.sum(2.0 / np.sin(x) ** 2 + 2.0 / np.cos(x) ** 2, axis=1)
+
+
+@pytest.mark.parametrize("operator,alpha,lo,hi,m,k", [
     ("calogero_sutherland", 1.0, 0.0, math.pi, 18, 1),    # 680 nodes
     ("calogero_sutherland", 1.0, 0.0, math.pi, 18, 4),
     ("calogero_sutherland", 1.0, 0.0, math.pi, 18, 6),
     ("calogero", 2.0, -3.0, 3.0, 20, 10),                 # 969 nodes
+    pytest.param(_bc3_alcove, None, 0.0, math.pi / 2, 24, 10, id="bc3_alcove"),  # 1771
 ])
-def test_auto_takes_lanczos_above_the_dense_cutoff(kind, alpha, lo, hi, m, k):
-    model = make_nbody_model(kind, 3, alpha)
-    ham = spectral.discretize(model, GridSpec.box(lo, hi, m, 3, sector="ordered"), 4)
+def test_auto_takes_lanczos_above_the_dense_cutoff(operator, alpha, lo, hi, m, k):
+    if isinstance(operator, str):
+        operator = make_nbody_model(operator, 3, alpha)
+    ham = spectral.discretize(operator, GridSpec.box(lo, hi, m, 3, sector="ordered"), 4)
     assert spectral.DENSE_CUTOFF < 500 < ham.dim < 4000
     auto = spectral.eigen(ham, k, seed=3)
     dense = spectral.eigen(ham, k, method="dense")
@@ -362,31 +373,41 @@ def test_eigen_takes_an_integer_k_only(make, solver):
 
 
 def test_sa_lanczos_basis_is_set_on_nd_operators_only(monkeypatch):
+    # each eigsh call's basis size, tol and one product with its operator
     calls = []
     eigsh = spla.eigsh
 
-    def recording(*args, **kwargs):
-        calls.append(kwargs.get("ncv"))
-        return eigsh(*args, **kwargs)
+    def recording(op, **kwargs):
+        x = np.linspace(-1.0, 1.0, op.shape[0])
+        calls.append((kwargs.get("ncv"), kwargs.get("tol"), op @ x))
+        return eigsh(op, **kwargs)
+
+    def called_with(ham, ncv, tol, shift):
+        x = np.linspace(-1.0, 1.0, ham.dim)
+        return (calls[-1][:2] == (ncv, tol)
+                and np.array_equal(calls[-1][2], ham.matrix @ x + shift * x))
 
     monkeypatch.setattr(spla, "eigsh", recording)
+    half = spectral.RESIDUAL_CONTRACT / 2
     ham = spectral.discretize(_CS3, GridSpec.box(0.0, math.pi, 16, 3, sector="ordered"), 4)
     assert ham.dim == 455 > spectral.DENSE_CUTOFF
     # max(14, 3k) below ARPACK's default min(n, max(2k + 1, 20)), the
-    # default itself from k = 7 on
+    # default itself from k = 7 on; N-D runs on H + ||H||_est I
     for k, ncv in ((1, 14), (4, 14), (6, 18), (7, 20), (10, 21)):
         assert spectral.eigen(ham, k).solver == "iterative"
-        assert calls[-1] == ncv
+        assert called_with(ham, ncv, half, ham.norm_est())
     small = spectral.discretize(_CS3, GridSpec.box(0.0, math.pi, 8, 3, sector="ordered"), 4)
     assert small.dim == 35
     res = spectral.eigen(small, 20, method="iterative")
-    assert calls[-1] == 35
+    assert called_with(small, 35, half, small.norm_est())
     dense = spectral.eigen(small, 20, method="dense")
     assert np.max(np.abs(res.eigenvalues - dense.eigenvalues)) < 1e-9
+    # the forced 1-D 'SA' solve: ARPACK's default basis and tol on H itself
     line = spectral.discretize(_rm(), GridSpec.line(0.0, math.pi, 200), 4)
-    for method in ("iterative", "shift_invert"):
-        assert spectral.eigen(line, 4, method=method).solver == method
-        assert calls[-1] is None
+    assert spectral.eigen(line, 4, method="iterative").solver == "iterative"
+    assert called_with(line, None, spectral.RESIDUAL_CONTRACT, 0.0)
+    assert spectral.eigen(line, 4, method="shift_invert").solver == "shift_invert"
+    assert calls[-1][0] is None
     assert len(calls) == 8
 
 
@@ -468,6 +489,22 @@ def test_lanczos_failure_carries_partial_residuals(monkeypatch, method):
     monkeypatch.setattr(spla, "eigsh", no_convergence)
     with pytest.raises(ConvergenceError) as err:
         spectral.eigen(ham, 4, method=method)
+    assert np.allclose(err.value.residuals, [0.0, 0.5], rtol=0, atol=1e-9)
+
+
+def test_nd_lanczos_failure_shifts_partial_ritz_values_back(monkeypatch):
+    # N-D 'SA' runs on H + ||H||_est I, so its partial Ritz values carry the
+    # shift; the residuals are those of H with the shift taken off
+    ham = spectral.discretize(_CS3, GridSpec.box(0.0, math.pi, 16, 3, sector="ordered"), 4)
+    dense = spectral.eigen(ham, 2, method="dense")
+    partial_w = dense.eigenvalues + ham.norm_est() + np.array([0.0, 0.5])
+
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", partial_w, dense.eigenvectors)
+
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    with pytest.raises(ConvergenceError) as err:
+        spectral.eigen(ham, 4)
     assert np.allclose(err.value.residuals, [0.0, 0.5], rtol=0, atol=1e-9)
 
 
