@@ -254,11 +254,13 @@ def _periodic(n: int, a, b, phi) -> TestFunction:
     return TestFunction(n, fn)
 
 
+_TEST_FUNCTIONS = {"gaussian": (_gaussian_parameters, _gaussian),
+                   "periodic": (_periodic_parameters, _periodic)}
+
+
 def _family(model: NBodyModel):
-    """(parameter draw, build) of the model's test-function family."""
-    if model.kind_row.period:
-        return _periodic_parameters, _periodic
-    return _gaussian_parameters, _gaussian
+    """(parameter draw, build) of the test-function family its kind names."""
+    return _TEST_FUNCTIONS[model.kind_row.test_functions]
 
 
 def draw_test_parameters(model: NBodyModel, rng: np.random.Generator) -> tuple:
@@ -277,18 +279,16 @@ def random_test_function(model: NBodyModel, rng: np.random.Generator) -> TestFun
 
 
 def jastrow_function(model: NBodyModel) -> TestFunction:
-    """Product ground state Phi0 = prod_{i<j} |s(x_i - x_j)|^alpha as a
-    TestFunction, where s is sin for a periodic model and the identity
-    otherwise; a confined model adds exp(-beta (x_i - x_j)^2 / 2) per pair.
-    """
+    """Product ground state Phi0 as a TestFunction: the product of each
+    orbit's closed-form factors (``Orbit.jastrow``) at alpha . x over its
+    roots alpha, such as |sin(x_i - x_j)|^alpha for calogero_sutherland."""
     def fn(x):
         f = _constant(1.0, x)
-        for i, xi in enumerate(x):
-            for xj in x[i + 1:]:
-                diff = xi - xj
-                f = f * (diff.sin() if model.kind_row.period else diff).abs_pow(model.alpha)
-                if model.kind_row.confined:
-                    f = f * (diff.pow_int(2) * (-0.5 * model.beta)).exp()
+        for orbit, roots, _ in model.orbits:
+            for root in roots:
+                y = sum(x[i] * c for i, c in enumerate(root) if c)
+                for factor in orbit.jastrow(model, y):
+                    f = f * factor
         return f
 
     return TestFunction(model.n, fn)

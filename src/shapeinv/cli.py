@@ -289,7 +289,7 @@ def cmd_susy(args) -> int:
     model = _model_from_cfg(cfg)
     if model.n != 2:
         raise DomainError("the CLI susy command builds two-body systems")
-    grid = GridSpec.line(0.0, model.kind_row.period or 8.0, cfg["grid_m"])
+    grid = GridSpec.line(0.0, min(model.pair.prep.domain()[1], 8.0), cfg["grid_m"])
     cm = susy.cm_momenta(cfg["cm_modes"])
     if cfg["variant"] == "both":
         cmp = susy.variant_comparison(model, grid, cm, levels=cfg["levels"])
@@ -337,7 +337,7 @@ def cmd_groundstate(args) -> int:
     state_info, dumps = {}, {}
     if model.n == 2:
         # the relative grid validates the pair's family before the jet draws
-        grid = GridSpec.line(0.0, model.kind_row.period or 8.0, cfg["grid_m"])
+        grid = GridSpec.line(0.0, min(model.pair.prep.domain()[1], 8.0), cfg["grid_m"])
         gf, state_info["grid_residual"] = spectral.jastrow_ground_state(
             model, grid, cfg["stencil_order"])
         if cfg["dump"]:

@@ -1,5 +1,5 @@
 """Model definitions: 1-D shape-invariant prepotential families, N-body
-pair-interaction models with their ladder prepotentials W_i, and the pair
+models with their ladder prepotentials W_i over root systems, and the pair
 rows entering the cross-term balance condition.
 
 Conventions used across the whole package (units hbar = 1, 2m = 1):
@@ -14,14 +14,12 @@ to pair terms (see ``balance_gap``).
 Each family formula is written once, in ``FAMILIES``, and only
 ``Prepotential1D`` evaluates it: every 1-D W is one ``Prepotential1D``,
 whether it is a family of its own or the W of a pair row
-(``PairPrepotential.prep``), which the N-body pair term w(x_i - x_j) and the
-N = 2 relative problem share.  Everything the rest of the package knows
-about an N-body kind is its ``Kind`` row in ``KINDS``: the pair row of its
-pair prepotential, with that row's parameters, and the closed forms that the
-identity checks compare against, written out apart from ``FAMILIES``.  The
-pair row is the kind's one statement of the cross-term balance condition,
-which `verify` checks as the three-body cancellation.  No other module names
-a kind or a pair row, so a new kind is one row.
+(``PairPrepotential.prep``).  An N-body kind is its ``Kind`` row in
+``KINDS``: orbits, each a root matrix R with a pair row's w, so that on
+y = x R^T, W = sum w(y) R and J = R^T diag(w'(y)) R, and the singularity
+margin is the distance of y to w's singular lattice.  The closed forms that
+the identity checks compare against are written out apart from
+``FAMILIES``.  No other module names a kind or a root, so a new kind is one row.
 """
 
 from __future__ import annotations
@@ -115,39 +113,85 @@ FAMILIES = {
 FAMILIES_1D = tuple(FAMILIES)
 
 
+@functools.cache
+def _difference_roots(n: int) -> np.ndarray:
+    """The roots e_i - e_j, i < j, of A_(N-1), in np.triu_indices order."""
+    roots = (np.eye(n)[:, None] - np.eye(n))[np.triu_indices(n, 1)]
+    roots.flags.writeable = False
+    return roots
+
+
+def _norm_sum(f, roots) -> np.ndarray:
+    """sum_alpha |alpha|^2 f_alpha from f at each row of `roots` (last axis).  Over
+    `_difference_roots(N)` it sums the N x N table of the pairs i != j: the order
+    the reports rest on."""
+    n = roots.shape[1]
+    if roots is not _difference_roots(n):
+        return (f * (roots ** 2).sum(axis=1)).sum(axis=-1)
+    table = np.zeros(f.shape[:-1] + (n, n))
+    table[..., roots.argmax(axis=1), roots.argmin(axis=1)] = f
+    return (table + table.swapaxes(-1, -2)).sum(axis=(-2, -1))
+
+
 @dataclass(frozen=True)
-class Kind:
-    """One N-body kind: the pair row of its pair prepotential w(x_i - x_j)
-    and the closed forms that the identity checks compare against, written
-    out here and never read from ``FAMILIES``, so that no check compares the
-    family table with itself.  Every callable takes the model.
-    """
+class Orbit:
+    """Positive roots alpha that add w(alpha . x) alpha to W (Olshanetsky &
+    Perelomov, Phys. Rep. 94, 313 (1983)).  The closed forms, never read from
+    ``FAMILIES``, take the model and y = alpha . x (last axis, one per root),
+    or for `jastrow` the jet of one."""
 
     pair: str                 # PAIR_ROWS row of w
-    pair_params: Callable     # that row's parameters
-    period: float | None      # singular period: pair terms in sin(x_i - x_j), not x_i - x_j
-    confined: bool            # takes omega and beta: (N beta^2/2) (x_i - x_j)^2 pair term
+    params: Callable          # that row's parameters, from the model
+    spacing: float            # of w's singular lattice; math.inf: 0 is its only point
+    v: Callable               # the orbit's part of the pair potential V; also takes R
+    mixed: Callable           # c(y): [A+_i, A_j] = -sum_alpha alpha_i alpha_j c(alpha . x)
+    jastrow: Callable         # factors of the product ground state, in product order
+    roots: Callable = _difference_roots  # N -> root matrix R, one row per root
+
+
+@dataclass(frozen=True)
+class Kind:
+    """One N-body kind: its orbits, its draws and its closed-form constants."""
+
+    orbits: tuple
+    cell: tuple               # (lo, hi, sector): draws uniform in (lo, hi)^N, sorted if "ordered"
+    test_functions: str       # the calculus family of the checks' test functions
     c: Callable               # additive constant of the standard potential
     remainder: Callable       # closed-form shift R(alpha + 1)
     normalizable: Callable    # product ground state square-integrable
+    confined: bool = False    # takes omega and beta
     aliases: tuple = ()
 
 
 KINDS = {
     "calogero": Kind(
-        "rational_harmonic", lambda m: (0.0, -m.alpha), period=None, confined=False,
+        (Orbit("rational_harmonic", lambda m: (0.0, -m.alpha), math.inf,
+               v=lambda m, y, r: (m.g / 2.0) * _norm_sum(1.0 / y ** 2, r),
+               mixed=lambda m, y: 2 * (m.alpha / y ** 2),
+               jastrow=lambda m, y: (y.abs_pow(m.alpha),)),),
+        cell=(-2.0, 2.0, "full"), test_functions="gaussian",
         c=lambda m: 0.0, remainder=lambda m: 0.0,
         normalizable=lambda m: False),  # no confinement: a formal zero mode only
     "harmonic_calogero": Kind(
-        "rational_harmonic", lambda m: (m.beta, -m.alpha), period=None, confined=True,
+        (Orbit("rational_harmonic", lambda m: (m.beta, -m.alpha), math.inf,
+               v=lambda m, y, r: ((m.g / 2.0) * _norm_sum(1.0 / y ** 2, r)
+                                  + 0.5 * m.n * m.beta ** 2 * _norm_sum(y ** 2, r)),
+               mixed=lambda m, y: 2 * (m.alpha / y ** 2 + m.beta),
+               jastrow=lambda m, y: (y.abs_pow(m.alpha),
+                                     (y.pow_int(2) * (-0.5 * m.beta)).exp())),),
+        cell=(-2.0, 2.0, "full"), test_functions="gaussian",
         # sum W_i^2 - sum d_i W_i = N beta^2 sum_{i<j} x_ij^2 + g sum_{i<j} x_ij^-2 + c:
         # the three-body alpha beta terms sum to 3 per triple
         c=lambda m: -m.n * (m.n - 1) * m.beta * (m.alpha * m.n + 1),
         remainder=lambda m: m.n * (m.n - 1) * (m.n + 2) * m.beta,
         # pair Gaussians confine the relative coordinates, not the center of mass
-        normalizable=lambda m: m.beta > 0 and m.alpha > -0.5),
+        normalizable=lambda m: m.beta > 0 and m.alpha > -0.5, confined=True),
     "calogero_sutherland": Kind(
-        "cot", lambda m: (-m.alpha,), period=math.pi, confined=False,
+        (Orbit("cot", lambda m: (-m.alpha,), math.pi,
+               v=lambda m, y, r: (m.g / 2.0) * _norm_sum(1.0 / np.sin(y) ** 2, r),
+               mixed=lambda m, y: 2 * (m.alpha / np.sin(y) ** 2),
+               jastrow=lambda m, y: (y.sin().abs_pow(m.alpha),)),),
+        cell=(0.0, math.pi, "ordered"), test_functions="periodic",
         c=lambda m: -m.alpha ** 2 * m.n * (m.n ** 2 - 1) / 3.0,
         remainder=lambda m: ((m.alpha + 1.0) ** 2 - m.alpha ** 2) * m.n * (m.n ** 2 - 1) / 3.0,
         normalizable=lambda m: m.alpha > -0.5, aliases=("cs",)),
@@ -295,16 +339,26 @@ def make_prepotential_1d(family: str, params) -> Prepotential1D:
 # N-body models
 # ---------------------------------------------------------------------------
 
-def _set_diagonal(a: np.ndarray, value):
-    """Write `value` onto the diagonal of every trailing (N, N) block of a."""
-    np.einsum("...ii->...i", a)[...] = value
+def root_outer_sum(c, roots) -> np.ndarray:
+    """sum_alpha c_alpha alpha alpha^T, in root order, from c at each root."""
+    return (roots.T * c[..., None, :]) @ roots
+
+
+def _field(at) -> np.ndarray:
+    """W = sum_alpha w(alpha . x) alpha, from `NBodyModel.root_coordinates`."""
+    return sum((pair.prep.w(y)[..., :, None] * roots).sum(axis=-2) for _, roots, pair, y in at)
+
+
+def _jacobian(at) -> np.ndarray:
+    """J = sum_alpha w'(alpha . x) alpha alpha^T, from `NBodyModel.root_coordinates`."""
+    return sum(root_outer_sum(pair.prep.w_prime(y), roots) for _, roots, pair, y in at)
 
 
 @dataclass(frozen=True)
 class NBodyModel:
-    """An N-body model with pairwise prepotential W_i = sum_j' w(x_i - x_j).
+    """An N-body model with prepotential W = sum_alpha w(alpha . x) alpha over
+    its kind's orbits: W_i = sum_j' w(x_i - x_j) for the three kinds.
 
-    w is the W of the 1-D family that the kind's row of ``KINDS`` names.
     The coupling is g = 2 alpha (alpha - 1).  For the harmonic kind, `beta`
     scales the linear pair term in w and every closed form is written in it;
     omega only sets its default, omega / (2 sqrt N).  At beta = omega / sqrt(2N)
@@ -324,20 +378,24 @@ class NBodyModel:
 
     @property
     def c(self) -> float:
-        """Additive constant of the model's standard potential form: 0 for
-        calogero, -alpha^2 N (N^2-1)/3 for calogero_sutherland and
-        -N (N-1) beta (alpha N + 1) for harmonic_calogero."""
+        """Additive constant of the model's standard potential form."""
         return self.kind_row.c(self)
 
     @property
     def kind_row(self) -> Kind:
         return KINDS[self.kind]
 
-    # -- pair functions ----------------------------------------------------
     @functools.cached_property
+    def orbits(self) -> tuple:
+        """(orbit, root matrix, pair row at this model) per orbit of the kind."""
+        return tuple((o, o.roots(self.n), PairPrepotential(o.pair, o.params(self)))
+                     for o in self.kind_row.orbits)
+
+    # -- pair functions ----------------------------------------------------
+    @property
     def pair(self) -> "PairPrepotential":
-        """The kind's pair row at this model's parameters."""
-        return PairPrepotential(self.kind_row.pair, self.kind_row.pair_params(self))
+        """The pair row of the kind's first orbit, the roots e_i - e_j."""
+        return self.orbits[0][2]
 
     def pair_w(self, r):
         return self.pair.prep.w(r)
@@ -352,17 +410,19 @@ class NBodyModel:
     # -- configuration-level evaluation -------------------------------------
     # Each method takes one configuration (N,) or a batch (M, N) of them;
     # a batch gives one value (or one row) per configuration.
-    def separation_margin(self, x):
-        """Distance of the closest pair to its nearest singular hyperplane."""
+    def root_coordinates(self, x) -> list:
+        """(orbit, root matrix R, pair row, y = x R^T) for each orbit."""
         x = np.asarray(x, dtype=float)
-        d = x[..., :, None] - x[..., None, :]
-        period = self.kind_row.period
-        if period:
-            # singular whenever x_i - x_j is a multiple of the period
-            d = d - period * np.round(d / period)
-        d = np.abs(d)
-        _set_diagonal(d, math.inf)
-        return d.min(axis=(-2, -1))
+        return [(orbit, roots, pair, x @ roots.T) for orbit, roots, pair in self.orbits]
+
+    def separation_margin(self, x):
+        """The smallest distance of a root coordinate alpha . x to its orbit's
+        singular lattice: min |x_i - x_j|, mod pi for calogero_sutherland."""
+        margins = []
+        for orbit, roots, _ in self.orbits:
+            y, s = np.asarray(x, dtype=float) @ roots.T, orbit.spacing
+            margins.append(np.abs(y - s * np.rint(y / s) if math.isfinite(s) else y).min(axis=-1))
+        return functools.reduce(np.minimum, margins)
 
     def check_configuration(self, x):
         x = np.asarray(x, dtype=float)
@@ -376,67 +436,36 @@ class NBodyModel:
                 f"(eps_sing={self.eps_sing:.1e})")
         return x
 
-    def _diff(self, x):
-        d = x[..., :, None] - x[..., None, :]
-        _set_diagonal(d, 1.0)  # dummy, masked out by callers
-        return d
-
-    def _w_from_diff(self, d) -> np.ndarray:
-        w = self.pair_w(d)
-        _set_diagonal(w, 0.0)
-        return w.sum(axis=-1)
-
-    def _jacobian_from_diff(self, d) -> np.ndarray:
-        wp = self.pair_w_prime(d)
-        _set_diagonal(wp, 0.0)
-        jac = -wp
-        _set_diagonal(jac, wp.sum(axis=-1))
-        return jac
-
     def prepotential(self, x) -> np.ndarray:
         """W_i(x) for i = 1..N.  Sums to zero at every configuration."""
-        return self._w_from_diff(self._diff(self.check_configuration(x)))
+        return _field(self.root_coordinates(self.check_configuration(x)))
 
     def prepotential_jacobian(self, x) -> np.ndarray:
         """Matrix J[i, j] = d W_j / d x_i (symmetric: the field is curl-free)."""
-        return self._jacobian_from_diff(self._diff(self.check_configuration(x)))
+        return _jacobian(self.root_coordinates(self.check_configuration(x)))
 
     def prepotential_and_jacobian(self, x):
         """(prepotential(x), prepotential_jacobian(x)) from one singularity
-        check and one difference array."""
-        d = self._diff(self.check_configuration(x))
-        return self._w_from_diff(d), self._jacobian_from_diff(d)
+        check and one evaluation of the root coordinates."""
+        at = self.root_coordinates(self.check_configuration(x))
+        return _field(at), _jacobian(at)
 
     def pair_potential(self, x):
-        """The standard pair interaction, without the additive constant.
-
-        Written out here rather than from the family table, so that the
-        factorization checks compare the ladder products against it."""
-        x = self.check_configuration(x)
-        d = self._diff(x)
-        inv_sq = 1.0 / (np.sin(d) if self.kind_row.period else d) ** 2
-        _set_diagonal(inv_sq, 0.0)
-        v = (self.g / 2.0) * inv_sq.sum(axis=(-2, -1))
-        if self.kind_row.confined:
-            sq = d ** 2
-            _set_diagonal(sq, 0.0)
-            v = v + 0.5 * self.n * self.beta ** 2 * sq.sum(axis=(-2, -1))
-        return v
+        """The standard interaction without the additive constant, from the orbits'
+        closed forms rather than the family table: the ladder products' reference."""
+        return sum(orbit.v(self, y, roots) for orbit, roots, _, y
+                   in self.root_coordinates(self.check_configuration(x)))
 
     def potential(self, x):
         return self.pair_potential(x) + self.c
 
     def ladder_potential(self, x, partner: bool = False):
         """sum_i W_i^2 -/+ sum_i d_i W_i, the potential assembled by the
-        ladder products (partner=True flips the derivative sign)."""
-        x = self.check_configuration(x)
-        d = self._diff(x)
-        w = self.pair_w(d)
-        _set_diagonal(w, 0.0)
-        wp = self.pair_w_prime(d)
-        _set_diagonal(wp, 0.0)
-        wsq = np.sum(w.sum(axis=-1) ** 2, axis=-1)
-        trace = wp.sum(axis=(-2, -1))
+        ladder products (partner=True flips the derivative sign), with
+        sum_i d_i W_i = sum_alpha |alpha|^2 w'(alpha . x)."""
+        at = self.root_coordinates(self.check_configuration(x))
+        wsq = np.sum(_field(at) ** 2, axis=-1)
+        trace = sum(_norm_sum(pair.prep.w_prime(y), roots) for _, roots, pair, y in at)
         return wsq + trace if partner else wsq - trace
 
     def shifted(self, dalpha: float = 1.0) -> "NBodyModel":
@@ -489,9 +518,7 @@ def make_nbody_model(kind: str, n: int, alpha: float, omega: float | None = None
 
 def remainder_shift(model: NBodyModel) -> float:
     """R(alpha+1): the constant by which the partner sum A A+ exceeds the
-    ladder sum A+ A at shifted coupling, in closed form: 0 for calogero,
-    ((alpha+1)^2 - alpha^2) N (N^2-1)/3 for calogero_sutherland and
-    N (N-1) (N+2) beta for harmonic_calogero."""
+    ladder sum A+ A at shifted coupling, in the kind's closed form."""
     return model.kind_row.remainder(model)
 
 

@@ -595,10 +595,8 @@ def jastrow_ground_state(model: NBodyModel, grid: GridSpec,
         logv = model.pair_log_jastrow(ham.nodes[:, 0])
     else:
         ham = discretize(model, grid, stencil_order)
-        logv = np.zeros(ham.dim)
-        for i in range(model.n):
-            for j in range(i + 1, model.n):
-                logv += model.pair_log_jastrow(ham.nodes[:, i] - ham.nodes[:, j])
+        logv = sum(pair.prep.log_ground_state(column)
+                   for _, _, pair, y in model.root_coordinates(ham.nodes) for column in y.T)
     logv -= logv.max()
     values = np.exp(logv)
     values /= np.linalg.norm(values)

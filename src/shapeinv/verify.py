@@ -31,16 +31,15 @@ cleared when the call returns, so nothing is cached across calls.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import calculus as calc
 from .errors import DomainError
-from .models import NBodyModel, _set_diagonal, balance_gap, remainder_shift
+from .models import NBodyModel, balance_gap, remainder_shift, root_outer_sum
 
 DEFAULT_GAP = 0.05
-BOX_HALF = 2.0  # configurations drawn from a box of side 4
 
 
 class _Serialized:
@@ -121,29 +120,14 @@ def _child_rngs(seed: int, trials: int):
 
 
 def draw_configuration(model: NBodyModel, rng: np.random.Generator) -> np.ndarray:
-    """One admissible configuration for the model.
-
-    Without a period: uniform in a box of side 2 BOX_HALF, minimum pair gap
-    DEFAULT_GAP.  With a period: ordered draw in (0, period) with
-    consecutive gaps >= DEFAULT_GAP and total span <= period - DEFAULT_GAP,
-    keeping every difference away from the singular lattice (multiples of
-    the period).
-    """
-    n = model.n
-    period = model.kind_row.period
+    """One admissible configuration for the model: uniform in its kind's
+    draw cell (sorted on an ordered cell), at least max(DEFAULT_GAP,
+    eps_sing) from every singular hyperplane (`separation_margin`)."""
+    lo, hi, sector = model.kind_row.cell
     for _ in range(10_000):
-        if period:
-            x = np.sort(rng.uniform(0.0, period, size=n))
-            if (x[1:] - x[:-1]).min() < DEFAULT_GAP or (x[-1] - x[0]) > period - DEFAULT_GAP:
-                continue
-        else:
-            x = rng.uniform(-BOX_HALF, BOX_HALF, size=n)
-            # rounding is monotone, so the smallest gap of the sorted
-            # coordinates is the smallest |x_i - x_j| over all pairs
-            ordered = np.sort(x)
-            if (ordered[1:] - ordered[:-1]).min() < DEFAULT_GAP:
-                continue
-        return x
+        x = rng.uniform(lo, hi, size=model.n)
+        if model.separation_margin(x) >= max(DEFAULT_GAP, model.eps_sing):
+            return np.sort(x) if sector == "ordered" else x
     raise DomainError("failed to draw an admissible configuration")
 
 
@@ -289,18 +273,10 @@ def _momentum(model: NBodyModel, s: TrialSet):
 
 
 def _mixed_commutator(model: NBodyModel, x) -> np.ndarray:
-    """Closed form of [A+_i, A_j] / f as an (..., N, N) matrix: the pair
-    formula off the diagonal, minus the sum of the row's off-diagonal
-    entries on it."""
-    d = model._diff(np.asarray(x, dtype=float))  # dummy diagonal, overwritten below
-    c = model.alpha / (np.sin(d) if model.kind_row.period else d) ** 2
-    if model.kind_row.confined:
-        c = c + model.beta
-    c = 2 * c
-    off = ~np.eye(model.n, dtype=bool)
-    restricted = np.ascontiguousarray(c[..., off]).reshape(c.shape[:-1] + (model.n - 1,))
-    _set_diagonal(c, -restricted.sum(axis=-1))
-    return c
+    """Closed form of [A+_i, A_j] / f as an (..., N, N) matrix: -sum_alpha
+    alpha_i alpha_j c(alpha . x) over every orbit, c its ``Orbit.mixed``."""
+    return -sum(root_outer_sum(orbit.mixed(model, y), roots)
+                for orbit, roots, _, y in model.root_coordinates(x))
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +367,7 @@ def three_body_report(model: NBodyModel, trials: int, seed: int,
         # seeds, each drawing its configuration first
         xs = _trial_set(model, trials, seed).x
     else:
-        probe = NBodyModel(model.kind, 3, model.alpha, model.omega, model.beta,
-                           model.eps_sing)
+        probe = replace(model, n=3)
         xs = np.array([draw_configuration(probe, rng)
                        for rng in _child_rngs(seed, trials)])
     return _report("three_body_cancellation", model, trials, seed,

@@ -129,7 +129,7 @@ def test_model_data_one_check_bit_identical(kind, omega, n, monkeypatch):
     model = make_nbody_model(kind, n, 1.5, omega=omega)
     x = np.sort(np.random.default_rng(n).uniform(0.1, 3.0, n))
     w_ref, j_ref = model.prepotential(x), model.prepotential_jacobian(x)
-    calls = {"check_configuration": 0, "_diff": 0}
+    calls = {"check_configuration": 0, "root_coordinates": 0}
     for name in calls:
         original = getattr(NBodyModel, name)
 
@@ -138,7 +138,7 @@ def test_model_data_one_check_bit_identical(kind, omega, n, monkeypatch):
             return _original(self, *args)
         monkeypatch.setattr(NBodyModel, name, counted)
     _, w, j = calc._model_data(model, x)
-    assert calls == {"check_configuration": 1, "_diff": 1}
+    assert calls == {"check_configuration": 1, "root_coordinates": 1}
     assert w.dtype == w_ref.dtype and w.tobytes() == w_ref.tobytes()
     assert j.dtype == j_ref.dtype and j.tobytes() == j_ref.tobytes()
 

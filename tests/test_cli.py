@@ -82,6 +82,18 @@ def test_verify_rejects_bad_model_parameters(tmp_path, capsys, flags, message):
     assert not list(tmp_path.iterdir())  # no report records the rejected input
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--kind", "calogero", "--n", "4", "--alpha", "1.5", "--trials", "20",
+     "--epsilon-sing", "0.3"],
+    ["groundstate", "--kind", "cs", "--n", "3", "--trials", "20", "--epsilon-sing", "0.5"],
+    ["verify", "--kind", "cs", "--n", "6", "--trials", "20", "--epsilon-sing", "0.3"],
+], ids=["verify_calogero_n4", "groundstate_cs_n3", "verify_cs_n6"])
+def test_draws_honor_epsilon_sing(tmp_path, capsys, argv):
+    # every drawn configuration keeps the model's own eps_sing from the
+    # singular hyperplanes, so a large --epsilon-sing is no usage error
+    assert run([*argv, "--outdir", str(tmp_path)]) == 0, capsys.readouterr().err
+
+
 def test_verify_unknown_flag():
     assert run(["verify", "--nonsense", "3"]) == 2
 

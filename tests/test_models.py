@@ -4,12 +4,18 @@ import math
 import numpy as np
 import pytest
 
+from shapeinv import models, verify
 from shapeinv.errors import DomainError, SingularConfigurationError
 from shapeinv.models import (
     FAMILIES,
     FAMILIES_1D,
     NBODY_KINDS,
     PAIR_ROWS,
+    Family,
+    Kind,
+    NBodyModel,
+    Orbit,
+    PairRow,
     make_nbody_model,
     make_pair_prepotential,
     make_prepotential_1d,
@@ -276,6 +282,127 @@ def test_jacobian_matches_finite_difference():
         e[i] = h
         fd = (m.prepotential(x + e) - m.prepotential(x - e)) / (2 * h)
         assert np.allclose(fd, jac[i, :], rtol=1e-6, atol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the root form
+# ---------------------------------------------------------------------------
+
+def _difference_array_fields(model, x):
+    """W and J as the N x N difference array with a dummy diagonal built
+    them before the root form: the reference it reproduces bit for bit."""
+    def diagonal(a):
+        return np.einsum("...ii->...i", a)
+    d = x[..., :, None] - x[..., None, :]
+    diagonal(d)[...] = 1.0
+    w = model.pair_w(d)
+    diagonal(w)[...] = 0.0
+    wp = model.pair_w_prime(d)
+    diagonal(wp)[...] = 0.0
+    jac = -wp
+    diagonal(jac)[...] = wp.sum(axis=-1)
+    return w.sum(axis=-1), jac
+
+
+@pytest.mark.parametrize("kind", NBODY_KINDS)
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_root_form_matches_the_difference_array_bit_for_bit(kind, n):
+    omega = 1.3 if kind == "harmonic_calogero" else None
+    m = make_nbody_model(kind, n, 1.7, omega=omega)
+    rng = np.random.default_rng(300 + n)
+    xs = np.array([verify.draw_configuration(m, rng) for _ in range(200)])
+    for x in (xs, *xs[:10]):
+        w, jac = m.prepotential_and_jacobian(x)
+        w_ref, jac_ref = _difference_array_fields(m, x)
+        assert w.shape == w_ref.shape and w.tobytes() == w_ref.tobytes()
+        assert jac.shape == jac_ref.shape and jac.tobytes() == jac_ref.tobytes()
+
+
+def test_separation_margin_wraps_for_the_periodic_kind_only():
+    x = np.array([0.1, 1.0, 0.1 + math.pi - 0.02])
+    cs = make_nbody_model("calogero_sutherland", 3, 1.0)
+    assert cs.separation_margin(x) == pytest.approx(0.02, abs=1e-15)
+    assert make_nbody_model("calogero", 3, 1.0).separation_margin(x) == 1.0 - 0.1
+
+
+def _bc_model(monkeypatch, a, kappa, lam, n=3):
+    """A test-local BC_N kind over three orbits: e_i - e_j and e_i + e_j with
+    w = -a cot, and e_i with the Poschl-Teller I w = -kappa cot + lambda tan,
+    whose singular lattice has spacing pi/2.  Only W, J and the ladder
+    potential are evaluated."""
+    unused = None
+    monkeypatch.setitem(models.FAMILIES, "poschl_teller_i", Family(
+        ("kappa", "lambda"),
+        w=lambda x, k, l: -k / np.tan(x) + l * np.tan(x),
+        w_prime=lambda x, k, l: k / np.sin(x) ** 2 + l / np.cos(x) ** 2,
+        log_psi0=unused, next_params=unused, remainder_next=unused,
+        domain=unused, normalizable=unused))
+    monkeypatch.setitem(models.PAIR_ROWS, "poschl_teller_i", PairRow(
+        "poschl_teller_i", lambda k, l: (k, l), ("kappa", "lambda"), v0=unused,
+        vtilde0=unused))
+
+    def roots(sign):
+        i, j = np.triu_indices(n, 1)
+        return lambda n_: np.eye(n_)[i] + sign * np.eye(n_)[j]
+    closed = dict(v=unused, mixed=unused, jastrow=unused)
+    monkeypatch.setitem(models.KINDS, "bc_test", Kind(
+        (Orbit("cot", lambda m: (-a,), math.pi, **closed, roots=roots(-1.0)),
+         Orbit("cot", lambda m: (-a,), math.pi, **closed, roots=roots(1.0)),
+         Orbit("poschl_teller_i", lambda m: (kappa, lam), math.pi / 2, **closed,
+               roots=np.eye)),
+        cell=(0.0, math.pi / 2, "ordered"), test_functions="periodic",
+        c=unused, remainder=unused, normalizable=unused))
+    return NBodyModel("bc_test", n, a)
+
+
+def test_bc3_root_form_against_central_differences(monkeypatch):
+    a, kappa, lam = 1.3, 0.7, 2.2
+    m = _bc_model(monkeypatch, a, kappa, lam)
+
+    def log_psi0(x):
+        i, j = np.triu_indices(3, 1)
+        return (a * np.sum(np.log(np.abs(np.sin(x[i] - x[j]) * np.sin(x[i] + x[j]))))
+                + np.sum(kappa * np.log(np.sin(x)) + lam * np.log(np.cos(x))))
+    rng = np.random.default_rng(18)
+    h = 1e-6
+    for _ in range(20):
+        x = verify.draw_configuration(m, rng)
+        w, jac = m.prepotential_and_jacobian(x)
+        for i, e in enumerate(np.eye(3) * h):
+            # W = -grad log psi0 and J[i, j] = d_i W_j
+            assert -(log_psi0(x + e) - log_psi0(x - e)) / (2 * h) == pytest.approx(
+                w[i], rel=1e-6, abs=1e-6)
+            fd = (m.prepotential(x + e) - m.prepotential(x - e)) / (2 * h)
+            assert np.allclose(fd, jac[i], rtol=1e-6, atol=1e-5)
+        # the ladder potential's sum_i d_i W_i = sum_alpha |alpha|^2 w'(alpha . x),
+        # |alpha|^2 = 1 on the e_i orbit and 2 on the others
+        divergence = sum((m.prepotential(x + e)[i] - m.prepotential(x - e)[i]) / (2 * h)
+                         for i, e in enumerate(np.eye(3) * h))
+        wsq = np.sum(w ** 2)
+        assert wsq - m.ladder_potential(x) == pytest.approx(divergence, rel=1e-6, abs=1e-5)
+        assert m.ladder_potential(x, partner=True) - wsq == pytest.approx(
+            divergence, rel=1e-6, abs=1e-5)
+
+
+@pytest.mark.parametrize("couplings", [(1.3, 0.7, 2.2), "random"])
+def test_bc3_cross_sum_splits_over_rank_two_subsystems(monkeypatch, couplings):
+    # |W|^2 - sum_alpha |alpha|^2 w_alpha^2 = sum_{alpha != beta} (alpha . beta)
+    # w_alpha w_beta splits over the rank-2 subsystems: each of the four A_2
+    # contributes -2 a^2, each of the three B_2 -4 a (kappa + lambda)
+    rng = np.random.default_rng(19)
+    if couplings == "random":
+        couplings = tuple(rng.uniform(0.6, 3.0, 3))
+    a, kappa, lam = couplings
+    m = _bc_model(monkeypatch, a, kappa, lam)
+    xs = np.array([verify.draw_configuration(m, rng) for _ in range(200)])
+    at = m.root_coordinates(xs)
+    squares = sum((pair.prep.w(y) ** 2 * np.sum(roots ** 2, axis=1)).sum(axis=-1)
+                  for _, roots, pair, y in at)
+    cross = np.sum(m.prepotential(xs) ** 2, axis=-1) - squares
+    expected = 4 * (-2 * a ** 2) + 3 * (-4 * a * (kappa + lam))
+    assert np.max(np.abs(cross - expected)) <= 1e-9 * np.max(squares)
+    if couplings == (1.3, 0.7, 2.2):
+        assert expected == pytest.approx(-58.76, abs=1e-12)
 
 
 def test_remainder_shift_values():

@@ -2,9 +2,10 @@
 `spectral.sa_ncv` against a candidate rule, min(n, max(2k + 10, 20),
 max(14, 3k)), which differs from it at k >= 7.
 
-For each operator and k, `spectral.eigen(method="iterative")` runs once
-with each basis size from the same seeded start vector, alternating which
-goes first, `--reps` times each on one BLAS thread.  One table row per
+For each operator, one untimed call warms the solver up; then for each k,
+`spectral.eigen(method="iterative")` runs once with each basis size from
+the same seeded start vector, alternating which goes first, `--reps` times
+each on one BLAS thread.  One table row per
 (operator, k): nodes, each side's ncv, products with H, median time of the
 call, the time ratio candidate / rule, and the largest level difference
 between the two sides and, up to DENSE_MAX nodes, against the dense path.
@@ -74,6 +75,7 @@ def sweep_operator(name, kind, n_body, alpha, lo, hi, m, reps, seed):
     if n <= DENSE_MAX:
         dense = spectral.eigen(ham, max(KS), method="dense").eigenvalues
     bases = {"rule": RULE, "candidate": candidate}
+    solve(ham, KS[0], RULE, seed)  # untimed: a process's first ARPACK call pays its start-up
     rows = []
     for k in KS:
         times = {side: [] for side in bases}
